@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 
 from .errors import CodecError
+from . import evidence as E
 from . import syntax as S
 from .crypto import PrincipalId, SignedAttestation, sha256
 
@@ -312,29 +313,23 @@ def _read_signed_attestation(r: _R) -> SignedAttestation:
 # Evidence
 
 
-def _emit_evidence(w: _W, e):
-    from . import evidence as E
-
+def _emit_evidence_header(w: _W, e):
+    """Emit an evidence node without its sub-evidence.  A node's encoding
+    is this header followed by the encodings of `E._children(e)`, in order."""
     if isinstance(e, E.Unit):
         w.u8(0x20)
     elif isinstance(e, E.PairEv):
         w.u8(0x21)
-        _emit_evidence(w, e.left)
-        _emit_evidence(w, e.right)
     elif isinstance(e, E.Inl):
         w.u8(0x22)
-        _emit_evidence(w, e.body)
     elif isinstance(e, E.Inr):
         w.u8(0x23)
-        _emit_evidence(w, e.body)
     elif isinstance(e, E.Witness):
         w.u8(0x24)
         _emit_term(w, e.term)
-        _emit_evidence(w, e.body)
     elif isinstance(e, E.Abstraction):
         w.u8(0x25)
         w.str_(e.var)
-        _emit_evidence(w, e.body)
     elif isinstance(e, E.ClauseApp):
         w.u8(0x26)
         w.str_(e.label)
@@ -343,8 +338,6 @@ def _emit_evidence(w: _W, e):
         for t in e.args:
             _emit_term(w, t)
         w.u32(len(e.premises))
-        for p in e.premises:
-            _emit_evidence(w, p)
     elif isinstance(e, E.Hyp):
         w.u8(0x27)
         w.str_(e.label)
@@ -364,7 +357,6 @@ def _emit_evidence(w: _W, e):
         w.u32(len(enc))
         for b in enc:
             w.parts.append(b)
-        _emit_evidence(w, e.body)
     elif isinstance(e, E.Ref):
         w.u8(0x2B)
         w.bytes_(e.digest)
@@ -372,9 +364,13 @@ def _emit_evidence(w: _W, e):
         raise CodecError(f"not evidence: {e!r}")
 
 
-def _read_evidence(r: _R):
-    from . import evidence as E
+def _emit_evidence(w: _W, e):
+    _emit_evidence_header(w, e)
+    for k in E._children(e):
+        _emit_evidence(w, k)
 
+
+def _read_evidence(r: _R):
     tag = r.u8()
     if tag == 0x20:
         return E.Unit()
@@ -421,15 +417,18 @@ def encode_evidence(e) -> bytes:
     return w.out()
 
 
+def evidence_header(e) -> bytes:
+    """The bytes `encode_evidence(e)` emits before its children's."""
+    w = _W()
+    _emit_evidence_header(w, e)
+    return w.out()
+
+
 def decode_evidence(data: bytes):
     r = _R(data)
     e = _read_evidence(r)
     r.done()
     return e
-
-
-def evidence_digest(e) -> bytes:
-    return sha256(encode_evidence(e))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +458,6 @@ def encode_certificate(c) -> bytes:
 
 
 def decode_certificate(data: bytes):
-    from . import evidence as E
-
     r = _R(data)
     if r.take(4) != MAGIC or r.u8() != 0x40:
         raise CodecError("not a certificate")

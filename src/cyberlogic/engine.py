@@ -3,6 +3,9 @@
 The prover performs uniform (goal-directed) search: composite goals are
 decomposed by their top connective, atomic goals backchain over hypothesis
 and policy clauses, depth-first in clause order under a depth budget.
+Policy clauses are selected by head predicate (the predicate of the atom,
+or of the atom under `says`) through a per-policy index that keeps the
+policy's textual order; clauses under other predicates are never tried.
 Conjunct scheduling prefers attestation goals whose principal is still
 unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
@@ -12,8 +15,7 @@ evaluation order actually taken.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import syntax as S
 from . import evidence as E
@@ -131,13 +133,14 @@ class _State:
     metavariables and eigenvariables (for the quantifier scope check)."""
 
     def __init__(self):
-        self.counter = itertools.count(1)
+        self.counter = 0  # last number handed out
         self.meta_birth: dict[str, int] = {}
         self.eigen_birth: dict[str, int] = {}
         self.exhausted = False
 
     def tick(self) -> int:
-        return next(self.counter)
+        self.counter += 1
+        return self.counter
 
     def register_var(self, v: S.Var):
         self.meta_birth.setdefault(v.name, self.tick())
@@ -199,8 +202,45 @@ def ordered_free_vars(f) -> list:
             go(g.body, bound | {g.var})
 
     go(f, set())
-    # walk_t records bound vars too when shadowed oddly; filter properly:
-    return [v for v in seen]
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# Clause selection
+
+
+def _head_pred(f):
+    """Predicate of an atom or of the atom under `says`; None otherwise."""
+    if isinstance(f, S.Attest):
+        f = f.body
+    return f.pred if isinstance(f, S.Atom) else None
+
+
+class ClauseIndex:
+    """A policy's clauses grouped by head predicate, each group in textual
+    order.
+
+    `candidates(pred)` returns ((skipped, clause), ...) and a trailing
+    count.  `skipped` is the number of universals of the clauses passed
+    over since the previous candidate, and the trailing count those after
+    the last one, so the prover can number fresh names as if it had renamed
+    every clause in turn."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        groups: dict = {}
+        seen: dict = {}  # pred -> universals up to the end of its last clause
+        total = 0
+        for c in policy.clauses:
+            pred = _head_pred(c.head)
+            groups.setdefault(pred, []).append((total - seen.get(pred, 0), c))
+            total += len(c.universals)
+            seen[pred] = total
+        self._total = total
+        self._groups = {p: (tuple(g), total - seen[p]) for p, g in groups.items()}
+
+    def candidates(self, pred):
+        return self._groups.get(pred, ((), self._total))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +269,9 @@ class Prover:
     plus the common policy).  `dispatch(target, goal, vars, budget,
     restriction)` is consulted for attestation goals that no local clause
     covers: `target` is a principal name, or None to broadcast; it yields
-    (bindings, evidence) pairs with ground terms for `vars`.
+    (bindings, evidence) pairs with ground terms for `vars`.  `indexes`
+    maps owner to a ClauseIndex to reuse; one is built for every policy it
+    does not cover, and `self.indexes` holds those of `policies` only.
     """
 
     def __init__(
@@ -241,8 +283,16 @@ class Prover:
         services=None,
         trace: list | None = None,
         on_hypothesis=None,
+        indexes=None,
     ):
         self.policies = dict(policies)
+        indexes = indexes or {}
+        self.indexes = {}
+        for owner, policy in self.policies.items():
+            index = indexes.get(owner)
+            if index is None or index.policy is not policy:
+                index = ClauseIndex(policy)
+            self.indexes[owner] = index
         self.owner = owner
         self.signer = signer
         self.dispatch = dispatch
@@ -423,12 +473,12 @@ class Prover:
 
     # -- backchaining ----------------------------------------------------------
 
-    def _allowed_policies(self, restriction):
+    def _allowed_indexes(self, restriction):
         if restriction is None:
-            return list(self.policies.values())
+            return list(self.indexes.values())
         names = {p.name for p in restriction if isinstance(p, S.Const)}
         names.add("common")
-        return [p for p in self.policies.values() if p.owner in names]
+        return [ix for ix in self.indexes.values() if ix.policy.owner in names]
 
     def _backchain(self, goal, s, depth, env, restriction, anc):
         if depth <= 0:
@@ -442,12 +492,16 @@ class Prover:
 
         for clause in env.clauses():
             yield from self._apply(clause, None, None, goal, s, depth, env, restriction, anc)
-        for policy in self._allowed_policies(restriction):
-            digest = policy.digest
-            for clause in policy.clauses:
+        pred = _head_pred(goal)
+        for index in self._allowed_indexes(restriction):
+            policy = index.policy
+            candidates, trailing = index.candidates(pred)
+            for skipped, clause in candidates:
+                self.state.counter += skipped
                 yield from self._apply(
-                    clause, policy.owner, digest, goal, s, depth, env, restriction, anc
+                    clause, policy.owner, policy.digest, goal, s, depth, env, restriction, anc
                 )
+            self.state.counter += trailing
         if isinstance(goal, S.Attest):
             yield from self._remote(goal, s, depth, env, restriction, anc)
 

@@ -147,6 +147,7 @@ DEDUP_THRESHOLD = 64  # bytes; smaller subtrees are cheaper inline than as refs
 
 
 def _children(e: Evidence):
+    """Sub-evidence of a node, in encoding order."""
     if isinstance(e, PairEv):
         return (e.left, e.right)
     if isinstance(e, (Inl, Inr, Witness, Abstraction, KnowsWrap)):
@@ -175,37 +176,48 @@ def _with_children(e: Evidence, kids):
 def dedup_evidence(e: Evidence, threshold: int = DEDUP_THRESHOLD):
     """Hash-cons repeated subtrees: any subtree whose encoding is at least
     `threshold` bytes and occurs more than once is stored once and replaced
-    by references.  Returns (root, store)."""
+    by references.  Returns (root, store).
+
+    One post-order pass encodes every node once, as its codec header
+    followed by its children's bytes.  Occurrences are then counted in
+    pre-order, not descending into a subtree already seen, and the tree is
+    rebuilt bottom-up, again from header and children's bytes."""
     from . import codec
+
+    def encode(x):  # -> (x, header, bytes, digest, kid nodes)
+        kids = [encode(k) for k in _children(x)]
+        header = codec.evidence_header(x)
+        data = b"".join([header] + [k[2] for k in kids])
+        return x, header, data, codec.sha256(data), kids
 
     counts: dict[bytes, int] = {}
     sizes: dict[bytes, int] = {}
 
-    def scan(x):
-        enc = codec.encode_evidence(x)
-        d = codec.sha256(enc)
+    def scan(node):
+        d = node[3]
         counts[d] = counts.get(d, 0) + 1
-        sizes[d] = len(enc)
+        sizes[d] = len(node[2])
         if counts[d] == 1:
-            for k in _children(x):
+            for k in node[4]:
                 scan(k)
 
-    scan(e)
     store: dict[bytes, Evidence] = {}
 
-    def rebuild(x):
-        from . import codec as _c
+    def rebuild(node):  # -> (evidence, bytes)
+        x, header, data, d, kid_nodes = node
+        kids = [rebuild(k) for k in kid_nodes]
+        if any(new is not k[0] for (new, _), k in zip(kids, kid_nodes)):
+            x = _with_children(x, [new for new, _ in kids])
+            data = b"".join([header] + [b for _, b in kids])
+        if counts[d] > 1 and sizes[d] >= threshold:
+            ref = Ref(codec.sha256(data))
+            store[ref.digest] = x
+            return ref, codec.evidence_header(ref)
+        return x, data
 
-        orig_d = _c.evidence_digest(x)
-        kids = [rebuild(k) for k in _children(x)]
-        new = _with_children(x, kids)
-        if counts[orig_d] > 1 and sizes[orig_d] >= threshold:
-            d = _c.evidence_digest(new)
-            store[d] = new
-            return Ref(d)
-        return new
-
-    return rebuild(e), store
+    root = encode(e)
+    scan(root)
+    return rebuild(root)[0], store
 
 
 def make_certificate(

@@ -192,6 +192,7 @@ class Node:
         self.depth = depth
         self.rng = random.Random((seed, name).__repr__())
         self.sessions: dict[str, Session] = {}
+        self._indexes: dict = {}  # owner -> engine.ClauseIndex of a served policy
         self._qid_seq = 0
         self._answered: dict[str, list[bytes]] = {}
         self.metrics = {
@@ -237,7 +238,7 @@ class Node:
         return env
 
     def _prover(self, session: Session, chain) -> engine.Prover:
-        return engine.Prover(
+        prover = engine.Prover(
             self._policies(),
             owner=self.name,
             signer=(self.keys, self.identity),
@@ -245,7 +246,12 @@ class Node:
             services=self.services,
             trace=self.trace,
             on_hypothesis=session.clauses.extend,
+            indexes=self._indexes,
         )
+        # Keep the indexes of the policies served now; a replaced policy's
+        # index is rebuilt on first use and the old one dropped.
+        self._indexes = prover.indexes
+        return prover
 
     # -- outbound ------------------------------------------------------------
 

@@ -61,14 +61,6 @@ class TrustedServices:
             return None
         return self.attest_time()
 
-    def attest_past(self, t):
-        """Signed reading witnessing past(t): the current reading if it is
-        strictly after t, else None."""
-        tv = S.int_value(t)
-        if tv is None or self._now <= tv:
-            return None
-        return self.attest_time()
-
     # -- nonces -------------------------------------------------------------
 
     def fresh_nonce(self) -> str:

@@ -4,7 +4,8 @@ goal/clause fragment used by the engine."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import FragmentError, MacroError, SortError
 
@@ -331,12 +332,21 @@ class Clause:
         return TOP if not self.slots else unflatten_and(list(self.slots))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Policy:
+    """One owner's program: its signature and its clauses in textual order.
+
+    Immutable: any iterable of clauses is stored as a tuple, and the digest
+    is computed once, on first use.  The signature is shared, not copied;
+    callers that extend a signature work on `Signature.copy()`."""
+
     owner: str
     signature: Signature
-    clauses: list  # of Clause
+    clauses: tuple  # of Clause
     source: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "clauses", tuple(self.clauses))
 
     def clause(self, label: str) -> Clause | None:
         for c in self.clauses:
@@ -344,7 +354,7 @@ class Policy:
                 return c
         return None
 
-    @property
+    @cached_property
     def digest(self) -> bytes:
         from . import codec
 

@@ -161,6 +161,82 @@ def test_dedup_keeps_small_subtrees_inline():
     assert root == ev
 
 
+def _dedup_by_definition(e, threshold):
+    """dedup_evidence spelled out with whole-subtree encodings: count in
+    pre-order without descending into repeats, then rebuild."""
+    counts, sizes = {}, {}
+
+    def scan(x):
+        enc = codec.encode_evidence(x)
+        d = codec.sha256(enc)
+        counts[d] = counts.get(d, 0) + 1
+        sizes[d] = len(enc)
+        if counts[d] == 1:
+            for k in E._children(x):
+                scan(k)
+
+    scan(e)
+    store = {}
+
+    def rebuild(x):
+        orig = codec.sha256(codec.encode_evidence(x))
+        new = E._with_children(x, [rebuild(k) for k in E._children(x)])
+        if counts[orig] > 1 and sizes[orig] >= threshold:
+            d = codec.sha256(codec.encode_evidence(new))
+            store[d] = new
+            return E.Ref(d)
+        return new
+
+    return rebuild(e), store
+
+
+def _random_evidence(rng, pool, depth=4):
+    r = rng.random()
+    if pool and r < 0.45:
+        x = rng.choice(pool)  # the same object again, or an equal copy
+        return x if rng.random() < 0.5 else codec.decode_evidence(codec.encode_evidence(x))
+    if depth == 0 or r < 0.4:
+        leaf = rng.choice([
+            E.Unit(),
+            E.Hyp(f"h{rng.randrange(3)}"),
+            E.TheoryHole("<", (S.Const("1", "Int"), S.Const(str(rng.randrange(2, 4)), "Int"))),
+        ])
+        pool.append(leaf)
+        return leaf
+    kids = lambda n: tuple(_random_evidence(rng, pool, depth - 1) for _ in range(n))
+    x = rng.choice([
+        lambda: E.PairEv(*kids(2)),
+        lambda: E.Inl(*kids(1)),
+        lambda: E.Inr(*kids(1)),
+        lambda: E.Witness(_random_term(rng), *kids(1)),
+        lambda: E.Abstraction(f"c{rng.randrange(3)}", *kids(1)),
+        lambda: E.KnowsWrap(frozenset({S.Const("K", "Principal")}), *kids(1)),
+        lambda: E.ClauseApp(
+            f"r{rng.randrange(3)}", rng.choice([None, b"\x07" * 32]),
+            tuple(_random_term(rng) for _ in range(rng.randrange(3))),
+            kids(rng.randrange(4)),
+        ),
+    ])()
+    pool.append(x)
+    return x
+
+
+def test_dedup_matches_its_definition_on_random_trees():
+    rng = random.Random(4)
+    stored = nested = 0
+    for _ in range(300):
+        ev = _random_evidence(rng, [], depth=rng.randrange(3, 7))
+        threshold = rng.choice([1, 16, 64])
+        root, store = E.dedup_evidence(ev, threshold)
+        want_root, want_store = _dedup_by_definition(ev, threshold)
+        assert codec.encode_evidence(root) == codec.encode_evidence(want_root)
+        assert store == want_store
+        stored += len(store)
+        nested += sum(isinstance(k, E.Ref) for v in store.values() for k in E._children(v))
+    # the corpus really exercises shared subtrees, also inside stored ones
+    assert stored >= 40 and nested > 0
+
+
 def test_policy_digest_changes_with_any_clause():
     src = "pred p(Principal). principal K.\nk1: p(K).\n"
     sig = parser.base_signature()

@@ -1,12 +1,37 @@
-"""Frozen seed-0 query transcripts for every shipped scenario."""
+"""Frozen seed-0 query transcripts, search traces and certificate bytes
+for every shipped scenario, plus one long chain certificate with a shared
+subtree."""
 
 import pathlib
 
 import pytest
 
-from cyberlogic import scenarios
+from cyberlogic import codec, parser, scenarios
+from cyberlogic.crypto import sha256
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# SHA-256 of codec.encode_certificate(...) for each scenario at seed 0.
+CERT_SHA256 = {
+    "delegation": "3b47563a14d52f3ba92c827026617f0e603eef32579fd727b52d8fdd8b023692",
+    "hospital": "22eca659fbed150f60493e174b825d62af4236cb7017dea4417d8e2ac2cd13c1",
+    "ns": "9718263ef665a8391faedc3f54b5a39d04c2fdea751430772c0558d94487a549",
+    "revocation": "16a4ed7d60656f8a9528f1a73df7ba098af6a6ad06e15f220f72e400db333e83",
+    "timed": "87e2c68c94f8143a73d9dfe128ca2918e594b8c425953f4ee90bc6fa0420761a",
+}
+
+# SHA-256 of every node's search trace at seed 0, one "<node> <line>" per
+# line.  The STEP lines name fresh variables and eigenconstants, so this
+# pins the prover's fresh-name numbering.
+TRACE_SHA256 = {
+    "delegation": "96f1c431663e0042e4bd01266e33d4375d412b330c4be3ccad80942bdaee5b32",
+    "hospital": "23a0caf9eb03aee55fa41f5d6721c37e3e45a63dfd3a5a418ae14e68bb238241",
+    "ns": "034b9d36406355e1269983ee1e0f7130a35f61a1e56c315291c067b91ff93569",
+    "revocation": "95fb5f1fab4666b35cde00211f5ac57235cd0b00eb698ec89c08b98966132ff1",
+    "timed": "0d7978d7c58e2f1aa716792bdcbd3acf1b73361730ff2bc8800db313d0c663e3",
+}
+
+CHAIN50_SHA256 = "d3ab262160d29549c29d9aceed74ecb5c6893ec514aa008e092ee0861b59bec1"
 
 
 @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
@@ -16,3 +41,41 @@ def test_transcript_matches_golden_file(name):
     got = ("\n".join(r.transcript) + "\n" if r.transcript else "").encode()
     want = (GOLDEN / f"{name}.transcript").read_bytes()
     assert got == want
+
+
+def test_every_scenario_has_golden_digests():
+    assert sorted(CERT_SHA256) == sorted(TRACE_SHA256) == sorted(scenarios.SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(CERT_SHA256))
+def test_certificate_bytes_match_golden_digest(name):
+    r = scenarios.SCENARIOS[name](0)
+    assert r.ok
+    assert sha256(codec.encode_certificate(r.certificate)).hex() == CERT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_search_trace_matches_golden_digest(name):
+    r = scenarios.SCENARIOS[name](0)
+    text = "".join(f"{n} {line}\n" for n, node in r.world.nodes.items() for line in node.trace)
+    assert sha256(text.encode()).hex() == TRACE_SHA256[name]
+
+
+def _chain_text(n: int) -> str:
+    lines = ["sort Key. sort Tag.", "principal P."]
+    lines += [f"pred p{i}(Key, Tag)." for i in range(n + 1)]
+    lines += ["const k0: Key.", "const k1: Key."]
+    lines += [f"r{i}: forall x:Key, y:Tag. p{i + 1}(x, y) => p{i}(x, y)." for i in range(n)]
+    lines += [f"f0: forall y:Tag. p{n}(k0, y).", f"f1: forall y:Tag. p{n}(k1, y)."]
+    return "\n".join(lines) + "\n"
+
+
+def test_chain50_certificate_matches_golden_digest():
+    # The two identical conjuncts give a repeated chain-50 subtree, so the
+    # pinned bytes cover the dedup store as well as a long derivation.
+    world = scenarios.build_world([("P", _chain_text(50))], seed=3, depth=66)
+    node = world.node("P")
+    goal, free = parser.parse_goal('p0(k1, "t") /\\ p0(k1, "t")', node.policy.signature)
+    cert = node.certify(node.ask_first(goal, free))
+    assert len(cert.store) == 1
+    assert sha256(codec.encode_certificate(cert)).hex() == CHAIN50_SHA256

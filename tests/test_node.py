@@ -33,6 +33,18 @@ def test_broadcast_binds_unbound_principal_in_directory_order():
     assert zs == ["B", "C"]  # registration order drives the broadcast
 
 
+def test_replacing_a_node_policy_takes_effect_on_the_next_query():
+    w = _bcast_world()
+    b = w.node("B")
+    goal, _ = parser.parse_goal("B says good(A)", b.policy.signature)
+    assert b.ask_first(goal) is None
+    added = parser.parse_policy("b2: B says good(A).", "B", b.policy.signature)
+    b.policy = S.Policy("B", added.signature, b.policy.clauses + added.clauses)
+    answer = b.ask_first(goal)
+    assert answer is not None
+    assert answer.evidence.policy_digest == b.policy.digest
+
+
 def test_targeted_dispatch_goes_to_one_peer():
     w = _bcast_world()
     a = w.node("A")

@@ -142,3 +142,38 @@ def test_fmt_parse_round_trip_on_clauses():
     sig2.declare_pred("s", ("Thing",))
     pol2 = parser.parse_policy(rendered, "K", sig2)
     assert [S.fmt_clause(c) for c in pol.clauses] == [S.fmt_clause(c) for c in pol2.clauses]
+
+
+# ---------------------------------------------------------------------------
+# Policies are immutable, so their cached digest stays right
+
+
+def _sig_state(sig):
+    return (set(sig.sorts), dict(sig.preds), set(sig.principals), dict(sig.consts))
+
+
+def test_policy_fields_cannot_be_assigned():
+    import dataclasses
+
+    pol = parser.parse_policy("pred p(Principal). k1: p(K).", "K")
+    assert isinstance(pol.clauses, tuple)
+    for name, value in (("owner", "L"), ("clauses", ()), ("source", "x"), ("digest", b"")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pol, name, value)
+
+
+def test_parsing_leaves_the_passed_signature_unchanged():
+    sig = _sig()
+    before = _sig_state(sig)
+    parser.parse_goal('exists y:Thing. p(y) /\\ q("fresh") /\\ K says p(a)', sig)
+    parser.parse_policy("sort New. pred r(New). const n: New. principal M. r1: r(n).", "K", sig)
+    assert _sig_state(sig) == before
+
+
+def test_cached_digest_matches_a_fresh_one_after_queries():
+    from cyberlogic import codec, scenarios
+
+    r = scenarios.run_hospital(0)
+    assert r.ok
+    for pol in r.world.policies.values():
+        assert pol.digest == codec.policy_digest(pol)
