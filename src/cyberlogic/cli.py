@@ -113,7 +113,7 @@ def _build_node(args, policy) -> Node:
     )
     peers = _parse_peers(getattr(args, "peer", None))
     if peers:
-        node.network = TcpTransport(peers)
+        node.network = TcpTransport(peers, timeout=args.timeout / 1000)
     return node
 
 
@@ -124,7 +124,7 @@ def cmd_node(args) -> int:
         return EXIT_USAGE
     node = _build_node(args, policy)
     host, port = _parse_addr(args.listen)
-    server, thread, bound = serve_node(node, host, port)
+    server, thread, bound = serve_node(node, host, port, timeout=args.timeout / 1000)
     print(f"{node.name} listening on {host}:{bound}")
     try:
         thread.join()
@@ -243,7 +243,6 @@ def _common_flags(sp, policy=True):
     sp.add_argument("--directory", metavar="FILE")
     sp.add_argument("--seed", type=int, default=0, metavar="N")
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="N")
-    sp.add_argument("--timeout", type=int, default=30000, metavar="MS")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -258,6 +257,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("node", help="serve a policy over TCP")
     _common_flags(sp)
+    sp.add_argument("--timeout", type=int, default=30000, metavar="MS",
+                    help="network timeout in milliseconds")
     sp.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT")
     sp.add_argument("--peer", action="append", metavar="NAME=HOST:PORT")
     sp.set_defaults(fn=cmd_node)
@@ -265,6 +266,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("query", help="prove a goal and write a certificate")
     sp.add_argument("goal")
     _common_flags(sp)
+    sp.add_argument("--timeout", type=int, default=30000, metavar="MS",
+                    help="network timeout in milliseconds")
     sp.add_argument("--transport", choices=("sim", "tcp"), default="sim")
     sp.add_argument("--peer", action="append", metavar="NAME=HOST:PORT")
     sp.add_argument("--out", metavar="FILE")

@@ -236,17 +236,6 @@ def _emit_clause(w: _W, c: S.Clause):
     _emit_formula(w, c.head)
 
 
-def _read_clause(r: _R) -> S.Clause:
-    if r.u8() != 0x50:
-        raise CodecError("bad clause tag")
-    label = r.str_()
-    n = r.u32()
-    universals = tuple(_read_term(r) for _ in range(n))
-    m = r.u32()
-    slots = tuple(_read_formula(r) for _ in range(m))
-    return S.Clause(label, universals, slots, _read_formula(r))
-
-
 def encode_policy(p: S.Policy) -> bytes:
     w = _W()
     w.u8(0x51)
@@ -309,13 +298,26 @@ def _read_signed_attestation(r: _R) -> SignedAttestation:
     )
 
 
+def encode_attestation(sa: SignedAttestation) -> bytes:
+    w = _W()
+    _emit_signed_attestation(w, sa)
+    return w.out()
+
+
+def decode_attestation(data: bytes) -> SignedAttestation:
+    r = _R(data)
+    sa = _read_signed_attestation(r)
+    r.done()
+    return sa
+
+
 # ---------------------------------------------------------------------------
 # Evidence
 
 
 def _emit_evidence_header(w: _W, e):
     """Emit an evidence node without its sub-evidence.  A node's encoding
-    is this header followed by the encodings of `E._children(e)`, in order."""
+    is this header followed by the encodings of `E.children(e)`, in order."""
     if isinstance(e, E.Unit):
         w.u8(0x20)
     elif isinstance(e, E.PairEv):
@@ -366,7 +368,7 @@ def _emit_evidence_header(w: _W, e):
 
 def _emit_evidence(w: _W, e):
     _emit_evidence_header(w, e)
-    for k in E._children(e):
+    for k in E.children(e):
         _emit_evidence(w, k)
 
 

@@ -151,22 +151,11 @@ class _State:
         b = self.meta_birth.get(v.name)
         if b is None:
             return True
-        for name in _const_names_term(t):
+        for name in S.const_names(t):
             eb = self.eigen_birth.get(name)
             if eb is not None and eb > b:
                 return False
         return True
-
-
-def _const_names_term(t) -> set:
-    if isinstance(t, S.Const):
-        return {t.name}
-    if isinstance(t, S.FunApp):
-        out = set()
-        for a in t.args:
-            out |= _const_names_term(a)
-        return out
-    return set()
 
 
 def ordered_free_vars(f) -> list:
@@ -617,23 +606,12 @@ def _assemble(g, addr, evmap):
 
 def resolve_evidence(ev, s: dict):
     """Apply the final substitution to the terms embedded in evidence."""
-    if isinstance(ev, E.PairEv):
-        return E.PairEv(resolve_evidence(ev.left, s), resolve_evidence(ev.right, s))
-    if isinstance(ev, (E.Inl, E.Inr)):
-        return type(ev)(resolve_evidence(ev.body, s))
+    kids = [resolve_evidence(k, s) for k in E.children(ev)]
     if isinstance(ev, E.Witness):
-        return E.Witness(resolve(ev.term, s), resolve_evidence(ev.body, s))
-    if isinstance(ev, E.Abstraction):
-        return E.Abstraction(ev.var, resolve_evidence(ev.body, s))
-    if isinstance(ev, E.KnowsWrap):
-        return E.KnowsWrap(ev.principals, resolve_evidence(ev.body, s))
+        return E.Witness(resolve(ev.term, s), kids[0])
     if isinstance(ev, E.ClauseApp):
-        return E.ClauseApp(
-            ev.label,
-            ev.policy_digest,
-            tuple(resolve(t, s) for t in ev.args),
-            tuple(resolve_evidence(p, s) for p in ev.premises),
-        )
+        args = tuple(resolve(t, s) for t in ev.args)
+        return E.ClauseApp(ev.label, ev.policy_digest, args, tuple(kids))
     if isinstance(ev, E.TheoryHole):
         return E.TheoryHole(ev.pred, tuple(resolve(t, s) for t in ev.args), ev.receipt)
-    return ev
+    return E.rebuild(ev, kids)

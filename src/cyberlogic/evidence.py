@@ -136,18 +136,13 @@ class Certificate:
     directory: frozenset = frozenset()  # of PrincipalId
     created_at: SignedAttestation | None = None
 
-    @property
-    def digest(self) -> bytes:
-        from . import codec
-
-        return codec.sha256(codec.encode_certificate(self))
-
 
 DEDUP_THRESHOLD = 64  # bytes; smaller subtrees are cheaper inline than as refs
 
 
-def _children(e: Evidence):
-    """Sub-evidence of a node, in encoding order."""
+def children(e: Evidence) -> tuple:
+    """Sub-evidence of a node, in encoding order.  This and `rebuild` are
+    the only code that knows which fields of a node hold sub-evidence."""
     if isinstance(e, PairEv):
         return (e.left, e.right)
     if isinstance(e, (Inl, Inr, Witness, Abstraction, KnowsWrap)):
@@ -157,7 +152,9 @@ def _children(e: Evidence):
     return ()
 
 
-def _with_children(e: Evidence, kids):
+def rebuild(e: Evidence, kids) -> Evidence:
+    """`e` with its sub-evidence replaced by `kids`, given in `children`
+    order."""
     if isinstance(e, PairEv):
         return PairEv(kids[0], kids[1])
     if isinstance(e, (Inl, Inr)):
@@ -173,6 +170,23 @@ def _with_children(e: Evidence, kids):
     return e
 
 
+def nodes(e: Evidence, store=None):
+    """Every node of `e` in pre-order, `Ref`s included.  With a `store`, the
+    target of a `Ref` is visited after it, once per digest; dangling
+    references are leaves."""
+    seen: set[bytes] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, Ref):
+            if store is not None and x.digest not in seen and x.digest in store:
+                seen.add(x.digest)
+                stack.append(store[x.digest])
+        else:
+            stack.extend(reversed(children(x)))
+
+
 def dedup_evidence(e: Evidence, threshold: int = DEDUP_THRESHOLD):
     """Hash-cons repeated subtrees: any subtree whose encoding is at least
     `threshold` bytes and occurs more than once is stored once and replaced
@@ -185,7 +199,7 @@ def dedup_evidence(e: Evidence, threshold: int = DEDUP_THRESHOLD):
     from . import codec
 
     def encode(x):  # -> (x, header, bytes, digest, kid nodes)
-        kids = [encode(k) for k in _children(x)]
+        kids = [encode(k) for k in children(x)]
         header = codec.evidence_header(x)
         data = b"".join([header] + [k[2] for k in kids])
         return x, header, data, codec.sha256(data), kids
@@ -203,11 +217,11 @@ def dedup_evidence(e: Evidence, threshold: int = DEDUP_THRESHOLD):
 
     store: dict[bytes, Evidence] = {}
 
-    def rebuild(node):  # -> (evidence, bytes)
+    def shrink(node):  # -> (evidence, bytes)
         x, header, data, d, kid_nodes = node
-        kids = [rebuild(k) for k in kid_nodes]
+        kids = [shrink(k) for k in kid_nodes]
         if any(new is not k[0] for (new, _), k in zip(kids, kid_nodes)):
-            x = _with_children(x, [new for new, _ in kids])
+            x = rebuild(x, [new for new, _ in kids])
             data = b"".join([header] + [b for _, b in kids])
         if counts[d] > 1 and sizes[d] >= threshold:
             ref = Ref(codec.sha256(data))
@@ -217,7 +231,7 @@ def dedup_evidence(e: Evidence, threshold: int = DEDUP_THRESHOLD):
 
     root = encode(e)
     scan(root)
-    return rebuild(root)[0], store
+    return shrink(root)[0], store
 
 
 def make_certificate(
@@ -283,45 +297,8 @@ class HypothesisEnv:
     def clause(self, label: str) -> S.Clause | None:
         return self._clauses.get(label)
 
-    def labels(self):
-        return list(self._clauses)
-
     def clauses(self):
         return list(self._clauses.values())
-
-    def __len__(self):
-        return len(self._clauses)
-
-
-def _const_names(f) -> set:
-    out = set()
-
-    def walk_t(t):
-        if isinstance(t, S.Const):
-            out.add(t.name)
-        elif isinstance(t, S.FunApp):
-            for a in t.args:
-                walk_t(a)
-
-    def walk(g):
-        if isinstance(g, S.Atom):
-            for a in g.args:
-                walk_t(a)
-        elif isinstance(g, S.Attest):
-            walk_t(g.principal)
-            walk(g.body)
-        elif isinstance(g, S.Knows):
-            for p in g.principals:
-                walk_t(p)
-            walk(g.body)
-        elif isinstance(g, (S.And, S.Or, S.Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (S.Forall, S.Exists)):
-            walk(g.body)
-
-    walk(f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +476,9 @@ class _Checker:
             return self.check(e.body, inst, env, path + (0,))
         if isinstance(e, Abstraction):
             if isinstance(phi, S.Forall):
-                used = _const_names(phi)
+                used = S.const_names(phi)
                 for c in env.clauses():
-                    used |= _const_names(c.head) | _const_names(c.body)
+                    used |= S.const_names(c.head) | S.const_names(c.body)
                 if e.var in used:
                     return _nok(path, f"eigenvariable {e.var!r} is not fresh")
                 inst = S.substitute(phi.body, {phi.var: S.Const(e.var, phi.var.sort)})
@@ -605,27 +582,12 @@ def check_certificate(
 def extract_provenance(e: Evidence, policies=None, store=None) -> set:
     """Owners of every policy whose clauses the evidence applies."""
     policies = policies or {}
-    store = store or {}
-    out: set[str] = set()
-    seen: set[bytes] = set()
-
-    def walk(x):
-        if isinstance(x, Ref):
-            if x.digest in seen:
-                return
-            seen.add(x.digest)
-            target = store.get(x.digest)
-            if target is not None:
-                walk(target)
-            return
-        if isinstance(x, ClauseApp) and x.policy_digest is not None:
-            p = policies.get(x.policy_digest)
-            out.add(p.owner if p is not None else f"digest:{x.policy_digest.hex()[:12]}")
-        for k in _children(x):
-            walk(k)
-
-    walk(e)
-    return out
+    digests = {
+        x.policy_digest
+        for x in nodes(e, store)
+        if isinstance(x, ClauseApp) and x.policy_digest is not None
+    }
+    return {policies[d].owner if d in policies else f"digest:{d.hex()[:12]}" for d in digests}
 
 
 def render_spine(e: Evidence, store=None) -> str:

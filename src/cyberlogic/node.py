@@ -117,15 +117,17 @@ class SimNetwork:
 
 
 class TcpTransport:
-    """Connect-per-request TCP client speaking the same frames."""
+    """Connect-per-request TCP client speaking the same frames.  `timeout`
+    (seconds) bounds the connect and each read of the reply."""
 
-    def __init__(self, addresses: dict):
+    def __init__(self, addresses: dict, timeout: float = 30.0):
         self.addresses = dict(addresses)  # name -> (host, port)
+        self.timeout = timeout
 
     def request(self, frm: str, to: str, frame: bytes) -> list[bytes]:
         if to not in self.addresses:
             raise RouteError(f"no address for {to!r}")
-        with socket.create_connection(self.addresses[to], timeout=30) as sock:
+        with socket.create_connection(self.addresses[to], timeout=self.timeout) as sock:
             sock.sendall(frame)
             sock.shutdown(socket.SHUT_WR)
             buf = b""
@@ -139,15 +141,21 @@ class TcpTransport:
         return [line + b"\n" for line in buf.split(b"\n") if line]
 
 
-def serve_node(node: "Node", host: str = "127.0.0.1", port: int = 0):
-    """Serve a node over TCP; returns (server, thread, bound_port)."""
+def serve_node(node: "Node", host: str = "127.0.0.1", port: int = 0, timeout: float | None = None):
+    """Serve a node over TCP; returns (server, thread, bound_port).
+    `timeout` (seconds) bounds each read of a request; a client that stops
+    sending for that long is disconnected without a reply."""
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            data = self.rfile.read(MAX_FRAME + 1)
+            try:
+                data = self.rfile.read(MAX_FRAME + 1)
+            except TimeoutError:
+                return
             for resp in node.handle_frame(data):
                 self.wfile.write(resp)
 
+    Handler.timeout = timeout
     server = socketserver.ThreadingTCPServer((host, port), Handler)
     server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -338,9 +346,7 @@ class Node:
             att_b64 = obj.get("att_b64")
             if att_b64:
                 try:
-                    r = codec._R(_unb64(att_b64))
-                    sa = codec._read_signed_attestation(r)
-                    r.done()
+                    sa = codec.decode_attestation(_unb64(att_b64))
                 except Exception:
                     continue
                 pub = self.directory.public_key(frm)
@@ -407,9 +413,7 @@ class Node:
         }
         att = self._answer_attestation(answer.goal)
         if att is not None:
-            w = codec._W()
-            codec._emit_signed_attestation(w, att)
-            frame["att_b64"] = _b64(w.out())
+            frame["att_b64"] = _b64(codec.encode_attestation(att))
         resp = [encode_frame(frame)]
         self._answered[qid] = resp
         return resp
@@ -449,7 +453,11 @@ class Node:
         """Package an answer as a self-contained certificate, stamped with
         the trusted clock when available."""
         digests = set(self.policy_digests()) | set(extra_digests)
-        digests |= _evidence_digests(answer.evidence)
+        digests |= {
+            x.policy_digest
+            for x in E.nodes(answer.evidence)
+            if isinstance(x, E.ClauseApp) and x.policy_digest is not None
+        }
         ids = set()
         for name in self.directory.names():
             pid = self.directory.principal_id(name)
@@ -457,22 +465,3 @@ class Node:
                 ids.add(pid)
         stamp = self.services.attest_time() if self.services is not None else None
         return E.make_certificate(answer.goal, answer.evidence, digests, ids, created_at=stamp)
-
-
-def _evidence_digests(ev) -> set:
-    out = set()
-
-    def walk(x):
-        if isinstance(x, E.ClauseApp):
-            if x.policy_digest is not None:
-                out.add(x.policy_digest)
-            for p in x.premises:
-                walk(p)
-        elif isinstance(x, E.PairEv):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, (E.Inl, E.Inr, E.Witness, E.Abstraction, E.KnowsWrap)):
-            walk(x.body)
-
-    walk(ev)
-    return out

@@ -337,7 +337,6 @@ class _Parser:
         "curr": ("T",),
         "attest_after": ("P", "T", "atom"),
         "attest_before": ("T", "atom"),
-        "eventually": ("P", "T", "atom"),
     }
 
     def parse_macro(self):

@@ -13,7 +13,6 @@ without the policy ever leaving home.
 from __future__ import annotations
 
 import base64
-import json
 import random
 from dataclasses import dataclass
 
@@ -21,6 +20,8 @@ from . import syntax as S
 from . import codec
 from . import evidence as E
 from .crypto import Directory, keygen, sign_attestation, sha256
+from .errors import TransportError
+from .node import decode_frame, encode_frame
 
 
 def _time_term(t: int) -> S.Const:
@@ -177,21 +178,23 @@ class CheckerEndpoint:
         return remote_check(self.registry, sub, digest)
 
     def handle_frame(self, data: bytes) -> bytes:
-        """Serve one newline-delimited JSON check request."""
+        """Serve one check request frame (see `node.encode_frame`)."""
         try:
-            req = json.loads(data.decode())
+            req = decode_frame(data)
             cert = codec.decode_certificate(base64.b64decode(req["cert_b64"]))
         except Exception as ex:
-            resp = {"type": "CHECK_RESP", "verdict": "nok", "reason": f"malformed request: {ex}"}
-            return (json.dumps(resp, sort_keys=True) + "\n").encode()
+            return encode_frame(
+                {"type": "CHECK_RESP", "verdict": "nok", "reason": f"malformed request: {ex}"}
+            )
         result = self.check_local(cert)
-        resp = {
-            "type": "CHECK_RESP",
-            "verdict": result.verdict,
-            "path": list(result.path),
-            "reason": result.reason,
-        }
-        return (json.dumps(resp, sort_keys=True) + "\n").encode()
+        return encode_frame(
+            {
+                "type": "CHECK_RESP",
+                "verdict": result.verdict,
+                "path": list(result.path),
+                "reason": result.reason,
+            }
+        )
 
 
 def remote_check(
@@ -213,19 +216,19 @@ def remote_check(
             break
     if endpoint is None:
         return E.CheckResult(False, (), "no registered checker for the pinned policies")
-    req = {
-        "type": "CHECK_REQ",
-        "cert_b64": base64.b64encode(codec.encode_certificate(cert)).decode(),
-    }
-    frame = (json.dumps(req, sort_keys=True) + "\n").encode()
+    cert_b64 = base64.b64encode(codec.encode_certificate(cert)).decode()
+    try:
+        frame = encode_frame({"type": "CHECK_REQ", "cert_b64": cert_b64})
+    except TransportError as ex:
+        return E.CheckResult(False, (), str(ex))
     if frame_log is not None:
         frame_log.append(frame)
     resp_frame = endpoint.handle_frame(frame)
     if frame_log is not None:
         frame_log.append(resp_frame)
     try:
-        resp = json.loads(resp_frame.decode())
-    except Exception:
+        resp = decode_frame(resp_frame)
+    except TransportError:
         return E.CheckResult(False, (), "malformed checker response")
     return E.CheckResult(
         resp.get("verdict") == "ok",

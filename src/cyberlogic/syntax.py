@@ -208,13 +208,37 @@ def free_vars(f: Formula) -> set:
     raise TypeError(f"not a formula: {f!r}")
 
 
-_RENAME_COUNTER = [0]
+def const_names(x) -> set:
+    """Names of the constants in a term or a formula."""
+    if isinstance(x, Const):
+        return {x.name}
+    if isinstance(x, Var):
+        return set()
+    if isinstance(x, (FunApp, Atom)):
+        parts = x.args
+    elif isinstance(x, Attest):
+        parts = (x.principal, x.body)
+    elif isinstance(x, Knows):
+        parts = (*x.principals, x.body)
+    elif isinstance(x, (And, Or, Implies)):
+        parts = (x.left, x.right)
+    elif isinstance(x, (Forall, Exists)):
+        parts = (x.body,)
+    else:
+        return set()
+    out = set()
+    for part in parts:
+        out |= const_names(part)
+    return out
 
 
-def _fresh_rename(v: Var) -> Var:
-    _RENAME_COUNTER[0] += 1
+def _fresh_rename(v: Var, avoid: set) -> Var:
+    """The first `v'k` (k = 1, 2, ...) whose name is not in `avoid`."""
     base = v.name.split("'")[0]
-    return Var(f"{base}'{_RENAME_COUNTER[0]}", v.sort)
+    k = 1
+    while f"{base}'{k}" in avoid:
+        k += 1
+    return Var(f"{base}'{k}", v.sort)
 
 
 def substitute(f: Formula, s: dict) -> Formula:
@@ -240,7 +264,8 @@ def substitute(f: Formula, s: dict) -> Formula:
             clash |= term_vars(t)
         var, body = f.var, f.body
         if var in clash:
-            var = _fresh_rename(f.var)
+            avoid = {u.name for u in free_vars(body) | clash | set(inner)}
+            var = _fresh_rename(f.var, avoid)
             body = substitute(body, {f.var: var})
         return type(f)(var, substitute(body, inner))
     if isinstance(f, MacroCall):
@@ -588,7 +613,6 @@ MACRO_NAMES = (
     "curr",
     "attest_after",
     "attest_before",
-    "eventually",
     "revocable_delegate",
 )
 
@@ -675,9 +699,6 @@ def _expand_one(m: MacroCall, sig: Signature) -> Formula:
         if before not in sig.preds:
             sig.declare_pred(before, sig.preds.get(atom.pred, ()) + ("Time",))
         return Attest(TIME_SOURCE, Atom(before, atom.args + (t,)))
-    if name == "eventually":
-        k, t, atom = args
-        return _expand_one(MacroCall("attest_after", (k, t, atom)), sig)
     if name == "revocable_delegate":
         k, l = args[0], args[1]
         pred = _pred_name(args[2])
@@ -772,17 +793,3 @@ def fmt_clause(c: Clause) -> str:
         parts.append(f"{fmt_formula(s, 1)} =>")
     parts.append(fmt_formula(c.head, 3))
     return " ".join(parts) + "."
-
-
-def fmt_policy(p: Policy) -> str:
-    lines = []
-    for s in sorted(p.signature.sorts - set(BUILTIN_SORTS)):
-        lines.append(f"sort {s}.")
-    for name in sorted(p.signature.preds):
-        args = ", ".join(p.signature.preds[name])
-        lines.append(f"pred {name}({args}).")
-    if p.signature.principals:
-        lines.append(f"principal {', '.join(sorted(p.signature.principals))}.")
-    for c in p.clauses:
-        lines.append(fmt_clause(c))
-    return "\n".join(lines) + "\n"

@@ -13,21 +13,8 @@ from cyberlogic.node import decode_frame, encode_frame
 from cyberlogic.services import CheckerEndpoint, Registry, remote_check
 
 
-def _clause_apps(ev, store, out=None):
-    if out is None:
-        out = []
-    if isinstance(ev, E.Ref):
-        ev = store.get(ev.digest, ev)
-    if isinstance(ev, E.ClauseApp):
-        out.append(ev)
-        for p in ev.premises:
-            _clause_apps(p, store, out)
-    elif isinstance(ev, E.PairEv):
-        _clause_apps(ev.left, store, out)
-        _clause_apps(ev.right, store, out)
-    elif isinstance(ev, (E.Inl, E.Inr, E.Witness, E.Abstraction, E.KnowsWrap)):
-        _clause_apps(ev.body, store, out)
-    return out
+def _clause_apps(ev, store):
+    return [x for x in E.nodes(ev, store) if isinstance(x, E.ClauseApp)]
 
 
 def test_01_hospital_scenario():
@@ -170,17 +157,10 @@ def test_07_timed_and_revocation():
     cert, res = r.details["certs"]["future(9)"]
     assert res.ok
     # the deadline certificate embeds a signed clock reading
-    holes = []
-
-    def find_holes(ev):
-        if isinstance(ev, E.TheoryHole) and ev.pred == "time_not_elapsed":
-            holes.append(ev)
-        for kid in E._children(ev):
-            find_holes(kid)
-
-    find_holes(cert.root_evidence)
-    for d in cert.store.values():
-        find_holes(d)
+    holes = [
+        x for x in E.nodes(cert.root_evidence, cert.store)
+        if isinstance(x, E.TheoryHole) and x.pred == "time_not_elapsed"
+    ]
     assert holes and all(h.receipt is not None for h in holes)
 
     rev = scenarios.run_revocation(0, revoked_at=4, uses=(2, 3, 4, 5))

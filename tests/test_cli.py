@@ -1,6 +1,8 @@
 """Command-line surface: exit codes and artifact outputs."""
 
 import os
+import socket
+import time
 
 import pytest
 
@@ -88,6 +90,26 @@ def test_query_without_proof_fails(tmp_path, capsys, monkeypatch):
     pol.write_text("pred p(Principal).\nprincipal Q, R.\n")
     monkeypatch.chdir(tmp_path)
     assert run(["query", "p(Q)", "--policy", str(pol)]) == 1
+
+
+def test_query_timeout_flag_bounds_the_wait_for_a_peer(tmp_path, monkeypatch):
+    monkeypatch.setenv("CYBERLOGIC_KEYDIR", str(tmp_path))
+    pol = tmp_path / "Q"
+    pol.write_text("pred good(Principal).\nprincipal Q, R.\n")
+    monkeypatch.chdir(tmp_path)
+    with socket.create_server(("127.0.0.1", 0)) as silent:  # never replies
+        host, port = silent.getsockname()
+        t0 = time.monotonic()
+        assert run(["query", "R says good(R)", "--policy", str(pol), "--transport", "tcp",
+                    "--peer", f"R={host}:{port}", "--timeout", "200"]) == 3
+        assert time.monotonic() - t0 < 5.0
+
+
+def test_timeout_flag_only_on_networked_subcommands():
+    ap = cli.build_arg_parser()
+    assert ap.parse_args(["node", "--timeout", "5"]).timeout == 5
+    with pytest.raises(SystemExit):
+        ap.parse_args(["check", "c.bin", "--timeout", "5"])
 
 
 def test_revocation_use_before_and_after_cutoff(capsys):

@@ -172,7 +172,7 @@ def _dedup_by_definition(e, threshold):
         counts[d] = counts.get(d, 0) + 1
         sizes[d] = len(enc)
         if counts[d] == 1:
-            for k in E._children(x):
+            for k in E.children(x):
                 scan(k)
 
     scan(e)
@@ -180,7 +180,7 @@ def _dedup_by_definition(e, threshold):
 
     def rebuild(x):
         orig = codec.sha256(codec.encode_evidence(x))
-        new = E._with_children(x, [rebuild(k) for k in E._children(x)])
+        new = E.rebuild(x, [rebuild(k) for k in E.children(x)])
         if counts[orig] > 1 and sizes[orig] >= threshold:
             d = codec.sha256(codec.encode_evidence(new))
             store[d] = new
@@ -221,6 +221,16 @@ def _random_evidence(rng, pool, depth=4):
     return x
 
 
+def _all_nodes(x):
+    yield x
+    for k in E.children(x):
+        yield from _all_nodes(k)
+
+
+def _apps(nodes):
+    return {(x.label, x.policy_digest, x.args) for x in nodes if isinstance(x, E.ClauseApp)}
+
+
 def test_dedup_matches_its_definition_on_random_trees():
     rng = random.Random(4)
     stored = nested = 0
@@ -231,8 +241,11 @@ def test_dedup_matches_its_definition_on_random_trees():
         want_root, want_store = _dedup_by_definition(ev, threshold)
         assert codec.encode_evidence(root) == codec.encode_evidence(want_root)
         assert store == want_store
+        # one walk that follows each reference once still reaches every
+        # clause application of the tree as it was before sharing
+        assert _apps(E.nodes(root, store)) == _apps(_all_nodes(ev))
         stored += len(store)
-        nested += sum(isinstance(k, E.Ref) for v in store.values() for k in E._children(v))
+        nested += sum(isinstance(k, E.Ref) for v in store.values() for k in E.children(v))
     # the corpus really exercises shared subtrees, also inside stored ones
     assert stored >= 40 and nested > 0
 

@@ -2,6 +2,8 @@
 broadcasts, duplicate delivery, routing."""
 
 import base64
+import socket
+import time
 
 import pytest
 
@@ -172,6 +174,29 @@ def test_tcp_round_trip():
         goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
         ans = a.ask_first(goal)
         assert ans is not None
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_request_times_out_on_a_silent_peer():
+    # The kernel completes the handshake on a listening socket; nothing ever
+    # accepts, reads or replies.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        transport = TcpTransport({"B": silent.getsockname()}, timeout=0.2)
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            transport.request("A", "B", encode_frame({"type": "QUERY"}))
+        assert 0.1 <= time.monotonic() - t0 < 2.0
+
+
+def test_served_node_drops_a_client_that_stops_sending():
+    b = _bcast_world().node("B")
+    server, thread, port = serve_node(b, "127.0.0.1", 0, timeout=0.2)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b'{"type": ')  # never finished, never shut down
+            assert sock.recv(1) == b""  # closed without a reply
     finally:
         server.shutdown()
         server.server_close()

@@ -1,11 +1,15 @@
 """Trusted clock and nonce services, and the checker registry."""
 
+import base64
+import json
+
 import pytest
 
 from cyberlogic import codec, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import Directory, verify_attestation
+from cyberlogic.node import MAX_FRAME, decode_frame
 from cyberlogic.services import CheckerEndpoint, Registry, TrustedServices, remote_check
 
 
@@ -140,3 +144,20 @@ def test_stale_digest_certificate_verifies_after_policy_update():
     reg.register(updated.digest, CheckerEndpoint("A", [updated, old], r.world.directory, reg))
     assert reg.verify_chain()
     assert remote_check(reg, r.certificate)
+
+
+def test_checker_frames_have_the_node_frame_limit():
+    r = scenarios.run_hospital(0)
+    reg = _registry_for(r.world)
+    cert = r.certificate
+    big = E.Certificate(cert.root_formula, cert.root_evidence, {b"\0" * 32: E.Hyp("x" * MAX_FRAME)},
+                        cert.policy_digests, cert.directory, cert.created_at)
+    frames = []
+    verdict = remote_check(reg, big, frame_log=frames)
+    assert not verdict and "exceeds" in verdict.reason
+    assert frames == []  # nothing was sent
+    # an endpoint refuses an oversize request that did not come through remote_check
+    req = {"type": "CHECK_REQ", "cert_b64": base64.b64encode(codec.encode_certificate(big)).decode()}
+    endpoint = reg.endpoint_for(min(cert.policy_digests))
+    resp = decode_frame(endpoint.handle_frame((json.dumps(req) + "\n").encode()))
+    assert resp["verdict"] == "nok" and "exceeds" in resp["reason"]

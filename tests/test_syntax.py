@@ -88,6 +88,21 @@ def test_substitute_respects_binders():
     assert h == f
 
 
+def test_substitute_renames_a_clashing_binder_the_same_way_every_time():
+    x, y = S.Var("x", "Thing"), S.Var("y", "Thing")
+    f = S.Forall(x, S.Atom("p", (x, y)))
+    first = S.substitute(f, {y: x})
+    assert first == S.substitute(f, {y: x})  # no state carried between calls
+    assert first == S.Forall(S.Var("x'1", "Thing"), S.Atom("p", (S.Var("x'1", "Thing"), x)))
+    # the new name is free in neither the body nor a substituted term, and
+    # is not a key of the substitution
+    x1, x2 = S.Var("x'1", "Thing"), S.Var("x'2", "Thing")
+    g = S.Forall(x, S.Atom("p", (x, y, x1)))
+    assert S.substitute(g, {y: x}).var == x2
+    assert S.substitute(f, {y: S.FunApp("succ", (x, x1))}).var == x2
+    assert S.substitute(f, {y: x, x1: S.Const("a", "Thing")}).var == x2
+
+
 def test_free_vars():
     x = S.Var("x", "Thing")
     y = S.Var("y", "Thing")
