@@ -141,6 +141,17 @@ def decode_term(data: bytes):
     return t
 
 
+def _emit_principals(w: _W, principals):
+    """A principal set (of `knows` and `KnowsWrap`), in sorted byte order."""
+    enc = sorted(encode_term(p) for p in principals)
+    w.u32(len(enc))
+    w.parts.extend(enc)
+
+
+def _read_principals(r: _R) -> frozenset:
+    return frozenset(_read_term(r) for _ in range(r.u32()))
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -162,11 +173,7 @@ def _emit_formula(w: _W, f):
         _emit_formula(w, f.body)
     elif isinstance(f, S.Knows):
         w.u8(0x14)
-        enc = sorted(encode_term(p) for p in f.principals)
-        w.u32(len(enc))
-        for e in enc:
-            self_bytes = e
-            w.parts.append(self_bytes)
+        _emit_principals(w, f.principals)
         _emit_formula(w, f.body)
     elif isinstance(f, (S.And, S.Or, S.Implies)):
         w.u8({S.And: 0x15, S.Or: 0x16, S.Implies: 0x17}[type(f)])
@@ -193,9 +200,7 @@ def _read_formula(r: _R):
     if tag == 0x13:
         return S.Attest(_read_term(r), _read_formula(r))
     if tag == 0x14:
-        n = r.u32()
-        principals = frozenset(_read_term(r) for _ in range(n))
-        return S.Knows(principals, _read_formula(r))
+        return S.Knows(_read_principals(r), _read_formula(r))
     if tag in (0x15, 0x16, 0x17):
         ctor = {0x15: S.And, 0x16: S.Or, 0x17: S.Implies}[tag]
         return ctor(_read_formula(r), _read_formula(r))
@@ -355,10 +360,7 @@ def _emit_evidence_header(w: _W, e):
         w.opt(e.receipt, lambda sa: _emit_signed_attestation(w, sa))
     elif isinstance(e, E.KnowsWrap):
         w.u8(0x2A)
-        enc = sorted(encode_term(p) for p in e.principals)
-        w.u32(len(enc))
-        for b in enc:
-            w.parts.append(b)
+        _emit_principals(w, e.principals)
     elif isinstance(e, E.Ref):
         w.u8(0x2B)
         w.bytes_(e.digest)
@@ -405,9 +407,7 @@ def _read_evidence(r: _R):
         receipt = r.opt(lambda: _read_signed_attestation(r))
         return E.TheoryHole(pred, args, receipt)
     if tag == 0x2A:
-        n = r.u32()
-        principals = frozenset(_read_term(r) for _ in range(n))
-        return E.KnowsWrap(principals, _read_evidence(r))
+        return E.KnowsWrap(_read_principals(r), _read_evidence(r))
     if tag == 0x2B:
         return E.Ref(r.bytes_())
     raise CodecError(f"bad evidence tag {tag:#x}")

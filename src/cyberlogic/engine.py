@@ -158,42 +158,6 @@ class _State:
         return True
 
 
-def ordered_free_vars(f) -> list:
-    """Free variables in first-occurrence (left-to-right) order."""
-    seen = []
-
-    def walk_t(t):
-        if isinstance(t, S.Var):
-            if t not in seen:
-                seen.append(t)
-        elif isinstance(t, S.FunApp):
-            for a in t.args:
-                walk_t(a)
-
-    def go(g, bound):
-        if isinstance(g, S.Atom):
-            for a in g.args:
-                if not (isinstance(a, S.Var) and a in bound):
-                    walk_t(a)
-        elif isinstance(g, S.Attest):
-            if not (isinstance(g.principal, S.Var) and g.principal in bound):
-                walk_t(g.principal)
-            go(g.body, bound)
-        elif isinstance(g, S.Knows):
-            for p in sorted(g.principals, key=repr):
-                if not (isinstance(p, S.Var) and p in bound):
-                    walk_t(p)
-            go(g.body, bound)
-        elif isinstance(g, (S.And, S.Or, S.Implies)):
-            go(g.left, bound)
-            go(g.right, bound)
-        elif isinstance(g, (S.Forall, S.Exists)):
-            go(g.body, bound | {g.var})
-
-    go(f, set())
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Clause selection
 
@@ -245,17 +209,30 @@ class Answer:
 
 @dataclass
 class _Item:
-    idx: int
-    addr: tuple
+    idx: int  # position among the conjuncts, left to right
     goal: object
-    open_or: bool = False  # disjunction that mentioned unbound vars at entry
+    open_or: bool  # disjunction that mentioned unbound vars at entry
+
+
+def _items(goals, s) -> list:
+    """The conjuncts of `goals`, left to right, as schedulable items."""
+    items = []
+    for goal in goals:
+        for g in S.flatten_and(goal):
+            open_or = isinstance(g, S.Or) and any(
+                isinstance(walk(v, s), S.Var) for v in S.free_vars(g)
+            )
+            items.append(_Item(len(items), g, open_or))
+    return items
 
 
 class Prover:
     """Proof search over a set of named policies.
 
     `policies` maps owner name to Policy (typically this node's own policy
-    plus the common policy).  `dispatch(target, goal, vars, budget,
+    plus the common policy).  `sign(atom)` returns the owner's
+    SignedAttestation of a ground atom; without it the prover never
+    attests for its owner.  `dispatch(target, goal, vars, budget,
     restriction)` is consulted for attestation goals that no local clause
     covers: `target` is a principal name, or None to broadcast; it yields
     (bindings, evidence) pairs with ground terms for `vars`.  `indexes`
@@ -267,7 +244,7 @@ class Prover:
         self,
         policies,
         owner: str | None = None,
-        signer=None,  # (KeyPair, PrincipalId)
+        sign=None,
         dispatch=None,
         services=None,
         trace: list | None = None,
@@ -283,7 +260,7 @@ class Prover:
                 index = ClauseIndex(policy)
             self.indexes[owner] = index
         self.owner = owner
-        self.signer = signer
+        self.sign = sign
         self.dispatch = dispatch
         self.services = services
         self.trace = trace if trace is not None else []
@@ -299,7 +276,7 @@ class Prover:
         for v in free_vars:
             self.state.register_var(v)
         env = env or E.HypothesisEnv()
-        for s, ev in self._solve(goal, {}, depth, env, restriction, ()):
+        for s, ev in self._solve(goal, {}, depth, env, restriction, frozenset()):
             bindings = {v: resolve(v, s) for v in free_vars}
             yield Answer(bindings, resolve_evidence(ev, s), resolve_formula(goal, s))
 
@@ -337,15 +314,10 @@ class Prover:
             yield s, E.Unit()
             return
         if isinstance(goal, S.And):
-            leaves = _leaves(goal, ())
-            items = []
-            for i, (addr, g) in enumerate(leaves):
-                open_or = isinstance(g, S.Or) and any(
-                    isinstance(walk(v, s), S.Var) for v in S.free_vars(g)
-                )
-                items.append(_Item(i, addr, g, open_or))
-            for s2, evmap in self._solve_group(items, s, depth, env, restriction, anc):
-                yield s2, _assemble(goal, (), evmap)
+            items = _items([goal], s)
+            evs = [None] * len(items)
+            for s2 in self._solve_group(items, evs, s, depth, env, restriction, anc):
+                yield s2, _assemble(goal, iter(evs))
             return
         if isinstance(goal, S.Or):
             self._log(depth, "or", resolve_formula(goal, s))
@@ -419,18 +391,18 @@ class Prover:
             + ", ".join(S.fmt_formula(resolve_formula(it.goal, s)) for it in items)
         )
 
-    def _solve_group(self, items, s, depth, env, restriction, anc):
+    def _solve_group(self, items, evs, s, depth, env, restriction, anc):
+        """Solve every item; each yielded substitution comes with the
+        evidence of item `idx` in `evs[idx]`, valid until the next one."""
         if not items:
-            yield s, {}
+            yield s
             return
         i = self._pick(items, s)
         it = items[i]
         rest = items[:i] + items[i + 1 :]
         for s2, ev in self._solve(it.goal, s, depth, env, restriction, anc):
-            for s3, evmap in self._solve_group(rest, s2, depth, env, restriction, anc):
-                out = dict(evmap)
-                out[it.addr] = ev
-                yield s3, out
+            evs[it.idx] = ev
+            yield from self._solve_group(rest, evs, s2, depth, env, restriction, anc)
 
     # -- interpreted predicates ----------------------------------------------
 
@@ -476,11 +448,11 @@ class Prover:
         g_res = resolve_formula(goal, s)
         if g_res in anc:
             return  # identical goal already open on this path
-        anc = anc + (g_res,)
+        anc = anc | {g_res}
         self._log(depth, "goal", g_res)
 
         for clause in env.clauses():
-            yield from self._apply(clause, None, None, goal, s, depth, env, restriction, anc)
+            yield from self._apply(clause, None, None, goal, g_res, s, depth, env, restriction, anc)
         pred = _head_pred(goal)
         for index in self._allowed_indexes(restriction):
             policy = index.policy
@@ -488,13 +460,13 @@ class Prover:
             for skipped, clause in candidates:
                 self.state.counter += skipped
                 yield from self._apply(
-                    clause, policy.owner, policy.digest, goal, s, depth, env, restriction, anc
+                    clause, policy.owner, policy.digest, goal, g_res, s, depth, env, restriction, anc
                 )
             self.state.counter += trailing
         if isinstance(goal, S.Attest):
             yield from self._remote(goal, s, depth, env, restriction, anc)
 
-    def _apply(self, clause, owner, digest, goal, s, depth, env, restriction, anc):
+    def _apply(self, clause, owner, digest, goal, g_res, s, depth, env, restriction, anc):
         ren = {v: self._fresh_var(v.sort) for v in clause.universals}
         head = S.substitute(clause.head, ren)
         s2 = unify_atomic(goal, head, s, self.state)
@@ -509,28 +481,22 @@ class Prover:
             return
         # Unifying with the head may have instantiated the goal into one
         # that is already open higher on this path; looping on it proves
-        # nothing new.  (anc[-1] is this goal's own pre-unification form.)
-        if resolve_formula(goal, s2) in anc[:-1]:
+        # nothing new.  (`anc` also holds `g_res`, this goal's own
+        # pre-unification form.)
+        g2 = resolve_formula(goal, s2)
+        if g2 != g_res and g2 in anc:
             return
-        self._log(depth, f"apply {clause.label}", resolve_formula(goal, s2))
+        self._log(depth, f"apply {clause.label}", g2)
         slots = [S.substitute(g, ren) for g in clause.slots]
-        items = []
-        leaves = []
-        for si, slot in enumerate(slots):
-            leaves.extend(_leaves(slot, (si,)))
-        for i, (addr, g) in enumerate(leaves):
-            open_or = isinstance(g, S.Or) and any(
-                isinstance(walk(v, s2), S.Var) for v in S.free_vars(g)
-            )
-            items.append(_Item(i, addr, g, open_or))
+        items = _items(slots, s2)
+        evs = [None] * len(items)
         args = tuple(ren[v] for v in clause.universals)
-        for s3, evmap in self._solve_group(items, s2, depth - 1, env, restriction, anc):
+        for s3 in self._solve_group(items, evs, s2, depth - 1, env, restriction, anc):
             if digest is None and not clause.universals and not clause.slots:
                 yield s3, E.Hyp(clause.label)
                 continue
-            premises = tuple(
-                _assemble(slot, (si,), evmap) for si, slot in enumerate(slots)
-            )
+            leaves = iter(evs)
+            premises = tuple(_assemble(slot, leaves) for slot in slots)
             yield s3, E.ClauseApp(clause.label, digest, args, premises)
 
     def _remote(self, goal, s, depth, env, restriction, anc):
@@ -558,7 +524,7 @@ class Prover:
                 return
             target = None  # broadcast
         g_send = resolve_formula(goal, s)
-        vars_ = ordered_free_vars(g_send)
+        vars_ = list(S.free_vars(g_send))
         self._log(depth, "dispatch" if target else "broadcast", g_send)
         for bindings, ev in self.dispatch(target, g_send, vars_, depth - 1, restriction):
             s2 = s
@@ -574,34 +540,25 @@ class Prover:
 
     def _self_sign(self, goal, s, depth, env, restriction, anc):
         """Attestation of self: prove the bare atom, then sign it."""
-        if self.signer is None:
+        if self.sign is None:
             return
-        from .crypto import sign_attestation
-
-        kp, pid = self.signer
         for s2, _ev in self._solve(goal.body, s, depth - 1, env, restriction, anc):
             atom = resolve_formula(goal.body, s2)
-            if not (isinstance(atom, S.Atom) and not S.free_vars(atom)):
-                continue
-            issued = self.services.now() if self.services is not None else None
-            sa = sign_attestation(kp, pid, atom, issued_at=issued)
-            yield s2, E.AttLeaf(sa)
+            if isinstance(atom, S.Atom) and not S.free_vars(atom):
+                yield s2, E.AttLeaf(self.sign(atom))
 
 
 # ---------------------------------------------------------------------------
 # Conjunction shapes and evidence finishing
 
 
-def _leaves(g, addr):
+def _assemble(g, leaves):
+    """Pair evidence shaped like conjunction `g`, its leaves taken in order
+    from the iterator `leaves`."""
     if isinstance(g, S.And):
-        return _leaves(g.left, addr + (0,)) + _leaves(g.right, addr + (1,))
-    return [(addr, g)]
-
-
-def _assemble(g, addr, evmap):
-    if isinstance(g, S.And):
-        return E.PairEv(_assemble(g.left, addr + (0,), evmap), _assemble(g.right, addr + (1,), evmap))
-    return evmap[addr]
+        left = _assemble(g.left, leaves)
+        return E.PairEv(left, _assemble(g.right, leaves))
+    return next(leaves)
 
 
 def resolve_evidence(ev, s: dict):

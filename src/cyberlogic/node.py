@@ -27,7 +27,7 @@ from . import codec
 from . import engine
 from . import evidence as E
 from . import syntax as S
-from .crypto import Directory, KeyPair, PrincipalId, verify_attestation
+from .crypto import Directory, KeyPair, PrincipalId, sign_attestation, verify_attestation
 from .errors import RouteError, TransportError
 
 MAX_FRAME = 16 * 1024 * 1024
@@ -249,7 +249,7 @@ class Node:
         prover = engine.Prover(
             self._policies(),
             owner=self.name,
-            signer=(self.keys, self.identity),
+            sign=self._sign,
             dispatch=self._dispatcher(chain),
             services=self.services,
             trace=self.trace,
@@ -320,7 +320,6 @@ class Node:
         return dispatch
 
     def _accept_answer(self, responses, vars_, restriction, frm):
-        seen_qids = set()
         for resp in responses:
             try:
                 obj = decode_frame(resp)
@@ -328,11 +327,6 @@ class Node:
                 continue
             if obj.get("type") != "ANSWER":
                 continue
-            qid = obj.get("qid")
-            if qid in seen_qids:
-                self.metrics["duplicates_ignored"] += 1
-                continue
-            seen_qids.add(qid)
             try:
                 bindings = {
                     name: codec.decode_term(_unb64(t))
@@ -429,11 +423,14 @@ class Node:
             and isinstance(g.body, S.Atom)
             and not S.free_vars(g.body)
         ):
-            from .crypto import sign_attestation
-
-            issued = self.services.now() if self.services is not None else None
-            return sign_attestation(self.keys, self.identity, g.body, issued_at=issued)
+            return self._sign(g.body)
         return None
+
+    def _sign(self, atom):
+        """This node's attestation of a ground atom, stamped with the
+        trusted clock when available."""
+        issued = self.services.now() if self.services is not None else None
+        return sign_attestation(self.keys, self.identity, atom, issued_at=issued)
 
     # -- local entry point ----------------------------------------------------
 

@@ -280,7 +280,7 @@ class _Parser:
             else:
                 body = self.parse_atom_or_cmp()
             return S.Attest(princ, body)
-        if kind == "ident" and lex in S.MACRO_NAMES:
+        if kind == "ident" and lex in S.MACROS:
             return self.parse_macro()
         return self.parse_atom_or_cmp()
 
@@ -328,23 +328,12 @@ class _Parser:
             )
         return S.Atom(pred, tuple(self.resolve(r, s) for r, s in zip(raws, expected)))
 
-    _MACRO_ARGS = {
-        "delegate": ("P", "P", "pred"),
-        "delegate_indirect": ("P", "P", "pred"),
-        "revocable_delegate": ("P", "P", "pred"),
-        "past": ("T",),
-        "future": ("T",),
-        "curr": ("T",),
-        "attest_after": ("P", "T", "atom"),
-        "attest_before": ("T", "atom"),
-    }
-
     def parse_macro(self):
+        """Read a macro call and return its expansion."""
         name = self.lx.next()[1]
-        shapes = self._MACRO_ARGS[name]
         self.lx.expect("(")
         args = []
-        for i, shape in enumerate(shapes):
+        for i, shape in enumerate(S.MACROS[name]):
             if i:
                 self.lx.expect(",")
             if shape == "P":
@@ -352,18 +341,15 @@ class _Parser:
             elif shape == "T":
                 args.append(self.resolve(self.parse_raw_term(), "Time"))
             elif shape == "pred":
-                kind, lex, line, col = self.lx.next()
-                if kind != "ident":
-                    raise ParseError("expected a predicate name", line, col)
-                args.append(S.Atom(lex, ()))
+                args.append(self._ident("predicate name"))
             else:  # atom
                 args.append(self.parse_atom())
         self.lx.expect(")")
-        return S.MacroCall(name, tuple(args))
+        return S.expand_macro(name, tuple(args), self.sig)
 
     # -- declarations and clauses -----------------------------------------
 
-    def parse_policy(self, owner: str) -> S.Policy:
+    def parse_policy(self, owner: str, source: str) -> S.Policy:
         clauses = []
         labels = set()
         while True:
@@ -412,13 +398,12 @@ class _Parser:
                 self.lx.next()  # :
                 f = self.parse_formula()
                 self.lx.expect(".")
-                f = S.expand_macros(f, self.sig)
                 S.check_formula(f, self.sig, {})
                 for c in S.clauses_of(f, label):
                     clauses.append(c)
             else:
                 raise ParseError(f"expected a declaration or clause, found {lex!r}", line, col)
-        return S.Policy(owner=owner, signature=self.sig, clauses=clauses)
+        return S.Policy(owner, self.sig, clauses, source)
 
     def _ident(self, what: str) -> str:
         kind, lex, line, col = self.lx.next()
@@ -439,7 +424,7 @@ def base_signature() -> S.Signature:
 def parse_policy(text: str, owner: str = "", sig: S.Signature | None = None) -> S.Policy:
     """Parse, macro-expand, sort-check and normalize a policy file."""
     p = _Parser(text, sig.copy() if sig else base_signature(), query_mode=False)
-    return p.parse_policy(owner)
+    return p.parse_policy(owner, text)
 
 
 def parse_goal(text: str, sig: S.Signature):
@@ -450,7 +435,6 @@ def parse_goal(text: str, sig: S.Signature):
     kind, lex, line, col = p.lx.peek()
     if kind != "eof" and lex != ".":
         raise ParseError(f"trailing input {lex!r}", line, col)
-    f = S.expand_macros(f, p.sig)
     f = S.normalize(f)
     S.validate_goal(f)
     return f, [S.Var(n, s) for n, s in p.free.items()]

@@ -161,51 +161,47 @@ class Exists:
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class MacroCall:
-    """Unexpanded macro occurrence; eliminated by expand_macros."""
-
-    name: str
-    args: tuple  # mix of Term and Formula
-
-    def __post_init__(self):
-        if self.name not in MACRO_NAMES:
-            raise MacroError(f"unknown macro {self.name!r}")
-
-
-Formula = (
-    Top | Bottom | Atom | Attest | Knows | And | Or | Implies | Forall | Exists | MacroCall
-)
+Formula = Top | Bottom | Atom | Attest | Knows | And | Or | Implies | Forall | Exists
 
 TOP = Top()
 BOTTOM = Bottom()
 
 
-def free_vars(f: Formula) -> set:
-    if isinstance(f, (Top, Bottom)):
-        return set()
+def free_vars(f: Formula):
+    """Free variables in first-occurrence (left-to-right) order, as the keys
+    of a dict: they compare and combine like a set."""
+    out = {}
+    _collect_free(f, (), out)
+    return out.keys()
+
+
+def _collect_term(t: Term, bound: tuple, out: dict):
+    if isinstance(t, Var):
+        if t not in bound:
+            out[t] = None
+    elif isinstance(t, FunApp):
+        for a in t.args:
+            _collect_term(a, bound, out)
+
+
+def _collect_free(f: Formula, bound: tuple, out: dict):
     if isinstance(f, Atom):
-        out = set()
         for a in f.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(f, Attest):
-        return term_vars(f.principal) | free_vars(f.body)
-    if isinstance(f, Knows):
-        out = free_vars(f.body)
-        for p in f.principals:
-            out |= term_vars(p)
-        return out
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, MacroCall):
-        out = set()
-        for a in f.args:
-            out |= term_vars(a) if isinstance(a, (Var, Const, FunApp)) else free_vars(a)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
+            _collect_term(a, bound, out)
+    elif isinstance(f, Attest):
+        _collect_term(f.principal, bound, out)
+        _collect_free(f.body, bound, out)
+    elif isinstance(f, Knows):
+        for p in sorted(f.principals, key=repr):
+            _collect_term(p, bound, out)
+        _collect_free(f.body, bound, out)
+    elif isinstance(f, (And, Or, Implies)):
+        _collect_free(f.left, bound, out)
+        _collect_free(f.right, bound, out)
+    elif isinstance(f, (Forall, Exists)):
+        _collect_free(f.body, bound + (f.var,), out)
+    elif not isinstance(f, (Top, Bottom)):
+        raise TypeError(f"not a formula: {f!r}")
 
 
 def const_names(x) -> set:
@@ -268,12 +264,6 @@ def substitute(f: Formula, s: dict) -> Formula:
             var = _fresh_rename(f.var, avoid)
             body = substitute(body, {f.var: var})
         return type(f)(var, substitute(body, inner))
-    if isinstance(f, MacroCall):
-        args = tuple(
-            term_subst(a, s) if isinstance(a, (Var, Const, FunApp)) else substitute(a, s)
-            for a in f.args
-        )
-        return MacroCall(f.name, args)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -368,7 +358,7 @@ class Policy:
     owner: str
     signature: Signature
     clauses: tuple  # of Clause
-    source: str = ""
+    source: str = ""  # the text it was parsed from; not part of the digest
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(self.clauses))
@@ -455,8 +445,6 @@ def check_formula(f: Formula, sig: Signature, bound: dict):
         inner[f.var.name] = f.var.sort
         check_formula(f.body, sig, inner)
         return
-    if isinstance(f, MacroCall):
-        return  # checked during expansion
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -475,8 +463,6 @@ def check_formula(f: Formula, sig: Signature, bound: dict):
 def normalize(f: Formula) -> Formula:
     if isinstance(f, (Top, Bottom, Atom)):
         return f
-    if isinstance(f, MacroCall):
-        raise FragmentError(f"unexpanded macro {f.name!r}; run expand_macros first")
     if isinstance(f, (And, Or, Implies)):
         return type(f)(normalize(f.left), normalize(f.right))
     if isinstance(f, (Forall, Exists)):
@@ -605,24 +591,20 @@ def unflatten_and(parts: list) -> Formula:
 # ---------------------------------------------------------------------------
 # Macros
 
-MACRO_NAMES = (
-    "delegate",
-    "delegate_indirect",
-    "past",
-    "future",
-    "curr",
-    "attest_after",
-    "attest_before",
-    "revocable_delegate",
-)
+# Argument shapes of each macro: "P" a principal term, "T" a Time term,
+# "pred" a predicate name, "atom" an atom.
+MACROS = {
+    "delegate": ("P", "P", "pred"),
+    "delegate_indirect": ("P", "P", "pred"),
+    "revocable_delegate": ("P", "P", "pred"),
+    "past": ("T",),
+    "future": ("T",),
+    "curr": ("T",),
+    "attest_after": ("P", "T", "atom"),
+    "attest_before": ("T", "atom"),
+}
 
 TIME_SOURCE = Const("T", "Principal")
-
-
-def _pred_binders(sig: Signature, pred: str, prefix: str = "x"):
-    if pred not in sig.preds:
-        raise MacroError(f"macro over undeclared predicate {pred!r}")
-    return tuple(Var(f"{prefix}{i + 1}", s) for i, s in enumerate(sig.preds[pred]))
 
 
 def _close_forall(binders, f: Formula) -> Formula:
@@ -631,53 +613,38 @@ def _close_forall(binders, f: Formula) -> Formula:
     return f
 
 
-def expand_macros(f: Formula, sig: Signature) -> Formula:
-    """Rewrite macro calls into core formulas against the declared predicates."""
-    if isinstance(f, MacroCall):
-        return _expand_one(f, sig)
-    if isinstance(f, (Top, Bottom, Atom)):
-        return f
-    if isinstance(f, Attest):
-        return Attest(f.principal, expand_macros(f.body, sig))
-    if isinstance(f, Knows):
-        return Knows(f.principals, expand_macros(f.body, sig))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(expand_macros(f.left, sig), expand_macros(f.right, sig))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, expand_macros(f.body, sig))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _pred_name(arg) -> str:
-    if isinstance(arg, Const):
-        return arg.name
-    if isinstance(arg, Atom) and not arg.args:
-        return arg.pred
-    raise MacroError(f"expected a predicate name, got {arg!r}")
-
-
-def _expand_one(m: MacroCall, sig: Signature) -> Formula:
-    name, args = m.name, m.args
-    if name == "delegate":
-        k, l = args[0], args[1]
-        pred = _pred_name(args[2])
-        xs = _pred_binders(sig, pred)
-        inner = Implies(Attest(l, Atom(pred, xs)), Atom(pred, xs))
-        return _close_forall(xs, Attest(k, inner))
-    if name == "delegate_indirect":
-        k, l = args[0], args[1]
-        pred = _pred_name(args[2])
-        xs = _pred_binders(sig, pred)
-        mv = Var("M", "Principal")
+def expand_macro(name: str, args: tuple, sig: Signature) -> Formula:
+    """The core formula that a macro call abbreviates, over the declared
+    predicates.  `args` follow the shapes in MACROS.  `revocable_delegate`
+    and `attest_before` declare the predicates they introduce in `sig`."""
+    if name in ("delegate", "delegate_indirect", "revocable_delegate"):
+        k, l, pred = args
+        if pred not in sig.preds:
+            raise MacroError(f"macro over undeclared predicate {pred!r}")
+        xs = tuple(Var(f"x{i + 1}", s) for i, s in enumerate(sig.preds[pred]))
         p = Atom(pred, xs)
+    if name == "delegate":
+        return _close_forall(xs, Attest(k, Implies(Attest(l, p), p)))
+    if name == "delegate_indirect":
+        mv = Var("M", "Principal")
         # The indirect-delegation schema, pre-applied with the derived
         # implication rule so the inner <L>(...) premise stays in the fragment.
         body = And(Attest(mv, p), Implies(Attest(mv, p), Attest(l, p)))
         return _close_forall(xs + (mv,), Attest(k, Implies(body, p)))
+    if name == "revocable_delegate":
+        if not xs or xs[-1].sort != "Time":
+            raise MacroError(f"revocable_delegate needs {pred!r} to end in a Time argument")
+        if "notRevoked" not in sig.preds:
+            sig.declare_pred("notRevoked", ("Principal", "Time"))
+        t = Var("t", "Time")
+        premise = And(
+            Attest(l, p),
+            And(Attest(k, Atom("notRevoked", (l, t))), Atom("<", (xs[-1], t))),
+        )
+        return _close_forall(xs + (t,), Attest(k, Implies(premise, p)))
     if name == "past":
-        t = args[0]
         s = Var("s", "Time")
-        return Exists(s, And(Atom("<", (t, s)), Attest(TIME_SOURCE, Atom("time", (s,)))))
+        return Exists(s, And(Atom("<", (args[0], s)), Attest(TIME_SOURCE, Atom("time", (s,)))))
     if name == "future":
         # Constructive negation is out of reach of goal-directed search; the
         # trusted time source answers this builtin against its closed log.
@@ -693,31 +660,10 @@ def _expand_one(m: MacroCall, sig: Signature) -> Formula:
         return And(Attest(k, atom), Attest(TIME_SOURCE, Atom("time", (t,))))
     if name == "attest_before":
         t, atom = args
-        if not isinstance(atom, Atom):
-            raise MacroError("attest_before expects an atom argument")
         before = f"before_{atom.pred}"
         if before not in sig.preds:
             sig.declare_pred(before, sig.preds.get(atom.pred, ()) + ("Time",))
         return Attest(TIME_SOURCE, Atom(before, atom.args + (t,)))
-    if name == "revocable_delegate":
-        k, l = args[0], args[1]
-        pred = _pred_name(args[2])
-        sorts = sig.preds.get(pred)
-        if sorts is None:
-            raise MacroError(f"macro over undeclared predicate {pred!r}")
-        if not sorts or sorts[-1] != "Time":
-            raise MacroError(f"revocable_delegate needs {pred!r} to end in a Time argument")
-        if "notRevoked" not in sig.preds:
-            sig.declare_pred("notRevoked", ("Principal", "Time"))
-        xs = _pred_binders(sig, pred)
-        s = xs[-1]
-        t = Var("t", "Time")
-        p = Atom(pred, xs)
-        premise = And(
-            Attest(l, p),
-            And(Attest(k, Atom("notRevoked", (l, t))), Atom("<", (s, t))),
-        )
-        return _close_forall(xs + (t,), Attest(k, Implies(premise, p)))
     raise MacroError(f"unknown macro {name!r}")
 
 
@@ -776,11 +722,6 @@ def fmt_formula(f: Formula, prec: int = 0) -> str:
             binders.append(f"{f.var.name}:{f.var.sort}")
             f = f.body
         return wrap(f"{kw} {', '.join(binders)}. {fmt_formula(f, 0)}", 0)
-    if isinstance(f, MacroCall):
-        parts = []
-        for a in f.args:
-            parts.append(fmt_term(a) if isinstance(a, (Var, Const, FunApp)) else fmt_formula(a, 3))
-        return f"{f.name}({', '.join(parts)})"
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -4,6 +4,7 @@ import random
 
 import test_evidence
 import test_oracle
+import test_services
 
 from cyberlogic import codec, parser, scenarios
 from cyberlogic import evidence as E
@@ -180,16 +181,21 @@ def test_08_privacy_registry():
         assert bool(remote) == bool(local)
         blobs = [codec.encode_policy(p) for p in r.world.policies.values()]
         sources = [p.source.encode() for p in r.world.policies.values() if p.source.strip()]
-        for frame in frames:
+        assert len(sources) == len(r.world.policies)
+        payloads = test_services.disclosed_payloads(frames)
+        assert len(payloads) > 2 * len(frames)
+        for payload in payloads:
             for blob in blobs:
-                assert blob not in frame
+                assert blob not in payload
             for src in sources:
-                assert src not in frame
+                assert src not in payload
         # a policy update appends a new digest; the stale pin still verifies
         owner = next(iter(r.world.policies))
         pol = r.world.policies[owner]
-        updated = parser.parse_policy(pol.source + "\n# updated\n", owner, parser.base_signature()) \
-            if pol.source else pol
+        updated = parser.parse_policy(
+            pol.source + "\npred policy_updated().\n", owner, parser.base_signature()
+        )
+        assert updated.digest != pol.digest
         reg.register(updated.digest, CheckerEndpoint(owner, [updated, pol], r.world.directory, reg))
         assert reg.verify_chain()
         assert bool(remote_check(reg, r.certificate)) == bool(local)

@@ -95,6 +95,25 @@ def test_knows_encoding_is_order_independent():
     )
 
 
+def test_principal_sets_encode_to_recorded_bytes():
+    # Bytes recorded when `knows` and KnowsWrap each had their own encoder.
+    ps = frozenset(
+        (S.Const("C", "Principal"), S.Const("A", "Principal"),
+         S.Const("Bob", "Principal"), S.Var("k", "Principal"))
+    )
+    members = (
+        "0000000401000000016b000000095072696e636970616c020000000141000000095072696e636970616c"
+        "020000000143000000095072696e636970616c0200000003426f62000000095072696e636970616c"
+    )
+    f = S.Knows(ps, S.Atom("ok", (S.Const("A", "Principal"),)))
+    assert codec.encode_formula(f).hex() == (
+        "14" + members
+        + "12000000026f6b00000001020000000141000000095072696e636970616c"
+    )
+    assert codec.encode_evidence(E.KnowsWrap(ps, E.Unit())).hex() == "2a" + members + "20"
+    assert codec.decode_formula(codec.encode_formula(f)) == f
+
+
 def test_evidence_round_trip():
     ev = E.PairEv(
         E.ClauseApp("c1", b"\x01" * 32, (S.Const("a", "Thing"),), (E.Unit(),)),

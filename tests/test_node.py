@@ -106,6 +106,46 @@ def test_answers_carry_verifiable_countersignature():
     assert answer_frames and all(f.get("att_b64") for f in answer_frames)
 
 
+def test_a_good_answer_after_a_corrupt_copy_is_accepted():
+    w = _bcast_world()
+    request = w.network.request
+
+    def corrupt_copy_first(frm, to, frame):
+        good = request(frm, to, frame)
+        bad = []
+        for resp in good:
+            obj = decode_frame(resp)
+            if obj.get("type") == "ANSWER":
+                obj["evidence_b64"] = base64.b64encode(b"\xff").decode()
+                bad.append(encode_frame(obj))
+        return bad + good  # same qid, the corrupt copy first
+
+    w.network.request = corrupt_copy_first
+    a = w.node("A")
+    goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
+    assert a.ask_first(goal) is not None
+    assert a.metrics["duplicates_ignored"] == 0
+
+
+def test_broadcast_query_lists_free_variables_in_first_occurrence_order():
+    decls = "pred rel(Principal, Principal).\nprincipal A, B, C.\n"
+    w = scenarios.build_world(
+        [("A", decls), ("B", decls + "b1: B says rel(C, A).\n"), ("C", decls)], 0
+    )
+    a = w.node("A")
+    goal, free = parser.parse_goal("z says rel(y, x)", a.policy.signature)
+    assert [v.name for v in free] == ["z", "y", "x"]
+    assert a.ask_first(goal, free) is not None
+    queries = [
+        decode_frame(data) for _, _, data in w.network.frames
+        if data and decode_frame(data).get("type") == "QUERY"
+    ]
+    # recorded before the engine's own ordered walk was replaced
+    assert [(q["to"], q["vars"]) for q in queries] == [
+        ("B", [["y", "Principal"], ["x", "Principal"]])
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Session isolation
 

@@ -107,6 +107,20 @@ def test_macro_with_unknown_name_rejected():
         parser.parse_policy("principal K.\nk1: frobnicate(K).\n", "K")
 
 
+def test_macro_declarations_are_visible_later_in_the_same_clause():
+    # revocable_delegate declares notRevoked and attest_before declares
+    # before_<p> as the parser reads the call.
+    pol = parser.parse_policy(
+        "pred access(Principal, Time). pred ok(Principal). principal K, L.\n"
+        "rd: revocable_delegate(K, L, access) /\\ (K says notRevoked(L, 3)).\n"
+        "ab: attest_before(3, ok(L)) /\\ (T says before_ok(K, 4)).\n",
+        "K",
+    )
+    assert [c.label for c in pol.clauses] == ["rd_1", "rd_2", "ab_1", "ab_2"]
+    assert pol.signature.preds["notRevoked"] == ("Principal", "Time")
+    assert pol.signature.preds["before_ok"] == ("Principal", "Time")
+
+
 def test_integer_literals_are_time_or_int():
     sig = parser.base_signature()
     sig.declare_pred("at", ("Time",))

@@ -100,6 +100,18 @@ def test_remote_check_matches_local_check():
         assert bool(remote) == bool(local) == True  # noqa: E712
 
 
+def disclosed_payloads(frames) -> list:
+    """Each frame, as sent and with its JSON string escapes undone, and the
+    certificate it carries base64-encoded."""
+    payloads = list(frames)
+    for frame in frames:
+        payloads.append(frame.decode("unicode_escape").encode())
+        cert_b64 = decode_frame(frame).get("cert_b64")
+        if cert_b64:
+            payloads.append(base64.b64decode(cert_b64))
+    return payloads
+
+
 def test_remote_check_frames_never_contain_policy_bytes():
     r = scenarios.run_hospital(0)
     frames = []
@@ -108,11 +120,14 @@ def test_remote_check_frames_never_contain_policy_bytes():
     assert frames
     policy_blobs = [codec.encode_policy(p) for p in r.world.policies.values()]
     clause_bodies = [p.source.encode() for p in r.world.policies.values() if p.source]
-    for frame in frames:
+    assert len(clause_bodies) == len(r.world.policies)
+    payloads = disclosed_payloads(frames)
+    assert len(payloads) > 2 * len(frames)
+    for payload in payloads:
         for blob in policy_blobs:
-            assert blob not in frame
+            assert blob not in payload
         for body in clause_bodies:
-            assert body not in frame
+            assert body not in payload
 
 
 def test_remote_check_rejects_tampered_certificate():

@@ -110,6 +110,18 @@ def test_free_vars():
     assert S.free_vars(f) == {y}
 
 
+def test_free_vars_are_in_first_occurrence_order():
+    x, y, z, w = (S.Var(n, "Thing") for n in "xyzw")
+    a, b = S.Var("a", "Principal"), S.Var("b", "Principal")
+    body = S.Attest(b, S.Atom("r", (x, S.FunApp("succ", (w,)), y, z)))
+    f = S.And(S.Atom("p", (z,)), S.Exists(x, S.Knows(frozenset((b, a)), body)))
+    # knows principals in sorted order, then the body left to right
+    assert list(S.free_vars(f)) == [z, a, b, w, y]
+    assert S.free_vars(f) == {a, b, w, y, z}
+    assert S.free_vars(f) | {x} == {a, b, w, x, y, z}
+    assert not S.free_vars(S.Exists(x, S.Atom("p", (S.FunApp("succ", (x,)),))))
+
+
 def test_int_value_of_succ_chain():
     three = S.FunApp("succ", (S.FunApp("succ", (S.Const("1", "Time"),)),))
     assert S.int_value(three) == 3
@@ -142,6 +154,41 @@ def test_revocable_delegate_macro_mentions_revocation_window():
     text = S.fmt_clause(clause)
     assert "notRevoked" in text
     assert "<" in text
+
+
+MACRO_SOURCE = """
+pred ok(Principal). pred use(Principal, Time). principal K, L.
+d1: delegate(K, L, ok).
+d2: delegate_indirect(K, L, ok).
+d3: revocable_delegate(K, L, use).
+m1: past(3) => ok(K).
+m2: future(3) => ok(K).
+m3: curr(5) => ok(K).
+m4: attest_after(L, 3, ok(L)) => ok(K).
+m5: attest_before(3, ok(L)) => ok(K).
+"""
+
+# The clauses MACRO_SOURCE normalizes to, recorded while macro calls were
+# still formula nodes expanded after parsing.
+MACRO_CLAUSES = [
+    "d1: forall x1:Principal. L says ok(x1) => K says ok(x1).",
+    "d2: forall x1:Principal, M:Principal. M says ok(x1) /\\ (M says ok(x1) => L says ok(x1))"
+    " => K says ok(x1).",
+    "d3: forall x1:Principal, x2:Time, t:Time. L says use(x1, x2) /\\ K says notRevoked(L, t)"
+    " /\\ x2 < t => K says use(x1, x2).",
+    "m1: (exists s:Time. 3 < s /\\ T says time(s)) => ok(K).",
+    "m2: time_not_elapsed(3) => ok(K).",
+    "m3: T says time(5) /\\ time_not_elapsed(succ(5)) => ok(K).",
+    "m4: L says ok(L) /\\ T says time(3) => ok(K).",
+    "m5: T says before_ok(L, 3) => ok(K).",
+]
+
+
+def test_every_macro_expands_to_its_recorded_clauses():
+    pol = parser.parse_policy(MACRO_SOURCE, "K")
+    assert [S.fmt_clause(c) for c in pol.clauses] == MACRO_CLAUSES
+    used = {name for name in S.MACROS if f" {name}(" in MACRO_SOURCE}
+    assert used == set(S.MACROS)
 
 
 def test_fmt_parse_round_trip_on_clauses():
