@@ -97,7 +97,6 @@ def _build_node(args, policy) -> Node:
         kp, _ = keygen(policy.owner, random.Random(args.seed))
     if policy.owner not in directory:
         directory.add(policy.owner, kp.public)
-    pid = directory.principal_id(policy.owner)
     services = TrustedServices(seed=args.seed or 0)
     if "T" not in directory:
         services.register_keys(directory)
@@ -105,7 +104,6 @@ def _build_node(args, policy) -> Node:
         policy.owner,
         policy,
         kp,
-        pid,
         directory,
         services=services,
         seed=args.seed or 0,

@@ -303,19 +303,6 @@ def _read_signed_attestation(r: _R) -> SignedAttestation:
     )
 
 
-def encode_attestation(sa: SignedAttestation) -> bytes:
-    w = _W()
-    _emit_signed_attestation(w, sa)
-    return w.out()
-
-
-def decode_attestation(data: bytes) -> SignedAttestation:
-    r = _R(data)
-    sa = _read_signed_attestation(r)
-    r.done()
-    return sa
-
-
 # ---------------------------------------------------------------------------
 # Evidence
 

@@ -20,9 +20,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import KeyError_
 from .syntax import Atom, Attest, Const, Formula
 
-SIG_SCHEME = "ed25519"
-DIGEST_SCHEME = "sha256"
-
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
@@ -41,7 +38,6 @@ class PrincipalId:
 class KeyPair:
     public: bytes
     private: bytes
-    scheme: str = SIG_SCHEME
 
 
 def keygen(name: str, rng=None) -> tuple[KeyPair, PrincipalId]:
@@ -100,7 +96,6 @@ def sign_attestation(
     who: PrincipalId,
     atom: Atom,
     issued_at: int | None = None,
-    session_nonce: bytes | None = None,
 ) -> SignedAttestation:
     """Sign an atom as `who`.  The key pair must match the identity."""
     from . import codec
@@ -108,8 +103,8 @@ def sign_attestation(
     if sha256(kp.public) != who.fingerprint:
         raise KeyError_(f"key pair does not belong to {who!r}")
     payload = codec.encode_formula(atom)
-    sig = sign(kp, _signing_input(payload, issued_at, session_nonce))
-    return SignedAttestation(who, payload, sig, issued_at, session_nonce)
+    sig = sign(kp, _signing_input(payload, issued_at, None))
+    return SignedAttestation(who, payload, sig, issued_at)
 
 
 def verify_attestation(public: bytes, sa: SignedAttestation) -> Formula | None:

@@ -229,12 +229,13 @@ def _items(goals, s) -> list:
 class Prover:
     """Proof search over a set of named policies.
 
-    `policies` maps owner name to Policy (typically this node's own policy
-    plus the common policy).  `sign(atom)` returns the owner's
-    SignedAttestation of a ground atom; without it the prover never
-    attests for its owner.  `dispatch(target, goal, vars, budget,
-    restriction)` is consulted for attestation goals that no local clause
-    covers: `target` is a principal name, or None to broadcast; it yields
+    `policies` maps owner name to Policy (typically this node's own policy,
+    perhaps plus a common one).  An owner's attestations come from its
+    own clauses only: a bare-headed clause also answers its owner's
+    attestation of the head, and the prover never signs anything.
+    `dispatch(target, goal, vars, budget, restriction)` is consulted for
+    attestation goals of principals without a local policy: `target` is a
+    principal name, or None to broadcast; it yields
     (bindings, evidence) pairs with ground terms for `vars`.  `indexes`
     maps owner to a ClauseIndex to reuse; one is built for every policy it
     does not cover, and `self.indexes` holds those of `policies` only.
@@ -243,8 +244,6 @@ class Prover:
     def __init__(
         self,
         policies,
-        owner: str | None = None,
-        sign=None,
         dispatch=None,
         services=None,
         trace: list | None = None,
@@ -259,8 +258,6 @@ class Prover:
             if index is None or index.policy is not policy:
                 index = ClauseIndex(policy)
             self.indexes[owner] = index
-        self.owner = owner
-        self.sign = sign
         self.dispatch = dispatch
         self.services = services
         self.trace = trace if trace is not None else []
@@ -269,19 +266,19 @@ class Prover:
 
     # -- public entry points -----------------------------------------------
 
-    def ask(self, goal, free_vars=(), depth: int = DEFAULT_DEPTH, env=None, restriction=None):
+    def ask(self, goal, free_vars=(), depth: int = DEFAULT_DEPTH, env=None):
         """Yield Answers for `goal`; `free_vars` are treated as
         existentially quantified metavariables."""
         self.state = _State()
         for v in free_vars:
             self.state.register_var(v)
         env = env or E.HypothesisEnv()
-        for s, ev in self._solve(goal, {}, depth, env, restriction, frozenset()):
+        for s, ev in self._solve(goal, {}, depth, env, None, frozenset()):
             bindings = {v: resolve(v, s) for v in free_vars}
             yield Answer(bindings, resolve_evidence(ev, s), resolve_formula(goal, s))
 
-    def first(self, goal, free_vars=(), depth: int = DEFAULT_DEPTH, env=None, restriction=None):
-        for a in self.ask(goal, free_vars, depth, env, restriction):
+    def first(self, goal, free_vars=(), depth: int = DEFAULT_DEPTH, env=None):
+        for a in self.ask(goal, free_vars, depth, env):
             return a
         return None
 
@@ -511,9 +508,6 @@ class Prover:
                     if s2 is not None:
                         yield s2, E.AttLeaf(sa)
                 return
-            if k.name == self.owner:
-                yield from self._self_sign(goal, s, depth, env, restriction, anc)
-                return
             if k.name in self.policies:
                 return  # fully handled locally
             if self.dispatch is None:
@@ -537,15 +531,6 @@ class Prover:
                     break
             if s2 is not None:
                 yield s2, ev
-
-    def _self_sign(self, goal, s, depth, env, restriction, anc):
-        """Attestation of self: prove the bare atom, then sign it."""
-        if self.sign is None:
-            return
-        for s2, _ev in self._solve(goal.body, s, depth - 1, env, restriction, anc):
-            atom = resolve_formula(goal.body, s2)
-            if isinstance(atom, S.Atom) and not S.free_vars(atom):
-                yield s2, E.AttLeaf(self.sign(atom))
 
 
 # ---------------------------------------------------------------------------

@@ -240,9 +240,8 @@ def make_certificate(
     policy_digests,
     directory_ids,
     created_at: SignedAttestation | None = None,
-    threshold: int = DEDUP_THRESHOLD,
 ) -> Certificate:
-    root, store = dedup_evidence(evidence, threshold)
+    root, store = dedup_evidence(evidence)
     return Certificate(
         root_formula=formula,
         root_evidence=root,
@@ -400,7 +399,7 @@ class _Checker:
             policy = self.policies.get(e.policy_digest)
             if policy is None:
                 if self.foreign_check is not None:
-                    sub = self.foreign_check(e.policy_digest, e, phi, self.store)
+                    sub = self.foreign_check(e.policy_digest, e, phi, self.store, env)
                     if sub is not None:
                         return sub if sub.ok else _nok(path, sub.reason or "remote check failed")
                 return _nok(path, f"unknown policy digest {e.policy_digest.hex()[:12]}")
@@ -536,8 +535,9 @@ def check(
 
     `policies` maps policy digest to Policy; `directory` supplies public
     keys for signature leaves; `store` resolves shared-subtree references;
-    `foreign_check` (digest, evidence, formula, store) -> CheckResult|None
-    is consulted for clause applications against unknown policy digests.
+    `foreign_check` (digest, evidence, formula, store, env) ->
+    CheckResult|None is consulted for clause applications against unknown
+    policy digests.
     """
     return _Checker(policies, directory, store, foreign_check).check(e, phi, env or HypothesisEnv())
 
@@ -547,7 +547,6 @@ def check_certificate(
     policies,
     directory: Directory | None = None,
     foreign_check=None,
-    require_created_at: bool = False,
 ) -> CheckResult:
     """Check a full certificate: pinned identities, the creation stamp, and
     the evidence for the root formula."""
@@ -562,8 +561,6 @@ def check_certificate(
         got = verify_attestation(directory.public_key("T"), cert.created_at)
         if got is None or not (isinstance(got.body, S.Atom) and got.body.pred == "time"):
             return _nok((), "creation stamp does not verify")
-    elif require_created_at:
-        return _nok((), "certificate has no creation stamp")
     return check(
         policies,
         HypothesisEnv(),

@@ -6,7 +6,9 @@ newline-delimited JSON frames with base64-encoded canonical payloads, the
 same format over the in-process simulator and TCP.  A query carries a
 session-token chain: every hypothesis assumed while proving is filed under
 the proving node's token, and follow-up queries carrying that token may
-use those hypotheses — and only those.
+use those hypotheses — and only those.  Every ANSWER names the SHA-256 of
+the QUERY bytes it answers and is signed by the answering node over the
+rest of the frame; a node never signs an attestation.
 
 The simulator is synchronous and seeded: a request is served to
 completion before the caller resumes, so runs are reproducible
@@ -24,14 +26,16 @@ import threading
 from dataclasses import dataclass, field
 
 from . import codec
+from . import crypto
 from . import engine
 from . import evidence as E
 from . import syntax as S
-from .crypto import Directory, KeyPair, PrincipalId, sign_attestation, verify_attestation
+from .crypto import Directory, KeyPair
 from .errors import RouteError, TransportError
 
 MAX_FRAME = 16 * 1024 * 1024
 SERVICE_NAMES = ("T", "N")
+ANSWER_CACHE = 1024  # replies kept for redelivered queries, oldest dropped first
 
 
 def encode_frame(obj: dict) -> bytes:
@@ -70,8 +74,7 @@ class SimNetwork:
     `frames` as (from, to, bytes).  Fault rules are callables
     (frm, to, frame) -> "drop" | "duplicate" | None, applied to requests."""
 
-    def __init__(self, seed: int = 0):
-        self.rng = random.Random(seed)
+    def __init__(self):
         self.nodes: dict[str, "Node"] = {}
         self.frames: list[tuple[str, str, bytes]] = []
         self.fault_rules: list = []
@@ -181,10 +184,8 @@ class Node:
         name: str,
         policy,
         keys: KeyPair,
-        identity: PrincipalId,
         directory: Directory,
         services=None,
-        common=None,
         network=None,
         seed: int = 0,
         depth: int = engine.DEFAULT_DEPTH,
@@ -192,17 +193,15 @@ class Node:
         self.name = name
         self.policy = policy
         self.keys = keys
-        self.identity = identity
         self.directory = directory
         self.services = services
-        self.common = common
         self.network = network
         self.depth = depth
         self.rng = random.Random((seed, name).__repr__())
         self.sessions: dict[str, Session] = {}
         self._indexes: dict = {}  # owner -> engine.ClauseIndex of a served policy
         self._qid_seq = 0
-        self._answered: dict[str, list[bytes]] = {}
+        self._answered: dict[str, list[bytes]] = {}  # request digest -> reply
         self.metrics = {
             "queries_handled": 0,
             "answers_sent": 0,
@@ -214,14 +213,8 @@ class Node:
 
     # -- helpers -------------------------------------------------------------
 
-    def _policies(self) -> dict:
-        out = {self.name: self.policy}
-        if self.common is not None:
-            out["common"] = self.common
-        return out
-
     def policy_digests(self) -> set:
-        return {p.digest for p in self._policies().values()}
+        return {self.policy.digest}
 
     def _new_token(self) -> str:
         return f"{self.name}:{self.rng.getrandbits(128):032x}"
@@ -247,9 +240,7 @@ class Node:
 
     def _prover(self, session: Session, chain) -> engine.Prover:
         prover = engine.Prover(
-            self._policies(),
-            owner=self.name,
-            sign=self._sign,
+            {self.name: self.policy},
             dispatch=self._dispatcher(chain),
             services=self.services,
             trace=self.trace,
@@ -309,7 +300,7 @@ class Node:
                     responses = self.network.request(self.name, to, frame)
                 except RouteError:
                     continue
-                answer = self._accept_answer(responses, to_vars, restriction, to)
+                answer = self._accept_answer(responses, frame, restriction, to)
                 if answer is not None:
                     bindings, ev = answer
                     if pvar is not None:
@@ -319,15 +310,22 @@ class Node:
 
         return dispatch
 
-    def _accept_answer(self, responses, vars_, restriction, frm):
+    def _accept_answer(self, responses, query: bytes, restriction, frm):
+        """The bindings and evidence of the first ANSWER that names `query`
+        and carries `frm`'s signature over the rest of the frame."""
+        request = crypto.sha256(query).hex()
+        pub = self.directory.public_key(frm)
         for resp in responses:
             try:
                 obj = decode_frame(resp)
             except TransportError:
                 continue
-            if obj.get("type") != "ANSWER":
+            if obj.get("type") != "ANSWER" or obj.get("request") != request:
                 continue
             try:
+                sig = _unb64(obj.pop("sig_b64"))
+                if pub is None or not crypto.verify(pub, sig, encode_frame(obj)):
+                    continue  # unsigned, forged or altered
                 bindings = {
                     name: codec.decode_term(_unb64(t))
                     for name, t in (obj.get("bindings") or {}).items()
@@ -337,15 +335,6 @@ class Node:
                 continue
             if restriction is not None and isinstance(ev, E.KnowsWrap):
                 ev = ev.body  # sent wrapped, integrate unwrapped
-            att_b64 = obj.get("att_b64")
-            if att_b64:
-                try:
-                    sa = codec.decode_attestation(_unb64(att_b64))
-                except Exception:
-                    continue
-                pub = self.directory.public_key(frm)
-                if pub is None or verify_attestation(pub, sa) is None:
-                    continue  # forged answer metadata
             return bindings, ev
         return None
 
@@ -357,24 +346,31 @@ class Node:
         except TransportError as ex:
             return [encode_frame({"type": "FAIL", "reason": str(ex)})]
         if obj.get("type") == "QUERY":
-            return self.handle_query(obj)
+            return self.handle_query(obj, crypto.sha256(data).hex())
         return [encode_frame({"type": "FAIL", "qid": obj.get("qid"), "reason": "unsupported frame type"})]
 
-    def handle_query(self, obj: dict) -> list[bytes]:
-        qid = obj.get("qid", "")
-        if qid in self._answered:
+    def handle_query(self, obj: dict, request: str) -> list[bytes]:
+        """Answer a decoded QUERY whose bytes have SHA-256 `request` (hex).
+        A redelivered query gets the reply it got before."""
+        if request in self._answered:
             self.metrics["duplicates_ignored"] += 1
-            return self._answered[qid]
+            return self._answered[request]
         self.metrics["queries_handled"] += 1
+        resp = [encode_frame(self._reply(obj, request))]
+        if len(self._answered) >= ANSWER_CACHE:
+            del self._answered[next(iter(self._answered))]
+        self._answered[request] = resp
+        return resp
+
+    def _reply(self, obj: dict, request: str) -> dict:
+        qid = obj.get("qid", "")
         try:
             goal = codec.decode_formula(_unb64(obj["goal_b64"]))
             vars_ = [S.Var(n, s) for n, s in obj.get("vars", [])]
             budget = int(obj.get("budget", self.depth))
             chain = list(obj.get("session", []))
         except Exception as ex:
-            resp = [encode_frame({"type": "FAIL", "qid": qid, "reason": f"malformed query: {ex}"})]
-            self._answered[qid] = resp
-            return resp
+            return {"type": "FAIL", "qid": qid, "reason": f"malformed query: {ex}"}
         session = Session(self._new_token())
         self.sessions[session.token] = session
         env = self._env_for_chain(chain)
@@ -388,49 +384,22 @@ class Node:
         except Exception as ex:
             answer = None
             self.trace.append(f"ERROR {qid} {ex}")
-        if answer is not None:
-            answer.bindings = {v: answer.bindings[rv] for v, rv in ren.items()}
         if answer is None:
             self.metrics["failures_sent"] += 1
-            resp = [encode_frame({"type": "FAIL", "qid": qid, "reason": "no proof"})]
-            self._answered[qid] = resp
-            return resp
+            return {"type": "FAIL", "qid": qid, "reason": "no proof"}
         self.metrics["answers_sent"] += 1
         frame = {
             "type": "ANSWER",
             "qid": qid,
             "from": self.name,
+            "request": request,
             "bindings": {
-                v.name: _b64(codec.encode_term(t)) for v, t in answer.bindings.items()
+                v.name: _b64(codec.encode_term(answer.bindings[rv])) for v, rv in ren.items()
             },
             "evidence_b64": _b64(codec.encode_evidence(answer.evidence)),
         }
-        att = self._answer_attestation(answer.goal)
-        if att is not None:
-            frame["att_b64"] = _b64(codec.encode_attestation(att))
-        resp = [encode_frame(frame)]
-        self._answered[qid] = resp
-        return resp
-
-    def _answer_attestation(self, goal):
-        """Countersign an answer that claims this node's own attestation."""
-        g = goal
-        if isinstance(g, S.Knows):
-            g = g.body
-        if (
-            isinstance(g, S.Attest)
-            and g.principal == S.Const(self.name, "Principal")
-            and isinstance(g.body, S.Atom)
-            and not S.free_vars(g.body)
-        ):
-            return self._sign(g.body)
-        return None
-
-    def _sign(self, atom):
-        """This node's attestation of a ground atom, stamped with the
-        trusted clock when available."""
-        issued = self.services.now() if self.services is not None else None
-        return sign_attestation(self.keys, self.identity, atom, issued_at=issued)
+        frame["sig_b64"] = _b64(crypto.sign(self.keys, encode_frame(frame)))
+        return frame
 
     # -- local entry point ----------------------------------------------------
 
@@ -446,10 +415,10 @@ class Node:
             return a
         return None
 
-    def certify(self, answer: engine.Answer, extra_digests=()) -> E.Certificate:
+    def certify(self, answer: engine.Answer) -> E.Certificate:
         """Package an answer as a self-contained certificate, stamped with
         the trusted clock when available."""
-        digests = set(self.policy_digests()) | set(extra_digests)
+        digests = self.policy_digests()
         digests |= {
             x.policy_digest
             for x in E.nodes(answer.evidence)

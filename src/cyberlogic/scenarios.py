@@ -48,20 +48,18 @@ def build_world(policy_texts, seed: int = 0, depth: int = DEFAULT_DEPTH) -> Worl
     base = parser.base_signature()
     policies = {}
     for owner, text in policy_texts:
-        kp, pid = keygen(owner, rng)
-        keys[owner] = (kp, pid)
+        kp, _ = keygen(owner, rng)
+        keys[owner] = kp
         directory.add(owner, kp.public)
         policies[owner] = parser.parse_policy(text, owner, base)
     services.register_keys(directory)
-    network = SimNetwork(seed=rng.randrange(2**31))
+    network = SimNetwork()
     nodes = {}
     for owner in policies:
-        kp, pid = keys[owner]
         node = Node(
             owner,
             policies[owner],
-            kp,
-            pid,
+            keys[owner],
             directory,
             services=services,
             seed=seed,

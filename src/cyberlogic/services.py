@@ -163,12 +163,22 @@ class CheckerEndpoint:
             cert, self.policies, self.directory, foreign_check=self._foreign
         )
 
-    def _foreign(self, digest, ev, phi, store):
+    def _foreign(self, digest, ev, phi, store, env):
         if self.registry is None:
             return None
         endpoint = self.registry.endpoint_for(digest)
         if endpoint is None or endpoint is self:
             return None
+        # The hypotheses in scope travel as premises of the forwarded root:
+        # one implication, and one abstraction naming it, per clause.
+        for c in env.clauses():
+            clause = c.head
+            for s in reversed(c.slots):
+                clause = S.Implies(s, clause)
+            for v in reversed(c.universals):
+                clause = S.Forall(v, clause)
+            phi = S.Implies(clause, phi)
+            ev = E.Abstraction(c.label, ev)
         sub = E.Certificate(
             root_formula=phi,
             root_evidence=ev,

@@ -484,7 +484,6 @@ def normalize(f: Formula) -> Formula:
                 # Strengthen <L><K>a to <K>a: sound for goals and clause
                 # premises since <K>a implies <L><K>a by the unit law.
                 return body
-            return normalize(Attest(f.principal, normalize(body)))
         return Attest(f.principal, body)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -563,11 +562,6 @@ def clauses_of(f: Formula, label: str) -> list:
             for c in clauses_of(part, sub):
                 out.append(Clause(c.label, tuple(universals) + c.universals, c.slots, c.head))
         return out
-    if isinstance(f, Forall):  # nested after And split
-        return [
-            Clause(c.label, tuple(universals) + c.universals, c.slots, c.head)
-            for c in clauses_of(f, label)
-        ]
     slots, head = _head_form(f)
     slots = tuple(normalize(s) for s in slots)
     for s in slots:

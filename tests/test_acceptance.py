@@ -86,7 +86,7 @@ def test_04_oracle_equivalence():
     while programs < 200:
         src, clauses, arities, consts = test_oracle._random_program(rng)
         pol = parser.parse_policy(src, "K")
-        prover = Prover({"K": pol}, owner="K")
+        prover = Prover({"K": pol})
         derivable = test_oracle._fixpoint(clauses)
         for pred, args in test_oracle._all_atoms(arities, consts):
             goal = S.Atom(pred, tuple(S.Const(a, "Obj") for a in args))
@@ -109,7 +109,7 @@ const a: Thing.
 def test_05_law_suite():
     def holds(extra, text):
         pol = parser.parse_policy(LAW_SIG + extra, "K")
-        p = Prover({"K": pol}, owner=None)
+        p = Prover({"K": pol})
         goal, _ = parser.parse_goal(text, pol.signature)
         return next(iter(p.ask(goal, depth=64)), None) is not None
 
@@ -123,7 +123,7 @@ def test_05_law_suite():
     assert not holds("f1: K says (L says p(a)).\n", "K says p(a)")  # commuted
     pol_k = parser.parse_policy(LAW_SIG + "f1: p(a).\n", "K")
     pol_l = parser.parse_policy(LAW_SIG, "L")
-    pv = Prover({"K": pol_k, "L": pol_l}, owner=None)
+    pv = Prover({"K": pol_k, "L": pol_l})
     for text, want in (
         ("knows {K} p(a)", True),
         ("knows {L} knows {K} p(a)", False),  # knowledge does not commute out

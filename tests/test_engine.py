@@ -111,7 +111,7 @@ def test_substitution_idempotent():
 
 def _prover(src, owner="K"):
     pol = parser.parse_policy(src, owner)
-    return Prover({owner: pol}, owner=owner), pol
+    return Prover({owner: pol}), pol
 
 
 PATHS = """
@@ -246,7 +246,7 @@ def _knows_provers():
         "pred nonCritical(Principal). principal KT, KU.\nc1: nonCritical(KT).\n",
         "common",
     )
-    return Prover({"KU": pol_u, "common": common}, owner="KU"), pol_u, common
+    return Prover({"KU": pol_u, "common": common}), pol_u, common
 
 
 def test_knows_blocks_clauses_outside_the_group():
@@ -290,7 +290,7 @@ const a: Thing.
 
 def _law_prover(extra=""):
     pol = parser.parse_policy(LAW_SIG + extra, "K")
-    return Prover({"K": pol}, owner=None), pol
+    return Prover({"K": pol}), pol
 
 
 def _holds(p, pol, text):
@@ -327,7 +327,7 @@ def test_commuted_nested_attestations_fail():
 def test_knows_commutation_fails():
     pol_k = parser.parse_policy(LAW_SIG + "f1: p(a).\n", "K")
     pol_l = parser.parse_policy(LAW_SIG, "L")
-    p = Prover({"K": pol_k, "L": pol_l}, owner=None)
+    p = Prover({"K": pol_k, "L": pol_l})
     assert _holds(p, pol_k, "knows {K} p(a)")
     assert not _holds(p, pol_k, "knows {L} p(a)")
     assert not _holds(p, pol_k, "knows {L} knows {K} p(a)")

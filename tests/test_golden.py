@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from cyberlogic import codec, parser, scenarios
+from cyberlogic import evidence as E
 from cyberlogic.crypto import sha256
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -27,7 +28,7 @@ TRACE_SHA256 = {
     "delegation": "96f1c431663e0042e4bd01266e33d4375d412b330c4be3ccad80942bdaee5b32",
     "hospital": "23a0caf9eb03aee55fa41f5d6721c37e3e45a63dfd3a5a418ae14e68bb238241",
     "ns": "034b9d36406355e1269983ee1e0f7130a35f61a1e56c315291c067b91ff93569",
-    "revocation": "95fb5f1fab4666b35cde00211f5ac57235cd0b00eb698ec89c08b98966132ff1",
+    "revocation": "8c64649819373a3e1e4684d889cd561a4c00ec276527e5a398694facf375be4b",
     "timed": "0d7978d7c58e2f1aa716792bdcbd3acf1b73361730ff2bc8800db313d0c663e3",
 }
 
@@ -70,12 +71,33 @@ def _chain_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_chain50_certificate_matches_golden_digest():
+def _chain50():
     # The two identical conjuncts give a repeated chain-50 subtree, so the
-    # pinned bytes cover the dedup store as well as a long derivation.
+    # certificate has a dedup store as well as a long derivation.
     world = scenarios.build_world([("P", _chain_text(50))], seed=3, depth=66)
     node = world.node("P")
     goal, free = parser.parse_goal('p0(k1, "t") /\\ p0(k1, "t")', node.policy.signature)
-    cert = node.certify(node.ask_first(goal, free))
+    return world, node.certify(node.ask_first(goal, free))
+
+
+def test_chain50_certificate_matches_golden_digest():
+    _, cert = _chain50()
     assert len(cert.store) == 1
     assert sha256(codec.encode_certificate(cert)).hex() == CHAIN50_SHA256
+
+
+def test_chain50_certificate_checks_through_its_store():
+    world, cert = _chain50()
+    decoded = codec.decode_certificate(codec.encode_certificate(cert))
+    assert decoded.store == cert.store
+    for c in (cert, decoded):
+        result = E.check_certificate(c, world.policy_map(), world.directory)
+        assert result, result.reason
+
+
+def test_store_entry_that_refers_to_itself_is_rejected():
+    world, cert = _chain50()
+    ((digest, _),) = cert.store.items()
+    cert.store = {digest: E.Ref(digest)}
+    result = E.check_certificate(cert, world.policy_map(), world.directory)
+    assert not result and result.reason == "cyclic store reference"

@@ -8,8 +8,10 @@ import time
 import pytest
 
 from cyberlogic import codec, parser, scenarios
+from cyberlogic import evidence as E
 from cyberlogic import syntax as S
-from cyberlogic.node import TcpTransport, decode_frame, encode_frame, serve_node
+from cyberlogic.crypto import SignedAttestation, sha256, verify, verify_attestation
+from cyberlogic.node import ANSWER_CACHE, TcpTransport, decode_frame, encode_frame, serve_node
 
 
 BCAST_DECLS = """
@@ -93,17 +95,93 @@ def test_dropped_frames_fall_through_to_the_next_peer():
     assert ans.bindings[S.Var("z", "Principal")].name == "C"
 
 
+def _query_frame(frm, to, goal, qid, session=()):
+    return encode_frame(
+        {
+            "type": "QUERY",
+            "qid": qid,
+            "from": frm,
+            "to": to,
+            "session": list(session),
+            "goal_b64": base64.b64encode(codec.encode_formula(goal)).decode(),
+            "vars": [],
+            "budget": 16,
+        }
+    )
+
+
 def test_answers_carry_verifiable_countersignature():
     w = _bcast_world()
     a = w.node("A")
     goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
     assert a.ask_first(goal) is not None
-    answer_frames = [
+    (query,) = [data for frm, to, data in w.network.frames if data and frm == "A"]
+    (answer,) = [
         decode_frame(data)
         for frm, to, data in w.network.frames
         if data and frm == "B" and b'"ANSWER"' in data
     ]
-    assert answer_frames and all(f.get("att_b64") for f in answer_frames)
+    assert answer["request"] == sha256(query).hex()
+    sig = base64.b64decode(answer.pop("sig_b64"))
+    assert verify(w.directory.public_key("B"), sig, encode_frame(answer))
+
+
+def _unsigned(w, frm, to, frame, obj):
+    obj.pop("sig_b64", None)
+    return encode_frame(obj)
+
+
+def _altered(w, frm, to, frame, obj):
+    obj["evidence_b64"] = base64.b64encode(codec.encode_evidence(E.Hyp("b1"))).decode()
+    return encode_frame(obj)
+
+
+def _for_another_request(w, frm, to, frame, obj):
+    other = decode_frame(frame)
+    other["qid"] += "-again"
+    (resp,) = w.network.nodes[to].handle_frame(encode_frame(other))
+    return resp
+
+
+@pytest.mark.parametrize("tamper", [_unsigned, _altered, _for_another_request])
+def test_unsigned_altered_or_misdirected_answers_are_dropped(tamper):
+    w = _bcast_world()
+    request = w.network.request
+
+    def tampered(frm, to, frame):
+        out = []
+        for resp in request(frm, to, frame):
+            obj = decode_frame(resp)
+            out.append(tamper(w, frm, to, frame, obj) if obj["type"] == "ANSWER" else resp)
+        return out
+
+    w.network.request = tampered
+    a = w.node("A")
+    goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
+    assert a.ask_first(goal) is None
+
+
+def test_a_reused_qid_gets_its_own_reply():
+    b = _bcast_world().node("B")
+    replies = []
+    for text in ("B says good(A)", "B says good(B)"):
+        goal, _ = parser.parse_goal(text, b.policy.signature)
+        (resp,) = b.handle_frame(_query_frame("A", "B", goal, "A-1"))
+        replies.append(decode_frame(resp)["type"])
+    assert replies == ["FAIL", "ANSWER"]
+
+
+def test_the_reply_cache_keeps_only_the_newest_queries():
+    b = _bcast_world().node("B")
+    goal, _ = parser.parse_goal("B says good(B)", b.policy.signature)
+    frames = [_query_frame("A", "B", goal, f"A-{i}") for i in range(ANSWER_CACHE + 1)]
+    for frame in frames:
+        b.handle_frame(frame)
+    b.handle_frame(frames[-1])
+    assert b.metrics["duplicates_ignored"] == 1
+    b.handle_frame(frames[0])  # evicted: served again
+    assert b.metrics["duplicates_ignored"] == 1
+    assert b.metrics["queries_handled"] == ANSWER_CACHE + 2
 
 
 def test_a_good_answer_after_a_corrupt_copy_is_accepted():
@@ -198,6 +276,57 @@ def test_malformed_frame_fails_cleanly():
     assert decode_frame(resp)["type"] == "FAIL"
     (resp,) = b.handle_frame(encode_frame({"type": "QUERY", "qid": "x", "goal_b64": "!!"}))
     assert decode_frame(resp)["type"] == "FAIL"
+
+
+# ---------------------------------------------------------------------------
+# A node signs answers, never attestations a peer asked it to assume
+
+
+def _hospital_eve():
+    w = scenarios.build_world(
+        [("A", scenarios.HOSPITAL_A), ("B", scenarios.HOSPITAL_B), ("C", scenarios.HOSPITAL_C)], 0
+    )
+    sig = w.node("A").policy.signature.copy()
+    sig.note_const("Eve", "Physician")
+    return w, sig
+
+
+def _attestations_by_a(w, reply, atom):
+    """A's verifying attestations of `atom` that a reply carries: signature
+    leaves in its evidence, or any field that is A's signature on `atom`."""
+    obj = decode_frame(reply)
+    if obj["type"] != "ANSWER":
+        return []
+    pub, pid = w.directory.public_key("A"), w.directory.principal_id("A")
+    ev = codec.decode_evidence(base64.b64decode(obj["evidence_b64"]))
+    found = [x.attestation for x in E.nodes(ev) if isinstance(x, E.AttLeaf)]
+    payload = codec.encode_formula(atom)
+    for key, value in obj.items():
+        if key.endswith("_b64"):
+            raw = base64.b64decode(value)
+            found += [SignedAttestation(pid, payload, raw, t) for t in (None, w.services.now())]
+    return [sa for sa in found if verify_attestation(pub, sa) is not None]
+
+
+def test_assumed_atom_is_not_attested_by_the_node():
+    w, sig = _hospital_eve()
+    goal, _ = parser.parse_goal("readMedRec(Eve, Peter) => A says readMedRec(Eve, Peter)", sig)
+    (reply,) = w.node("A").handle_frame(_query_frame("B", "A", goal, "B-1"))
+    assert _attestations_by_a(w, reply, goal.left) == []
+
+
+def test_a_leaked_session_token_yields_no_attestation():
+    w, sig = _hospital_eve()
+    a = w.node("A")
+    # A assumes the atom under its session token and sends that token to B
+    # while asking B for the conclusion.
+    goal, _ = parser.parse_goal("readMedRec(Eve, Peter) => B says isHospital(B)", sig)
+    (reply,) = a.handle_frame(_query_frame("B", "A", goal, "B-1"))
+    assert decode_frame(reply)["type"] == "ANSWER"
+    (leaked,) = [decode_frame(d)["session"] for frm, to, d in w.network.frames if frm == "A"]
+    ask, _ = parser.parse_goal("A says readMedRec(Eve, Peter)", sig)
+    (reply,) = a.handle_frame(_query_frame("B", "A", ask, "B-2", leaked))
+    assert _attestations_by_a(w, reply, goal.left) == []
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_engine_agrees_with_bottom_up_fixpoint():
     for prog_no in range(N_PROGRAMS):
         src, clauses, arities, consts = _random_program(rng)
         pol = parser.parse_policy(src, "K")
-        prover = Prover({"K": pol}, owner="K")
+        prover = Prover({"K": pol})
         derivable = _fixpoint(clauses)
         for pred, args in _all_atoms(arities, consts):
             goal = S.Atom(pred, tuple(S.Const(a, "Obj") for a in args))

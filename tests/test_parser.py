@@ -4,7 +4,7 @@ import pytest
 
 from cyberlogic import parser
 from cyberlogic import syntax as S
-from cyberlogic.errors import ParseError, SortError
+from cyberlogic.errors import FragmentError, ParseError, SortError
 
 
 GAMMA_B = """
@@ -76,6 +76,17 @@ def test_attested_implication_goal_not_in_fragment():
     pol = parser.parse_policy(GAMMA_B, "B")
     with pytest.raises(Exception):
         parser.parse_goal("B says (isHospital(A) => isHospital(B))", pol.signature)
+
+
+@pytest.mark.parametrize("outer", ["K", "L"])
+def test_nested_non_atomic_attestation_not_in_fragment(outer):
+    decls = "pred p(Principal). pred q(Principal). principal K, L.\n"
+    text = f"{outer} says (K says (p(K) \\/ q(K)))"
+    sig = parser.parse_policy(decls, "K").signature
+    with pytest.raises(FragmentError):
+        parser.parse_goal(text, sig)
+    with pytest.raises(FragmentError):
+        parser.parse_policy(decls + f"k1: {text}.\n", "K")
 
 
 def test_unterminated_clause_rejected():

@@ -22,7 +22,7 @@ def _chain(n: int):
     lines.append(f"f: p{n}(k).")
     pol = parser.parse_policy("\n".join(lines) + "\n", "K")
     goal, free = parser.parse_goal("p0(k)", pol.signature)
-    return Prover({"K": pol}, owner="K"), goal, free
+    return Prover({"K": pol}), goal, free
 
 
 def _best_per_step(n: int, run) -> float:

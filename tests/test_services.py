@@ -93,11 +93,16 @@ def _registry_for(world):
 
 
 def test_remote_check_matches_local_check():
-    for run in (scenarios.run_hospital, scenarios.run_delegation, scenarios.run_ns):
+    for name, run in sorted(scenarios.SCENARIOS.items()):
         r = run(0)
         local = E.check_certificate(r.certificate, r.world.policy_map(), r.world.directory)
-        remote = remote_check(_registry_for(r.world), r.certificate)
-        assert bool(remote) == bool(local) == True  # noqa: E712
+        reg = _registry_for(r.world)
+        assert bool(remote_check(reg, r.certificate)) == bool(local) == True  # noqa: E712
+        # Entering at any pinned owner's endpoint gives the same verdict,
+        # also when a clause application is forwarded under hypotheses.
+        for d in sorted(r.certificate.policy_digests):
+            remote = remote_check(reg, r.certificate, d)
+            assert remote.ok, (name, d.hex()[:12], remote.reason)
 
 
 def disclosed_payloads(frames) -> list:
