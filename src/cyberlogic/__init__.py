@@ -66,7 +66,6 @@ from .evidence import (
     certificate_to_text,
     certificate_from_text,
     render_spine,
-    dedup_evidence,
 )
 from .engine import Prover, Answer, unify, mgu, DEFAULT_DEPTH
 from .services import TrustedServices, Registry, CheckerEndpoint, remote_check

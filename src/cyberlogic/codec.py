@@ -15,7 +15,7 @@ from . import evidence as E
 from . import syntax as S
 from .crypto import PrincipalId, SignedAttestation, sha256
 
-MAGIC = b"CYL1"
+MAGIC = b"CYL2"
 
 
 class _W:
@@ -288,7 +288,6 @@ def _emit_signed_attestation(w: _W, sa: SignedAttestation):
     w.bytes_(sa.payload)
     w.bytes_(sa.signature)
     w.opt(sa.issued_at, w.i64)
-    w.opt(sa.session_nonce, w.bytes_)
 
 
 def _read_signed_attestation(r: _R) -> SignedAttestation:
@@ -299,7 +298,6 @@ def _read_signed_attestation(r: _R) -> SignedAttestation:
         payload=r.bytes_(),
         signature=r.bytes_(),
         issued_at=r.opt(r.i64),
-        session_nonce=r.opt(r.bytes_),
     )
 
 
@@ -307,9 +305,9 @@ def _read_signed_attestation(r: _R) -> SignedAttestation:
 # Evidence
 
 
-def _emit_evidence_header(w: _W, e):
-    """Emit an evidence node without its sub-evidence.  A node's encoding
-    is this header followed by the encodings of `E.children(e)`, in order."""
+def _emit_evidence_node(w: _W, e):
+    """Emit an evidence node without its sub-evidence.  A tree's encoding
+    is that of each of its nodes in the pre-order of `E.nodes`."""
     if isinstance(e, E.Unit):
         w.u8(0x20)
     elif isinstance(e, E.PairEv):
@@ -348,17 +346,13 @@ def _emit_evidence_header(w: _W, e):
     elif isinstance(e, E.KnowsWrap):
         w.u8(0x2A)
         _emit_principals(w, e.principals)
-    elif isinstance(e, E.Ref):
-        w.u8(0x2B)
-        w.bytes_(e.digest)
     else:
         raise CodecError(f"not evidence: {e!r}")
 
 
 def _emit_evidence(w: _W, e):
-    _emit_evidence_header(w, e)
-    for k in E.children(e):
-        _emit_evidence(w, k)
+    for x in E.nodes(e):
+        _emit_evidence_node(w, x)
 
 
 def _read_evidence(r: _R):
@@ -395,21 +389,12 @@ def _read_evidence(r: _R):
         return E.TheoryHole(pred, args, receipt)
     if tag == 0x2A:
         return E.KnowsWrap(_read_principals(r), _read_evidence(r))
-    if tag == 0x2B:
-        return E.Ref(r.bytes_())
     raise CodecError(f"bad evidence tag {tag:#x}")
 
 
 def encode_evidence(e) -> bytes:
     w = _W()
     _emit_evidence(w, e)
-    return w.out()
-
-
-def evidence_header(e) -> bytes:
-    """The bytes `encode_evidence(e)` emits before its children's."""
-    w = _W()
-    _emit_evidence_header(w, e)
     return w.out()
 
 
@@ -430,10 +415,6 @@ def encode_certificate(c) -> bytes:
     w.u8(0x40)
     _emit_formula(w, c.root_formula)
     _emit_evidence(w, c.root_evidence)
-    w.u32(len(c.store))
-    for digest in sorted(c.store):
-        w.bytes_(digest)
-        _emit_evidence(w, c.store[digest])
     digests = sorted(c.policy_digests)
     w.u32(len(digests))
     for d in digests:
@@ -452,12 +433,8 @@ def decode_certificate(data: bytes):
         raise CodecError("not a certificate")
     root_formula = _read_formula(r)
     root_evidence = _read_evidence(r)
-    store = {}
-    for _ in range(r.u32()):
-        d = r.bytes_()
-        store[d] = _read_evidence(r)
     policy_digests = frozenset(r.bytes_() for _ in range(r.u32()))
     directory = frozenset(_read_principal_id(r) for _ in range(r.u32()))
     created_at = r.opt(lambda: _read_signed_attestation(r))
     r.done()
-    return E.Certificate(root_formula, root_evidence, store, policy_digests, directory, created_at)
+    return E.Certificate(root_formula, root_evidence, policy_digests, directory, created_at)

@@ -74,7 +74,6 @@ class SignedAttestation:
     payload: bytes  # canonical bytes of the attested atom
     signature: bytes
     issued_at: int | None = None  # Time value
-    session_nonce: bytes | None = None
 
     def atom(self) -> Atom:
         from . import codec
@@ -85,10 +84,9 @@ class SignedAttestation:
         return f
 
 
-def _signing_input(payload: bytes, issued_at, session_nonce) -> bytes:
+def _signing_input(payload: bytes, issued_at) -> bytes:
     at = b"" if issued_at is None else str(issued_at).encode()
-    nonce = session_nonce or b""
-    return b"%d:%s%d:%s%d:%s" % (len(payload), payload, len(at), at, len(nonce), nonce)
+    return b"%d:%s%d:%s" % (len(payload), payload, len(at), at)
 
 
 def sign_attestation(
@@ -103,7 +101,7 @@ def sign_attestation(
     if sha256(kp.public) != who.fingerprint:
         raise KeyError_(f"key pair does not belong to {who!r}")
     payload = codec.encode_formula(atom)
-    sig = sign(kp, _signing_input(payload, issued_at, None))
+    sig = sign(kp, _signing_input(payload, issued_at))
     return SignedAttestation(who, payload, sig, issued_at)
 
 
@@ -112,7 +110,7 @@ def verify_attestation(public: bytes, sa: SignedAttestation) -> Formula | None:
     forged, tampered, or mismatched certificate."""
     if sha256(public) != sa.principal.fingerprint:
         return None
-    if not verify(public, sa.signature, _signing_input(sa.payload, sa.issued_at, sa.session_nonce)):
+    if not verify(public, sa.signature, _signing_input(sa.payload, sa.issued_at)):
         return None
     try:
         atom = sa.atom()

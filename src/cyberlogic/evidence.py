@@ -11,7 +11,8 @@ policies and public keys without any proof search.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass
 
 from . import syntax as S
 from .crypto import Directory, PrincipalId, SignedAttestation, verify_attestation
@@ -100,13 +101,6 @@ class KnowsWrap:
     body: "Evidence"
 
 
-@dataclass(frozen=True)
-class Ref:
-    """Pointer into the certificate store (hash-consed shared subtree)."""
-
-    digest: bytes
-
-
 Evidence = (
     Unit
     | PairEv
@@ -119,7 +113,6 @@ Evidence = (
     | AttLeaf
     | TheoryHole
     | KnowsWrap
-    | Ref
 )
 
 
@@ -127,17 +120,17 @@ Evidence = (
 # Certificates
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     root_formula: object  # S.Formula
     root_evidence: Evidence
-    store: dict = field(default_factory=dict)  # digest -> Evidence
     policy_digests: frozenset = frozenset()
     directory: frozenset = frozenset()  # of PrincipalId
     created_at: SignedAttestation | None = None
 
-
-DEDUP_THRESHOLD = 64  # bytes; smaller subtrees are cheaper inline than as refs
+    # Certificates have no shared-subtree store; txnbench/run.py still
+    # reads `cert.store`, so it stays an empty, read-only mapping.
+    store = types.MappingProxyType({})
 
 
 def children(e: Evidence) -> tuple:
@@ -170,68 +163,13 @@ def rebuild(e: Evidence, kids) -> Evidence:
     return e
 
 
-def nodes(e: Evidence, store=None):
-    """Every node of `e` in pre-order, `Ref`s included.  With a `store`, the
-    target of a `Ref` is visited after it, once per digest; dangling
-    references are leaves."""
-    seen: set[bytes] = set()
+def nodes(e: Evidence):
+    """Every node of `e` in pre-order."""
     stack = [e]
     while stack:
         x = stack.pop()
         yield x
-        if isinstance(x, Ref):
-            if store is not None and x.digest not in seen and x.digest in store:
-                seen.add(x.digest)
-                stack.append(store[x.digest])
-        else:
-            stack.extend(reversed(children(x)))
-
-
-def dedup_evidence(e: Evidence, threshold: int = DEDUP_THRESHOLD):
-    """Hash-cons repeated subtrees: any subtree whose encoding is at least
-    `threshold` bytes and occurs more than once is stored once and replaced
-    by references.  Returns (root, store).
-
-    One post-order pass encodes every node once, as its codec header
-    followed by its children's bytes.  Occurrences are then counted in
-    pre-order, not descending into a subtree already seen, and the tree is
-    rebuilt bottom-up, again from header and children's bytes."""
-    from . import codec
-
-    def encode(x):  # -> (x, header, bytes, digest, kid nodes)
-        kids = [encode(k) for k in children(x)]
-        header = codec.evidence_header(x)
-        data = b"".join([header] + [k[2] for k in kids])
-        return x, header, data, codec.sha256(data), kids
-
-    counts: dict[bytes, int] = {}
-    sizes: dict[bytes, int] = {}
-
-    def scan(node):
-        d = node[3]
-        counts[d] = counts.get(d, 0) + 1
-        sizes[d] = len(node[2])
-        if counts[d] == 1:
-            for k in node[4]:
-                scan(k)
-
-    store: dict[bytes, Evidence] = {}
-
-    def shrink(node):  # -> (evidence, bytes)
-        x, header, data, d, kid_nodes = node
-        kids = [shrink(k) for k in kid_nodes]
-        if any(new is not k[0] for (new, _), k in zip(kids, kid_nodes)):
-            x = rebuild(x, [new for new, _ in kids])
-            data = b"".join([header] + [b for _, b in kids])
-        if counts[d] > 1 and sizes[d] >= threshold:
-            ref = Ref(codec.sha256(data))
-            store[ref.digest] = x
-            return ref, codec.evidence_header(ref)
-        return x, data
-
-    root = encode(e)
-    scan(root)
-    return shrink(root)[0], store
+        stack.extend(reversed(children(x)))
 
 
 def make_certificate(
@@ -241,11 +179,9 @@ def make_certificate(
     directory_ids,
     created_at: SignedAttestation | None = None,
 ) -> Certificate:
-    root, store = dedup_evidence(evidence)
     return Certificate(
         root_formula=formula,
-        root_evidence=root,
-        store=store,
+        root_evidence=evidence,
         policy_digests=frozenset(policy_digests),
         directory=frozenset(directory_ids),
         created_at=created_at,
@@ -325,12 +261,10 @@ _OK = CheckResult(True)
 
 
 class _Checker:
-    def __init__(self, policies, directory, store, foreign_check):
-        self.policies = policies or {}  # digest -> Policy
+    def __init__(self, policies, directory, foreign_check):
+        self.policies = policies or {}  # digest -> Policy or owner record
         self.directory = directory
-        self.store = store or {}
         self.foreign_check = foreign_check
-        self._resolving: set[bytes] = set()
 
     # -- leaves ------------------------------------------------------------
 
@@ -397,9 +331,9 @@ class _Checker:
                 return _nok(path, f"unknown hypothesis {e.label!r}")
         else:
             policy = self.policies.get(e.policy_digest)
-            if policy is None:
+            if not isinstance(policy, S.Policy):
                 if self.foreign_check is not None:
-                    sub = self.foreign_check(e.policy_digest, e, phi, self.store, env)
+                    sub = self.foreign_check(e.policy_digest, e, phi, env)
                     if sub is not None:
                         return sub if sub.ok else _nok(path, sub.reason or "remote check failed")
                 return _nok(path, f"unknown policy digest {e.policy_digest.hex()[:12]}")
@@ -440,17 +374,6 @@ class _Checker:
     # -- main recursion ----------------------------------------------------
 
     def check(self, e: Evidence, phi, env: HypothesisEnv, path=()) -> CheckResult:
-        if isinstance(e, Ref):
-            target = self.store.get(e.digest)
-            if target is None:
-                return _nok(path, "dangling store reference")
-            if e.digest in self._resolving:
-                return _nok(path, "cyclic store reference")
-            self._resolving.add(e.digest)
-            try:
-                return self.check(target, phi, env, path)
-            finally:
-                self._resolving.discard(e.digest)
         if isinstance(e, Unit):
             return _OK if phi == S.TOP else _nok(path, "unit evidence for a non-trivial goal")
         if isinstance(e, PairEv):
@@ -499,7 +422,7 @@ class _Checker:
                 return sub
             allowed = {p.name for p in phi.principals if isinstance(p, S.Const)}
             allowed.add("common")
-            used = extract_provenance(e.body, self.policies, self.store)
+            used = extract_provenance(e.body, self.policies)
             stray = used - allowed
             if stray:
                 return _nok(path, f"evidence draws on policies outside the restriction: {sorted(stray)}")
@@ -528,18 +451,17 @@ def check(
     e: Evidence,
     phi,
     directory: Directory | None = None,
-    store=None,
     foreign_check=None,
 ) -> CheckResult:
     """Check that `e` proves `phi` under hypothesis environment `env`.
 
-    `policies` maps policy digest to Policy; `directory` supplies public
-    keys for signature leaves; `store` resolves shared-subtree references;
-    `foreign_check` (digest, evidence, formula, store, env) ->
-    CheckResult|None is consulted for clause applications against unknown
-    policy digests.
+    `policies` maps policy digest to Policy, or, for a policy checked
+    elsewhere, to a record naming its `owner` (a registry entry);
+    `directory` supplies public keys for signature leaves; `foreign_check`
+    (digest, evidence, formula, env) -> CheckResult|None is consulted for
+    clause applications against digests without a Policy.
     """
-    return _Checker(policies, directory, store, foreign_check).check(e, phi, env or HypothesisEnv())
+    return _Checker(policies, directory, foreign_check).check(e, phi, env or HypothesisEnv())
 
 
 def check_certificate(
@@ -567,7 +489,6 @@ def check_certificate(
         cert.root_evidence,
         cert.root_formula,
         directory=directory,
-        store=cert.store,
         foreign_check=foreign_check,
     )
 
@@ -576,26 +497,23 @@ def check_certificate(
 # Provenance and display
 
 
-def extract_provenance(e: Evidence, policies=None, store=None) -> set:
+def extract_provenance(e: Evidence, policies=None) -> set:
     """Owners of every policy whose clauses the evidence applies."""
     policies = policies or {}
     digests = {
         x.policy_digest
-        for x in nodes(e, store)
+        for x in nodes(e)
         if isinstance(x, ClauseApp) and x.policy_digest is not None
     }
     return {policies[d].owner if d in policies else f"digest:{d.hex()[:12]}" for d in digests}
 
 
-def render_spine(e: Evidence, store=None) -> str:
+def render_spine(e: Evidence) -> str:
     """Compact one-line rendering of an evidence term.  Clause applications
     print as label(arg)..(premise)..; maximal runs of theory receipts among
     a clause's premises collapse to a single `_`."""
-    store = store or {}
 
     def theory_only(x) -> bool:
-        if isinstance(x, Ref):
-            x = store.get(x.digest, x)
         if isinstance(x, TheoryHole):
             return True
         if isinstance(x, PairEv):
@@ -603,9 +521,6 @@ def render_spine(e: Evidence, store=None) -> str:
         return False
 
     def go(x) -> str:
-        if isinstance(x, Ref):
-            target = store.get(x.digest)
-            return go(target) if target is not None else f"ref:{x.digest.hex()[:8]}"
         if isinstance(x, Unit):
             return "tt"
         if isinstance(x, PairEv):

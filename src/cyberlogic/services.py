@@ -5,9 +5,9 @@ The clock is logical: it only moves when advanced, so runs are
 reproducible.  T signs `time(t)` readings; a receipt for
 `time_not_elapsed(t)` is a signed reading strictly before t.  Nonces are
 unique, seeded, and issued with their creation time.  The registry is an
-append-only hash chain mapping policy digests to checker endpoints, so a
-certificate that applies private clauses can be verified by their owner
-without the policy ever leaving home.
+append-only hash chain mapping policy digests to their owners and checker
+endpoints, so a certificate that applies private clauses can be verified
+by their owner without the policy ever leaving home.
 """
 
 from __future__ import annotations
@@ -99,27 +99,35 @@ class RegistryEntry:
     seq: int
     prev: bytes  # hash of the previous entry (32 zero bytes for the first)
     digest: bytes  # policy digest
+    owner: str  # owner of that policy
     endpoint: str  # endpoint name
 
     @property
     def entry_hash(self) -> bytes:
+        owner = self.owner.encode()
         return sha256(
-            b"%d|%s|%s|%s" % (self.seq, self.prev, self.digest, self.endpoint.encode())
+            b"%d|%s|%s|%d:%s%s"
+            % (self.seq, self.prev, self.digest, len(owner), owner, self.endpoint.encode())
         )
 
 
 class Registry:
-    """Append-only, hash-chained digest -> checker-endpoint table.  Old
-    entries are never removed; lookups return the newest match, so
-    certificates pinned to stale digests still find their checker."""
+    """Append-only, hash-chained digest -> (owner, checker endpoint)
+    table.  Old entries are never removed; lookups return the newest match,
+    so certificates pinned to stale digests still find their checker."""
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
         self._endpoints: dict[str, "CheckerEndpoint"] = {}
 
     def register(self, digest: bytes, endpoint: "CheckerEndpoint") -> RegistryEntry:
+        """Route `digest` to `endpoint`, which must hold that policy; the
+        entry names the policy's owner."""
+        policy = endpoint.policies.get(digest)
+        if policy is None:
+            raise ValueError(f"endpoint {endpoint.name!r} holds no policy {digest.hex()[:12]}")
         prev = self.entries[-1].entry_hash if self.entries else b"\0" * 32
-        entry = RegistryEntry(len(self.entries), prev, digest, endpoint.name)
+        entry = RegistryEntry(len(self.entries), prev, digest, policy.owner, endpoint.name)
         self.entries.append(entry)
         self._endpoints[endpoint.name] = endpoint
         return entry
@@ -159,11 +167,13 @@ class CheckerEndpoint:
         self.registry = registry
 
     def check_local(self, cert: E.Certificate) -> E.CheckResult:
-        return E.check_certificate(
-            cert, self.policies, self.directory, foreign_check=self._foreign
-        )
+        # A foreign digest's owner is named by its registry entry, never by
+        # the certificate; the endpoint's own policies take precedence.
+        known = {e.digest: e for e in self.registry.entries} if self.registry else {}
+        known.update(self.policies)
+        return E.check_certificate(cert, known, self.directory, foreign_check=self._foreign)
 
-    def _foreign(self, digest, ev, phi, store, env):
+    def _foreign(self, digest, ev, phi, env):
         if self.registry is None:
             return None
         endpoint = self.registry.endpoint_for(digest)
@@ -182,7 +192,6 @@ class CheckerEndpoint:
         sub = E.Certificate(
             root_formula=phi,
             root_evidence=ev,
-            store=dict(store or {}),
             policy_digests=frozenset({digest}),
         )
         return remote_check(self.registry, sub, digest)

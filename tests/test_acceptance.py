@@ -14,8 +14,8 @@ from cyberlogic.node import decode_frame, encode_frame
 from cyberlogic.services import CheckerEndpoint, Registry, remote_check
 
 
-def _clause_apps(ev, store):
-    return [x for x in E.nodes(ev, store) if isinstance(x, E.ClauseApp)]
+def _clause_apps(ev):
+    return [x for x in E.nodes(ev) if isinstance(x, E.ClauseApp)]
 
 
 def test_01_hospital_scenario():
@@ -25,7 +25,7 @@ def test_01_hospital_scenario():
     assert r.check and r.check.ok
     # the medical-record derivation instantiates the trusted-hospital
     # clause at Z = B and the cross-vouching clause at Z1 = B, Z2 = C
-    apps = {a.label: a for a in _clause_apps(r.certificate.root_evidence, r.certificate.store)}
+    apps = {a.label: a for a in _clause_apps(r.certificate.root_evidence)}
     B = S.Const("B", "Principal")
     C = S.Const("C", "Principal")
     assert apps["a3"].args[2] == B  # Z
@@ -40,7 +40,7 @@ def test_01_hospital_scenario():
 def test_02_delegation_scenario():
     r = scenarios.run_delegation(0)
     assert r.ok and r.check.ok
-    labels = {a.label for a in _clause_apps(r.certificate.root_evidence, r.certificate.store)}
+    labels = {a.label for a in _clause_apps(r.certificate.root_evidence)}
     assert {"hmo1", "ca1"} <= labels
     # without the certification authority's delegation the trust query fails
     r_bad = scenarios.run_delegation(0, include_authority=False)
@@ -138,8 +138,8 @@ def test_06_tamper_suite():
         cert = r.certificate
         assert E.check_certificate(cert, r.world.policy_map(), r.world.directory)
         total = rejected = 0
-        for tag, mutated in test_evidence._mutations(cert.root_evidence, cert.store):
-            bad = E.Certificate(cert.root_formula, mutated, dict(cert.store),
+        for tag, mutated in test_evidence._mutations(cert.root_evidence):
+            bad = E.Certificate(cert.root_formula, mutated,
                                 cert.policy_digests, cert.directory, cert.created_at)
             res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)
             total += 1
@@ -159,7 +159,7 @@ def test_07_timed_and_revocation():
     assert res.ok
     # the deadline certificate embeds a signed clock reading
     holes = [
-        x for x in E.nodes(cert.root_evidence, cert.store)
+        x for x in E.nodes(cert.root_evidence)
         if isinstance(x, E.TheoryHole) and x.pred == "time_not_elapsed"
     ]
     assert holes and all(h.receipt is not None for h in holes)

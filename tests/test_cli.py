@@ -71,6 +71,15 @@ def test_check_wrong_formula_rejected(tmp_path, capsys):
                 "--formula", "A says isHospital(C)"]) == 1
 
 
+def test_check_cyl1_certificate_is_unreadable(tmp_path, capsys):
+    from test_codec import CYL1_TOP
+
+    cert = tmp_path / "old.cert"
+    cert.write_bytes(CYL1_TOP)
+    assert run(["check", str(cert)]) == 1
+    assert capsys.readouterr().out == "nok: unreadable certificate: not a certificate\n"
+
+
 def test_query_local_policy(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYBERLOGIC_KEYDIR", str(tmp_path))
     pol = tmp_path / "Q"

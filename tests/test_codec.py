@@ -1,6 +1,8 @@
 """Canonical encoding: round trips, injectivity, and malformed input."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 
@@ -129,7 +131,6 @@ def test_certificate_round_trip_scenario():
     assert codec.encode_certificate(back) == enc
     assert back.root_formula == cert.root_formula
     assert back.policy_digests == cert.policy_digests
-    assert back.store == cert.store
 
 
 def test_certificate_text_round_trip():
@@ -160,53 +161,6 @@ def test_trailing_garbage_rejected():
     t = S.Const("a", "Thing")
     with pytest.raises(CodecError):
         codec.decode_term(codec.encode_term(t) + b"\x00")
-
-
-def test_dedup_replaces_repeated_subtrees_with_refs():
-    leaf = E.ClauseApp("big", b"\x02" * 32, tuple(S.Const(f"c{i}", "Thing") for i in range(8)), ())
-    ev = E.PairEv(E.PairEv(leaf, leaf), leaf)
-    root, store = E.dedup_evidence(ev, threshold=8)
-    flat = codec.encode_evidence(root)
-    assert len(store) == 1
-    (digest,) = store
-    assert store[digest] == leaf
-    assert flat.count(digest) == 3  # three references to one stored copy
-
-
-def test_dedup_keeps_small_subtrees_inline():
-    ev = E.PairEv(E.Unit(), E.Unit())
-    root, store = E.dedup_evidence(ev, threshold=64)
-    assert store == {}
-    assert root == ev
-
-
-def _dedup_by_definition(e, threshold):
-    """dedup_evidence spelled out with whole-subtree encodings: count in
-    pre-order without descending into repeats, then rebuild."""
-    counts, sizes = {}, {}
-
-    def scan(x):
-        enc = codec.encode_evidence(x)
-        d = codec.sha256(enc)
-        counts[d] = counts.get(d, 0) + 1
-        sizes[d] = len(enc)
-        if counts[d] == 1:
-            for k in E.children(x):
-                scan(k)
-
-    scan(e)
-    store = {}
-
-    def rebuild(x):
-        orig = codec.sha256(codec.encode_evidence(x))
-        new = E.rebuild(x, [rebuild(k) for k in E.children(x)])
-        if counts[orig] > 1 and sizes[orig] >= threshold:
-            d = codec.sha256(codec.encode_evidence(new))
-            store[d] = new
-            return E.Ref(d)
-        return new
-
-    return rebuild(e), store
 
 
 def _random_evidence(rng, pool, depth=4):
@@ -240,33 +194,46 @@ def _random_evidence(rng, pool, depth=4):
     return x
 
 
-def _all_nodes(x):
-    yield x
-    for k in E.children(x):
-        yield from _all_nodes(k)
+# SHA-256 of the encodings of the 300 trees below, in order.  Recorded when
+# the evidence writer still recursed, so it pins the writer's bytes.
+RANDOM_TREES_SHA256 = "23318fb05026a52aaa7e7f66e54e7d1a48a4b34adc339da5a0fa36cf0efe782e"
 
 
-def _apps(nodes):
-    return {(x.label, x.policy_digest, x.args) for x in nodes if isinstance(x, E.ClauseApp)}
-
-
-def test_dedup_matches_its_definition_on_random_trees():
+def test_random_trees_round_trip_to_recorded_bytes():
     rng = random.Random(4)
-    stored = nested = 0
+    digest = hashlib.sha256()
     for _ in range(300):
         ev = _random_evidence(rng, [], depth=rng.randrange(3, 7))
-        threshold = rng.choice([1, 16, 64])
-        root, store = E.dedup_evidence(ev, threshold)
-        want_root, want_store = _dedup_by_definition(ev, threshold)
-        assert codec.encode_evidence(root) == codec.encode_evidence(want_root)
-        assert store == want_store
-        # one walk that follows each reference once still reaches every
-        # clause application of the tree as it was before sharing
-        assert _apps(E.nodes(root, store)) == _apps(_all_nodes(ev))
-        stored += len(store)
-        nested += sum(isinstance(k, E.Ref) for v in store.values() for k in E.children(v))
-    # the corpus really exercises shared subtrees, also inside stored ones
-    assert stored >= 40 and nested > 0
+        enc = codec.encode_evidence(ev)
+        assert codec.decode_evidence(enc) == ev
+        digest.update(enc)
+    assert digest.hexdigest() == RANDOM_TREES_SHA256
+
+
+def test_deep_evidence_encodes():
+    ev = E.Unit()
+    for _ in range(3000):
+        ev = E.Inl(ev)
+    assert codec.encode_evidence(ev) == b"\x22" * 3000 + b"\x20"
+
+
+def test_store_reference_tag_rejected():
+    # 0x2B was a reference into a certificate's shared-subtree store
+    with pytest.raises(CodecError, match="bad evidence tag 0x2b"):
+        codec.decode_evidence(b"\x2b" + struct.pack(">I", 32) + b"\x00" * 32)
+
+
+# The certificate `Unit` for `true`, with no pins, in the retired CYL1
+# layout: magic, tag, formula, evidence, an empty store, no digests, no
+# directory, no creation stamp.
+CYL1_TOP = b"CYL1\x40\x10\x20" + bytes(12) + b"\x00"
+
+
+def test_cyl1_certificate_rejected():
+    with pytest.raises(CodecError, match="not a certificate"):
+        codec.decode_certificate(CYL1_TOP)
+    cert = codec.decode_certificate(b"CYL2" + CYL1_TOP[4:7] + bytes(9))
+    assert cert == E.Certificate(S.TOP, E.Unit())
 
 
 def test_policy_digest_changes_with_any_clause():

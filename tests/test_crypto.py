@@ -57,20 +57,20 @@ def test_attestation_single_bit_mutations_all_rejected():
     for bit in range(len(sa.signature) * 8):
         sig = bytearray(sa.signature)
         sig[bit // 8] ^= 1 << (bit % 8)
-        bad = type(sa)(sa.principal, sa.payload, bytes(sig), sa.issued_at, sa.session_nonce)
+        bad = type(sa)(sa.principal, sa.payload, bytes(sig), sa.issued_at)
         assert verify_attestation(kp.public, bad) is None, f"signature bit {bit}"
     # a sample of payload bits
     for bit in rng.sample(range(len(sa.payload) * 8), 64):
         pay = bytearray(sa.payload)
         pay[bit // 8] ^= 1 << (bit % 8)
-        bad = type(sa)(sa.principal, bytes(pay), sa.signature, sa.issued_at, sa.session_nonce)
+        bad = type(sa)(sa.principal, bytes(pay), sa.signature, sa.issued_at)
         assert verify_attestation(kp.public, bad) is None, f"payload bit {bit}"
 
 
 def test_issued_at_is_covered_by_the_signature():
     kp, pid = keygen("K", random.Random(3))
     sa = sign_attestation(kp, pid, _atom(), issued_at=5)
-    bad = type(sa)(sa.principal, sa.payload, sa.signature, 6, sa.session_nonce)
+    bad = type(sa)(sa.principal, sa.payload, sa.signature, 6)
     assert verify_attestation(kp.public, bad) is None
 
 

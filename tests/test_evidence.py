@@ -1,6 +1,7 @@
 """The independent checker: positives, provenance, tamper completeness,
 and scaling."""
 
+import dataclasses
 import gc
 import time
 
@@ -84,69 +85,61 @@ def test_knows_provenance_must_stay_inside_the_group():
     wrapped = E.KnowsWrap(frozenset({b_const}), cert.root_evidence)
     phi = S.Knows(frozenset({b_const}), cert.root_formula)
     res = E.check(r.world.policy_map(), E.HypothesisEnv(), wrapped, phi,
-                  directory=r.world.directory, store=cert.store)
+                  directory=r.world.directory)
     assert not res  # the proof uses A's and C's clauses too
     assert "outside the restriction" in (res.reason or "")
 
 
 def test_extract_provenance_owners():
     r = _hospital()
-    owners = E.extract_provenance(
-        r.certificate.root_evidence, r.world.policy_map(), r.certificate.store
-    )
+    owners = E.extract_provenance(r.certificate.root_evidence, r.world.policy_map())
     assert owners == {"A", "B", "C"}
     assert E.extract_provenance(E.Unit()) == set()
 
 
-def test_dangling_ref_rejected():
-    res = E.check({}, E.HypothesisEnv(), E.Ref(b"\x00" * 32), S.TOP)
-    assert not res and "ref" in res.reason.lower()
+def test_certificates_are_immutable_and_have_no_store():
+    cert = _hospital().certificate
+    assert dict(cert.store) == {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.store = {b"\0" * 32: E.Unit()}
 
 
 # ---------------------------------------------------------------------------
 # Tamper suite
 
 
-def _tree_addresses(ev, store, path=()):
-    """All (path, node) pairs, following refs through the store."""
-    if isinstance(ev, E.Ref):
-        target = store.get(ev.digest)
-        if target is not None:
-            yield from _tree_addresses(target, store, path)
-        return
+def _tree_addresses(ev, path=()):
+    """All (path, node) pairs."""
     yield path, ev
     if isinstance(ev, E.PairEv):
-        yield from _tree_addresses(ev.left, store, path + ("l",))
-        yield from _tree_addresses(ev.right, store, path + ("r",))
+        yield from _tree_addresses(ev.left, path + ("l",))
+        yield from _tree_addresses(ev.right, path + ("r",))
     elif isinstance(ev, (E.Inl, E.Inr, E.Witness, E.Abstraction, E.KnowsWrap)):
-        yield from _tree_addresses(ev.body, store, path + ("b",))
+        yield from _tree_addresses(ev.body, path + ("b",))
     elif isinstance(ev, E.ClauseApp):
         for i, p in enumerate(ev.premises):
-            yield from _tree_addresses(p, store, path + (i,))
+            yield from _tree_addresses(p, path + (i,))
 
 
-def _replace(ev, store, path, new):
-    if isinstance(ev, E.Ref):
-        target = store[ev.digest]
-        return _replace(target, store, path, new)
+def _replace(ev, path, new):
     if not path:
         return new
     step, rest = path[0], path[1:]
     if isinstance(ev, E.PairEv):
         if step == "l":
-            return E.PairEv(_replace(ev.left, store, rest, new), ev.right)
-        return E.PairEv(ev.left, _replace(ev.right, store, rest, new))
+            return E.PairEv(_replace(ev.left, rest, new), ev.right)
+        return E.PairEv(ev.left, _replace(ev.right, rest, new))
     if isinstance(ev, (E.Inl, E.Inr)):
-        return type(ev)(_replace(ev.body, store, rest, new))
+        return type(ev)(_replace(ev.body, rest, new))
     if isinstance(ev, E.Witness):
-        return E.Witness(ev.term, _replace(ev.body, store, rest, new))
+        return E.Witness(ev.term, _replace(ev.body, rest, new))
     if isinstance(ev, E.Abstraction):
-        return E.Abstraction(ev.var, _replace(ev.body, store, rest, new))
+        return E.Abstraction(ev.var, _replace(ev.body, rest, new))
     if isinstance(ev, E.KnowsWrap):
-        return E.KnowsWrap(ev.principals, _replace(ev.body, store, rest, new))
+        return E.KnowsWrap(ev.principals, _replace(ev.body, rest, new))
     if isinstance(ev, E.ClauseApp):
         premises = list(ev.premises)
-        premises[step] = _replace(premises[step], store, rest, new)
+        premises[step] = _replace(premises[step], rest, new)
         return E.ClauseApp(ev.label, ev.policy_digest, ev.args, tuple(premises))
     raise AssertionError(f"bad path {path!r} at {type(ev).__name__}")
 
@@ -167,24 +160,24 @@ def _flip_const_bit(t, bit):
     return None
 
 
-def _mutations(ev, store):
+def _mutations(ev):
     """Yield single-bit structural mutations: signature bits, clause-label
     bits, term-arg bits."""
-    for path, node in _tree_addresses(ev, store):
+    for path, node in _tree_addresses(ev):
         if isinstance(node, E.AttLeaf):
             sa = node.attestation
             for bit in range(len(sa.signature) * 8):
                 sig = bytearray(sa.signature)
                 sig[bit // 8] ^= 1 << (bit % 8)
-                bad = type(sa)(sa.principal, sa.payload, bytes(sig), sa.issued_at, sa.session_nonce)
-                yield f"sig[{bit}]@{path}", _replace(ev, store, path, E.AttLeaf(bad))
+                bad = type(sa)(sa.principal, sa.payload, bytes(sig), sa.issued_at)
+                yield f"sig[{bit}]@{path}", _replace(ev, path, E.AttLeaf(bad))
         elif isinstance(node, E.ClauseApp):
             for bit in range(len(node.label.encode()) * 8):
                 label = _flip_str_bit(node.label, bit)
                 if label is None or label == node.label:
                     continue
                 bad = E.ClauseApp(label, node.policy_digest, node.args, node.premises)
-                yield f"label[{bit}]@{path}", _replace(ev, store, path, bad)
+                yield f"label[{bit}]@{path}", _replace(ev, path, bad)
             for i, arg in enumerate(node.args):
                 if not isinstance(arg, S.Const):
                     continue
@@ -195,7 +188,7 @@ def _mutations(ev, store):
                     args = list(node.args)
                     args[i] = mutated
                     bad = E.ClauseApp(node.label, node.policy_digest, tuple(args), node.premises)
-                    yield f"arg{i}[{bit}]@{path}", _replace(ev, store, path, bad)
+                    yield f"arg{i}[{bit}]@{path}", _replace(ev, path, bad)
 
 
 @pytest.mark.parametrize("runner", [_hospital, _ns], ids=["hospital", "ns"])
@@ -205,8 +198,8 @@ def test_tamper_completeness(runner):
     baseline = E.check_certificate(cert, r.world.policy_map(), r.world.directory)
     assert baseline
     total = 0
-    for tag, mutated in _mutations(cert.root_evidence, cert.store):
-        bad = E.Certificate(cert.root_formula, mutated, dict(cert.store),
+    for tag, mutated in _mutations(cert.root_evidence):
+        bad = E.Certificate(cert.root_formula, mutated,
                             cert.policy_digests, cert.directory, cert.created_at)
         res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)
         assert not res, f"mutation accepted: {tag}"

@@ -1,5 +1,5 @@
 """Frozen seed-0 query transcripts, search traces and certificate bytes
-for every shipped scenario, plus one long chain certificate with a shared
+for every shipped scenario, plus one long chain certificate with a repeated
 subtree."""
 
 import pathlib
@@ -14,11 +14,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # SHA-256 of codec.encode_certificate(...) for each scenario at seed 0.
 CERT_SHA256 = {
-    "delegation": "3b47563a14d52f3ba92c827026617f0e603eef32579fd727b52d8fdd8b023692",
-    "hospital": "22eca659fbed150f60493e174b825d62af4236cb7017dea4417d8e2ac2cd13c1",
-    "ns": "9718263ef665a8391faedc3f54b5a39d04c2fdea751430772c0558d94487a549",
-    "revocation": "16a4ed7d60656f8a9528f1a73df7ba098af6a6ad06e15f220f72e400db333e83",
-    "timed": "87e2c68c94f8143a73d9dfe128ca2918e594b8c425953f4ee90bc6fa0420761a",
+    "delegation": "ae251fb0f66c2c8ab4d01830325c2e1dab3da5ddc173770d0b1810ddef00ecb0",
+    "hospital": "afab922092f604990ec26ffe78798133a7aab3041e7d362be4fb26ad121bf785",
+    "ns": "e84d744220548d5d17127c1c66bbb08cfc07097ca53c233b92e40e0b5d249234",
+    "revocation": "5163349d6b824ac8e864961ed5904106a92e2bda4e80d6dbbdba1aabf15a4cee",
+    "timed": "38a85863217011a25fe9709a07a3023661776daa9c0905c7a2594c3c65ce8241",
 }
 
 # SHA-256 of every node's search trace at seed 0, one "<node> <line>" per
@@ -32,7 +32,7 @@ TRACE_SHA256 = {
     "timed": "0d7978d7c58e2f1aa716792bdcbd3acf1b73361730ff2bc8800db313d0c663e3",
 }
 
-CHAIN50_SHA256 = "d3ab262160d29549c29d9aceed74ecb5c6893ec514aa008e092ee0861b59bec1"
+CHAIN50_SHA256 = "97b58ba94b772e3b09d2fdda2452fbafb2a195c646ae84b202686b007eecd91d"
 
 
 @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
@@ -72,8 +72,8 @@ def _chain_text(n: int) -> str:
 
 
 def _chain50():
-    # The two identical conjuncts give a repeated chain-50 subtree, so the
-    # certificate has a dedup store as well as a long derivation.
+    # The two identical conjuncts give a repeated chain-50 subtree, written
+    # out twice.
     world = scenarios.build_world([("P", _chain_text(50))], seed=3, depth=66)
     node = world.node("P")
     goal, free = parser.parse_goal('p0(k1, "t") /\\ p0(k1, "t")', node.policy.signature)
@@ -82,22 +82,14 @@ def _chain50():
 
 def test_chain50_certificate_matches_golden_digest():
     _, cert = _chain50()
-    assert len(cert.store) == 1
     assert sha256(codec.encode_certificate(cert)).hex() == CHAIN50_SHA256
 
 
 def test_chain50_certificate_checks_through_its_store():
     world, cert = _chain50()
     decoded = codec.decode_certificate(codec.encode_certificate(cert))
-    assert decoded.store == cert.store
+    assert decoded == cert
     for c in (cert, decoded):
         result = E.check_certificate(c, world.policy_map(), world.directory)
         assert result, result.reason
 
-
-def test_store_entry_that_refers_to_itself_is_rejected():
-    world, cert = _chain50()
-    ((digest, _),) = cert.store.items()
-    cert.store = {digest: E.Ref(digest)}
-    result = E.check_certificate(cert, world.policy_map(), world.directory)
-    assert not result and result.reason == "cyclic store reference"

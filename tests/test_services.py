@@ -1,11 +1,12 @@
 """Trusted clock and nonce services, and the checker registry."""
 
 import base64
+import dataclasses
 import json
 
 import pytest
 
-from cyberlogic import codec, scenarios
+from cyberlogic import codec, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import Directory, verify_attestation
@@ -57,30 +58,44 @@ def test_nonce_attestation_only_for_issued_values():
     assert svc.attest_candidates("N", unknown) == []
 
 
+def _policy(owner: str, i: int):
+    return parser.parse_policy(f"pred p(Principal).\nprincipal {owner}.\nk{i}: p({owner}).\n", owner)
+
+
 def test_registry_chain_appends_and_verifies():
     reg = Registry()
     for i in range(5):
-        ep = CheckerEndpoint(f"ep{i}", [])
-        reg.register(bytes([i]) * 32, ep)
+        pol = _policy("K", i)
+        ep = CheckerEndpoint(f"ep{i}", [pol])
+        reg.register(pol.digest, ep)
     assert reg.verify_chain()
     assert len(reg.entries) == 5
     # entries are hash-chained: replacing one breaks the chain
-    from cyberlogic.services import RegistryEntry
-
     broken = list(reg.entries)
-    broken[2] = RegistryEntry(2, b"\0" * 32, broken[2].digest, broken[2].endpoint)
+    broken[2] = dataclasses.replace(broken[2], prev=b"\0" * 32)
     reg.entries = broken
     assert not reg.verify_chain()
 
 
+def test_registry_entries_name_the_policy_owner():
+    reg = Registry()
+    pol = _policy("K", 0)
+    entry = reg.register(pol.digest, CheckerEndpoint("ep", [pol]))
+    assert entry.owner == "K" and entry.endpoint == "ep"
+    assert dataclasses.replace(entry, owner="L").entry_hash != entry.entry_hash
+    with pytest.raises(ValueError):
+        reg.register(_policy("K", 1).digest, CheckerEndpoint("ep", [pol]))
+
+
 def test_registry_returns_newest_endpoint_but_keeps_stale_digests():
     reg = Registry()
-    ep_old = CheckerEndpoint("old", [])
-    ep_new = CheckerEndpoint("new", [])
-    reg.register(b"\x01" * 32, ep_old)
-    reg.register(b"\x02" * 32, ep_new)  # policy updated, digest changed
-    assert reg.endpoint_for(b"\x02" * 32) is ep_new
-    assert reg.endpoint_for(b"\x01" * 32) is ep_old  # stale digest still resolves
+    old, new = _policy("K", 1), _policy("K", 2)
+    ep_old = CheckerEndpoint("old", [old])
+    ep_new = CheckerEndpoint("new", [new])
+    reg.register(old.digest, ep_old)
+    reg.register(new.digest, ep_new)  # policy updated, digest changed
+    assert reg.endpoint_for(new.digest) is ep_new
+    assert reg.endpoint_for(old.digest) is ep_old  # stale digest still resolves
     assert reg.endpoint_for(b"\x03" * 32) is None
 
 
@@ -103,6 +118,21 @@ def test_remote_check_matches_local_check():
         for d in sorted(r.certificate.policy_digests):
             remote = remote_check(reg, r.certificate, d)
             assert remote.ok, (name, d.hex()[:12], remote.reason)
+
+
+def test_remote_check_names_foreign_owners_from_the_registry():
+    # A's certificate for a goal restricted to {A, B} applies only B's
+    # clauses; A's endpoint learns that B owns them from the registry.
+    world = scenarios.run_hospital(0).world
+    node = world.node("A")
+    goal, free = parser.parse_goal("knows {A, B} B says isHospital(B)", node.policy.signature)
+    cert = node.certify(node.ask_first(goal, free))
+    local = E.check_certificate(cert, world.policy_map(), world.directory)
+    assert local.ok
+    reg = _registry_for(world)
+    assert len(cert.policy_digests) == 2
+    for d in sorted(cert.policy_digests):
+        assert remote_check(reg, cert, d) == local, d.hex()[:12]
 
 
 def disclosed_payloads(frames) -> list:
@@ -141,7 +171,6 @@ def test_remote_check_rejects_tampered_certificate():
     bad = E.Certificate(
         S.Atom("time", (S.Const("1", "Time"),)),  # swapped root formula
         cert.root_evidence,
-        dict(cert.store),
         cert.policy_digests,
         cert.directory,
         cert.created_at,
@@ -154,8 +183,6 @@ def test_stale_digest_certificate_verifies_after_policy_update():
     reg = _registry_for(r.world)
     # A later re-registration with a changed policy must not break
     # certificates pinned to the old digest.
-    from cyberlogic import parser
-
     updated = parser.parse_policy(
         scenarios.HOSPITAL_A + "a5: A says isHospital(A).\n", "A"
     )
@@ -170,7 +197,7 @@ def test_checker_frames_have_the_node_frame_limit():
     r = scenarios.run_hospital(0)
     reg = _registry_for(r.world)
     cert = r.certificate
-    big = E.Certificate(cert.root_formula, cert.root_evidence, {b"\0" * 32: E.Hyp("x" * MAX_FRAME)},
+    big = E.Certificate(cert.root_formula, E.Hyp("x" * MAX_FRAME),
                         cert.policy_digests, cert.directory, cert.created_at)
     frames = []
     verdict = remote_check(reg, big, frame_log=frames)
