@@ -144,6 +144,10 @@ def cmd_query(args) -> int:
     answer = node.ask_first(goal, free, depth=args.depth)
     if answer is None:
         print("no proof")
+        if node.metrics["transport_errors"]:
+            print(f"transport error: {node.metrics['transport_errors']} peer request(s) failed",
+                  file=sys.stderr)
+            return EXIT_TRANSPORT
         return EXIT_FAIL
     for v, t in sorted(answer.bindings.items(), key=lambda kv: kv[0].name):
         print(f"{v.name} = {fmt_term(t)}")

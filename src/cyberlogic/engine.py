@@ -407,36 +407,23 @@ class Prover:
         args = tuple(resolve(a, s) for a in goal.args)
         if not all(S.is_ground(a) for a in args):
             raise FlounderError(f"{goal.pred} on nonground arguments")
-        if goal.pred in S.EQ_BUILTINS:
-            a, b = args
-            same = a == b or (S.int_value(a) is not None and S.int_value(a) == S.int_value(b))
-            if same == (goal.pred == "="):
+        if goal.pred != "time_not_elapsed":
+            if S.compare(goal.pred, *args):
                 yield s, E.TheoryHole(goal.pred, args)
             return
-        if goal.pred in S.ORDER_BUILTINS:
-            va, vb = S.int_value(args[0]), S.int_value(args[1])
-            if va is None or vb is None:
-                return
-            if va < vb if goal.pred == "<" else va <= vb:
-                yield s, E.TheoryHole(goal.pred, args)
+        if self.services is None:
             return
-        if goal.pred == "time_not_elapsed":
-            if self.services is None:
-                return
-            receipt = self.services.time_receipt(args[0])
-            if receipt is not None:
-                yield s, E.TheoryHole(goal.pred, args, receipt)
-            return
-        raise FlounderError(f"unknown interpreted predicate {goal.pred!r}")
+        receipt = self.services.time_receipt(args[0])
+        if receipt is not None:
+            yield s, E.TheoryHole(goal.pred, args, receipt)
 
     # -- backchaining ----------------------------------------------------------
 
     def _allowed_indexes(self, restriction):
         if restriction is None:
             return list(self.indexes.values())
-        names = {p.name for p in restriction if isinstance(p, S.Const)}
-        names.add("common")
-        return [ix for ix in self.indexes.values() if ix.policy.owner in names]
+        owners = S.knows_owners(restriction)
+        return [ix for ix in self.indexes.values() if ix.policy.owner in owners]
 
     def _backchain(self, goal, s, depth, env, restriction, anc):
         if depth <= 0:
@@ -467,7 +454,7 @@ class Prover:
         ren = {v: self._fresh_var(v.sort) for v in clause.universals}
         head = S.substitute(clause.head, ren)
         s2 = unify_atomic(goal, head, s, self.state)
-        if s2 is None and owner is not None and owner != "common":
+        if s2 is None and owner is not None and owner != S.COMMON:
             # An owner's bare-headed clause also answers the owner's own
             # attestation of its head.
             if isinstance(goal, S.Attest) and not isinstance(head, S.Attest):

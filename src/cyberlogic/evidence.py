@@ -240,6 +240,20 @@ class HypothesisEnv:
 # The checker
 
 
+def clock_reading(directory: Directory | None, sa: SignedAttestation) -> int | None:
+    """The time `t` of `sa` if it is a reading `T says time(t)`: signed
+    under T's key in `directory`, naming T, with a numeral `t`.  None
+    otherwise."""
+    key = directory.public_key(S.TIME_SOURCE.name) if directory is not None else None
+    got = verify_attestation(key, sa) if key is not None else None
+    if got is None or got.principal != S.TIME_SOURCE:
+        return None
+    atom = got.body
+    if atom.pred != "time" or len(atom.args) != 1 or not isinstance(atom.args[0], S.Const):
+        return None
+    return S.int_value(atom.args[0])
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -290,34 +304,19 @@ class _Checker:
             return _nok(path, "theory evidence for a non-interpreted goal")
         if e.pred != phi.pred or e.args != phi.args:
             return _nok(path, "theory evidence does not match the goal atom")
-        if phi.pred in S.EQ_BUILTINS:
-            a, b = phi.args
-            if not (S.is_ground(a) and S.is_ground(b)):
-                return _nok(path, f"{phi.pred} on nonground arguments")
-            same = a == b or (
-                S.int_value(a) is not None and S.int_value(a) == S.int_value(b)
-            )
-            want = phi.pred == "="
-            return _OK if same == want else _nok(path, f"{phi.pred} does not hold")
-        if phi.pred in S.ORDER_BUILTINS:
-            va, vb = S.int_value(phi.args[0]), S.int_value(phi.args[1])
-            if va is None or vb is None:
-                return _nok(path, f"{phi.pred} on non-numeric arguments")
-            holds = va < vb if phi.pred == "<" else va <= vb
-            return _OK if holds else _nok(path, f"{phi.pred} does not hold")
+        arity = 1 if phi.pred == "time_not_elapsed" else 2
+        if len(phi.args) != arity or not all(S.is_ground(a) for a in phi.args):
+            return _nok(path, f"{phi.pred} needs {arity} ground arguments")
+        if phi.pred != "time_not_elapsed":
+            return _OK if S.compare(phi.pred, *phi.args) else _nok(path, f"{phi.pred} does not hold")
         # time_not_elapsed(t): a signed clock reading strictly before t.
         if e.receipt is None:
             return _nok(path, "missing clock receipt")
-        if self.directory is None or "T" not in self.directory:
-            return _nok(path, "no public key for the time source")
-        got = verify_attestation(self.directory.public_key("T"), e.receipt)
-        if got is None or not (
-            isinstance(got.body, S.Atom) and got.body.pred == "time" and got.principal.name == "T"
-        ):
-            return _nok(path, "clock receipt does not verify")
-        now = S.int_value(got.body.args[0])
+        now = clock_reading(self.directory, e.receipt)
+        if now is None:
+            return _nok(path, "clock receipt is not a reading signed by T")
         t = S.int_value(phi.args[0])
-        if now is None or t is None or now >= t:
+        if t is None or now >= t:
             return _nok(path, "clock receipt is not earlier than the deadline")
         return _OK
 
@@ -400,7 +399,8 @@ class _Checker:
             if isinstance(phi, S.Forall):
                 used = S.const_names(phi)
                 for c in env.clauses():
-                    used |= S.const_names(c.head) | S.const_names(c.body)
+                    for part in (c.head, *c.slots):
+                        used |= S.const_names(part)
                 if e.var in used:
                     return _nok(path, f"eigenvariable {e.var!r} is not fresh")
                 inst = S.substitute(phi.body, {phi.var: S.Const(e.var, phi.var.sort)})
@@ -420,10 +420,8 @@ class _Checker:
             sub = self.check(e.body, phi.body, env, path + (0,))
             if not sub.ok:
                 return sub
-            allowed = {p.name for p in phi.principals if isinstance(p, S.Const)}
-            allowed.add("common")
             used = extract_provenance(e.body, self.policies)
-            stray = used - allowed
+            stray = used - S.knows_owners(phi.principals)
             if stray:
                 return _nok(path, f"evidence draws on policies outside the restriction: {sorted(stray)}")
             return _OK
@@ -477,12 +475,8 @@ def check_certificate(
             known = directory.principal_id(pid.name)
             if known is not None and known != pid:
                 return _nok((), f"pinned key for {pid.name!r} does not match the directory")
-    if cert.created_at is not None:
-        if directory is None or "T" not in directory:
-            return _nok((), "cannot verify the creation stamp: no time-source key")
-        got = verify_attestation(directory.public_key("T"), cert.created_at)
-        if got is None or not (isinstance(got.body, S.Atom) and got.body.pred == "time"):
-            return _nok((), "creation stamp does not verify")
+    if cert.created_at is not None and clock_reading(directory, cert.created_at) is None:
+        return _nok((), "creation stamp is not a reading signed by T")
     return check(
         policies,
         HypothesisEnv(),

@@ -204,10 +204,9 @@ class Node:
         self._answered: dict[str, list[bytes]] = {}  # request digest -> reply
         self.metrics = {
             "queries_handled": 0,
-            "answers_sent": 0,
-            "failures_sent": 0,
             "dispatches": 0,
             "duplicates_ignored": 0,
+            "transport_errors": 0,
         }
         self.trace: list[str] = []
 
@@ -298,7 +297,9 @@ class Node:
                 )
                 try:
                     responses = self.network.request(self.name, to, frame)
-                except RouteError:
+                except (RouteError, TransportError, OSError):
+                    # No answer from this peer; search goes on without it.
+                    self.metrics["transport_errors"] += 1
                     continue
                 answer = self._accept_answer(responses, frame, restriction, to)
                 if answer is not None:
@@ -366,6 +367,7 @@ class Node:
         qid = obj.get("qid", "")
         try:
             goal = codec.decode_formula(_unb64(obj["goal_b64"]))
+            S.validate_goal(goal)
             vars_ = [S.Var(n, s) for n, s in obj.get("vars", [])]
             budget = int(obj.get("budget", self.depth))
             chain = list(obj.get("session", []))
@@ -385,9 +387,7 @@ class Node:
             answer = None
             self.trace.append(f"ERROR {qid} {ex}")
         if answer is None:
-            self.metrics["failures_sent"] += 1
             return {"type": "FAIL", "qid": qid, "reason": "no proof"}
-        self.metrics["answers_sent"] += 1
         frame = {
             "type": "ANSWER",
             "qid": qid,

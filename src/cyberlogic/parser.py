@@ -14,6 +14,11 @@ Policy grammar (UTF-8, `#` comments):
 Undeclared identifiers in policies become constants (sort inferred from the
 predicate position); in queries they become free variables, reported in
 first-occurrence order and treated as existentially closed.
+
+The parser is the only sort checker: it gives every term its sort as it
+resolves it, against the signature and the binders in scope, and raises
+SortError at the first term, atom or macro that does not fit.  Nothing
+checks a parsed formula a second time.
 """
 
 from __future__ import annotations
@@ -29,23 +34,12 @@ _TOKEN_RE = re.compile(
   | (?P<op>=>|/\\|\\/|!=|<=|[=<(){},.:])
   | (?P<int>-?\d+)
   | (?P<str>"[^"\n]*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>"""
+    + S.IDENT.pattern
+    + """)
     """,
     re.VERBOSE,
 )
-
-_KEYWORDS = {
-    "sort",
-    "pred",
-    "principal",
-    "const",
-    "forall",
-    "exists",
-    "says",
-    "knows",
-    "true",
-    "false",
-}
 
 _CMP_OPS = ("=", "!=", "<", "<=")
 
@@ -398,7 +392,6 @@ class _Parser:
                 self.lx.next()  # :
                 f = self.parse_formula()
                 self.lx.expect(".")
-                S.check_formula(f, self.sig, {})
                 for c in S.clauses_of(f, label):
                     clauses.append(c)
             else:
@@ -407,7 +400,7 @@ class _Parser:
 
     def _ident(self, what: str) -> str:
         kind, lex, line, col = self.lx.next()
-        if kind != "ident" or lex in _KEYWORDS:
+        if kind != "ident" or lex in S.KEYWORDS:
             raise ParseError(f"expected a {what}, found {lex!r}", line, col)
         return lex
 

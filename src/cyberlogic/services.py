@@ -118,7 +118,7 @@ class Registry:
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
-        self._endpoints: dict[str, "CheckerEndpoint"] = {}
+        self._endpoints: dict[bytes, "CheckerEndpoint"] = {}  # digest -> newest endpoint
 
     def register(self, digest: bytes, endpoint: "CheckerEndpoint") -> RegistryEntry:
         """Route `digest` to `endpoint`, which must hold that policy; the
@@ -129,14 +129,11 @@ class Registry:
         prev = self.entries[-1].entry_hash if self.entries else b"\0" * 32
         entry = RegistryEntry(len(self.entries), prev, digest, policy.owner, endpoint.name)
         self.entries.append(entry)
-        self._endpoints[endpoint.name] = endpoint
+        self._endpoints[digest] = endpoint
         return entry
 
     def endpoint_for(self, digest: bytes) -> "CheckerEndpoint | None":
-        for entry in reversed(self.entries):
-            if entry.digest == digest:
-                return self._endpoints.get(entry.endpoint)
-        return None
+        return self._endpoints.get(digest)
 
     def verify_chain(self) -> bool:
         prev = b"\0" * 32

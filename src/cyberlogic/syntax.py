@@ -4,6 +4,7 @@ goal/clause fragment used by the engine."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,6 +98,19 @@ def int_value(t: Term):
         v = int_value(t.args[0])
         return None if v is None else v + 1
     return None
+
+
+def compare(op: str, a: Term, b: Term) -> bool:
+    """Whether the comparison `a op b` holds between ground terms.  `=` and
+    `!=` compare terms, reading numerals and `succ` chains by value; `<`
+    and `<=` hold only between numbers."""
+    va, vb = int_value(a), int_value(b)
+    if op in EQ_BUILTINS:
+        same = a == b or (va is not None and va == vb)
+        return same == (op == "=")
+    if va is None or vb is None:
+        return False
+    return va < vb if op == "<" else va <= vb
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +326,6 @@ class Signature:
             raise SortError(f"constant {name!r} used at sorts {old!r} and {sort!r}")
         self.consts[name] = sort
 
-    def pred_sorts(self, name: str, nargs: int):
-        if name in EQ_BUILTINS:
-            return None  # both args same sort, any sort
-        if name in ORDER_BUILTINS:
-            return None  # Int or Time, checked separately
-        if name == "time_not_elapsed":
-            return ("Time",)
-        if name not in self.preds:
-            raise SortError(f"undeclared predicate {name!r}")
-        got = self.preds[name]
-        if len(got) != nargs:
-            raise SortError(f"predicate {name!r} expects {len(got)} arguments, got {nargs}")
-        return got
-
 
 @dataclass(frozen=True)
 class Clause:
@@ -341,10 +341,6 @@ class Clause:
 
     def is_fact(self) -> bool:
         return not self.slots
-
-    @property
-    def body(self) -> Formula:
-        return TOP if not self.slots else unflatten_and(list(self.slots))
 
 
 @dataclass(frozen=True)
@@ -376,76 +372,13 @@ class Policy:
         return codec.policy_digest(self)
 
 
-# ---------------------------------------------------------------------------
-# Sort checking
+COMMON = "common"  # owner of the policy that every principal shares
 
 
-def check_term(t: Term, expected: str, sig: Signature, bound: dict):
-    if isinstance(t, Var):
-        got = bound.get(t.name)
-        if got is None:
-            raise SortError(f"unbound variable {t.name!r}")
-        if got != t.sort or t.sort != expected:
-            raise SortError(f"variable {t.name!r}: expected sort {expected!r}, has {t.sort!r}")
-        return
-    if isinstance(t, Const):
-        if t.sort != expected:
-            raise SortError(f"constant {t.name!r}: expected sort {expected!r}, has {t.sort!r}")
-        sig.note_const(t.name, t.sort)
-        return
-    if t.symbol not in BUILTIN_FUNCS:
-        raise SortError(f"unknown function symbol {t.symbol!r}")
-    if expected not in ("Int", "Time"):
-        raise SortError(f"succ is only defined on Int and Time, not {expected!r}")
-    check_term(t.args[0], expected, sig, bound)
-
-
-def check_formula(f: Formula, sig: Signature, bound: dict):
-    """Verify that every symbol respects the signature; records constants."""
-    if isinstance(f, (Top, Bottom)):
-        return
-    if isinstance(f, Atom):
-        if f.pred in EQ_BUILTINS:
-            if len(f.args) != 2:
-                raise SortError(f"{f.pred} takes two arguments")
-            s0 = term_sort(f.args[0])
-            for a in f.args:
-                check_term(a, s0, sig, bound)
-            return
-        if f.pred in ORDER_BUILTINS:
-            if len(f.args) != 2:
-                raise SortError(f"{f.pred} takes two arguments")
-            s0 = term_sort(f.args[0])
-            if s0 not in ("Int", "Time"):
-                raise SortError(f"{f.pred} is only defined on Int and Time")
-            for a in f.args:
-                check_term(a, s0, sig, bound)
-            return
-        sorts = sig.pred_sorts(f.pred, len(f.args))
-        for a, s in zip(f.args, sorts):
-            check_term(a, s, sig, bound)
-        return
-    if isinstance(f, Attest):
-        check_term(f.principal, "Principal", sig, bound)
-        check_formula(f.body, sig, bound)
-        return
-    if isinstance(f, Knows):
-        for p in f.principals:
-            check_term(p, "Principal", sig, bound)
-        check_formula(f.body, sig, bound)
-        return
-    if isinstance(f, (And, Or, Implies)):
-        check_formula(f.left, sig, bound)
-        check_formula(f.right, sig, bound)
-        return
-    if isinstance(f, (Forall, Exists)):
-        if f.var.sort not in sig.sorts:
-            raise SortError(f"undeclared sort {f.var.sort!r}")
-        inner = dict(bound)
-        inner[f.var.name] = f.var.sort
-        check_formula(f.body, sig, inner)
-        return
-    raise TypeError(f"not a formula: {f!r}")
+def knows_owners(principals) -> set:
+    """Owners whose policies a `knows {principals}` goal admits: the
+    constant principals, and the common policy."""
+    return {p.name for p in principals if isinstance(p, Const)} | {COMMON}
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +508,6 @@ def flatten_and(f: Formula) -> list:
     return [f]
 
 
-def unflatten_and(parts: list) -> Formula:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Macros
 
@@ -610,7 +536,8 @@ def _close_forall(binders, f: Formula) -> Formula:
 def expand_macro(name: str, args: tuple, sig: Signature) -> Formula:
     """The core formula that a macro call abbreviates, over the declared
     predicates.  `args` follow the shapes in MACROS.  `revocable_delegate`
-    and `attest_before` declare the predicates they introduce in `sig`."""
+    and `attest_before` declare the predicates they introduce in `sig` on
+    every call, so an earlier declaration that clashes raises SortError."""
     if name in ("delegate", "delegate_indirect", "revocable_delegate"):
         k, l, pred = args
         if pred not in sig.preds:
@@ -628,8 +555,7 @@ def expand_macro(name: str, args: tuple, sig: Signature) -> Formula:
     if name == "revocable_delegate":
         if not xs or xs[-1].sort != "Time":
             raise MacroError(f"revocable_delegate needs {pred!r} to end in a Time argument")
-        if "notRevoked" not in sig.preds:
-            sig.declare_pred("notRevoked", ("Principal", "Time"))
+        sig.declare_pred("notRevoked", ("Principal", "Time"))
         t = Var("t", "Time")
         premise = And(
             Attest(l, p),
@@ -654,9 +580,10 @@ def expand_macro(name: str, args: tuple, sig: Signature) -> Formula:
         return And(Attest(k, atom), Attest(TIME_SOURCE, Atom("time", (t,))))
     if name == "attest_before":
         t, atom = args
+        if atom.pred not in sig.preds:
+            raise MacroError(f"macro over undeclared predicate {atom.pred!r}")
         before = f"before_{atom.pred}"
-        if before not in sig.preds:
-            sig.declare_pred(before, sig.preds.get(atom.pred, ()) + ("Time",))
+        sig.declare_pred(before, sig.preds[atom.pred] + ("Time",))
         return Attest(TIME_SOURCE, Atom(before, atom.args + (t,)))
     raise MacroError(f"unknown macro {name!r}")
 
@@ -664,12 +591,21 @@ def expand_macro(name: str, args: tuple, sig: Signature) -> Formula:
 # ---------------------------------------------------------------------------
 # Pretty printing (inverse of the parser)
 
+KEYWORDS = frozenset(
+    ("sort", "pred", "principal", "const", "forall", "exists", "says", "knows", "true", "false")
+)
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # also the parser's identifier token
+
 
 def fmt_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Const):
-        if t.name.replace("_", "").isalnum():
+        # Bare only where the parser reads the text back as this constant.
+        n = int_value(t)
+        if n is not None and str(n) == t.name:
+            return t.name
+        if IDENT.fullmatch(t.name) and t.name not in KEYWORDS and t.name not in MACROS:
             return t.name
         return f'"{t.name}"'
     return f"{t.symbol}({', '.join(fmt_term(a) for a in t.args)})"
@@ -701,8 +637,11 @@ def fmt_formula(f: Formula, prec: int = 0) -> str:
     if isinstance(f, Knows):
         names = ", ".join(sorted(fmt_term(p) for p in f.principals))
         return wrap(f"knows {{{names}}} {fmt_formula(f.body, 3)}", 3)
+    # A nested conjunction keeps its parentheses on either side.  A nested
+    # disjunction on the right loses them, though the parser reads `\/`
+    # chains left-nested: the delegation search trace pins that rendering.
     if isinstance(f, And):
-        return wrap(f"{fmt_formula(f.left, 3)} /\\ {fmt_formula(f.right, 2)}", 2)
+        return wrap(f"{fmt_formula(f.left, 3)} /\\ {fmt_formula(f.right, 3)}", 2)
     if isinstance(f, Or):
         return wrap(f"{fmt_formula(f.left, 2)} \\/ {fmt_formula(f.right, 1)}", 1)
     if isinstance(f, Implies):

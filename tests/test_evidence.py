@@ -104,6 +104,17 @@ def test_certificates_are_immutable_and_have_no_store():
         cert.store = {b"\0" * 32: E.Unit()}
 
 
+def test_a_creation_stamp_must_name_the_time_source():
+    r = _hospital()
+    cert = r.certificate
+    stamp = cert.created_at
+    renamed = dataclasses.replace(stamp, principal=dataclasses.replace(stamp.principal, name="A"))
+    bad = dataclasses.replace(cert, created_at=renamed)
+    res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)
+    assert not res
+    assert res.reason == "creation stamp is not a reading signed by T"
+
+
 # ---------------------------------------------------------------------------
 # Tamper suite
 

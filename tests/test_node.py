@@ -278,6 +278,18 @@ def test_malformed_frame_fails_cleanly():
     assert decode_frame(resp)["type"] == "FAIL"
 
 
+def test_a_query_for_a_non_goal_is_malformed():
+    w = _bcast_world()
+    b = w.node("B")
+    (resp,) = b.handle_frame(_query_frame("A", "B", S.BOTTOM, "A-1"))
+    assert decode_frame(resp) == {
+        "type": "FAIL",
+        "qid": "A-1",
+        "reason": "malformed query: false is not a goal",
+    }
+    assert b.trace == []
+
+
 # ---------------------------------------------------------------------------
 # A node signs answers, never attestations a peer asked it to assume
 
@@ -366,6 +378,31 @@ def test_served_node_drops_a_client_that_stops_sending():
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
             sock.sendall(b'{"type": ')  # never finished, never shut down
             assert sock.recv(1) == b""  # closed without a reply
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+
+def test_a_silent_peer_counts_as_no_answer():
+    decls = "pred ok(). pred good(). principal A, B, S.\n"
+    w = scenarios.build_world(
+        [("A", decls + "a1: (S says ok) => good.\na2: (B says ok) => good.\n"),
+         ("B", decls + "b1: B says ok.\n")],
+        0,
+    )
+    server, thread, port = serve_node(w.node("B"), "127.0.0.1", 0)
+    try:
+        with socket.create_server(("127.0.0.1", 0)) as silent:  # never replies
+            a = w.node("A")
+            a.network = TcpTransport(
+                {"S": silent.getsockname(), "B": ("127.0.0.1", port)}, timeout=0.3
+            )
+            goal, _ = parser.parse_goal("good", a.policy.signature)
+            ans = a.ask_first(goal)
+        assert ans is not None
+        assert E.render_spine(ans.evidence).startswith("a2")
+        assert a.metrics["transport_errors"] == 1
     finally:
         server.shutdown()
         server.server_close()

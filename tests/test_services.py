@@ -193,6 +193,19 @@ def test_stale_digest_certificate_verifies_after_policy_update():
     assert remote_check(reg, r.certificate)
 
 
+def test_a_new_endpoint_under_an_old_name_keeps_the_old_digest_routed():
+    r = scenarios.run_hospital(0)
+    reg = _registry_for(r.world)
+    updated = parser.parse_policy(
+        scenarios.HOSPITAL_A + "a5: A says isHospital(A).\n", "A"
+    )
+    # Same endpoint name, but this endpoint holds only the updated policy:
+    # the old digest stays routed to the endpoint that holds it.
+    reg.register(updated.digest, CheckerEndpoint("A", [updated], r.world.directory, reg))
+    verdict = remote_check(reg, r.certificate)
+    assert verdict.ok, verdict.reason
+
+
 def test_checker_frames_have_the_node_frame_limit():
     r = scenarios.run_hospital(0)
     reg = _registry_for(r.world)

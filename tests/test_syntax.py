@@ -174,8 +174,8 @@ MACRO_CLAUSES = [
     "d1: forall x1:Principal. L says ok(x1) => K says ok(x1).",
     "d2: forall x1:Principal, M:Principal. M says ok(x1) /\\ (M says ok(x1) => L says ok(x1))"
     " => K says ok(x1).",
-    "d3: forall x1:Principal, x2:Time, t:Time. L says use(x1, x2) /\\ K says notRevoked(L, t)"
-    " /\\ x2 < t => K says use(x1, x2).",
+    "d3: forall x1:Principal, x2:Time, t:Time. L says use(x1, x2) /\\ (K says notRevoked(L, t)"
+    " /\\ x2 < t) => K says use(x1, x2).",
     "m1: (exists s:Time. 3 < s /\\ T says time(s)) => ok(K).",
     "m2: time_not_elapsed(3) => ok(K).",
     "m3: T says time(5) /\\ time_not_elapsed(succ(5)) => ok(K).",
