@@ -3,9 +3,12 @@
 The prover performs uniform (goal-directed) search: composite goals are
 decomposed by their top connective, atomic goals backchain over hypothesis
 and policy clauses, depth-first in clause order under a depth budget.
-Policy clauses are selected by head predicate (the predicate of the atom,
-or of the atom under `says`) through a per-policy index that keeps the
-policy's textual order; clauses under other predicates are never tried.
+Policy clauses are selected through a per-policy index on the head
+predicate (the predicate of the atom, or of the atom under `says`) and,
+when the goal's first argument is ground, on that argument: only the heads
+that can unify with it are tried, in the policy's textual order, and fresh
+names are numbered as if every clause had been tried.  Hypothesis clauses
+are not indexed.
 Conjunct scheduling prefers attestation goals whose principal is still
 unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
@@ -15,6 +18,7 @@ evaluation order actually taken.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import syntax as S
@@ -162,38 +166,98 @@ class _State:
 # Clause selection
 
 
-def _head_pred(f):
-    """Predicate of an atom or of the atom under `says`; None otherwise."""
+def _atom_of(f):
+    """The atom of an atomic formula or of the atom under `says`; None
+    otherwise."""
     if isinstance(f, S.Attest):
         f = f.body
-    return f.pred if isinstance(f, S.Atom) else None
+    return f if isinstance(f, S.Atom) else None
+
+
+def _key(t):
+    """Index key of a ground term: a number's value (numerals and `succ`
+    chains unify by value), a constant's name and sort (a tuple hashes
+    faster than the dataclass), else the term itself."""
+    n = S.int_value(t)
+    if n is not None:
+        return n
+    return (t.name, t.sort) if isinstance(t, S.Const) else t
+
+
+def _goal_key(atom, s):
+    """Index key of a goal atom's first argument under `s`; None when the
+    atom has no arguments or its first one is not ground."""
+    if atom is None or not atom.args:
+        return None
+    t = walk(atom.args[0], s)
+    if isinstance(t, S.Const):
+        return _key(t)
+    t = resolve(t, s)
+    return _key(t) if S.is_ground(t) else None
 
 
 class ClauseIndex:
-    """A policy's clauses grouped by head predicate, each group in textual
-    order.
+    """A policy's clauses grouped by head predicate and, within a group, by
+    the head's first argument (WAM-style first-argument indexing).
 
-    `candidates(pred)` returns ((skipped, clause), ...) and a trailing
-    count.  `skipped` is the number of universals of the clauses passed
-    over since the previous candidate, and the trailing count those after
-    the last one, so the prover can number fresh names as if it had renamed
-    every clause in turn."""
+    A head whose first argument is a constant, a numeral or a ground
+    `succ` chain is filed under `_key` of that argument; one whose first
+    argument is a variable or another function application goes in the
+    group's wildcard list.  A ground goal argument can only unify with the
+    heads of its own key and the wildcards, so `candidates(pred, key)`
+    yields exactly those, merged in textual order; with no key it yields
+    the whole group.  A group is split by key on its first keyed lookup,
+    so building the index stays one pass over the clauses and a group only
+    ever searched whole is never split.
+
+    Each candidate is (position, offset, clause): `offset` is the number
+    of universals of all the policy's clauses before it, and `total` the
+    number in the whole policy, so the prover can number fresh names as if
+    it had renamed every clause in turn."""
 
     def __init__(self, policy):
         self.policy = policy
-        groups: dict = {}
-        seen: dict = {}  # pred -> universals up to the end of its last clause
-        total = 0
-        for c in policy.clauses:
-            pred = _head_pred(c.head)
-            groups.setdefault(pred, []).append((total - seen.get(pred, 0), c))
-            total += len(c.universals)
-            seen[pred] = total
-        self._total = total
-        self._groups = {p: (tuple(g), total - seen[p]) for p, g in groups.items()}
+        self._groups: dict = {}  # pred -> entries in textual order
+        self._split: dict = {}  # pred -> (key -> entries, wildcard entries)
+        offset = 0
+        for pos, c in enumerate(policy.clauses):
+            entry = (pos, offset, c)
+            pred = _atom_of(c.head).pred
+            group = self._groups.get(pred)
+            if group is None:
+                self._groups[pred] = [entry]
+            else:
+                group.append(entry)
+            offset += len(c.universals)
+        self.total = offset
 
-    def candidates(self, pred):
-        return self._groups.get(pred, ((), self._total))
+    def candidates(self, pred, key=None):
+        group = self._groups.get(pred, ())
+        if key is None or not group:
+            return group
+        split = self._split.get(pred)
+        if split is None:
+            split = self._split[pred] = _split_by_key(group)
+        keyed, wildcards = split
+        bucket = keyed.get(key, ())
+        if not wildcards:
+            return bucket
+        if not bucket:
+            return wildcards
+        return heapq.merge(bucket, wildcards)
+
+
+def _split_by_key(group):
+    keyed, wildcards = {}, []
+    for entry in group:
+        args = _atom_of(entry[2].head).args
+        first = args[0] if args else None
+        key = _key(first) if isinstance(first, S.Const) else S.int_value(first)
+        if key is None:
+            wildcards.append(entry)
+        else:
+            keyed.setdefault(key, []).append(entry)
+    return keyed, wildcards
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +501,19 @@ class Prover:
 
         for clause in env.clauses():
             yield from self._apply(clause, None, None, goal, g_res, s, depth, env, restriction, anc)
-        pred = _head_pred(goal)
+        atom = _atom_of(goal)
+        pred = atom.pred if atom is not None else None
+        key = _goal_key(atom, s)
         for index in self._allowed_indexes(restriction):
             policy = index.policy
-            candidates, trailing = index.candidates(pred)
-            for skipped, clause in candidates:
-                self.state.counter += skipped
+            end = 0  # universals up to the end of the previous candidate
+            for _, offset, clause in index.candidates(pred, key):
+                self.state.counter += offset - end
+                end = offset + len(clause.universals)
                 yield from self._apply(
                     clause, policy.owner, policy.digest, goal, g_res, s, depth, env, restriction, anc
                 )
-            self.state.counter += trailing
+            self.state.counter += index.total - end
         if isinstance(goal, S.Attest):
             yield from self._remote(goal, s, depth, env, restriction, anc)
 

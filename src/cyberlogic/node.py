@@ -36,6 +36,7 @@ from .errors import RouteError, TransportError
 MAX_FRAME = 16 * 1024 * 1024
 SERVICE_NAMES = ("T", "N")
 ANSWER_CACHE = 1024  # replies kept for redelivered queries, oldest dropped first
+MAX_HANDLERS = 32  # concurrent TCP connection handlers; more are closed unanswered
 
 
 def encode_frame(obj: dict) -> bytes:
@@ -144,10 +145,39 @@ class TcpTransport:
         return [line + b"\n" for line in buf.split(b"\n") if line]
 
 
+class _BoundedServer(socketserver.ThreadingTCPServer):
+    """One thread per connection, at most MAX_HANDLERS (read when the
+    server is made) at a time; a connection past the cap is closed at once
+    without a reply."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(MAX_HANDLERS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()  # no thread started to release it
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+
 def serve_node(node: "Node", host: str = "127.0.0.1", port: int = 0, timeout: float | None = None):
     """Serve a node over TCP; returns (server, thread, bound_port).
     `timeout` (seconds) bounds each read of a request; a client that stops
-    sending for that long is disconnected without a reply."""
+    sending for that long is disconnected without a reply.  At most
+    MAX_HANDLERS connections are served at once."""
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
@@ -159,8 +189,7 @@ def serve_node(node: "Node", host: str = "127.0.0.1", port: int = 0, timeout: fl
                 self.wfile.write(resp)
 
     Handler.timeout = timeout
-    server = socketserver.ThreadingTCPServer((host, port), Handler)
-    server.daemon_threads = True
+    server = _BoundedServer((host, port), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, server.server_address[1]

@@ -86,7 +86,7 @@ class _Lexer:
 
 
 # raw term shapes produced before sort resolution
-# ("name", s) | ("int", n) | ("str", s) | ("app", fn, [raw...])
+# ("name", s) | ("int", n) | ("str", s) | ("app", fn, raw)
 
 
 class _Parser:
@@ -108,12 +108,11 @@ class _Parser:
         if kind == "ident":
             if self.lx.peek()[1] == "(" and lex in S.BUILTIN_FUNCS:
                 self.lx.next()
-                args = [self.parse_raw_term()]
-                while self.lx.peek()[1] == ",":
-                    self.lx.next()
-                    args.append(self.parse_raw_term())
-                self.lx.expect(")")
-                return ("app", lex, args)
+                arg = self.parse_raw_term()
+                if self.lx.peek()[1] != ")":
+                    raise ParseError(f"{lex} takes exactly one argument", line, col)
+                self.lx.next()
+                return ("app", lex, arg)
             return ("name", lex)
         raise ParseError(f"expected a term, found {lex!r}", line, col)
 
@@ -125,7 +124,7 @@ class _Parser:
         if kind == "str":
             return None
         if kind == "app":
-            return self.raw_sort(raw[2][0])
+            return self.raw_sort(raw[2])
         name = raw[1]
         if name in self.scope:
             return self.scope[name]
@@ -145,7 +144,7 @@ class _Parser:
         if kind == "app":
             if expected not in ("Int", "Time"):
                 raise SortError(f"succ(..) where sort {expected!r} is expected")
-            return S.FunApp(raw[1], (self.resolve(raw[2][0], expected),))
+            return S.FunApp(raw[1], (self.resolve(raw[2], expected),))
         name = raw[1]
         if name in self.scope:
             if self.scope[name] != expected:
@@ -339,7 +338,7 @@ class _Parser:
             else:  # atom
                 args.append(self.parse_atom())
         self.lx.expect(")")
-        return S.expand_macro(name, tuple(args), self.sig)
+        return S.expand_macro(name, tuple(args), self.sig, self.scope.keys() | self.free.keys())
 
     # -- declarations and clauses -----------------------------------------
 

@@ -533,21 +533,36 @@ def _close_forall(binders, f: Formula) -> Formula:
     return f
 
 
-def expand_macro(name: str, args: tuple, sig: Signature) -> Formula:
+def expand_macro(name: str, args: tuple, sig: Signature, scope=()) -> Formula:
     """The core formula that a macro call abbreviates, over the declared
     predicates.  `args` follow the shapes in MACROS.  `revocable_delegate`
     and `attest_before` declare the predicates they introduce in `sig` on
-    every call, so an earlier declaration that clashes raises SortError."""
+    every call, so an earlier declaration that clashes raises SortError.
+
+    The expansion's own binders (`x1`, ..., `M`, `t`, `s`) are hygienic: one
+    whose name is in `scope` (the variable names visible at the call) or
+    is a constant of `sig` is renamed `<name>_<k>`, so it captures nothing
+    the arguments mention."""
+    taken = set(scope) | set(sig.consts)
+
+    def binder(base: str, sort: str) -> Var:
+        name, k = base, 0
+        while name in taken:
+            k += 1
+            name = f"{base}_{k}"
+        taken.add(name)
+        return Var(name, sort)
+
     if name in ("delegate", "delegate_indirect", "revocable_delegate"):
         k, l, pred = args
         if pred not in sig.preds:
             raise MacroError(f"macro over undeclared predicate {pred!r}")
-        xs = tuple(Var(f"x{i + 1}", s) for i, s in enumerate(sig.preds[pred]))
+        xs = tuple(binder(f"x{i + 1}", s) for i, s in enumerate(sig.preds[pred]))
         p = Atom(pred, xs)
     if name == "delegate":
         return _close_forall(xs, Attest(k, Implies(Attest(l, p), p)))
     if name == "delegate_indirect":
-        mv = Var("M", "Principal")
+        mv = binder("M", "Principal")
         # The indirect-delegation schema, pre-applied with the derived
         # implication rule so the inner <L>(...) premise stays in the fragment.
         body = And(Attest(mv, p), Implies(Attest(mv, p), Attest(l, p)))
@@ -556,14 +571,14 @@ def expand_macro(name: str, args: tuple, sig: Signature) -> Formula:
         if not xs or xs[-1].sort != "Time":
             raise MacroError(f"revocable_delegate needs {pred!r} to end in a Time argument")
         sig.declare_pred("notRevoked", ("Principal", "Time"))
-        t = Var("t", "Time")
+        t = binder("t", "Time")
         premise = And(
             Attest(l, p),
             And(Attest(k, Atom("notRevoked", (l, t))), Atom("<", (xs[-1], t))),
         )
         return _close_forall(xs + (t,), Attest(k, Implies(premise, p)))
     if name == "past":
-        s = Var("s", "Time")
+        s = binder("s", "Time")
         return Exists(s, And(Atom("<", (args[0], s)), Attest(TIME_SOURCE, Atom("time", (s,)))))
     if name == "future":
         # Constructive negation is out of reach of goal-directed search; the

@@ -1,10 +1,13 @@
 """Unification and local proof search: substitution laws, connectives,
-builtins, knowledge restriction, modal laws, depth budget."""
+builtins, knowledge restriction, modal laws, depth budget, clause indexing."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyberlogic import engine, parser
 from cyberlogic import evidence as E
@@ -331,3 +334,111 @@ def test_knows_commutation_fails():
     assert _holds(p, pol_k, "knows {K} p(a)")
     assert not _holds(p, pol_k, "knows {L} p(a)")
     assert not _holds(p, pol_k, "knows {L} knows {K} p(a)")
+
+
+# ---------------------------------------------------------------------------
+# First-argument clause indexing
+
+
+class _WholeGroups(engine.ClauseIndex):
+    """The index without first-argument keys: every goal tries its whole
+    predicate group."""
+
+    def candidates(self, pred, key=None):
+        return super().candidates(pred)
+
+
+def _succ(t):
+    return S.FunApp("succ", (t,))
+
+
+_X, _N, _T = S.Var("X", "Thing"), S.Var("N", "Int"), S.Var("T", "Time")
+_PRINCIPALS = (S.Const("K", "Principal"), S.Const("L", "Principal"))
+# First arguments filed under a key: the names "3" and "K" at more than
+# one sort, and numerals and succ chains of equal values.
+_KEYED = (
+    C("a"), C("b"), C("3"), C("K"),
+    S.Const("3", "Int"), S.Const("3", "Time"), S.Const("4", "Time"),
+    _succ(S.Const("2", "Int")), _succ(S.Const("3", "Int")), _succ(_succ(S.Const("1", "Time"))),
+    S.Const("K", "Principal"),
+)
+# First arguments of wildcard heads.
+_WILD = (_X, _X, _N, _T, _succ(_N), _succ(C("a")))
+_PREDS = {"p": 2, "q": 1, "r": 0}
+
+
+def _random_atom(rnd, firsts):
+    pred = rnd.choice("ppqqr")
+    args = [rnd.choice(firsts)] + [rnd.choice(_KEYED[:3] + (_X, _N)) for _ in range(1, _PREDS[pred])]
+    atom = S.Atom(pred, tuple(args[: _PREDS[pred]]))
+    if rnd.randrange(4) == 0:
+        return S.Attest(rnd.choice(_PRINCIPALS + (S.Var("P", "Principal"),)), atom)
+    return atom
+
+
+def _random_policy(rnd, owner):
+    clauses = []
+    for i in range(rnd.randint(1, 12)):
+        head = _random_atom(rnd, _KEYED + _WILD)
+        if isinstance(head, S.Attest):
+            head = S.Attest(rnd.choice(_PRINCIPALS), head.body)
+        slots = ()
+        if rnd.randrange(3) == 0:
+            slots = tuple(_random_atom(rnd, _KEYED + _WILD) for _ in range(rnd.randint(1, 2)))
+        universals = tuple(S.free_vars(functools.reduce(S.Implies, slots + (head,))))
+        clauses.append(S.Clause(f"{owner}{i}", universals, slots, head))
+    return S.Policy(owner, S.Signature(), clauses)
+
+
+def _random_goal(rnd):
+    goal = _random_atom(rnd, _KEYED + (_X, _N, _succ(_N), _succ(_N)))
+    shape = rnd.randrange(4)
+    if shape == 0:  # the first conjunct binds the second one's arguments
+        goal = S.And(goal, _random_atom(rnd, (_X, _X, _N, _succ(_N))))
+    elif shape == 1:  # hypothesis clauses are tried before the policies
+        goal = S.Implies(_random_atom(rnd, _KEYED), goal)
+    return goal
+
+
+def _search(policies, goal, index_type):
+    indexes = {owner: index_type(pol) for owner, pol in policies.items()}
+    prover = Prover(policies, indexes=indexes)
+    answers = list(itertools.islice(prover.ask(goal, list(S.free_vars(goal)), depth=4), 25))
+    return answers, prover.trace, prover.state.counter
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=True))
+def test_indexed_search_equals_whole_group_search(rnd):
+    policies = {owner: _random_policy(rnd, owner) for owner in ("K", S.COMMON)}
+    goal = _random_goal(rnd)
+    indexed = _search(policies, goal, engine.ClauseIndex)
+    assert indexed == _search(policies, goal, _WholeGroups)
+
+
+def test_a_bound_join_goal_tries_only_matching_heads(monkeypatch):
+    # 800 objects, two edges out of each and every other one tagged: 2,000 facts
+    objects = 800
+    lines = ["sort Obj.", "pred e(Obj, Obj).", "pred tag(Obj).", "pred path2(Obj, Obj)."]
+    lines += [f"const o{i}: Obj." for i in range(objects)]
+    lines.append("j: forall x:Obj, y:Obj, z:Obj. (e(x, y) /\\ e(y, z) /\\ tag(z)) => path2(x, z).")
+    for a in range(objects):
+        for k, b in enumerate((a + 1, 7 * a + 3)):
+            lines.append(f"e{a}_{k}: e(o{a}, o{b % objects}).")
+    lines += [f"t{a}: tag(o{a})." for a in range(0, objects, 2)]
+    pol = parser.parse_policy("\n".join(lines) + "\n", "W")
+    assert len(pol.clauses) == 2001
+    prover = Prover({"W": pol})
+    goal, free = parser.parse_goal("path2(o798, z)", pol.signature)
+
+    calls = []
+    unify_atomic = engine.unify_atomic
+
+    def counting(*args):
+        calls.append(args)
+        return unify_atomic(*args)
+
+    monkeypatch.setattr(engine, "unify_atomic", counting)
+    answer = prover.first(goal, free)
+    assert answer.bindings[free[0]] == S.Const("o0", "Obj")  # o798 -> o799 -> o0
+    assert 0 < len(calls) <= 10

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from cyberlogic import codec, parser, scenarios
+from cyberlogic import node as node_mod
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import SignedAttestation, sha256, verify, verify_attestation
@@ -382,6 +383,35 @@ def test_served_node_drops_a_client_that_stops_sending():
         server.shutdown()
         server.server_close()
 
+
+def test_served_node_closes_connections_past_the_handler_cap(monkeypatch):
+    monkeypatch.setattr(node_mod, "MAX_HANDLERS", 1)
+    b = _bcast_world().node("B")
+    server, thread, port = serve_node(b, "127.0.0.1", 0)
+    frame = encode_frame({"type": "PING"})
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as held:
+            held.sendall(frame)  # not shut down: its handler waits for more
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as refused:
+                assert refused.recv(1) == b""  # closed without a reply
+            held.shutdown(socket.SHUT_WR)
+            assert decode_frame(held.recv(65536))["type"] == "FAIL"
+        # The held handler's slot is free again once its thread ends.
+        transport = TcpTransport({"B": ("127.0.0.1", port)}, timeout=5)
+        for _ in range(100):
+            try:
+                replies = transport.request("A", "B", frame)
+            except TimeoutError:
+                raise
+            except OSError:  # refused: the slot was not free yet
+                replies = []
+            if replies:
+                break
+            time.sleep(0.02)
+        assert [decode_frame(r)["type"] for r in replies] == ["FAIL"]
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_a_silent_peer_counts_as_no_answer():
