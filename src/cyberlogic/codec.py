@@ -1,14 +1,22 @@
-"""Canonical binary encoding.
+"""Canonical binary encoding (`CYL2`): a node is a one-byte tag, then its
+fields in the order of its class's fields, so encodings are injective and
+deterministic and decode(encode(x)) == x.  Signatures and digests are
+computed over these bytes.
 
-Every value is encoded as a one-byte type tag followed by length-prefixed
-fields in a fixed order, so encodings are injective and deterministic and
-decode(encode(x)) == x.  Signatures and digests are always computed over
-these bytes.
+`FORMAT` is the only statement of the format: for each node kind it maps a
+tag to the node's class and the kinds of its fields.  One writer and one
+reader interpret it, each with an explicit work stack and no recursion, so
+evidence, whose depth grows with the proof, may nest to any depth.  Terms
+and formulas come from people: both refuse, with CodecError, one nested
+deeper than `syntax.MAX_NESTING`, as the parser does.  Every error the
+reader raises is a CodecError.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import fields as _class_fields
+from functools import partial
 
 from .errors import CodecError
 from . import evidence as E
@@ -17,424 +25,292 @@ from .crypto import PrincipalId, SignedAttestation, sha256
 
 MAGIC = b"CYL2"
 
+# Field kinds: "s" a UTF-8 string and "b" a byte string, each after its u32
+# length; "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "*k" a
+# counted list of k (u32 count, then the items); "{term}" a set of terms (a
+# list in sorted byte order, read as a frozenset); else a node of that kind.
+FORMAT = {
+    "term": {0x01: (S.Var, "s s"), 0x02: (S.Const, "s s"), 0x03: (S.FunApp, "s *term")},
+    "var": {0x01: (S.Var, "s s")},  # a quantifier's binder
+    "formula": {
+        0x10: (S.Top, ""), 0x11: (S.Bottom, ""),
+        0x12: (S.Atom, "s *term"),
+        0x13: (S.Attest, "term formula"),
+        0x14: (S.Knows, "{term} formula"),
+        0x15: (S.And, "formula formula"), 0x16: (S.Or, "formula formula"),
+        0x17: (S.Implies, "formula formula"),
+        0x18: (S.Forall, "var formula"), 0x19: (S.Exists, "var formula"),
+    },
+    "evidence": {
+        0x20: (E.Unit, ""),
+        0x21: (E.PairEv, "evidence evidence"),
+        0x22: (E.Inl, "evidence"), 0x23: (E.Inr, "evidence"),
+        0x24: (E.Witness, "term evidence"),
+        0x25: (E.Abstraction, "s evidence"),
+        0x26: (E.ClauseApp, "s ?b *term *evidence"),
+        0x27: (E.Hyp, "s"),
+        0x28: (E.AttLeaf, "attestation"),
+        0x29: (E.TheoryHole, "s *term ?attestation"),
+        0x2A: (E.KnowsWrap, "{term} evidence"),
+    },
+    "attestation": {0x30: (SignedAttestation, "pid b b ?q")},
+    "pid": {0x31: (PrincipalId, "s b")},
+    "clause": {0x50: (S.Clause, "s *term *formula formula")},
+}
+NESTED = ("term", "var", "formula")  # the kinds whose depth is bounded
 
-class _W:
-    def __init__(self):
-        self.parts = []
-
-    def u8(self, v):
-        self.parts.append(struct.pack("B", v))
-
-    def u32(self, v):
-        self.parts.append(struct.pack(">I", v))
-
-    def i64(self, v):
-        self.parts.append(struct.pack(">q", v))
-
-    def bytes_(self, b):
-        self.u32(len(b))
-        self.parts.append(b)
-
-    def str_(self, s):
-        self.bytes_(s.encode("utf-8"))
-
-    def opt(self, v, emit):
-        if v is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            emit(v)
-
-    def out(self) -> bytes:
-        return b"".join(self.parts)
+# The reader's view: kind -> tag -> (class, field kinds, only string or byte fields)
+_BY_TAG = {
+    kind: {tag: (cls, tuple(ks.split()), set(ks.split()) <= {"s", "b"}) for tag, (cls, ks) in tags.items()}
+    for kind, tags in FORMAT.items()
+}
 
 
-class _R:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _field(name, kind):
+    """The writer's view of a field: (name, "s" | "b" | "q" | "{term}", None), (name,
+    "n", nodes by class), or (name, "*" | "?", the field of an item or of the value)."""
+    if kind[0] in "*?":
+        return name, kind[0], _field(None, kind[1:])
+    return (name, "n", _BY_CLASS[kind]) if kind in FORMAT else (name, kind, None)
 
-    def take(self, n) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CodecError("truncated input")
-        b = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return b
 
-    def u8(self):
-        return self.take(1)[0]
+# The writer's view: kind -> class -> (tag byte, fields, flat, depth counts);
+# `flat` is (name, is a string) of each field of a node with only string or
+# byte fields, else None.
+_BY_CLASS = {kind: {} for kind in FORMAT}
+for _kind, _tags in _BY_TAG.items():
+    for _tag, (_cls, _ks, _flat) in _tags.items():
+        _fs = tuple(_field(f.name, k) for f, k in zip(_class_fields(_cls), _ks))
+        _flat = tuple((f[0], f[1] == "s") for f in _fs) if _flat else None
+        _BY_CLASS[_kind][_cls] = (bytes((_tag,)), _fs, _flat, _kind in NESTED)
+_U32 = struct.Struct(">I").pack
+_I64 = struct.Struct(">q").pack
+_U32_AT = struct.Struct(">I").unpack_from
+_I64_AT = struct.Struct(">q").unpack_from
+_TOO_DEEP = f"term or formula nested deeper than {S.MAX_NESTING}"
 
-    def u32(self):
-        return struct.unpack(">I", self.take(4))[0]
 
-    def i64(self):
-        return struct.unpack(">q", self.take(8))[0]
-
-    def bytes_(self):
-        return self.take(self.u32())
-
-    def str_(self):
-        try:
-            return self.bytes_().decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CodecError("invalid utf-8") from e
-
-    def opt(self, read):
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise CodecError("bad option flag")
-        return read()
-
-    def done(self):
-        if self.pos != len(self.data):
-            raise CodecError("trailing bytes")
+def _fields(kinds) -> tuple:
+    return tuple(_field(None, k) for k in kinds)
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Writer
 
 
-def _emit_term(w: _W, t):
-    if isinstance(t, S.Var):
-        w.u8(0x01)
-        w.str_(t.name)
-        w.str_(t.sort)
-    elif isinstance(t, S.Const):
-        w.u8(0x02)
-        w.str_(t.name)
-        w.str_(t.sort)
-    elif isinstance(t, S.FunApp):
-        w.u8(0x03)
-        w.str_(t.symbol)
-        w.u32(len(t.args))
-        for a in t.args:
-            _emit_term(w, a)
-    else:
-        raise CodecError(f"not a term: {t!r}")
+def _write(out: list, values, fields, d: int = 1):
+    """Append to `out` the encoding of each value as the field at the same
+    position of `fields`.  The state is (x, fields, i, d): the fields[i:]
+    of x (a node, or a sequence whose fields are named None), with their
+    nodes at depth d.  A flat node is written in place; before any other
+    node or a list is entered, the state after it goes on the work stack."""
+    put, limit = out.append, S.MAX_NESTING
+    todo = []
+    x, i, n = values, 0, len(fields)
+    while True:
+        while i < n:
+            name, op, sub = fields[i]
+            v = x[i] if name is None else getattr(x, name)
+            i += 1
+            if op == "?":
+                put(b"\x00" if v is None else b"\x01")
+                if v is None:
+                    continue
+                _, op, sub = sub  # the field of the value
+            if op == "s":
+                v = v.encode()
+                put(_U32(len(v)))
+                put(v)
+            elif sub is not None:  # a node or a list: its flat nodes in place
+                if op == "n":
+                    spec = sub.get(v.__class__)
+                    if spec is not None and spec[2] is None and d <= limit:
+                        put(spec[0])  # enter a node that is not flat
+                        if i < n:
+                            todo.append((x, fields, i, d))
+                        x, fields, i, d = v, spec[1], 0, d + 1 if spec[3] else 1
+                        n = len(fields)
+                        continue
+                    v = (v,)
+                else:
+                    put(_U32(len(v)))
+                    if not v:
+                        continue
+                    op, sub = sub, sub[2]  # the field of an item, its nodes
+                    if sub is None:  # strings or bytes, one by one
+                        if i < n:
+                            todo.append((x, fields, i, d))
+                        x, fields, i, n = v, (op,) * len(v), 0, len(v)
+                        continue
+                if d > limit:
+                    raise CodecError(_TOO_DEEP)
+                j = 0
+                for y in v:
+                    spec = sub.get(y.__class__)
+                    if spec is None:
+                        kind = next(k for k, specs in _BY_CLASS.items() if specs is sub)
+                        raise CodecError(f"not a {kind} node: {type(y).__name__}")
+                    put(spec[0])
+                    if spec[2] is None:
+                        break
+                    for name, is_str in spec[2]:
+                        a = getattr(y, name)
+                        if is_str:
+                            a = a.encode()
+                        put(_U32(len(a)))
+                        put(a)
+                    j += 1
+                if j < len(v):
+                    if i < n:
+                        todo.append((x, fields, i, d))
+                    if j + 1 < len(v):
+                        todo.append((v, (op,) * len(v), j + 1, d))
+                    x, fields, i, d = v[j], spec[1], 0, d + 1 if spec[3] else 1
+                    n = len(fields)
+            elif op == "b":
+                put(_U32(len(v)))
+                put(v)
+            elif op == "q":
+                put(_I64(v))
+            else:  # {term}
+                v = sorted(_encode("term", t, d) for t in v)
+                put(_U32(len(v)))
+                out += v
+        if not todo:
+            return
+        x, fields, i, d = todo.pop()
+        n = len(fields)
 
 
-def _read_term(r: _R):
-    tag = r.u8()
-    if tag == 0x01:
-        return S.Var(r.str_(), r.str_())
-    if tag == 0x02:
-        return S.Const(r.str_(), r.str_())
-    if tag == 0x03:
-        sym = r.str_()
-        n = r.u32()
-        return S.FunApp(sym, tuple(_read_term(r) for _ in range(n)))
-    raise CodecError(f"bad term tag {tag:#x}")
+_ROOT = {kind: _fields((kind,)) for kind in FORMAT}
 
 
-def encode_term(t) -> bytes:
-    w = _W()
-    _emit_term(w, t)
-    return w.out()
-
-
-def decode_term(data: bytes):
-    r = _R(data)
-    t = _read_term(r)
-    r.done()
-    return t
-
-
-def _emit_principals(w: _W, principals):
-    """A principal set (of `knows` and `KnowsWrap`), in sorted byte order."""
-    enc = sorted(encode_term(p) for p in principals)
-    w.u32(len(enc))
-    w.parts.extend(enc)
-
-
-def _read_principals(r: _R) -> frozenset:
-    return frozenset(_read_term(r) for _ in range(r.u32()))
-
-
-# ---------------------------------------------------------------------------
-# Formulas
-
-
-def _emit_formula(w: _W, f):
-    if isinstance(f, S.Top):
-        w.u8(0x10)
-    elif isinstance(f, S.Bottom):
-        w.u8(0x11)
-    elif isinstance(f, S.Atom):
-        w.u8(0x12)
-        w.str_(f.pred)
-        w.u32(len(f.args))
-        for a in f.args:
-            _emit_term(w, a)
-    elif isinstance(f, S.Attest):
-        w.u8(0x13)
-        _emit_term(w, f.principal)
-        _emit_formula(w, f.body)
-    elif isinstance(f, S.Knows):
-        w.u8(0x14)
-        _emit_principals(w, f.principals)
-        _emit_formula(w, f.body)
-    elif isinstance(f, (S.And, S.Or, S.Implies)):
-        w.u8({S.And: 0x15, S.Or: 0x16, S.Implies: 0x17}[type(f)])
-        _emit_formula(w, f.left)
-        _emit_formula(w, f.right)
-    elif isinstance(f, (S.Forall, S.Exists)):
-        w.u8(0x18 if isinstance(f, S.Forall) else 0x19)
-        _emit_term(w, f.var)
-        _emit_formula(w, f.body)
-    else:
-        raise CodecError(f"not an encodable formula: {f!r}")
-
-
-def _read_formula(r: _R):
-    tag = r.u8()
-    if tag == 0x10:
-        return S.TOP
-    if tag == 0x11:
-        return S.BOTTOM
-    if tag == 0x12:
-        pred = r.str_()
-        n = r.u32()
-        return S.Atom(pred, tuple(_read_term(r) for _ in range(n)))
-    if tag == 0x13:
-        return S.Attest(_read_term(r), _read_formula(r))
-    if tag == 0x14:
-        return S.Knows(_read_principals(r), _read_formula(r))
-    if tag in (0x15, 0x16, 0x17):
-        ctor = {0x15: S.And, 0x16: S.Or, 0x17: S.Implies}[tag]
-        return ctor(_read_formula(r), _read_formula(r))
-    if tag in (0x18, 0x19):
-        var = _read_term(r)
-        if not isinstance(var, S.Var):
-            raise CodecError("quantifier binder is not a variable")
-        return (S.Forall if tag == 0x18 else S.Exists)(var, _read_formula(r))
-    raise CodecError(f"bad formula tag {tag:#x}")
-
-
-def encode_formula(f) -> bytes:
-    w = _W()
-    _emit_formula(w, f)
-    return w.out()
-
-
-def decode_formula(data: bytes):
-    r = _R(data)
-    f = _read_formula(r)
-    r.done()
-    return f
+def _encode(kind, x, d: int = 1) -> bytes:
+    out = []
+    _write(out, (x,), _ROOT[kind], d)
+    return b"".join(out)
 
 
 # ---------------------------------------------------------------------------
-# Clauses and policies
+# Reader
 
 
-def _emit_clause(w: _W, c: S.Clause):
-    w.u8(0x50)
-    w.str_(c.label)
-    w.u32(len(c.universals))
-    for v in c.universals:
-        _emit_term(w, v)
-    w.u32(len(c.slots))
-    for s in c.slots:
-        _emit_formula(w, s)
-    _emit_formula(w, c.head)
+def _read(data: bytes, kinds, pos: int = 0) -> list:
+    """The values of the field kinds `kinds`, read in turn from `data` at
+    `pos` to its end.  The work stack holds (field kind, depth of its nodes)
+    to read and (constructor, count) to apply to the last count values."""
+    vals = []
+    put = vals.append
+    todo = [(k, 1) for k in reversed(kinds)]
+    pop, push = todo.pop, todo.append
+    end = len(data)
+    try:
+        while todo:
+            k, d = pop()
+            tags = _BY_TAG.get(k)
+            if tags is not None:
+                tag = data[pos]
+                pos += 1
+                spec = tags.get(tag)
+                if spec is None:
+                    raise CodecError(f"bad {k} tag {tag:#x}")
+                if d > S.MAX_NESTING:
+                    raise CodecError(_TOO_DEEP)
+                cls, fks, flat = spec
+                if flat:
+                    args = []
+                    for fk in fks:
+                        (n,) = _U32_AT(data, pos)
+                        pos += 4 + n
+                        if pos > end:
+                            raise CodecError("truncated input")
+                        args.append(data[pos - n : pos].decode() if fk == "s" else data[pos - n : pos])
+                    put(cls(*args))
+                    continue
+                push((cls, len(fks)))
+                d = d + 1 if k in NESTED else 1
+                for fk in reversed(fks):
+                    push((fk, d))
+            elif k.__class__ is not str:  # d is the count; no constructor makes a tuple
+                args = vals[len(vals) - d :]
+                del vals[len(vals) - d :]
+                put(tuple(args) if k is None else k(*args))
+            elif k == "s" or k == "b":
+                (n,) = _U32_AT(data, pos)
+                pos += 4 + n
+                if pos > end:
+                    raise CodecError("truncated input")
+                put(data[pos - n : pos].decode() if k == "s" else data[pos - n : pos])
+            elif k == "q":
+                put(_I64_AT(data, pos)[0])
+                pos += 8
+            elif k[0] == "?":
+                pos += 1
+                if data[pos - 1] > 1:
+                    raise CodecError("bad option flag")
+                if data[pos - 1]:
+                    push((k[1:], d))
+                else:
+                    put(None)
+            else:  # a list or {term}
+                (n,) = _U32_AT(data, pos)
+                pos += 4
+                if n > end - pos:  # every item takes at least one byte
+                    raise CodecError("truncated input")
+                if k == "{term}":
+                    push((frozenset, 1))
+                push((None, n))
+                todo += [(k[1:] if k[0] == "*" else "term", d)] * n
+    except (IndexError, struct.error) as ex:
+        raise CodecError("truncated input") from ex
+    except UnicodeDecodeError as ex:
+        raise CodecError("invalid utf-8") from ex
+    if pos != end:
+        raise CodecError("trailing bytes")
+    return vals
+
+
+def _decode(kind, data: bytes):
+    return _read(data, (kind,))[0]
+
+
+encode_term, decode_term = partial(_encode, "term"), partial(_decode, "term")
+encode_formula, decode_formula = partial(_encode, "formula"), partial(_decode, "formula")
+encode_evidence, decode_evidence = partial(_encode, "evidence"), partial(_decode, "evidence")
 
 
 def encode_policy(p: S.Policy) -> bytes:
-    w = _W()
-    w.u8(0x51)
-    w.str_(p.owner)
+    """Tag 0x51, the owner, the signature's sorts and principals, its
+    predicates as (name, argument sorts) by name, then the clauses."""
     sig = p.signature
-    for group in (sorted(sig.sorts), sorted(sig.principals)):
-        w.u32(len(group))
-        for name in group:
-            w.str_(name)
-    w.u32(len(sig.preds))
-    for name in sorted(sig.preds):
-        w.str_(name)
-        w.u32(len(sig.preds[name]))
-        for s in sig.preds[name]:
-            w.str_(s)
-    w.u32(len(p.clauses))
-    for c in p.clauses:
-        _emit_clause(w, c)
-    return w.out()
+    preds = sorted(sig.preds.items())
+    out = [b"\x51"]
+    _write(out, (p.owner, sorted(sig.sorts), sorted(sig.principals)), _fields(("s", "*s", "*s")))
+    out.append(_U32(len(preds)))
+    _write(out, (*(x for kv in preds for x in kv), p.clauses), _fields(("s", "*s") * len(preds) + ("*clause",)))
+    return b"".join(out)
 
 
 def policy_digest(p: S.Policy) -> bytes:
     return sha256(encode_policy(p))
 
 
-# ---------------------------------------------------------------------------
-# Principal ids and signed attestations
-
-
-def _emit_principal_id(w: _W, pid: PrincipalId):
-    w.u8(0x31)
-    w.str_(pid.name)
-    w.bytes_(pid.fingerprint)
-
-
-def _read_principal_id(r: _R) -> PrincipalId:
-    if r.u8() != 0x31:
-        raise CodecError("bad principal id tag")
-    return PrincipalId(r.str_(), r.bytes_())
-
-
-def _emit_signed_attestation(w: _W, sa: SignedAttestation):
-    w.u8(0x30)
-    _emit_principal_id(w, sa.principal)
-    w.bytes_(sa.payload)
-    w.bytes_(sa.signature)
-    w.opt(sa.issued_at, w.i64)
-
-
-def _read_signed_attestation(r: _R) -> SignedAttestation:
-    if r.u8() != 0x30:
-        raise CodecError("bad attestation tag")
-    return SignedAttestation(
-        principal=_read_principal_id(r),
-        payload=r.bytes_(),
-        signature=r.bytes_(),
-        issued_at=r.opt(r.i64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Evidence
-
-
-def _emit_evidence_node(w: _W, e):
-    """Emit an evidence node without its sub-evidence.  A tree's encoding
-    is that of each of its nodes in the pre-order of `E.nodes`."""
-    if isinstance(e, E.Unit):
-        w.u8(0x20)
-    elif isinstance(e, E.PairEv):
-        w.u8(0x21)
-    elif isinstance(e, E.Inl):
-        w.u8(0x22)
-    elif isinstance(e, E.Inr):
-        w.u8(0x23)
-    elif isinstance(e, E.Witness):
-        w.u8(0x24)
-        _emit_term(w, e.term)
-    elif isinstance(e, E.Abstraction):
-        w.u8(0x25)
-        w.str_(e.var)
-    elif isinstance(e, E.ClauseApp):
-        w.u8(0x26)
-        w.str_(e.label)
-        w.opt(e.policy_digest, w.bytes_)
-        w.u32(len(e.args))
-        for t in e.args:
-            _emit_term(w, t)
-        w.u32(len(e.premises))
-    elif isinstance(e, E.Hyp):
-        w.u8(0x27)
-        w.str_(e.label)
-    elif isinstance(e, E.AttLeaf):
-        w.u8(0x28)
-        _emit_signed_attestation(w, e.attestation)
-    elif isinstance(e, E.TheoryHole):
-        w.u8(0x29)
-        w.str_(e.pred)
-        w.u32(len(e.args))
-        for t in e.args:
-            _emit_term(w, t)
-        w.opt(e.receipt, lambda sa: _emit_signed_attestation(w, sa))
-    elif isinstance(e, E.KnowsWrap):
-        w.u8(0x2A)
-        _emit_principals(w, e.principals)
-    else:
-        raise CodecError(f"not evidence: {e!r}")
-
-
-def _emit_evidence(w: _W, e):
-    for x in E.nodes(e):
-        _emit_evidence_node(w, x)
-
-
-def _read_evidence(r: _R):
-    tag = r.u8()
-    if tag == 0x20:
-        return E.Unit()
-    if tag == 0x21:
-        return E.PairEv(_read_evidence(r), _read_evidence(r))
-    if tag == 0x22:
-        return E.Inl(_read_evidence(r))
-    if tag == 0x23:
-        return E.Inr(_read_evidence(r))
-    if tag == 0x24:
-        return E.Witness(_read_term(r), _read_evidence(r))
-    if tag == 0x25:
-        return E.Abstraction(r.str_(), _read_evidence(r))
-    if tag == 0x26:
-        label = r.str_()
-        digest = r.opt(r.bytes_)
-        n = r.u32()
-        args = tuple(_read_term(r) for _ in range(n))
-        m = r.u32()
-        premises = tuple(_read_evidence(r) for _ in range(m))
-        return E.ClauseApp(label, digest, args, premises)
-    if tag == 0x27:
-        return E.Hyp(r.str_())
-    if tag == 0x28:
-        return E.AttLeaf(_read_signed_attestation(r))
-    if tag == 0x29:
-        pred = r.str_()
-        n = r.u32()
-        args = tuple(_read_term(r) for _ in range(n))
-        receipt = r.opt(lambda: _read_signed_attestation(r))
-        return E.TheoryHole(pred, args, receipt)
-    if tag == 0x2A:
-        return E.KnowsWrap(_read_principals(r), _read_evidence(r))
-    raise CodecError(f"bad evidence tag {tag:#x}")
-
-
-def encode_evidence(e) -> bytes:
-    w = _W()
-    _emit_evidence(w, e)
-    return w.out()
-
-
-def decode_evidence(data: bytes):
-    r = _R(data)
-    e = _read_evidence(r)
-    r.done()
-    return e
-
-
-# ---------------------------------------------------------------------------
-# Certificates
+# A certificate is MAGIC, tag 0x40, then these fields, with the digests in
+# byte order and the principal ids by name.
+CERTIFICATE = ("formula", "evidence", "*b", "*pid", "?attestation")
+_CERTIFICATE = _fields(CERTIFICATE)
 
 
 def encode_certificate(c) -> bytes:
-    w = _W()
-    w.parts.append(MAGIC)
-    w.u8(0x40)
-    _emit_formula(w, c.root_formula)
-    _emit_evidence(w, c.root_evidence)
-    digests = sorted(c.policy_digests)
-    w.u32(len(digests))
-    for d in digests:
-        w.bytes_(d)
     pids = sorted(c.directory, key=lambda p: p.name)
-    w.u32(len(pids))
-    for pid in pids:
-        _emit_principal_id(w, pid)
-    w.opt(c.created_at, lambda sa: _emit_signed_attestation(w, sa))
-    return w.out()
+    values = (c.root_formula, c.root_evidence, sorted(c.policy_digests), pids, c.created_at)
+    out = [MAGIC, b"\x40"]
+    _write(out, values, _CERTIFICATE)
+    return b"".join(out)
 
 
 def decode_certificate(data: bytes):
-    r = _R(data)
-    if r.take(4) != MAGIC or r.u8() != 0x40:
+    if data[:5] != MAGIC + b"\x40":
         raise CodecError("not a certificate")
-    root_formula = _read_formula(r)
-    root_evidence = _read_evidence(r)
-    policy_digests = frozenset(r.bytes_() for _ in range(r.u32()))
-    directory = frozenset(_read_principal_id(r) for _ in range(r.u32()))
-    created_at = r.opt(lambda: _read_signed_attestation(r))
-    r.done()
-    return E.Certificate(root_formula, root_evidence, policy_digests, directory, created_at)
+    f, e, digests, pids, stamp = _read(data, CERTIFICATE, 5)
+    return E.Certificate(f, e, frozenset(digests), frozenset(pids), stamp)

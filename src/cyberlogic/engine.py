@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 
 from . import syntax as S
 from . import evidence as E
@@ -602,12 +603,5 @@ def _assemble(g, leaves):
 
 def resolve_evidence(ev, s: dict):
     """Apply the final substitution to the terms embedded in evidence."""
-    kids = [resolve_evidence(k, s) for k in E.children(ev)]
-    if isinstance(ev, E.Witness):
-        return E.Witness(resolve(ev.term, s), kids[0])
-    if isinstance(ev, E.ClauseApp):
-        args = tuple(resolve(t, s) for t in ev.args)
-        return E.ClauseApp(ev.label, ev.policy_digest, args, tuple(kids))
-    if isinstance(ev, E.TheoryHole):
-        return E.TheoryHole(ev.pred, tuple(resolve(t, s) for t in ev.args), ev.receipt)
-    return E.rebuild(ev, kids)
+    term = partial(resolve, s=s)
+    return E.fold(ev, lambda x, kids: E.rebuild(x, kids, term))

@@ -134,8 +134,8 @@ class Certificate:
 
 
 def children(e: Evidence) -> tuple:
-    """Sub-evidence of a node, in encoding order.  This and `rebuild` are
-    the only code that knows which fields of a node hold sub-evidence."""
+    """Sub-evidence of a node, in encoding order.  Outside `codec.FORMAT`, this
+    and `rebuild` are the only code that knows which fields hold sub-evidence."""
     if isinstance(e, PairEv):
         return (e.left, e.right)
     if isinstance(e, (Inl, Inr, Witness, Abstraction, KnowsWrap)):
@@ -145,21 +145,23 @@ def children(e: Evidence) -> tuple:
     return ()
 
 
-def rebuild(e: Evidence, kids) -> Evidence:
+def rebuild(e: Evidence, kids, term) -> Evidence:
     """`e` with its sub-evidence replaced by `kids`, given in `children`
-    order."""
+    order, and each term `t` of a witness, clause or receipt by `term(t)`."""
+    if isinstance(e, ClauseApp):
+        return ClauseApp(e.label, e.policy_digest, tuple(map(term, e.args)), tuple(kids))
     if isinstance(e, PairEv):
         return PairEv(kids[0], kids[1])
     if isinstance(e, (Inl, Inr)):
         return type(e)(kids[0])
     if isinstance(e, Witness):
-        return Witness(e.term, kids[0])
+        return Witness(term(e.term), kids[0])
     if isinstance(e, Abstraction):
         return Abstraction(e.var, kids[0])
     if isinstance(e, KnowsWrap):
         return KnowsWrap(e.principals, kids[0])
-    if isinstance(e, ClauseApp):
-        return ClauseApp(e.label, e.policy_digest, e.args, tuple(kids))
+    if isinstance(e, TheoryHole):
+        return TheoryHole(e.pred, tuple(map(term, e.args)), e.receipt)
     return e
 
 
@@ -170,6 +172,23 @@ def nodes(e: Evidence):
         x = stack.pop()
         yield x
         stack.extend(reversed(children(x)))
+
+
+def fold(e: Evidence, f):
+    """The result for `e` of `f(node, results for its children)`, children first, without recursion."""
+    out, todo = [], [e]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is not tuple:
+            kids = children(x)
+            todo.append((x, len(kids)))
+            todo += reversed(kids)
+            continue
+        x, n = x
+        kids = out[len(out) - n :]
+        del out[len(out) - n :]
+        out.append(f(x, kids))
+    return out[0]
 
 
 def make_certificate(
@@ -269,7 +288,13 @@ class CheckResult:
 
 
 def _nok(path, reason) -> CheckResult:
-    return CheckResult(False, tuple(path), reason)
+    """A failure at `path`: () for the root, else (parent path, index)."""
+    steps = []
+    while path:
+        path, i = path
+        steps.append(i)
+    return CheckResult(False, tuple(reversed(steps)), reason)
+
 
 _OK = CheckResult(True)
 
@@ -323,6 +348,7 @@ class _Checker:
     # -- clause application ------------------------------------------------
 
     def _check_clause_app(self, e: ClauseApp, phi, env, path):
+        """The verdict on `e`, or the goals its premises must prove."""
         if e.policy_digest is None:
             clause = env.clause(e.label)
             owner = None
@@ -364,83 +390,91 @@ class _Checker:
         slots = [S.substitute(s, inst) for s in clause.slots]
         if len(slots) != len(e.premises):
             return _nok(path, f"clause {e.label!r}: {len(slots)} premises expected")
-        for i, (g, p) in enumerate(zip(slots, e.premises)):
-            sub = self.check(p, g, env, path + (i,))
-            if not sub.ok:
-                return sub
-        return _OK
+        return slots
 
-    # -- main recursion ----------------------------------------------------
+    # -- the walk ----------------------------------------------------------
 
-    def check(self, e: Evidence, phi, env: HypothesisEnv, path=()) -> CheckResult:
-        if isinstance(e, Unit):
-            return _OK if phi == S.TOP else _nok(path, "unit evidence for a non-trivial goal")
-        if isinstance(e, PairEv):
-            if not isinstance(phi, S.And):
-                return _nok(path, "pair evidence for a non-conjunction")
-            left = self.check(e.left, phi.left, env, path + (0,))
-            if not left.ok:
-                return left
-            return self.check(e.right, phi.right, env, path + (1,))
-        if isinstance(e, (Inl, Inr)):
-            if not isinstance(phi, S.Or):
-                return _nok(path, "injection evidence for a non-disjunction")
-            side = phi.left if isinstance(e, Inl) else phi.right
-            return self.check(e.body, side, env, path + (0 if isinstance(e, Inl) else 1,))
-        if isinstance(e, Witness):
-            if not isinstance(phi, S.Exists):
-                return _nok(path, "witness evidence for a non-existential")
-            try:
-                inst = S.substitute1(phi.body, phi.var, e.term)
-            except Exception:
-                return _nok(path, "witness has the wrong sort")
-            return self.check(e.body, inst, env, path + (0,))
-        if isinstance(e, Abstraction):
-            if isinstance(phi, S.Forall):
-                used = S.const_names(phi)
-                for c in env.clauses():
-                    for part in (c.head, *c.slots):
-                        used |= S.const_names(part)
-                if e.var in used:
-                    return _nok(path, f"eigenvariable {e.var!r} is not fresh")
-                inst = S.substitute(phi.body, {phi.var: S.Const(e.var, phi.var.sort)})
-                return self.check(e.body, inst, env, path + (0,))
-            if isinstance(phi, S.Implies):
+    def check(self, e: Evidence, phi, env: HypothesisEnv) -> CheckResult:
+        """Check that `e` proves `phi`.  Obligations (evidence, goal, env,
+        path) wait on a stack and are met left to right, so the first failure
+        met is the result; a KnowsWrap's provenance test (env None) waits
+        below its body."""
+        todo = [(e, phi, env, ())]
+        while todo:
+            e, phi, env, path = todo.pop()
+            if env is None:
+                stray = extract_provenance(e.body, self.policies) - S.knows_owners(phi.principals)
+                if stray:
+                    return _nok(path, f"evidence draws on policies outside the restriction: {sorted(stray)}")
+            elif isinstance(e, ClauseApp):
+                slots = self._check_clause_app(e, phi, env, path)
+                if isinstance(slots, CheckResult):
+                    if not slots.ok:
+                        return slots
+                    continue
+                for i in reversed(range(len(slots))):
+                    todo.append((e.premises[i], slots[i], env, (path, i)))
+            elif isinstance(e, Unit):
+                if phi != S.TOP:
+                    return _nok(path, "unit evidence for a non-trivial goal")
+            elif isinstance(e, PairEv):
+                if not isinstance(phi, S.And):
+                    return _nok(path, "pair evidence for a non-conjunction")
+                todo.append((e.right, phi.right, env, (path, 1)))
+                todo.append((e.left, phi.left, env, (path, 0)))
+            elif isinstance(e, (Inl, Inr)):
+                if not isinstance(phi, S.Or):
+                    return _nok(path, "injection evidence for a non-disjunction")
+                side = 0 if isinstance(e, Inl) else 1
+                todo.append((e.body, (phi.left, phi.right)[side], env, (path, side)))
+            elif isinstance(e, Witness):
+                if not isinstance(phi, S.Exists):
+                    return _nok(path, "witness evidence for a non-existential")
                 try:
-                    assumed = S.clauses_of(phi.left, e.var)
-                except Exception as ex:
-                    return _nok(path, f"hypothesis is not a program: {ex}")
-                return self.check(e.body, phi.right, env.extend(assumed), path + (0,))
-            return _nok(path, "abstraction evidence for a non-binder goal")
-        if isinstance(e, KnowsWrap):
-            if not isinstance(phi, S.Knows):
-                return _nok(path, "restriction evidence for a non-restricted goal")
-            if e.principals != phi.principals:
-                return _nok(path, "restriction sets differ")
-            sub = self.check(e.body, phi.body, env, path + (0,))
-            if not sub.ok:
-                return sub
-            used = extract_provenance(e.body, self.policies)
-            stray = used - S.knows_owners(phi.principals)
-            if stray:
-                return _nok(path, f"evidence draws on policies outside the restriction: {sorted(stray)}")
-            return _OK
-        if isinstance(e, Hyp):
-            clause = env.clause(e.label)
-            if clause is None:
-                return _nok(path, f"unknown hypothesis {e.label!r}")
-            if not clause.is_fact() or clause.universals:
-                return _nok(path, f"hypothesis {e.label!r} is not an atomic fact")
-            if clause.head != phi:
-                return _nok(path, f"hypothesis {e.label!r} does not match the goal")
-            return _OK
-        if isinstance(e, AttLeaf):
-            return self._check_att_leaf(e, phi, path)
-        if isinstance(e, TheoryHole):
-            return self._check_theory(e, phi, path)
-        if isinstance(e, ClauseApp):
-            return self._check_clause_app(e, phi, env, path)
-        return _nok(path, f"unrecognized evidence node {type(e).__name__}")
+                    inst = S.substitute1(phi.body, phi.var, e.term)
+                except Exception:
+                    return _nok(path, "witness has the wrong sort")
+                todo.append((e.body, inst, env, (path, 0)))
+            elif isinstance(e, Abstraction):
+                if isinstance(phi, S.Forall):
+                    used = S.const_names(phi)
+                    for c in env.clauses():
+                        for part in (c.head, *c.slots):
+                            used |= S.const_names(part)
+                    if e.var in used:
+                        return _nok(path, f"eigenvariable {e.var!r} is not fresh")
+                    inst = S.substitute(phi.body, {phi.var: S.Const(e.var, phi.var.sort)})
+                    todo.append((e.body, inst, env, (path, 0)))
+                elif isinstance(phi, S.Implies):
+                    try:
+                        assumed = S.clauses_of(phi.left, e.var)
+                    except Exception as ex:
+                        return _nok(path, f"hypothesis is not a program: {ex}")
+                    todo.append((e.body, phi.right, env.extend(assumed), (path, 0)))
+                else:
+                    return _nok(path, "abstraction evidence for a non-binder goal")
+            elif isinstance(e, KnowsWrap):
+                if not isinstance(phi, S.Knows):
+                    return _nok(path, "restriction evidence for a non-restricted goal")
+                if e.principals != phi.principals:
+                    return _nok(path, "restriction sets differ")
+                todo.append((e, phi, None, path))
+                todo.append((e.body, phi.body, env, (path, 0)))
+            elif isinstance(e, Hyp):
+                clause = env.clause(e.label)
+                if clause is None:
+                    return _nok(path, f"unknown hypothesis {e.label!r}")
+                if not clause.is_fact() or clause.universals:
+                    return _nok(path, f"hypothesis {e.label!r} is not an atomic fact")
+                if clause.head != phi:
+                    return _nok(path, f"hypothesis {e.label!r} does not match the goal")
+            elif isinstance(e, (AttLeaf, TheoryHole)):
+                leaf = (self._check_att_leaf if isinstance(e, AttLeaf) else self._check_theory)(e, phi, path)
+                if not leaf.ok:
+                    return leaf
+            else:
+                return _nok(path, f"unrecognized evidence node {type(e).__name__}")
+        return _OK
 
 
 def check(
@@ -507,48 +541,32 @@ def render_spine(e: Evidence) -> str:
     print as label(arg)..(premise)..; maximal runs of theory receipts among
     a clause's premises collapse to a single `_`."""
 
-    def theory_only(x) -> bool:
-        if isinstance(x, TheoryHole):
-            return True
-        if isinstance(x, PairEv):
-            return theory_only(x.left) and theory_only(x.right)
-        return False
-
-    def go(x) -> str:
+    def render(x, kids):
+        """The text of `x` and whether it holds only theory receipts."""
+        body = kids[0][0] if kids else ""
         if isinstance(x, Unit):
-            return "tt"
+            return "tt", False
         if isinstance(x, PairEv):
-            return f"({go(x.left)},{go(x.right)})"
-        if isinstance(x, Inl):
-            return f"inl({go(x.body)})"
-        if isinstance(x, Inr):
-            return f"inr({go(x.body)})"
+            return f"({body},{kids[1][0]})", kids[0][1] and kids[1][1]
+        if isinstance(x, (Inl, Inr)):
+            return f"{type(x).__name__.lower()}({body})", False
         if isinstance(x, Witness):
-            return f"[{S.fmt_term(x.term)}]{go(x.body)}"
+            return f"[{S.fmt_term(x.term)}]{body}", False
         if isinstance(x, Abstraction):
-            return f"\\{x.var}.{go(x.body)}"
+            return f"\\{x.var}.{body}", False
         if isinstance(x, Hyp):
-            return x.label
+            return x.label, False
         if isinstance(x, AttLeaf):
-            return f"sig:{x.attestation.principal.name}"
+            return f"sig:{x.attestation.principal.name}", False
         if isinstance(x, TheoryHole):
-            return "_"
+            return "_", True
         if isinstance(x, KnowsWrap):
-            names = ",".join(sorted(S.fmt_term(p) for p in x.principals))
-            return f"know{{{names}}}{go(x.body)}"
-        if isinstance(x, ClauseApp):
-            parts = [x.label]
-            parts += [f"({S.fmt_term(t)})" for t in x.args]
-            run = False
-            for p in x.premises:
-                if theory_only(p):
-                    if not run:
-                        parts.append("(_)")
-                        run = True
-                    continue
-                run = False
-                parts.append(f"({go(p)})")
-            return "".join(parts)
-        return "?"
+            return f"know{{{','.join(sorted(S.fmt_term(p) for p in x.principals))}}}{body}", False
+        parts, run = [x.label, *(f"({S.fmt_term(t)})" for t in x.args)], False
+        for text, theory in kids:
+            if not (theory and run):
+                parts.append("(_)" if theory else f"({text})")
+            run = theory
+        return "".join(parts), False  # a clause application
 
-    return go(e)
+    return fold(e, render)[0]

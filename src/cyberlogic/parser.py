@@ -42,6 +42,7 @@ _TOKEN_RE = re.compile(
 )
 
 _CMP_OPS = ("=", "!=", "<", "<=")
+_TOO_DEEP = f"nested deeper than {S.MAX_NESTING} levels"
 
 
 class _Lexer:
@@ -96,6 +97,14 @@ class _Parser:
         self.query_mode = query_mode
         self.scope = {}  # binder name -> sort
         self.free = {}  # query-mode free variable name -> sort (insertion ordered)
+        self.depth = 0  # levels of nested text being read
+        self.macros = 0  # macro calls read
+
+    def nest(self, step: int):
+        """Enter (1) or leave (-1) a level of nested text: a formula, a `knows` body, a `succ` argument."""
+        self.depth += step
+        if self.depth > S.MAX_NESTING:
+            self.lx.error(_TOO_DEEP)
 
     # -- raw term layer ----------------------------------------------------
 
@@ -108,7 +117,9 @@ class _Parser:
         if kind == "ident":
             if self.lx.peek()[1] == "(" and lex in S.BUILTIN_FUNCS:
                 self.lx.next()
+                self.nest(1)
                 arg = self.parse_raw_term()
+                self.nest(-1)
                 if self.lx.peek()[1] != ")":
                     raise ParseError(f"{lex} takes exactly one argument", line, col)
                 self.lx.next()
@@ -174,14 +185,19 @@ class _Parser:
     # -- formulas ----------------------------------------------------------
 
     def parse_formula(self):
-        kind, lex, _, _ = self.lx.peek()
+        """A formula.  A whole one (in no other) nests at most MAX_NESTING deep,
+        chains of `/\\` included; it has no more nodes than tokens unless a
+        macro expands in it, so a short one without macros is not measured."""
+        kind, lex, line, col = self.lx.peek()
+        start, macros = self.lx.i, self.macros
+        self.nest(1)
         if lex in ("forall", "exists"):
             self.lx.next()
             binders = self.parse_binders()
             saved = {v.name: self.scope.get(v.name) for v in binders}
             for v in binders:
                 self.scope[v.name] = v.sort
-            body = self.parse_formula()
+            f = self.parse_formula()
             for name, old in saved.items():
                 if old is None:
                     del self.scope[name]
@@ -189,13 +205,17 @@ class _Parser:
                     self.scope[name] = old
             ctor = S.Forall if lex == "forall" else S.Exists
             for v in reversed(binders):
-                body = ctor(v, body)
-            return body
-        left = self.parse_or()
-        if self.lx.peek()[1] == "=>":
-            self.lx.next()
-            return S.Implies(left, self.parse_formula())
-        return left
+                f = ctor(v, f)
+        else:
+            f = self.parse_or()
+            if self.lx.peek()[1] == "=>":
+                self.lx.next()
+                f = S.Implies(f, self.parse_formula())
+        self.nest(-1)
+        if not self.depth and (self.lx.i - start > S.MAX_NESTING or self.macros > macros):
+            if S.nesting(f) > S.MAX_NESTING:
+                raise ParseError(_TOO_DEEP, line, col)
+        return f
 
     def parse_binders(self):
         binders, pending = [], []
@@ -262,7 +282,10 @@ class _Parser:
                     self.lx.next()
                     principals.append(self.resolve_principal(self.parse_raw_term()))
             self.lx.expect("}")
-            return S.Knows(frozenset(principals), self.parse_unit())
+            self.nest(1)
+            body = self.parse_unit()
+            self.nest(-1)
+            return S.Knows(frozenset(principals), body)
         if kind == "ident" and self.lx.peek(1)[1] == "says":
             princ = self.resolve_principal(self.parse_raw_term())
             self.lx.next()  # says
@@ -324,6 +347,7 @@ class _Parser:
     def parse_macro(self):
         """Read a macro call and return its expansion."""
         name = self.lx.next()[1]
+        self.macros += 1
         self.lx.expect("(")
         args = []
         for i, shape in enumerate(S.MACROS[name]):

@@ -20,6 +20,8 @@ BUILTIN_PREDS = EQ_BUILTINS + ORDER_BUILTINS + ("time_not_elapsed",)
 # Interpreted function symbols (ground evaluation only).
 BUILTIN_FUNCS = ("succ",)
 
+MAX_NESTING = 128  # the deepest term or formula (see `nesting`) parser and codec accept
+
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -218,28 +220,40 @@ def _collect_free(f: Formula, bound: tuple, out: dict):
         raise TypeError(f"not a formula: {f!r}")
 
 
+def parts(x) -> tuple:
+    """The terms and formulas directly inside a term or a formula."""
+    if isinstance(x, (FunApp, Atom)):
+        return x.args
+    if isinstance(x, Attest):
+        return (x.principal, x.body)
+    if isinstance(x, Knows):
+        return (*x.principals, x.body)
+    if isinstance(x, (And, Or, Implies)):
+        return (x.left, x.right)
+    if isinstance(x, (Forall, Exists)):
+        return (x.var, x.body)
+    return ()
+
+
 def const_names(x) -> set:
     """Names of the constants in a term or a formula."""
     if isinstance(x, Const):
         return {x.name}
-    if isinstance(x, Var):
-        return set()
-    if isinstance(x, (FunApp, Atom)):
-        parts = x.args
-    elif isinstance(x, Attest):
-        parts = (x.principal, x.body)
-    elif isinstance(x, Knows):
-        parts = (*x.principals, x.body)
-    elif isinstance(x, (And, Or, Implies)):
-        parts = (x.left, x.right)
-    elif isinstance(x, (Forall, Exists)):
-        parts = (x.body,)
-    else:
-        return set()
     out = set()
-    for part in parts:
+    for part in parts(x):
         out |= const_names(part)
     return out
+
+
+def nesting(x) -> int:
+    """The number of term and formula nodes on the longest path from `x` to
+    a leaf (`p(succ(0))` is 3 deep), measured without recursion."""
+    deepest, todo = 0, [(x, 1)]
+    while todo:
+        x, d = todo.pop()
+        deepest = max(deepest, d)
+        todo += [(y, d + 1) for y in parts(x)]
+    return deepest
 
 
 def _fresh_rename(v: Var, avoid: set) -> Var:
@@ -652,13 +666,13 @@ def fmt_formula(f: Formula, prec: int = 0) -> str:
     if isinstance(f, Knows):
         names = ", ".join(sorted(fmt_term(p) for p in f.principals))
         return wrap(f"knows {{{names}}} {fmt_formula(f.body, 3)}", 3)
-    # A nested conjunction keeps its parentheses on either side.  A nested
-    # disjunction on the right loses them, though the parser reads `\/`
-    # chains left-nested: the delegation search trace pins that rendering.
+    # The parser reads `/\` and `\/` chains left-nested, so a nested
+    # conjunction keeps its parentheses on either side and a nested
+    # disjunction on the right.
     if isinstance(f, And):
         return wrap(f"{fmt_formula(f.left, 3)} /\\ {fmt_formula(f.right, 3)}", 2)
     if isinstance(f, Or):
-        return wrap(f"{fmt_formula(f.left, 2)} \\/ {fmt_formula(f.right, 1)}", 1)
+        return wrap(f"{fmt_formula(f.left, 2)} \\/ {fmt_formula(f.right, 2)}", 1)
     if isinstance(f, Implies):
         return wrap(f"{fmt_formula(f.left, 1)} => {fmt_formula(f.right, 0)}", 0)
     if isinstance(f, (Forall, Exists)):

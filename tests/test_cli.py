@@ -101,6 +101,16 @@ def test_query_without_proof_fails(tmp_path, capsys, monkeypatch):
     assert run(["query", "p(Q)", "--policy", str(pol)]) == 1
 
 
+def test_query_nested_too_deep_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CYBERLOGIC_KEYDIR", str(tmp_path))
+    pol = tmp_path / "Q"
+    pol.write_text("pred p(Principal).\nprincipal Q.\nq1: p(Q).\n")
+    monkeypatch.chdir(tmp_path)
+    goal = "p(Q) \\/ (" * 300 + "p(Q)" + ")" * 300
+    assert run(["query", goal, "--policy", str(pol)]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
 def test_query_timeout_flag_bounds_the_wait_for_a_peer(tmp_path, monkeypatch):
     monkeypatch.setenv("CYBERLOGIC_KEYDIR", str(tmp_path))
     pol = tmp_path / "Q"

@@ -1,15 +1,21 @@
 """Canonical encoding: round trips, injectivity, and malformed input."""
 
+import base64
+import functools
 import hashlib
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyberlogic import codec, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.errors import CodecError
+from cyberlogic.node import decode_frame, encode_frame
+from cyberlogic.services import CheckerEndpoint
 
 
 SORTS = ("Principal", "Thing", "Time")
@@ -217,6 +223,13 @@ def test_deep_evidence_encodes():
     assert codec.encode_evidence(ev) == b"\x22" * 3000 + b"\x20"
 
 
+def test_deep_evidence_decodes():
+    back, depth = codec.decode_evidence(b"\x22" * 3000 + b"\x20"), 0
+    while isinstance(back, E.Inl):
+        back, depth = back.body, depth + 1
+    assert (depth, back) == (3000, E.Unit())
+
+
 def test_store_reference_tag_rejected():
     # 0x2B was a reference into a certificate's shared-subtree store
     with pytest.raises(CodecError, match="bad evidence tag 0x2b"):
@@ -244,3 +257,130 @@ def test_policy_digest_changes_with_any_clause():
     assert p1.digest != p2.digest
     p1b = parser.parse_policy(src, "K", sig.copy())
     assert p1.digest == p1b.digest
+
+
+# ---------------------------------------------------------------------------
+# Hostile input: every reader raises CodecError and nothing else, and what
+# it reads encodes back to the same bytes
+
+
+DECODERS = {
+    codec.decode_term: codec.encode_term,
+    codec.decode_formula: codec.encode_formula,
+    codec.decode_evidence: codec.encode_evidence,
+    codec.decode_certificate: codec.encode_certificate,
+}
+
+
+@functools.cache
+def _scenario_cert(name: str) -> bytes:
+    return codec.encode_certificate(scenarios.SCENARIOS[name](0).certificate)
+
+
+@functools.cache
+def _endpoint() -> CheckerEndpoint:
+    world = scenarios.run_hospital(0).world
+    return CheckerEndpoint("A", world.policies.values(), world.directory)
+
+
+def _read_or_refuse(data: bytes):
+    """Each reader either refuses `data` with CodecError or reads a value
+    whose encoding reads back to itself."""
+    for decode, encode in DECODERS.items():
+        try:
+            value = decode(data)
+        except CodecError:
+            continue
+        again = encode(value)
+        assert encode(decode(again)) == again
+
+
+def _answered(data: bytes):
+    """A checker endpoint answers a request carrying `data` with a verdict."""
+    frame = encode_frame({"type": "CHECK_REQ", "cert_b64": base64.b64encode(data).decode()})
+    assert decode_frame(_endpoint().handle_frame(frame))["type"] == "CHECK_RESP"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.binary(max_size=200))
+def test_random_bytes(data):
+    _read_or_refuse(data)
+    _read_or_refuse(codec.MAGIC + b"\x40" + data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(scenarios.SCENARIOS)),
+    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=255),
+    st.booleans(),
+)
+def test_truncated_or_edited_scenario_certificates(name, where, byte, truncate):
+    data = _scenario_cert(name)
+    where %= len(data)
+    bad = data[:where] if truncate else data[:where] + bytes((byte,)) + data[where + 1 :]
+    _read_or_refuse(bad)
+    _answered(bad)
+
+
+def test_scenario_certificates_round_trip_byte_for_byte():
+    for name in scenarios.SCENARIOS:
+        data = _scenario_cert(name)
+        assert codec.encode_certificate(codec.decode_certificate(data)) == data
+
+
+_EVIDENCE_STEP = {  # one level of evidence whose first child follows
+    0x21: (b"\x21", b"\x20"),  # a pair, its right child after the left one
+    0x22: (b"\x22", b""),
+    0x26: (b"\x26" + struct.pack(">I", 1) + b"r\x00" + bytes(4) + struct.pack(">I", 1), b""),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(sorted(_EVIDENCE_STEP)), min_size=1, max_size=8),
+    st.integers(1, 4000),
+    st.integers(0, 10),
+)
+def test_evidence_nests_to_any_depth(pattern, depth, cut):
+    tags = (pattern * depth)[:depth]
+    data = b"".join(_EVIDENCE_STEP[t][0] for t in tags) + b"\x20"
+    data += b"".join(_EVIDENCE_STEP[t][1] for t in reversed(tags))
+    assert codec.encode_evidence(codec.decode_evidence(data)) == data
+    with pytest.raises(CodecError):
+        codec.decode_evidence(data[: len(data) - 1 - cut])
+    cert = codec.MAGIC + b"\x40\x10" + data + bytes(9)  # proves `true`, pins nothing
+    _read_or_refuse(cert)
+    _answered(cert)
+
+
+_ATOM = codec.encode_formula(S.Atom("p"))
+_FORMULA_STEP = {  # one formula level, its first child following
+    0x13: b"\x13" + codec.encode_term(S.Const("K", "Principal")),
+    0x14: b"\x14" + struct.pack(">I", 0),
+    0x16: b"\x16" + _ATOM,  # the left disjunct, then the right one
+    0x18: b"\x18" + codec.encode_term(S.Var("x", "Int")),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(sorted(_FORMULA_STEP)), min_size=1, max_size=400), st.booleans())
+def test_formulas_nest_at_most_max_nesting_deep(tags, as_term):
+    if as_term:
+        data = b"\x03" + struct.pack(">I", 4) + b"succ" + struct.pack(">I", 1)
+        data = data * len(tags) + codec.encode_term(S.Const("0", "Int"))
+        decode = codec.decode_term
+    else:
+        data = b"".join(_FORMULA_STEP[t] for t in tags) + _ATOM
+        decode = codec.decode_formula
+    if len(tags) + 1 > S.MAX_NESTING:
+        with pytest.raises(CodecError, match="nested deeper"):
+            decode(data)
+    else:
+        assert S.nesting(decode(data)) == len(tags) + 1
+    _read_or_refuse(data)
+
+
+def test_a_count_beyond_the_input_is_refused_before_reading():
+    with pytest.raises(CodecError):
+        codec.decode_formula(b"\x12" + struct.pack(">I", 1) + b"p" + b"\xff" * 4)

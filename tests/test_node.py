@@ -11,7 +11,7 @@ from cyberlogic import codec, parser, scenarios
 from cyberlogic import node as node_mod
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
-from cyberlogic.crypto import SignedAttestation, sha256, verify, verify_attestation
+from cyberlogic.crypto import SignedAttestation, sha256, sign, verify, verify_attestation
 from cyberlogic.node import ANSWER_CACHE, TcpTransport, decode_frame, encode_frame, serve_node
 
 
@@ -204,6 +204,34 @@ def test_a_good_answer_after_a_corrupt_copy_is_accepted():
     goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
     assert a.ask_first(goal) is not None
     assert a.metrics["duplicates_ignored"] == 0
+
+
+def test_a_peer_answering_with_3000_deep_evidence_gets_a_verdict():
+    w = _bcast_world()
+    request = w.network.request
+    deep = E.Unit()
+    for _ in range(3000):
+        deep = E.Inl(deep)
+
+    def deep_answer(frm, to, frame):
+        out = []
+        for resp in request(frm, to, frame):
+            obj = decode_frame(resp)
+            if obj["type"] == "ANSWER":  # correctly signed by B
+                obj.pop("sig_b64")
+                obj["evidence_b64"] = base64.b64encode(codec.encode_evidence(deep)).decode()
+                obj["sig_b64"] = base64.b64encode(sign(w.node(to).keys, encode_frame(obj))).decode()
+                resp = encode_frame(obj)
+            out.append(resp)
+        return out
+
+    w.network.request = deep_answer
+    a = w.node("A")
+    goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
+    answer = a.ask_first(goal)
+    assert codec.encode_evidence(answer.evidence) == codec.encode_evidence(deep)
+    res = E.check_certificate(a.certify(answer), w.policy_map(), w.directory)
+    assert not res and res.reason == "injection evidence for a non-disjunction"
 
 
 def test_broadcast_query_lists_free_variables_in_first_occurrence_order():

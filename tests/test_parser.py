@@ -236,7 +236,7 @@ const a: Thing.
 _SORTS = ("Thing", "Int", "Time", "Principal", "Nonce")
 # `b`, `P` and `n1` are undeclared, so their first use fixes their sort.
 # Principals are never quoted, since `says` takes an identifier, and no
-# name is one a macro binds (see the known misprints below).
+# name is one a macro binds.
 _CONSTS = {
     "Thing": ("a", "b", '"x y"', '"zed"', '"forall"', '"3"'),
     "Int": ("0", "3", "-2", '"7"', '"07"'),
@@ -342,18 +342,10 @@ def _policy_text(rnd):
     return "\n".join(lines) + "\n"
 
 
-def _right_nested_or(f) -> bool:
-    if isinstance(f, S.Or) and isinstance(f.right, S.Or):
-        return True
-    parts = (getattr(f, name, None) for name in ("left", "right", "body"))
-    return any(_right_nested_or(g) for g in parts if g is not None)
-
-
-@pytest.mark.xfail(strict=True, reason="known misprint")
 @pytest.mark.parametrize(
     "clause",
     [
-        # a \/ (b \/ c) prints as a \/ b \/ c, which reads as (a \/ b) \/ c
+        # a right-nested disjunction keeps its parentheses: `\/` reads left-nested
         "(p(a) \\/ (p(b) \\/ u)) => u",
     ],
 )
@@ -370,9 +362,40 @@ def test_parsed_clauses_print_and_parse_back_to_themselves(text):
         pol = parser.parse_policy(text, "K")
     except CyberlogicError:
         return
-    if any(_right_nested_or(f) for c in pol.clauses for f in (c.head, *c.slots)):
-        return  # a known misprint
     printed = "\n".join(S.fmt_clause(c) for c in pol.clauses)
     again = parser.parse_policy(printed, "K", pol.signature)
     assert again.clauses == pol.clauses
     assert again.digest == pol.digest
+
+
+# ---------------------------------------------------------------------------
+# Nesting limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 300 + "p(a)" + ")" * 300,
+        "u \\/ (" * 300 + "u" + ")" * 300,
+        " /\\ ".join(["u"] * (S.MAX_NESTING + 1)),  # every conjunct is a level
+        "q(a, " + "succ(" * 300 + "0" + ")" * 301,
+        "knows {K} " * 300 + "u",
+        "K says (" * 300 + "u" + ")" * 300,
+        "u => " * 300 + "u",
+    ],
+    ids=["parentheses", "disjunctions", "conjunctions", "succ", "knows", "says", "implications"],
+)
+def test_text_nested_deeper_than_the_limit_is_a_parse_error(text):
+    sig = parser.parse_policy(PROP_DECLS, "K").signature
+    with pytest.raises(ParseError, match="nested deeper than 128") as err:
+        parser.parse_goal(text, sig)
+    assert err.value.line == 1 and err.value.col >= 1
+    with pytest.raises(ParseError, match="nested deeper than 128") as err:
+        parser.parse_policy(PROP_DECLS + f"c1: {text} => u.\n", "K")
+    assert err.value.line == PROP_DECLS.count("\n") + 1
+
+
+def test_a_conjunction_chain_at_the_limit_parses():
+    sig = parser.parse_policy(PROP_DECLS, "K").signature
+    goal, _ = parser.parse_goal(" /\\ ".join(["u"] * S.MAX_NESTING), sig)
+    assert S.nesting(goal) == S.MAX_NESTING
