@@ -277,17 +277,25 @@ def _decode(kind, data: bytes):
 encode_term, decode_term = partial(_encode, "term"), partial(_decode, "term")
 encode_formula, decode_formula = partial(_encode, "formula"), partial(_decode, "formula")
 encode_evidence, decode_evidence = partial(_encode, "evidence"), partial(_decode, "evidence")
+encode_clause = partial(_encode, "clause")
 
 
 def encode_policy(p: S.Policy) -> bytes:
     """Tag 0x51, the owner, the signature's sorts and principals, its
-    predicates as (name, argument sorts) by name, then the clauses."""
+    predicates as (name, argument sorts) by name, then the clauses.
+
+    A clause's encoding does not depend on the policy around it (a clause
+    node starts at depth 1), so each clause's bytes are taken from
+    `Clause.encoding`, computed once per clause: a policy that shares
+    clauses with an encoded one encodes only the others."""
     sig = p.signature
     preds = sorted(sig.preds.items())
     out = [b"\x51"]
     _write(out, (p.owner, sorted(sig.sorts), sorted(sig.principals)), _fields(("s", "*s", "*s")))
     out.append(_U32(len(preds)))
-    _write(out, (*(x for kv in preds for x in kv), p.clauses), _fields(("s", "*s") * len(preds) + ("*clause",)))
+    _write(out, tuple(x for kv in preds for x in kv), _fields(("s", "*s") * len(preds)))
+    out.append(_U32(len(p.clauses)))
+    out += [c.encoding for c in p.clauses]
     return b"".join(out)
 
 

@@ -8,7 +8,9 @@ predicate (the predicate of the atom, or of the atom under `says`) and,
 when the goal's first argument is ground, on that argument: only the heads
 that can unify with it are tried, in the policy's textual order, and fresh
 names are numbered as if every clause had been tried.  Hypothesis clauses
-are not indexed.
+are not indexed.  When a policy is updated by appending clauses, its index
+is extended from the old one rather than rebuilt; the old index is left
+unchanged, since a search suspended on it may resume.
 Conjunct scheduling prefers attestation goals whose principal is still
 unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
@@ -209,28 +211,54 @@ class ClauseIndex:
     yields exactly those, merged in textual order; with no key it yields
     the whole group.  A group is split by key on its first keyed lookup,
     so building the index stays one pass over the clauses and a group only
-    ever searched whole is never split.
+    ever searched whole is never split.  `keyed` holds the predicates with
+    at least one keyed head; for any other a key selects nothing.
 
     Each candidate is (position, offset, clause): `offset` is the number
     of universals of all the policy's clauses before it, and `total` the
     number in the whole policy, so the prover can number fresh names as if
-    it had renamed every clause in turn."""
+    it had renamed every clause in turn.
 
-    def __init__(self, policy):
+    Given a `base` index of a policy whose clauses are a prefix of
+    `policy`'s (an update that appends clauses), the index starts from
+    `base`'s groups and splits and files only the appended clauses.  An
+    index is never changed once built, except that `candidates` adds the
+    split of a group: a suspended search may still be iterating `base`,
+    so the extension copies every group, bucket and wildcard list it
+    appends to and shares the rest."""
+
+    def __init__(self, policy, base=None):
         self.policy = policy
-        self._groups: dict = {}  # pred -> entries in textual order
-        self._split: dict = {}  # pred -> (key -> entries, wildcard entries)
-        offset = 0
-        for pos, c in enumerate(policy.clauses):
+        clauses = policy.clauses
+        start = 0 if base is None else len(base.policy.clauses)
+        if start and base.policy.clauses == clauses[:start]:
+            self._groups = dict(base._groups)  # pred -> entries in textual order
+            self._split = dict(base._split)  # pred -> (key -> entries, wildcard entries)
+            self.keyed = set(base.keyed)
+            offset = base.total
+        else:
+            self._groups, self._split, self.keyed = {}, {}, set()
+            start = offset = 0
+        added: dict = {}  # pred -> entries of this index's own clauses
+        for pos in range(start, len(clauses)):
+            c = clauses[pos]
             entry = (pos, offset, c)
             pred = _atom_of(c.head).pred
-            group = self._groups.get(pred)
+            group = added.get(pred)
             if group is None:
-                self._groups[pred] = [entry]
+                added[pred] = [entry]
             else:
                 group.append(entry)
+            if pred not in self.keyed and _head_key(c) is not None:
+                self.keyed.add(pred)
             offset += len(c.universals)
         self.total = offset
+        for pred, entries in added.items():
+            group = self._groups.get(pred)
+            self._groups[pred] = entries if group is None else group + entries
+            split = self._split.get(pred)
+            if split is not None:
+                self._split[pred] = _extend_split(split, entries)
 
     def candidates(self, pred, key=None):
         group = self._groups.get(pred, ())
@@ -248,17 +276,35 @@ class ClauseIndex:
         return heapq.merge(bucket, wildcards)
 
 
+def _head_key(clause):
+    """Index key of a clause head's first argument, or None when it is a
+    variable or a function application other than a ground `succ` chain."""
+    args = _atom_of(clause.head).args
+    first = args[0] if args else None
+    return _key(first) if isinstance(first, S.Const) else S.int_value(first)
+
+
 def _split_by_key(group):
     keyed, wildcards = {}, []
     for entry in group:
-        args = _atom_of(entry[2].head).args
-        first = args[0] if args else None
-        key = _key(first) if isinstance(first, S.Const) else S.int_value(first)
+        key = _head_key(entry[2])
         if key is None:
             wildcards.append(entry)
         else:
             keyed.setdefault(key, []).append(entry)
     return keyed, wildcards
+
+
+def _extend_split(split, entries):
+    """`split` of a group with `entries` appended to the group.  The
+    buckets and wildcards that grow are copied, the others shared."""
+    keyed, wildcards = split
+    added, more = _split_by_key(entries)
+    keyed = dict(keyed)
+    for key, bucket in added.items():
+        old = keyed.get(key)
+        keyed[key] = bucket if old is None else old + bucket
+    return keyed, wildcards + more if more else wildcards
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +348,9 @@ class Prover:
     attestation goals of principals without a local policy: `target` is a
     principal name, or None to broadcast; it yields
     (bindings, evidence) pairs with ground terms for `vars`.  `indexes`
-    maps owner to a ClauseIndex to reuse; one is built for every policy it
-    does not cover, and `self.indexes` holds those of `policies` only.
+    maps owner to a ClauseIndex to reuse: an index of the owner's policy is
+    used as it is, and one of an earlier policy of the owner is the base
+    the new index extends.  `self.indexes` holds those of `policies` only.
     """
 
     def __init__(
@@ -321,7 +368,7 @@ class Prover:
         for owner, policy in self.policies.items():
             index = indexes.get(owner)
             if index is None or index.policy is not policy:
-                index = ClauseIndex(policy)
+                index = ClauseIndex(policy, index)
             self.indexes[owner] = index
         self.dispatch = dispatch
         self.services = services
@@ -504,8 +551,9 @@ class Prover:
             yield from self._apply(clause, None, None, goal, g_res, s, depth, env, restriction, anc)
         atom = _atom_of(goal)
         pred = atom.pred if atom is not None else None
-        key = _goal_key(atom, s)
-        for index in self._allowed_indexes(restriction):
+        indexes = self._allowed_indexes(restriction)
+        key = _goal_key(atom, s) if any(pred in ix.keyed for ix in indexes) else None
+        for index in indexes:
             policy = index.policy
             end = 0  # universals up to the end of the previous candidate
             for _, offset, clause in index.candidates(pred, key):

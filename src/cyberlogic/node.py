@@ -276,7 +276,7 @@ class Node:
             indexes=self._indexes,
         )
         # Keep the indexes of the policies served now; a replaced policy's
-        # index is rebuilt on first use and the old one dropped.
+        # index is extended from the old one, which is then dropped.
         self._indexes = prover.indexes
         return prover
 

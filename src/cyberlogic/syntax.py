@@ -356,6 +356,19 @@ class Clause:
     def is_fact(self) -> bool:
         return not self.slots
 
+    # Not a cached_property: that stores into `__dict__`, and making the
+    # instance dict real slows every later attribute read on the clause.
+    _encoding = None
+
+    @property
+    def encoding(self) -> bytes:
+        """The clause's CYL2 bytes, computed once."""
+        if self._encoding is None:
+            from . import codec
+
+            object.__setattr__(self, "_encoding", codec.encode_clause(self))
+        return self._encoding
+
 
 @dataclass(frozen=True)
 class Policy:

@@ -259,6 +259,26 @@ def test_policy_digest_changes_with_any_clause():
     assert p1.digest == p1b.digest
 
 
+def test_an_appended_policy_encodes_only_its_new_clause(monkeypatch):
+    lines = ["sort Obj.", "pred e(Obj, Obj)."] + [f"const o{i}: Obj." for i in range(2001)]
+    lines += [f"e{i}: e(o{i}, o{i + 1})." for i in range(2000)]
+    old = parser.parse_policy("\n".join(lines) + "\n", "W")
+    assert len(old.clauses) == 2000
+    old_digest = old.digest
+    update = "const o2001: Obj. upd1: e(o2001, o7)."
+    added = parser.parse_policy(update, "W", old.signature)
+    new = S.Policy("W", added.signature, old.clauses + added.clauses)
+    calls = []
+    encode_clause = codec.encode_clause
+    monkeypatch.setattr(codec, "encode_clause", lambda c: calls.append(c.label) or encode_clause(c))
+    digest = new.digest
+    assert calls == ["upd1"]
+    assert digest != old_digest
+    monkeypatch.undo()
+    fresh = parser.parse_policy("\n".join(lines + [update]) + "\n", "W")
+    assert digest == hashlib.sha256(codec.encode_policy(fresh)).digest()
+
+
 # ---------------------------------------------------------------------------
 # Hostile input: every reader raises CodecError and nothing else, and what
 # it reads encodes back to the same bytes

@@ -401,6 +401,8 @@ def _random_goal(rnd):
 
 
 def _search(policies, goal, index_type):
+    """Answers, trace and fresh-name counter of a search with the indexes
+    `index_type(policy)`."""
     indexes = {owner: index_type(pol) for owner, pol in policies.items()}
     prover = Prover(policies, indexes=indexes)
     answers = list(itertools.islice(prover.ask(goal, list(S.free_vars(goal)), depth=4), 25))
@@ -414,6 +416,44 @@ def test_indexed_search_equals_whole_group_search(rnd):
     goal = _random_goal(rnd)
     indexed = _search(policies, goal, engine.ClauseIndex)
     assert indexed == _search(policies, goal, _WholeGroups)
+
+
+def _pred(head):
+    return (head.body if isinstance(head, S.Attest) else head).pred
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=True))
+def test_an_extended_index_searches_as_a_fresh_one(rnd):
+    policies = {owner: _random_policy(rnd, owner) for owner in ("K", S.COMMON)}
+    goal = _random_goal(rnd)
+    cuts = {owner: rnd.randint(0, len(pol.clauses)) for owner, pol in policies.items()}
+    fresh = _search(policies, goal, engine.ClauseIndex)
+    # The base's groups unsplit, split by a keyed lookup, and split with
+    # its last clause not the policy's (so the index is built afresh).
+    for split_base, replace in ((False, False), (True, False), (True, True)):
+        prefixes = {}
+        for owner, pol in policies.items():
+            prefix = pol.clauses[: cuts[owner]]
+            if replace and prefix:
+                c = prefix[-1]
+                prefix = prefix[:-1] + (S.Clause(c.label + "x", c.universals, c.slots, c.head),)
+            prefixes[owner] = S.Policy(owner, pol.signature, prefix)
+        bases = {owner: engine.ClauseIndex(p) for owner, p in prefixes.items()}
+        if split_base:
+            for base, pred in itertools.product(bases.values(), _PREDS):
+                base.candidates(pred, "any key")
+        extended = {owner: engine.ClauseIndex(pol, bases[owner]) for owner, pol in policies.items()}
+        assert _search(policies, goal, lambda pol: extended[pol.owner]) == fresh
+        # A group no clause was appended to is shared with the base, and
+        # the base still searches as a fresh index of its own policy.
+        for owner, pol in policies.items():
+            appended = {_pred(c.head) for c in pol.clauses[cuts[owner] :]}
+            for pred in set(_PREDS) - appended:
+                if cuts[owner] and not replace and bases[owner].candidates(pred):
+                    assert extended[owner].candidates(pred) is bases[owner].candidates(pred)
+        own_base = _search(prefixes, goal, lambda pol: bases[pol.owner])
+        assert own_base == _search(prefixes, goal, engine.ClauseIndex)
 
 
 def test_a_bound_join_goal_tries_only_matching_heads(monkeypatch):

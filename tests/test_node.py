@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cyberlogic import codec, parser, scenarios
+from cyberlogic import codec, engine, parser, scenarios
 from cyberlogic import node as node_mod
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
@@ -48,6 +48,26 @@ def test_replacing_a_node_policy_takes_effect_on_the_next_query():
     answer = b.ask_first(goal)
     assert answer is not None
     assert answer.evidence.policy_digest == b.policy.digest
+
+
+def test_a_suspended_ask_survives_an_appended_policy():
+    w = _bcast_world()
+    b = w.node("B")
+    added = parser.parse_policy("b2: good(A).\nb3: good(B).\nb4: good(C).\n", "B", b.policy.signature)
+    b.policy = S.Policy("B", added.signature, b.policy.clauses + added.clauses)
+    old = b.policy
+    first, _ = parser.parse_goal("good(B)", old.signature)
+    assert b.ask_first(first) is not None  # a keyed lookup splits the good group
+    goal, free = parser.parse_goal("good(z)", old.signature)
+    suspended = b.ask(goal, free)
+    answers = [next(suspended)]
+    more = parser.parse_policy("b5: good(A).\n", "B", old.signature)
+    b.policy = S.Policy("B", more.signature, old.clauses + more.clauses)
+    answer = b.ask_first(first)  # extends the old index
+    assert answer.evidence.policy_digest == b.policy.digest
+    answers += suspended
+    assert answers == list(engine.Prover({"B": old}).ask(goal, free))
+    assert len(answers) == 3
 
 
 def test_targeted_dispatch_goes_to_one_peer():
