@@ -48,7 +48,6 @@ FORMAT = {
         0x24: (E.Witness, "term evidence"),
         0x25: (E.Abstraction, "s evidence"),
         0x26: (E.ClauseApp, "s ?b *term *evidence"),
-        0x27: (E.Hyp, "s"),
         0x28: (E.AttLeaf, "attestation"),
         0x29: (E.TheoryHole, "s *term ?attestation"),
         0x2A: (E.KnowsWrap, "{term} evidence"),

@@ -3,6 +3,9 @@
 The prover performs uniform (goal-directed) search: composite goals are
 decomposed by their top connective, atomic goals backchain over hypothesis
 and policy clauses, depth-first in clause order under a depth budget.
+The search is one loop over explicit stacks, after Warren's abstract
+machine (see `Prover`): a derivation step takes no Python stack frame, so
+only the depth budget bounds the length of a derivation.
 Policy clauses are selected through a per-policy index on the head
 predicate (the predicate of the atom, or of the atom under `says`) and,
 when the goal's first argument is ground, on that argument: only the heads
@@ -66,15 +69,17 @@ def _bind(v: S.Var, t, s: dict, state):
             return None
     except Exception:
         return None
-    if state is not None and not state.scope_ok(v, t):
-        return None
-    s2 = dict(s)
-    s2[v] = t
-    return s2
+    if state is not None:
+        if not state.scope_ok(v, t):
+            return None
+        state.trail.append(v)
+    s[v] = t
+    return s
 
 
 def unify(a, b, s: dict, state=None):
-    """Most general unifier extending `s`, or None."""
+    """Extend `s` in place to a most general unifier of `a` and `b` and return
+    it, or None; a miss may leave bindings, which `state`'s trail undoes."""
     a, b = walk(a, s), walk(b, s)
     if a == b:
         return s
@@ -136,10 +141,14 @@ def unify_atomic(goal, head, s: dict, state=None):
 
 
 class _State:
-    """Per-query bookkeeping: fresh-name counters and the birth order of
-    metavariables and eigenvariables (for the quantifier scope check)."""
+    """Per-query bookkeeping: the bindings, the open goals and the trail that
+    takes both back, fresh-name counters and the birth order of metavariables
+    and eigenvariables (for the quantifier scope check)."""
 
     def __init__(self):
+        self.subst: dict = {}  # Var -> Term, bound in place
+        self.open: set = set()  # resolved atomic goals being proved on this path
+        self.trail: list = []  # variables bound and goals opened or closed, oldest first
         self.counter = 0  # last number handed out
         self.meta_birth: dict[str, int] = {}
         self.eigen_birth: dict[str, int] = {}
@@ -148,9 +157,6 @@ class _State:
     def tick(self) -> int:
         self.counter += 1
         return self.counter
-
-    def register_var(self, v: S.Var):
-        self.meta_birth.setdefault(v.name, self.tick())
 
     def scope_ok(self, v: S.Var, t) -> bool:
         """An eigenvariable introduced after `v` must not leak into `v`'s
@@ -351,6 +357,15 @@ class Prover:
     maps owner to a ClauseIndex to reuse: an index of the owner's policy is
     used as it is, and one of an earlier policy of the owner is the base
     the new index extends.  `self.indexes` holds those of `policies` only.
+
+    `ask` is the machine.  The continuation `todo` is a linked list of
+    (step, rest) pairs and `evs` one of the evidence of the goals met,
+    newest first; neither is ever changed, so a choice point keeps them by
+    reference.  A step takes the rest and `evs` and returns the next
+    (todo, evs), None to fail, or an iterator of alternatives (each a
+    (todo, evs), or None when its unification failed), which becomes a
+    choice point marked with the length of `state.trail`.  To backtrack is
+    to undo the trail down to the newest mark and take the next alternative.
     """
 
     def __init__(
@@ -381,13 +396,38 @@ class Prover:
     def ask(self, goal, free_vars=(), depth: int = DEFAULT_DEPTH, env=None):
         """Yield Answers for `goal`; `free_vars` are treated as
         existentially quantified metavariables."""
-        self.state = _State()
+        state = self.state = _State()
         for v in free_vars:
-            self.state.register_var(v)
-        env = env or E.HypothesisEnv()
-        for s, ev in self._solve(goal, {}, depth, env, None, frozenset()):
-            bindings = {v: resolve(v, s) for v in free_vars}
-            yield Answer(bindings, resolve_evidence(ev, s), resolve_formula(goal, s))
+            state.meta_birth.setdefault(v.name, state.tick())
+        s, opened, trail, choices = state.subst, state.open, state.trail, []
+        root = partial(self._solve, goal, depth, env or E.HypothesisEnv(), None)
+        todo, evs = (root, None), None
+        while True:
+            if todo is None:  # every goal met
+                bindings = {v: resolve(v, s) for v in free_vars}
+                yield Answer(bindings, resolve_evidence(evs[0], s), resolve_formula(goal, s))
+                self.state, out = state, None  # another ask on this prover may have run since
+            else:
+                step, todo = todo
+                out = step(todo, evs)
+                if out is not None and out.__class__ is not tuple:
+                    choices.append((len(trail), out))
+                    out = None
+            while out is None:  # backtrack
+                if not choices:
+                    return
+                mark, alternatives = choices[-1]
+                while len(trail) > mark:
+                    x = trail.pop()
+                    if x.__class__ is S.Var:
+                        del s[x]
+                    else:
+                        opened ^= {x}  # close an opened goal, reopen a closed one
+                out = next(alternatives, False)
+                if out is False:
+                    choices.pop()
+                    out = None
+            todo, evs = out
 
     def first(self, goal, free_vars=(), depth: int = DEFAULT_DEPTH, env=None):
         for a in self.ask(goal, free_vars, depth, env):
@@ -402,81 +442,75 @@ class Prover:
         self.state.meta_birth[v.name] = n
         return v
 
-    def _fresh_eigen(self, sort: str) -> S.Const:
-        if sort == "Nonce" and self.services is not None:
-            name = self.services.fresh_nonce()
-        else:
-            name = f"c{self.state.tick()}"
-        self.state.eigen_birth[name] = self.state.tick()
-        return S.Const(name, sort)
-
-    def _fresh_label(self) -> str:
-        return f"h{self.state.tick()}"
-
     def _log(self, depth, rule, goal):
         self.trace.append(f"STEP {depth} {rule} {S.fmt_formula(goal)}")
 
     # -- goal decomposition --------------------------------------------------
 
-    def _solve(self, goal, s, depth, env, restriction, anc):
+    def _solve(self, goal, depth, env, restriction, todo, evs):
+        """The step that proves `goal`: an atomic goal is opened and gets a
+        choice point; a composite goal puts its subgoal in front of `todo`,
+        then a step that wraps the subgoal's evidence."""
+        state, s = self.state, self.state.subst
+        if isinstance(goal, S.Atom) and goal.pred in S.BUILTIN_PREDS:
+            return self._builtin(goal, todo, evs)
+        if isinstance(goal, (S.Atom, S.Attest)):
+            if depth <= 0:
+                state.exhausted = True
+                return None
+            g_res, n = resolve_formula(goal, s), len(state.open)
+            state.open.add(g_res)
+            if len(state.open) == n:
+                return None  # identical goal already open on this path
+            state.trail.append(g_res)
+            self._log(depth, "goal", g_res)
+            return self._backchain(goal, g_res, depth, env, restriction, todo, evs)
         if isinstance(goal, S.Top):
-            yield s, E.Unit()
-            return
+            return todo, (E.Unit(), evs)
         if isinstance(goal, S.And):
-            items = _items([goal], s)
-            evs = [None] * len(items)
-            for s2 in self._solve_group(items, evs, s, depth, env, restriction, anc):
-                yield s2, _assemble(goal, iter(evs))
-            return
+            build = partial(_assemble, goal)
+            return (partial(self._group, _items([goal], s), (), build, depth, env, restriction), todo), evs
         if isinstance(goal, S.Or):
             self._log(depth, "or", resolve_formula(goal, s))
-            for s2, ev in self._solve(goal.left, s, depth, env, restriction, anc):
-                yield s2, E.Inl(ev)
-            for s2, ev in self._solve(goal.right, s, depth, env, restriction, anc):
-                yield s2, E.Inr(ev)
-            return
+            return iter([
+                ((partial(self._solve, g, depth, env, restriction), (partial(_wrap, side), todo)), evs)
+                for g, side in ((goal.left, E.Inl), (goal.right, E.Inr))
+            ])
         if isinstance(goal, S.Exists):
             v = self._fresh_var(goal.var.sort)
-            body = S.substitute(goal.body, {goal.var: v})
-            for s2, ev in self._solve(body, s, depth, env, restriction, anc):
-                yield s2, E.Witness(v, ev)
-            return
-        if isinstance(goal, S.Forall):
-            c = self._fresh_eigen(goal.var.sort)
+            body, wrap = S.substitute(goal.body, {goal.var: v}), partial(E.Witness, v)
+        elif isinstance(goal, S.Forall):
+            if goal.var.sort == "Nonce" and self.services is not None:
+                name = self.services.fresh_nonce()
+            else:
+                name = f"c{state.tick()}"
+            state.eigen_birth[name] = state.tick()
             self._log(depth, "all", resolve_formula(goal, s))
-            body = S.substitute(goal.body, {goal.var: c})
-            for s2, ev in self._solve(body, s, depth, env, restriction, anc):
-                yield s2, E.Abstraction(c.name, ev)
-            return
-        if isinstance(goal, S.Implies):
-            label = self._fresh_label()
+            body = S.substitute(goal.body, {goal.var: S.Const(name, goal.var.sort)})
+            wrap = partial(E.Abstraction, name)
+        elif isinstance(goal, S.Implies):
+            label = f"h{state.tick()}"
             left = resolve_formula(goal.left, s)
             assumed = S.clauses_of(left, label)
-            env2 = env.extend(assumed)
+            env = env.extend(assumed)
             if self.on_hypothesis is not None:
                 self.on_hypothesis(assumed)
             self._log(depth, "assume", left)
-            for s2, ev in self._solve(goal.right, s, depth, env2, restriction, anc):
-                yield s2, E.Abstraction(label, ev)
-            return
-        if isinstance(goal, S.Knows):
+            body, wrap = goal.right, partial(E.Abstraction, label)
+        elif isinstance(goal, S.Knows):
             principals = frozenset(resolve(p, s) for p in goal.principals)
             if restriction is not None and not principals <= restriction:
-                return
-            for s2, ev in self._solve(goal.body, s, depth, env, principals, anc):
-                yield s2, E.KnowsWrap(principals, ev)
-            return
-        if isinstance(goal, S.Atom) and goal.pred in S.BUILTIN_PREDS:
-            yield from self._builtin(goal, s)
-            return
-        if isinstance(goal, (S.Atom, S.Attest)):
-            yield from self._backchain(goal, s, depth, env, restriction, anc)
-            return
-        raise TypeError(f"not a solvable goal: {goal!r}")
+                return None
+            body, wrap, restriction = goal.body, partial(E.KnowsWrap, principals), principals
+        else:
+            raise TypeError(f"not a solvable goal: {goal!r}")
+        return (partial(self._solve, body, depth, env, restriction), (partial(_wrap, wrap), todo)), evs
 
     # -- conjunct scheduling -------------------------------------------------
 
-    def _pick(self, items, s) -> int:
+    def _pick(self, items) -> int:
+        s = self.state.subst
+
         def klass(it):
             g = it.goal
             if isinstance(g, S.Attest) and isinstance(walk(g.principal, s), S.Var):
@@ -500,144 +534,122 @@ class Prover:
             + ", ".join(S.fmt_formula(resolve_formula(it.goal, s)) for it in items)
         )
 
-    def _solve_group(self, items, evs, s, depth, env, restriction, anc):
-        """Solve every item; each yielded substitution comes with the
-        evidence of item `idx` in `evs[idx]`, valid until the next one."""
+    def _group(self, items, order, build, depth, env, restriction, todo, evs):
+        """The step that solves the next of the conjuncts `items`; `order`
+        holds the positions of those solved.  When none is left, `build`
+        turns their evidence, in position order, into one."""
         if not items:
-            yield s
-            return
-        i = self._pick(items, s)
-        it = items[i]
-        rest = items[:i] + items[i + 1 :]
-        for s2, ev in self._solve(it.goal, s, depth, env, restriction, anc):
-            evs[it.idx] = ev
-            yield from self._solve_group(rest, evs, s2, depth, env, restriction, anc)
+            leaves = [None] * len(order)
+            for idx in reversed(order):
+                leaves[idx], evs = evs
+            return todo, (build(iter(leaves)), evs)
+        i = self._pick(items)
+        it, rest = items[i], items[:i] + items[i + 1 :]
+        rest = partial(self._group, rest, order + (it.idx,), build, depth, env, restriction)
+        return (partial(self._solve, it.goal, depth, env, restriction), (rest, todo)), evs
 
     # -- interpreted predicates ----------------------------------------------
 
-    def _builtin(self, goal, s):
-        args = tuple(resolve(a, s) for a in goal.args)
+    def _builtin(self, goal, todo, evs):
+        args = tuple(resolve(a, self.state.subst) for a in goal.args)
         if not all(S.is_ground(a) for a in args):
             raise FlounderError(f"{goal.pred} on nonground arguments")
         if goal.pred != "time_not_elapsed":
-            if S.compare(goal.pred, *args):
-                yield s, E.TheoryHole(goal.pred, args)
-            return
-        if self.services is None:
-            return
-        receipt = self.services.time_receipt(args[0])
-        if receipt is not None:
-            yield s, E.TheoryHole(goal.pred, args, receipt)
+            return (todo, (E.TheoryHole(goal.pred, args), evs)) if S.compare(goal.pred, *args) else None
+        receipt = self.services.time_receipt(args[0]) if self.services is not None else None
+        return None if receipt is None else (todo, (E.TheoryHole(goal.pred, args, receipt), evs))
 
     # -- backchaining ----------------------------------------------------------
 
-    def _allowed_indexes(self, restriction):
-        if restriction is None:
-            return list(self.indexes.values())
-        owners = S.knows_owners(restriction)
-        return [ix for ix in self.indexes.values() if ix.policy.owner in owners]
+    def _close(self, g_res, todo, evs):
+        """The step after an atomic goal's proof: the goal is no longer open."""
+        self.state.open.remove(g_res)
+        self.state.trail.append(g_res)
+        return todo, evs
 
-    def _backchain(self, goal, s, depth, env, restriction, anc):
-        if depth <= 0:
-            self.state.exhausted = True
-            return
-        g_res = resolve_formula(goal, s)
-        if g_res in anc:
-            return  # identical goal already open on this path
-        anc = anc | {g_res}
-        self._log(depth, "goal", g_res)
-
+    def _backchain(self, goal, g_res, depth, env, restriction, todo, evs):
+        """The alternatives for an atomic goal: hypothesis clauses, policy
+        clauses, then attestations by T or N or answers from peers.  Each one
+        goes on to a step that closes the goal."""
+        state, todo = self.state, (partial(self._close, g_res), todo)
+        apply = partial(self._apply, goal, g_res, depth, env, restriction, todo, evs)
         for clause in env.clauses():
-            yield from self._apply(clause, None, None, goal, g_res, s, depth, env, restriction, anc)
+            yield apply(clause, None, None)
         atom = _atom_of(goal)
         pred = atom.pred if atom is not None else None
-        indexes = self._allowed_indexes(restriction)
-        key = _goal_key(atom, s) if any(pred in ix.keyed for ix in indexes) else None
+        indexes = self.indexes.values()
+        if restriction is not None:
+            owners = S.knows_owners(restriction)
+            indexes = [ix for ix in indexes if ix.policy.owner in owners]
+        key = _goal_key(atom, state.subst) if any(pred in ix.keyed for ix in indexes) else None
         for index in indexes:
             policy = index.policy
             end = 0  # universals up to the end of the previous candidate
             for _, offset, clause in index.candidates(pred, key):
-                self.state.counter += offset - end
+                state.counter += offset - end
                 end = offset + len(clause.universals)
-                yield from self._apply(
-                    clause, policy.owner, policy.digest, goal, g_res, s, depth, env, restriction, anc
-                )
-            self.state.counter += index.total - end
+                yield apply(clause, policy.owner, policy.digest)
+            state.counter += index.total - end
         if isinstance(goal, S.Attest):
-            yield from self._remote(goal, s, depth, env, restriction, anc)
+            yield from self._remote(goal, depth, restriction, todo, evs)
 
-    def _apply(self, clause, owner, digest, goal, g_res, s, depth, env, restriction, anc):
+    def _apply(self, goal, g_res, depth, env, restriction, todo, evs, clause, owner, digest):
+        s = self.state.subst
         ren = {v: self._fresh_var(v.sort) for v in clause.universals}
         head = S.substitute(clause.head, ren)
-        s2 = unify_atomic(goal, head, s, self.state)
-        if s2 is None and owner is not None and owner != S.COMMON:
+        if isinstance(goal, S.Attest) and isinstance(head, S.Atom) and owner not in (None, S.COMMON):
             # An owner's bare-headed clause also answers the owner's own
             # attestation of its head.
-            if isinstance(goal, S.Attest) and not isinstance(head, S.Attest):
-                s2 = unify(goal.principal, S.Const(owner, "Principal"), s, self.state)
-                if s2 is not None:
-                    s2 = unify_atomic(goal.body, head, s2, self.state)
-        if s2 is None:
-            return
+            head = S.Attest(S.Const(owner, "Principal"), head)
+        if unify_atomic(goal, head, s, self.state) is None:
+            return None
         # Unifying with the head may have instantiated the goal into one
         # that is already open higher on this path; looping on it proves
-        # nothing new.  (`anc` also holds `g_res`, this goal's own
-        # pre-unification form.)
-        g2 = resolve_formula(goal, s2)
-        if g2 != g_res and g2 in anc:
-            return
+        # nothing new.  (`g_res`, this goal's own pre-unification form, is
+        # open too.)
+        g2 = resolve_formula(goal, s)
+        if g2 != g_res and g2 in self.state.open:
+            return None
         self._log(depth, f"apply {clause.label}", g2)
-        slots = [S.substitute(g, ren) for g in clause.slots]
-        items = _items(slots, s2)
-        evs = [None] * len(items)
         args = tuple(ren[v] for v in clause.universals)
-        for s3 in self._solve_group(items, evs, s2, depth - 1, env, restriction, anc):
-            if digest is None and not clause.universals and not clause.slots:
-                yield s3, E.Hyp(clause.label)
-                continue
-            leaves = iter(evs)
-            premises = tuple(_assemble(slot, leaves) for slot in slots)
-            yield s3, E.ClauseApp(clause.label, digest, args, premises)
+        if not clause.slots:
+            return todo, (E.ClauseApp(clause.label, digest, args), evs)
+        slots = [S.substitute(g, ren) for g in clause.slots]
+        build = lambda it: E.ClauseApp(clause.label, digest, args, tuple(_assemble(g, it) for g in slots))
+        return (partial(self._group, _items(slots, s), (), build, depth - 1, env, restriction), todo), evs
 
-    def _remote(self, goal, s, depth, env, restriction, anc):
+    def _remote(self, goal, depth, restriction, todo, evs):
+        state, s = self.state, self.state.subst
         k = walk(goal.principal, s)
-        if isinstance(k, S.Const):
+        target = k.name if isinstance(k, S.Const) else None  # None: broadcast
+        if target is not None:
             if restriction is not None and k not in restriction:
                 return
-            if k.name in ("T", "N") and self.services is not None:
+            if target in ("T", "N") and self.services is not None:
                 body = resolve_formula(goal.body, s)
-                for sa in self.services.attest_candidates(k.name, body):
-                    s2 = unify_atomic(body, sa.atom(), s, self.state)
-                    if s2 is not None:
-                        yield s2, E.AttLeaf(sa)
+                for sa in self.services.attest_candidates(target, body):
+                    hit = unify_atomic(body, sa.atom(), s, state) is not None
+                    yield (todo, (E.AttLeaf(sa), evs)) if hit else None
                 return
-            if k.name in self.policies:
+            if target in self.policies:
                 return  # fully handled locally
-            if self.dispatch is None:
-                return
-            target = k.name
-        else:
-            if self.dispatch is None:
-                return
-            target = None  # broadcast
+        if self.dispatch is None:
+            return
         g_send = resolve_formula(goal, s)
         vars_ = list(S.free_vars(g_send))
         self._log(depth, "dispatch" if target else "broadcast", g_send)
         for bindings, ev in self.dispatch(target, g_send, vars_, depth - 1, restriction):
-            s2 = s
-            for v in vars_:
-                t = bindings.get(v.name)
-                if t is None:
-                    continue
-                s2 = unify(v, t, s2, self.state)
-                if s2 is None:
-                    break
-            if s2 is not None:
-                yield s2, ev
+            hit = all(unify(v, bindings.get(v.name, v), s, state) is not None for v in vars_)
+            yield (todo, (ev, evs)) if hit else None
 
 
 # ---------------------------------------------------------------------------
-# Conjunction shapes and evidence finishing
+# Evidence building and finishing
+
+
+def _wrap(node, todo, evs):
+    """The step that closes a connective: the newest evidence `e` becomes `node(e)`."""
+    return todo, (node(evs[0]), evs[1])
 
 
 def _assemble(g, leaves):

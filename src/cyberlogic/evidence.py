@@ -2,9 +2,9 @@
 
 Evidence is a proof skeleton in the Brouwer-Heyting-Kolmogorov reading:
 each connective of the proved formula has a matching evidence constructor,
-clause applications name the applied clause by label and policy digest,
-and leaves are either hypotheses, signed attestations, or receipts for
-interpreted predicates.  `check` replays a certificate against pinned
+clause applications name the applied clause by label and policy digest
+(none for a hypothesis clause), and leaves are signed attestations or
+receipts for interpreted predicates.  `check` replays a certificate against pinned
 policies and public keys without any proof search.
 """
 
@@ -75,11 +75,6 @@ class ClauseApp:
 
 
 @dataclass(frozen=True)
-class Hyp:
-    label: str
-
-
-@dataclass(frozen=True)
 class AttLeaf:
     attestation: SignedAttestation
 
@@ -109,7 +104,6 @@ Evidence = (
     | Witness
     | Abstraction
     | ClauseApp
-    | Hyp
     | AttLeaf
     | TheoryHole
     | KnowsWrap
@@ -460,14 +454,6 @@ class _Checker:
                     return _nok(path, "restriction sets differ")
                 todo.append((e, phi, None, path))
                 todo.append((e.body, phi.body, env, (path, 0)))
-            elif isinstance(e, Hyp):
-                clause = env.clause(e.label)
-                if clause is None:
-                    return _nok(path, f"unknown hypothesis {e.label!r}")
-                if not clause.is_fact() or clause.universals:
-                    return _nok(path, f"hypothesis {e.label!r} is not an atomic fact")
-                if clause.head != phi:
-                    return _nok(path, f"hypothesis {e.label!r} does not match the goal")
             elif isinstance(e, (AttLeaf, TheoryHole)):
                 leaf = (self._check_att_leaf if isinstance(e, AttLeaf) else self._check_theory)(e, phi, path)
                 if not leaf.ok:
@@ -554,8 +540,6 @@ def render_spine(e: Evidence) -> str:
             return f"[{S.fmt_term(x.term)}]{body}", False
         if isinstance(x, Abstraction):
             return f"\\{x.var}.{body}", False
-        if isinstance(x, Hyp):
-            return x.label, False
         if isinstance(x, AttLeaf):
             return f"sig:{x.attestation.principal.name}", False
         if isinstance(x, TheoryHole):

@@ -23,7 +23,6 @@ import random
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
 
 from . import codec
 from . import crypto
@@ -199,12 +198,6 @@ def serve_node(node: "Node", host: str = "127.0.0.1", port: int = 0, timeout: fl
 # Nodes
 
 
-@dataclass
-class Session:
-    token: str
-    clauses: list = field(default_factory=list)  # assumed S.Clause
-
-
 class Node:
     """One principal: keys, policy, session table, and query handling."""
 
@@ -227,7 +220,8 @@ class Node:
         self.network = network
         self.depth = depth
         self.rng = random.Random((seed, name).__repr__())
-        self.sessions: dict[str, Session] = {}
+        self.sessions: dict[str, list] = {}  # token -> S.Clauses assumed, of running and kept queries
+        self._kept: dict[str, None] = {}  # tokens of kept sessions, oldest first
         self._indexes: dict = {}  # owner -> engine.ClauseIndex of a served policy
         self._qid_seq = 0
         self._answered: dict[str, list[bytes]] = {}  # request digest -> reply
@@ -261,24 +255,39 @@ class Node:
     def _env_for_chain(self, chain) -> E.HypothesisEnv:
         env = E.HypothesisEnv()
         for token in chain:
-            sess = self.sessions.get(token)
-            if sess is not None:
-                env = env.extend(sess.clauses)
+            assumed = self.sessions.get(token)
+            if assumed is not None:
+                env = env.extend(assumed)
         return env
 
-    def _prover(self, session: Session, chain) -> engine.Prover:
+    def _ask(self, goal, free_vars, depth, chain):
+        """Answers for `goal` under the hypotheses of `chain`'s sessions and
+        a new session, whose token the queries to peers add to `chain`.  Once
+        the search ends, the session is kept only if it assumed hypotheses,
+        and then among the ANSWER_CACHE newest such."""
+        token, assumed = self._new_token(), []
+        self.sessions[token] = assumed
         prover = engine.Prover(
             {self.name: self.policy},
-            dispatch=self._dispatcher(chain),
+            dispatch=self._dispatcher(chain + [token]),
             services=self.services,
             trace=self.trace,
-            on_hypothesis=session.clauses.extend,
+            on_hypothesis=assumed.extend,
             indexes=self._indexes,
         )
         # Keep the indexes of the policies served now; a replaced policy's
         # index is extended from the old one, which is then dropped.
         self._indexes = prover.indexes
-        return prover
+        try:
+            yield from prover.ask(goal, free_vars, depth, self._env_for_chain(chain))
+        finally:
+            if not assumed:
+                del self.sessions[token]
+            else:
+                self._kept[token] = None
+                if len(self._kept) > ANSWER_CACHE:
+                    oldest = next(iter(self._kept))
+                    del self._kept[oldest], self.sessions[oldest]
 
     # -- outbound ------------------------------------------------------------
 
@@ -402,19 +411,17 @@ class Node:
             chain = list(obj.get("session", []))
         except Exception as ex:
             return {"type": "FAIL", "qid": qid, "reason": f"malformed query: {ex}"}
-        session = Session(self._new_token())
-        self.sessions[session.token] = session
-        env = self._env_for_chain(chain)
-        prover = self._prover(session, chain + [session.token])
         # Rename incoming metavariables into a local namespace so they can
         # never collide with this prover's own fresh variables.
         ren = {v: S.Var(f"q.{qid}.{v.name}", v.sort) for v in vars_}
         goal = S.substitute(goal, ren)
+        search = self._ask(goal, list(ren.values()), min(budget, self.depth), chain)
         try:
-            answer = prover.first(goal, list(ren.values()), depth=min(budget, self.depth), env=env)
+            answer = next(search, None)
         except Exception as ex:
             answer = None
             self.trace.append(f"ERROR {qid} {ex}")
+        search.close()
         if answer is None:
             return {"type": "FAIL", "qid": qid, "reason": "no proof"}
         frame = {
@@ -434,10 +441,7 @@ class Node:
 
     def ask(self, goal, free_vars=(), depth: int | None = None):
         """Prove a goal at this node, dispatching to peers as needed."""
-        session = Session(self._new_token())
-        self.sessions[session.token] = session
-        prover = self._prover(session, [session.token])
-        yield from prover.ask(goal, free_vars, depth=depth or self.depth)
+        return self._ask(goal, free_vars, depth or self.depth, [])
 
     def ask_first(self, goal, free_vars=(), depth: int | None = None):
         for a in self.ask(goal, free_vars, depth):

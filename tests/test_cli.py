@@ -7,6 +7,8 @@ import time
 import pytest
 
 from cyberlogic import cli, scenarios
+from cyberlogic.crypto import Directory
+from cyberlogic.services import TrustedServices
 
 
 def run(argv):
@@ -91,6 +93,27 @@ def test_query_local_policy(tmp_path, capsys, monkeypatch):
     assert cert.exists()
     out = capsys.readouterr().out
     assert "x = Q" in out
+
+
+def test_query_proves_a_1000_step_chain_within_its_depth(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CYBERLOGIC_KEYDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    pol_dir = tmp_path / "policies"
+    pol_dir.mkdir()
+    lines = ["sort Key.", "principal K.", "const k: Key."]
+    lines += [f"pred p{i}(Key)." for i in range(1001)]
+    lines += [f"r{i}: forall x:Key. p{i + 1}(x) => p{i}(x)." for i in range(1000)]
+    (pol_dir / "K").write_text("\n".join(lines + ["f: p1000(k)."]) + "\n")
+    directory = Directory()
+    TrustedServices(seed=0).register_keys(directory)  # the query's clock, at its seed
+    directory.save(str(tmp_path / "dir.txt"))
+    cert = tmp_path / "chain.cert"
+    assert run(["query", "p0(k)", "--policy", str(pol_dir / "K"), "--depth", "1016",
+                "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert run(["check", str(cert), "--policies", str(pol_dir),
+                "--directory", str(tmp_path / "dir.txt")]) == 0
+    assert capsys.readouterr().out.startswith("ok")
 
 
 def test_query_without_proof_fails(tmp_path, capsys, monkeypatch):

@@ -125,7 +125,7 @@ def test_principal_sets_encode_to_recorded_bytes():
 def test_evidence_round_trip():
     ev = E.PairEv(
         E.ClauseApp("c1", b"\x01" * 32, (S.Const("a", "Thing"),), (E.Unit(),)),
-        E.Inr(E.Witness(S.Const("b", "Thing"), E.Hyp("h1"))),
+        E.Inr(E.Witness(S.Const("b", "Thing"), E.ClauseApp("h1", None))),
     )
     assert codec.decode_evidence(codec.encode_evidence(ev)) == ev
 
@@ -177,7 +177,7 @@ def _random_evidence(rng, pool, depth=4):
     if depth == 0 or r < 0.4:
         leaf = rng.choice([
             E.Unit(),
-            E.Hyp(f"h{rng.randrange(3)}"),
+            E.ClauseApp(f"h{rng.randrange(3)}", None),
             E.TheoryHole("<", (S.Const("1", "Int"), S.Const(str(rng.randrange(2, 4)), "Int"))),
         ])
         pool.append(leaf)
@@ -201,8 +201,10 @@ def _random_evidence(rng, pool, depth=4):
 
 
 # SHA-256 of the encodings of the 300 trees below, in order.  Recorded when
-# the evidence writer still recursed, so it pins the writer's bytes.
-RANDOM_TREES_SHA256 = "23318fb05026a52aaa7e7f66e54e7d1a48a4b34adc339da5a0fa36cf0efe782e"
+# the evidence writer still recursed, so it pins the writer's bytes; the
+# hypothesis leaves, once a node of their own, were mapped to the clause
+# applications that replaced them and encoded by that writer.
+RANDOM_TREES_SHA256 = "55d50d419e43b67e14779ec31b902f15fd9d9fa8fbe5cf19ed60eba8f0cec9c8"
 
 
 def test_random_trees_round_trip_to_recorded_bytes():
@@ -234,6 +236,12 @@ def test_store_reference_tag_rejected():
     # 0x2B was a reference into a certificate's shared-subtree store
     with pytest.raises(CodecError, match="bad evidence tag 0x2b"):
         codec.decode_evidence(b"\x2b" + struct.pack(">I", 32) + b"\x00" * 32)
+
+
+def test_hypothesis_tag_rejected():
+    # 0x27 was a hypothesis leaf, now a clause application with no digest
+    with pytest.raises(CodecError, match="bad evidence tag 0x27"):
+        codec.decode_evidence(b"\x27" + struct.pack(">I", 2) + b"h1")
 
 
 # The certificate `Unit` for `true`, with no pins, in the retired CYL1

@@ -151,6 +151,17 @@ def test_all_answers_check(tmp_path):
         assert E.check({pol.digest: pol}, E.HypothesisEnv(), a.evidence, a.goal)
 
 
+def test_interleaved_asks_on_one_prover_answer_as_each_alone():
+    p, pol = _prover(PATHS)
+    goal, free = parser.parse_goal("path(n1, z)", pol.signature)
+    other, other_free = parser.parse_goal("path(w, n3)", pol.signature)
+    alone = [a.goal for a in _prover(PATHS)[0].ask(goal, free)]
+    first = p.ask(goal, free)
+    answers = [next(first).goal]
+    assert next(p.ask(other, other_free)) is not None
+    assert answers + [a.goal for a in first] == alone
+
+
 def test_disjunction_left_then_right():
     p, pol = _prover(PATHS)
     goal, _ = parser.parse_goal("path(n3, n1) \\/ path(n1, n3)", pol.signature)
@@ -325,6 +336,20 @@ def test_commuted_nested_attestations_fail():
     # <K><L> p normalizes to <L> p; the commuted <L><K> p needs K's signature
     assert _holds(p, pol, "L says p(a)")
     assert not _holds(p, pol, "K says p(a)")
+
+
+def test_an_owner_bare_head_answers_only_the_owner_attestation():
+    pol_k = parser.parse_policy(LAW_SIG + "f1: p(a).\n", "K")
+    pol_c = parser.parse_policy(LAW_SIG + "f2: q(a).\n", S.COMMON)
+    p = Prover({"K": pol_k, S.COMMON: pol_c})
+    goal, free = parser.parse_goal("x says p(a)", pol_k.signature)
+    answer = next(iter(p.ask(goal, free)))
+    assert answer.bindings[free[0]] == S.Const("K", "Principal")
+    assert answer.evidence == E.ClauseApp("f1", pol_k.digest)
+    assert E.check({pol_k.digest: pol_k}, E.HypothesisEnv(), answer.evidence, answer.goal)
+    assert not _holds(p, pol_k, "L says p(a)")
+    assert not _holds(p, pol_k, "K says q(a)")  # the common policy attests nothing
+    assert _holds(p, pol_k, "q(a)")
 
 
 def test_knows_commutation_fails():

@@ -64,9 +64,9 @@ def test_witness_substitutes_term():
 def test_hypothesis_lookup():
     clause = S.Clause("h1", (), (), S.Atom("p", ()))
     env = E.HypothesisEnv().extend([clause])
-    assert E.check({}, env, E.Hyp("h1"), S.Atom("p", ()))
-    assert not E.check({}, env, E.Hyp("h2"), S.Atom("p", ()))
-    assert not E.check({}, env, E.Hyp("h1"), S.Atom("q", ()))
+    assert E.check({}, env, E.ClauseApp("h1", None), S.Atom("p", ()))
+    assert not E.check({}, env, E.ClauseApp("h2", None), S.Atom("p", ()))
+    assert not E.check({}, env, E.ClauseApp("h1", None), S.Atom("q", ()))
 
 
 def test_abstraction_eigenvariable_must_be_fresh():

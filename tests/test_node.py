@@ -153,7 +153,7 @@ def _unsigned(w, frm, to, frame, obj):
 
 
 def _altered(w, frm, to, frame, obj):
-    obj["evidence_b64"] = base64.b64encode(codec.encode_evidence(E.Hyp("b1"))).decode()
+    obj["evidence_b64"] = base64.b64encode(codec.encode_evidence(E.ClauseApp("b1", None))).decode()
     return encode_frame(obj)
 
 
@@ -316,6 +316,25 @@ def test_session_hypotheses_need_the_token_chain():
     other["qid"] = "replay-other"
     other["session"] = ["A:" + "0" * 32]
     assert decode_frame(a.handle_frame(encode_frame(other))[0])["type"] == "FAIL"
+
+
+def test_a_query_that_assumed_nothing_keeps_no_session():
+    r = scenarios.run_hospital(0)
+    a = r.world.node("A")
+    goal, free = parser.parse_goal(scenarios.HOSPITAL_QUERY, a.policy.signature)
+    for _ in range(3):
+        assert a.ask_first(goal, free) is not None
+    assert [len(r.world.node(n).sessions) for n in "ABC"] == [0, 0, 0]
+
+
+def test_sessions_that_assumed_hypotheses_are_kept_oldest_first():
+    b = _bcast_world().node("B")
+    goal, _ = parser.parse_goal("good(A) => good(A)", b.policy.signature)
+    assert b.ask_first(goal) is not None
+    (oldest,) = b.sessions
+    for _ in range(ANSWER_CACHE):
+        assert b.ask_first(goal) is not None
+    assert len(b.sessions) == ANSWER_CACHE and oldest not in b.sessions
 
 
 def test_malformed_frame_fails_cleanly():

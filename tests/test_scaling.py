@@ -1,16 +1,23 @@
-"""Prove and certify cost per derivation step stays flat as a chain grows.
+"""Prove and certify cost per derivation step stays flat as a chain grows,
+and a derivation takes no recursion per step.
 
 Ratios, not wall-clock bounds: each figure is the best of several runs,
 divided by the chain length, and the long chain is compared with the short
 one on the same machine in the same process."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
+import pytest
+
+from cyberlogic import codec, parser
 from cyberlogic import evidence as E
-from cyberlogic import parser
 from cyberlogic.engine import Prover
 
-SHORT, LONG = 25, 200
+SHORT, LONG, DEEP = 25, 200, 2000
 MAX_RATIO = 3.5  # per-step cost at LONG over that at SHORT; quadratic reads ~8
 
 
@@ -48,8 +55,31 @@ def _certify_cost(n: int) -> float:
 
 
 def test_prove_scales_roughly_linearly():
-    assert _prove_cost(LONG) <= _prove_cost(SHORT) * MAX_RATIO
+    short = _prove_cost(SHORT)
+    assert _prove_cost(LONG) <= short * MAX_RATIO
+    assert _prove_cost(DEEP) <= short * MAX_RATIO
 
 
 def test_certify_scales_roughly_linearly():
     assert _certify_cost(LONG) <= _certify_cost(SHORT) * MAX_RATIO
+
+
+def _round_trip(n: int):
+    """Prove a chain of n steps, certify it, encode and decode the
+    certificate and check it."""
+    prover, goal, free = _chain(n)
+    answer = prover.first(goal, free, depth=n + 16)
+    policy = prover.policies["K"]
+    raw = codec.encode_certificate(E.make_certificate(answer.goal, answer.evidence, {policy.digest}, ()))
+    back = codec.decode_certificate(raw)
+    assert codec.encode_certificate(back) == raw  # evidence equality still recurses per level
+    result = E.check_certificate(back, {policy.digest: policy})
+    assert result, result.reason
+
+
+@pytest.mark.parametrize("steps", [1000, DEEP])
+def test_a_long_chain_takes_no_recursion_per_step(steps):
+    here = pathlib.Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    script = f"import sys, test_scaling; sys.setrecursionlimit(100); test_scaling._round_trip({steps})"
+    subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)

@@ -210,7 +210,7 @@ def test_checker_frames_have_the_node_frame_limit():
     r = scenarios.run_hospital(0)
     reg = _registry_for(r.world)
     cert = r.certificate
-    big = E.Certificate(cert.root_formula, E.Hyp("x" * MAX_FRAME),
+    big = E.Certificate(cert.root_formula, E.ClauseApp("x" * MAX_FRAME, None),
                         cert.policy_digests, cert.directory, cert.created_at)
     frames = []
     verdict = remote_check(reg, big, frame_log=frames)
