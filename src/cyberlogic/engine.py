@@ -19,6 +19,11 @@ unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
 variables; evidence slots are filled positionally regardless of the
 evaluation order actually taken.
+A derivation step does only the search's own work: atomic goals resolve in
+one pass, the variables and goals that key the substitution and the
+open-goal set hash once, and constants print once for the trace (`syntax`).
+They are immutable, so a cache holds what a fresh computation would give,
+even when TCP handler threads race to fill it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import partial
 
 from . import syntax as S
 from . import evidence as E
-from .errors import FlounderError
+from .errors import FlounderError, SortError
 
 DEFAULT_DEPTH = 64
 
@@ -39,8 +44,11 @@ DEFAULT_DEPTH = 64
 
 
 def walk(t, s: dict):
-    while isinstance(t, S.Var) and t in s:
-        t = s[t]
+    while t.__class__ is S.Var:
+        u = s.get(t)
+        if u is None:
+            return t
+        t = u
     return t
 
 
@@ -51,7 +59,19 @@ def resolve(t, s: dict):
     return t
 
 
+def _resolve_atom(a, s: dict):
+    args = tuple([resolve(t, s) for t in a.args])
+    return a if args == a.args else S.Atom(a.pred, args)
+
+
 def resolve_formula(f, s: dict):
+    """`f` under `s`.  An atom or an attested atom has no binder, so it
+    resolves in one pass; other formulas take the capture-avoiding path."""
+    if f.__class__ is S.Atom:
+        return _resolve_atom(f, s)
+    if f.__class__ is S.Attest and f.body.__class__ is S.Atom:
+        k, body = resolve(f.principal, s), _resolve_atom(f.body, s)
+        return f if k is f.principal and body is f.body else S.Attest(k, body)
     fv = S.free_vars(f)
     m = {v: resolve(v, s) for v in fv}
     m = {v: t for v, t in m.items() if t != v}
@@ -59,16 +79,20 @@ def resolve_formula(f, s: dict):
 
 
 def _bind(v: S.Var, t, s: dict, state):
-    t = resolve(t, s)
-    if isinstance(t, S.Var) and t == v:
-        return s
-    if v in S.term_vars(t):
-        return None  # occurs check
-    try:
-        if S.term_sort(t) != v.sort:
+    if t.__class__ is S.Const:  # no occurs check, and the sort is at hand
+        if t.sort != v.sort:
             return None
-    except Exception:
-        return None
+    else:
+        t = resolve(t, s)
+        if isinstance(t, S.Var) and t == v:
+            return s
+        if v in S.term_vars(t):
+            return None  # occurs check
+        try:
+            if S.term_sort(t) != v.sort:
+                return None
+        except SortError:
+            return None
     if state is not None:
         if not state.scope_ok(v, t):
             return None
@@ -164,7 +188,7 @@ class _State:
         b = self.meta_birth.get(v.name)
         if b is None:
             return True
-        for name in S.const_names(t):
+        for name in (t.name,) if t.__class__ is S.Const else S.const_names(t):
             eb = self.eigen_birth.get(name)
             if eb is not None and eb > b:
                 return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import base64
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import syntax as S
 from .crypto import Directory, PrincipalId, SignedAttestation, verify_attestation
@@ -108,6 +108,30 @@ Evidence = (
     | TheoryHole
     | KnowsWrap
 )
+
+
+def _flat(e) -> tuple:
+    """Evidence tree `e` in pre-order, without recursion: each evidence node
+    and tuple as (its class, its number of parts), any other value as
+    itself.  Two trees are equal exactly when these are."""
+    out, todo = [], [e]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is tuple or x.__class__ in _NODE_CLASSES:
+            parts = x if x.__class__ is tuple else [getattr(x, f.name) for f in fields(x)]
+            out.append((x.__class__, len(parts)))
+            todo += reversed(parts)
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+# Evidence from a peer can nest thousands of levels deep, and the generated
+# `__eq__` and `__hash__` take a Python frame per level.
+_NODE_CLASSES = frozenset(Evidence.__args__)
+for _cls in _NODE_CLASSES:
+    _cls.__eq__ = lambda a, b: _flat(a) == _flat(b) if b.__class__ is a.__class__ else NotImplemented
+    _cls.__hash__ = lambda e: hash(_flat(e))
 
 
 # ---------------------------------------------------------------------------

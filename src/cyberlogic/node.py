@@ -18,6 +18,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import random
 import socket
@@ -30,7 +31,7 @@ from . import engine
 from . import evidence as E
 from . import syntax as S
 from .crypto import Directory, KeyPair
-from .errors import RouteError, TransportError
+from .errors import CodecError, RouteError, TransportError
 
 MAX_FRAME = 16 * 1024 * 1024
 SERVICE_NAMES = ("T", "N")
@@ -63,6 +64,11 @@ def _b64(data: bytes) -> str:
 
 def _unb64(text: str) -> bytes:
     return base64.b64decode(text)
+
+
+def _is_b64(x) -> bool:
+    """Whether `x` can be given to `_unb64`: text that is all ASCII."""
+    return isinstance(x, str) and x.isascii()
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +367,20 @@ class Node:
                 continue
             if obj.get("type") != "ANSWER" or obj.get("request") != request:
                 continue
+            sig, bindings, ev = obj.pop("sig_b64", None), obj.get("bindings"), obj.get("evidence_b64")
+            if not (
+                _is_b64(sig)
+                and _is_b64(ev)
+                and isinstance(bindings, dict)
+                and all(isinstance(name, str) and _is_b64(t) for name, t in bindings.items())
+            ):
+                continue  # unsigned or malformed
             try:
-                sig = _unb64(obj.pop("sig_b64"))
-                if pub is None or not crypto.verify(pub, sig, encode_frame(obj)):
-                    continue  # unsigned, forged or altered
-                bindings = {
-                    name: codec.decode_term(_unb64(t))
-                    for name, t in (obj.get("bindings") or {}).items()
-                }
-                ev = codec.decode_evidence(_unb64(obj["evidence_b64"]))
-            except Exception:
+                if pub is None or not crypto.verify(pub, _unb64(sig), encode_frame(obj)):
+                    continue  # no key, forged or altered
+                bindings = {name: codec.decode_term(_unb64(t)) for name, t in bindings.items()}
+                ev = codec.decode_evidence(_unb64(ev))
+            except (CodecError, TransportError, binascii.Error):
                 continue
             if restriction is not None and isinstance(ev, E.KnowsWrap):
                 ev = ev.body  # sent wrapped, integrate unwrapped

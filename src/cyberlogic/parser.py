@@ -24,6 +24,7 @@ checks a parsed formula a second time.
 from __future__ import annotations
 
 import re
+from collections import deque
 
 from .errors import ParseError, SortError
 from . import syntax as S
@@ -45,36 +46,62 @@ _CMP_OPS = ("=", "!=", "<", "<=")
 _TOO_DEEP = f"nested deeper than {S.MAX_NESTING} levels"
 
 
+def _scan(text: str):
+    """The tokens of `text` as (kind, lexeme, line, column), whitespace and
+    comments left out, then ("eof", "", line, column) without end.  Raises
+    at the first character that starts no token."""
+    line, col = 1, 1
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind, lexeme = m.lastgroup, m.group()
+        if kind != "ws":
+            yield kind, lexeme, line, col
+        nl = lexeme.count("\n")
+        if nl:
+            line += nl
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    eof = ("eof", "", line, col)
+    while True:
+        yield eof
+
+
 class _Lexer:
+    """The tokens of `text`, made as they are read, so that parsing a policy
+    of thousands of clauses never holds all of its tokens at once.  Leaving
+    it as a context makes the rest: a character that starts no token is the
+    error wherever it is, as if every token had been made first."""
+
     def __init__(self, text: str):
-        self.toks = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            lexeme = m.group(0)
-            if m.lastgroup != "ws":
-                self.toks.append((m.lastgroup, lexeme, line, col))
-            nl = lexeme.count("\n")
-            if nl:
-                line += nl
-                col = len(lexeme) - lexeme.rfind("\n")
-            else:
-                col += len(lexeme)
-            pos = m.end()
-        self.toks.append(("eof", "", line, col))
-        self.i = 0
+        self.toks = _scan(text)
+        self.buf = deque()  # tokens made and not yet read
+        self.i = 0  # tokens read
 
     def peek(self, ahead: int = 0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        while len(self.buf) <= ahead:
+            self.buf.append(next(self.toks))
+        return self.buf[ahead]
 
     def next(self):
-        tok = self.toks[self.i]
+        tok = self.peek()
         if tok[0] != "eof":
+            self.buf.popleft()
             self.i += 1
         return tok
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for kind, *_ in self.toks:  # raises at a character that starts no token
+            if kind == "eof":
+                break
 
     def expect(self, lexeme: str):
         kind, lex, line, col = self.next()
@@ -99,6 +126,7 @@ class _Parser:
         self.free = {}  # query-mode free variable name -> sort (insertion ordered)
         self.depth = 0  # levels of nested text being read
         self.macros = 0  # macro calls read
+        self.consts = {}  # (name, sort) -> the one Const for it in this text
 
     def nest(self, step: int):
         """Enter (1) or leave (-1) a level of nested text: a formula, a `knows` body, a `succ` argument."""
@@ -148,10 +176,10 @@ class _Parser:
         if kind == "int":
             if expected not in ("Int", "Time"):
                 raise SortError(f"integer literal where sort {expected!r} is expected")
-            return S.Const(str(raw[1]), expected)
+            return self.const(str(raw[1]), expected)
         if kind == "str":
             self.sig.note_const(raw[1], expected)
-            return S.Const(raw[1], expected)
+            return self.const(raw[1], expected)
         if kind == "app":
             if expected not in ("Int", "Time"):
                 raise SortError(f"succ(..) where sort {expected!r} is expected")
@@ -168,7 +196,7 @@ class _Parser:
                 raise SortError(
                     f"constant {name!r} has sort {self.sig.consts[name]!r}, expected {expected!r}"
                 )
-            return S.Const(name, expected)
+            return self.const(name, expected)
         if self.query_mode:
             got = self.free.setdefault(name, expected)
             if got != expected:
@@ -177,7 +205,16 @@ class _Parser:
         if expected not in self.sig.sorts:
             raise SortError(f"undeclared sort {expected!r}")
         self.sig.note_const(name, expected)
-        return S.Const(name, expected)
+        return self.const(name, expected)
+
+    def const(self, name: str, sort: str) -> S.Const:
+        """One `Const` per constant of the text, however often it is named:
+        a policy names each of its constants many times, and each `Const`
+        keeps its hash and printed text once computed."""
+        c = self.consts.get((name, sort))
+        if c is None:
+            c = self.consts[name, sort] = S.Const(name, sort)
+        return c
 
     def resolve_principal(self, raw):
         return self.resolve(raw, "Principal")
@@ -440,17 +477,19 @@ def base_signature() -> S.Signature:
 def parse_policy(text: str, owner: str = "", sig: S.Signature | None = None) -> S.Policy:
     """Parse, macro-expand, sort-check and normalize a policy file."""
     p = _Parser(text, sig.copy() if sig else base_signature(), query_mode=False)
-    return p.parse_policy(owner, text)
+    with p.lx:
+        return p.parse_policy(owner, text)
 
 
 def parse_goal(text: str, sig: S.Signature):
     """Parse a query.  Returns (goal, free_vars) with free variables in
     first-occurrence order; they are treated as existentially closed."""
     p = _Parser(text, sig.copy(), query_mode=True)
-    f = p.parse_formula()
-    kind, lex, line, col = p.lx.peek()
-    if kind != "eof" and lex != ".":
-        raise ParseError(f"trailing input {lex!r}", line, col)
+    with p.lx:
+        f = p.parse_formula()
+        kind, lex, line, col = p.lx.peek()
+        if kind != "eof" and lex != ".":
+            raise ParseError(f"trailing input {lex!r}", line, col)
     f = S.normalize(f)
     S.validate_goal(f)
     return f, [S.Var(n, s) for n, s in p.free.items()]

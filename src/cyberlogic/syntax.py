@@ -1,12 +1,19 @@
 """Abstract syntax: multi-sorted terms, formulas with attestation and
 knowledge modalities, program clauses, and normalization into the
-goal/clause fragment used by the engine."""
+goal/clause fragment used by the engine.
+
+`Var`, `Const`, `FunApp`, `Atom` and `Attest` hash once, on first use, and
+`fmt_term` prints each `Const` once, since search hashes and prints them at
+every step.  The values are immutable, so a cache holds what a fresh
+computation gives, and TCP handler threads that race to fill one only
+compute it twice."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import FragmentError, MacroError, SortError
 
@@ -27,6 +34,25 @@ MAX_NESTING = 128  # the deepest term or formula (see `nesting`) parser and code
 # Terms
 
 
+def _hash_once(cls):
+    """Give frozen dataclass `cls` the generated `__hash__`'s hash of its
+    fields, computed on first use and kept in `_h`: a class attribute, not a
+    field, set with `object.__setattr__` (writing `__dict__` would make the
+    instance dict real and slow every attribute read)."""
+    key = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_h", h)
+        return h
+
+    cls._h, cls.__hash__ = None, __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -36,15 +62,19 @@ class Var:
         return f"{self.name}:{self.sort}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Const:
     name: str
     sort: str
 
+    _text = None  # printed text, kept by `fmt_term`; not a field
+
     def __repr__(self):
         return self.name
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FunApp:
     symbol: str
@@ -60,9 +90,9 @@ Term = Var | Const | FunApp
 def term_sort(t: Term) -> str:
     if isinstance(t, (Var, Const)):
         return t.sort
-    if t.symbol == "succ":
+    if t.symbol == "succ" and len(t.args) == 1:
         return term_sort(t.args[0])
-    raise SortError(f"unknown function symbol {t.symbol}")
+    raise SortError(f"unknown function symbol {t.symbol}/{len(t.args)}")
 
 
 def term_vars(t: Term) -> set:
@@ -96,7 +126,7 @@ def int_value(t: Term):
             return int(t.name)
         except ValueError:
             return None
-    if isinstance(t, FunApp) and t.symbol == "succ":
+    if isinstance(t, FunApp) and t.symbol == "succ" and len(t.args) == 1:
         v = int_value(t.args[0])
         return None if v is None else v + 1
     return None
@@ -129,12 +159,14 @@ class Bottom:
     pass
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Atom:
     pred: str
     args: tuple = ()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Attest:
     principal: Term
@@ -643,13 +675,13 @@ def fmt_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Const):
-        # Bare only where the parser reads the text back as this constant.
-        n = int_value(t)
-        if n is not None and str(n) == t.name:
-            return t.name
-        if IDENT.fullmatch(t.name) and t.name not in KEYWORDS and t.name not in MACROS:
-            return t.name
-        return f'"{t.name}"'
+        if t._text is None:  # bare only where the parser reads the text back as this constant
+            n, name = int_value(t), t.name
+            bare = (n is not None and str(n) == name) or (
+                IDENT.fullmatch(name) and name not in KEYWORDS and name not in MACROS
+            )
+            object.__setattr__(t, "_text", name if bare else f'"{name}"')
+        return t._text
     return f"{t.symbol}({', '.join(fmt_term(a) for a in t.args)})"
 
 

@@ -43,6 +43,9 @@ def test_unify_occurs_check():
 
 def test_unify_sort_mismatch():
     assert mgu(S.Var("X", "Thing"), S.Const("K", "Principal")) is None
+    # Terms without a sort, as a peer's answer may bind them.
+    for bad in (S.FunApp("succ", ()), S.FunApp("f", (C("a"),))):
+        assert mgu(V("X"), bad) is None
 
 
 def test_unify_succ_chain_and_numeral():

@@ -4,6 +4,7 @@ and scaling."""
 import dataclasses
 import gc
 import statistics
+import sys
 import time
 
 import pytest
@@ -346,3 +347,35 @@ def test_a_goal_at_the_nesting_limit_proves_certifies_and_checks(text):
         codec.encode_formula(deeper)
     with pytest.raises(CodecError):
         codec.decode_formula(b"\x16" + codec.encode_formula(S.Atom("q")) + codec.encode_formula(goal))
+
+
+def test_deep_evidence_compares_and_hashes_at_the_default_recursion_limit():
+    def chain(leaf):
+        for _ in range(3000):
+            leaf = E.Inl(leaf)
+        return leaf
+
+    a, b = S.Const("a", "Thing"), S.Const("b", "Thing")
+    x, y = chain(E.TheoryHole("=", (a, a))), chain(E.TheoryHole("=", (a, a)))
+    z = chain(E.TheoryHole("=", (a, b)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert x == y and hash(x) == hash(y)
+        assert x != z and not x == z
+    finally:
+        sys.setrecursionlimit(limit)
+    app = E.ClauseApp("r", b"d", (a,), (E.Unit(), x))
+    assert app == E.ClauseApp("r", b"d", (a,), (E.Unit(), y))
+    assert app != E.ClauseApp("r", b"d", (b,), (E.Unit(), y))
+    assert app != E.ClauseApp("r", b"d", (a,), (E.Unit(), z))
+
+
+@pytest.mark.parametrize("args", [(), (S.Const("1", "Int"), S.Const("2", "Int"))])
+def test_a_comparison_of_an_ill_formed_successor_gets_a_verdict(args):
+    # The codec reads `succ` with any number of arguments.
+    atom = S.Atom("<", (S.FunApp("succ", args), S.Const("3", "Int")))
+    cert = E.make_certificate(atom, E.TheoryHole("<", atom.args), [], [])
+    cert = codec.decode_certificate(codec.encode_certificate(cert))
+    res = E.check_certificate(cert, {})
+    assert not res and res.reason == "< does not hold"

@@ -226,6 +226,57 @@ def test_a_good_answer_after_a_corrupt_copy_is_accepted():
     assert a.metrics["duplicates_ignored"] == 0
 
 
+def _resigned(w, to, obj):
+    """`obj` as an ANSWER frame correctly signed by `to`."""
+    obj.pop("sig_b64", None)
+    obj["sig_b64"] = base64.b64encode(sign(w.node(to).keys, encode_frame(obj))).decode()
+    return encode_frame(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bindings", ["x"]),
+        ("bindings", {"x": 7}),
+        ("bindings", {"x": "abc"}),  # bad base64 padding
+        ("bindings", {"x": base64.b64encode(b"\xff").decode()}),  # not a term
+        ("evidence_b64", None),
+        ("evidence_b64", "\u00e9"),  # not ASCII
+        ("evidence_b64", base64.b64encode(b"\x22").decode()),  # truncated evidence
+    ],
+)
+def test_a_signed_answer_with_malformed_fields_is_skipped(field, value):
+    w = _bcast_world()
+    request = w.network.request
+
+    def malformed_copy_first(frm, to, frame):
+        good = request(frm, to, frame)
+        bad = []
+        for resp in good:
+            obj = decode_frame(resp)
+            if obj.get("type") == "ANSWER":
+                obj[field] = value
+                bad.append(_resigned(w, to, obj))
+        return bad + good
+
+    w.network.request = malformed_copy_first
+    a = w.node("A")
+    goal, free = parser.parse_goal("B says good(x)", a.policy.signature)
+    assert a.ask_first(goal, free).bindings == {free[0]: S.Const("B", "Principal")}
+
+
+def test_an_internal_error_reading_an_answer_is_not_taken_for_a_bad_peer(monkeypatch):
+    def broken(data):
+        raise RuntimeError("decoder bug")
+
+    w = _bcast_world()
+    monkeypatch.setattr(codec, "decode_evidence", broken)
+    a = w.node("A")
+    goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
+    with pytest.raises(RuntimeError, match="decoder bug"):
+        a.ask_first(goal)
+
+
 def test_a_peer_answering_with_3000_deep_evidence_gets_a_verdict():
     w = _bcast_world()
     request = w.network.request
@@ -237,11 +288,9 @@ def test_a_peer_answering_with_3000_deep_evidence_gets_a_verdict():
         out = []
         for resp in request(frm, to, frame):
             obj = decode_frame(resp)
-            if obj["type"] == "ANSWER":  # correctly signed by B
-                obj.pop("sig_b64")
+            if obj["type"] == "ANSWER":
                 obj["evidence_b64"] = base64.b64encode(codec.encode_evidence(deep)).decode()
-                obj["sig_b64"] = base64.b64encode(sign(w.node(to).keys, encode_frame(obj))).decode()
-                resp = encode_frame(obj)
+                resp = _resigned(w, to, obj)
             out.append(resp)
         return out
 

@@ -96,6 +96,36 @@ def test_unterminated_clause_rejected():
         parser.parse_policy("pred p(Principal). principal K.\nk1: p(K)\n", "K")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pred p(Principal). principal K.\nk1: p(K, K).\nk2: p(K) <=> p(K).\n",
+        "pred p(Principal). principal K.\nk1: p(K)\nk2: p(K) @\n",
+    ],
+    ids=["after-an-arity-error", "after-a-missing-dot"],
+)
+def test_a_character_that_starts_no_token_is_the_error_wherever_it_is(text):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parser.parse_policy(text, "K")
+    assert err.value.line == 3
+
+
+def test_a_goal_is_lexed_past_its_final_dot():
+    sig = parser.parse_policy(GAMMA_B, "B").signature
+    assert parser.parse_goal("isHospital(A). isHospital(B)", sig)[0] == S.Atom(
+        "isHospital", (S.Const("A", "Principal"),)
+    )
+    with pytest.raises(ParseError, match="unexpected character '@'"):
+        parser.parse_goal("isHospital(A). @", sig)
+
+
+def test_a_policy_makes_one_const_per_constant():
+    pol = parser.parse_policy(GAMMA_B, "B")
+    bs = [c.head.principal for c in pol.clauses] + [pol.clauses[1].head.body.args[0]]
+    assert bs[0] == S.Const("B", "Principal")
+    assert all(b is bs[0] for b in bs)
+
+
 def test_knows_goal():
     pol = parser.parse_policy(GAMMA_B, "B")
     goal, _ = parser.parse_goal("knows {A, B} B says isHospital(B)", pol.signature)

@@ -1,6 +1,11 @@
-"""Formula normalization, clause extraction, and macro expansion."""
+"""Formula normalization, clause extraction, macro expansion, and the
+cached hashes and printed text of syntax values."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyberlogic import parser
 from cyberlogic import syntax as S
@@ -215,8 +220,6 @@ def _sig_state(sig):
 
 
 def test_policy_fields_cannot_be_assigned():
-    import dataclasses
-
     pol = parser.parse_policy("pred p(Principal). k1: p(K).", "K")
     assert isinstance(pol.clauses, tuple)
     for name, value in (("owner", "L"), ("clauses", ()), ("source", "x"), ("digest", b"")):
@@ -239,3 +242,81 @@ def test_cached_digest_matches_a_fresh_one_after_queries():
     assert r.ok
     for pol in r.world.policies.values():
         assert pol.digest == codec.policy_digest(pol)
+
+
+# ---------------------------------------------------------------------------
+# Property: cached hashes and printed text agree with a fresh computation
+
+_CACHED = (S.Var, S.Const, S.FunApp, S.Atom, S.Attest)
+_NAMES = ("a", "K", "x y", "forall", "delegate", "3", "07", "-2", "_1")
+
+_consts = st.builds(S.Const, st.sampled_from(_NAMES), st.sampled_from(("Thing", "Int", "Time", "Principal")))
+_vars = st.builds(S.Var, st.sampled_from(("x", "y", "_7")), st.sampled_from(("Thing", "Int")))
+_terms = st.recursive(
+    _consts | _vars,
+    lambda t: st.builds(S.FunApp, st.just("succ"), st.tuples(t)),
+    max_leaves=4,
+)
+_atoms = st.builds(S.Atom, st.sampled_from(("p", "q")), st.lists(_terms, max_size=3).map(tuple)) | st.builds(
+    lambda a, b: S.Atom("=", (a, b)), _terms, _terms
+)
+_formulas = st.recursive(
+    _atoms | st.builds(S.Attest, _terms, _atoms) | st.just(S.TOP),
+    lambda f: st.builds(S.And, f, f)
+    | st.builds(S.Or, f, f)
+    | st.builds(S.Implies, f, f)
+    | st.builds(S.Forall, _vars, f)
+    | st.builds(S.Exists, _vars, f)
+    | st.builds(S.Attest, _terms, f)
+    | st.builds(S.Knows, st.frozensets(_consts, max_size=2), f),
+    max_leaves=6,
+)
+
+
+def _fresh(x):
+    """An equal copy of `x` that shares no term or formula with it."""
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_fresh(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, (tuple, frozenset)):
+        return type(x)(map(_fresh, x))
+    return x
+
+
+def _subvalues(x):
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        yield x
+        todo += S.parts(x)
+
+
+def _fmt(x):
+    return S.fmt_term(x) if isinstance(x, (S.Var, S.Const, S.FunApp)) else S.fmt_formula(x)
+
+
+def test_cached_values_keep_their_fields():
+    # `codec.FORMAT` zips each class's fields with its field kinds.
+    expected = {
+        S.Var: ["name", "sort"], S.Const: ["name", "sort"], S.FunApp: ["symbol", "args"],
+        S.Atom: ["pred", "args"], S.Attest: ["principal", "body"],
+    }
+    assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in _CACHED} == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_terms, _formulas))
+def test_cached_hashes_and_text_agree_with_fresh_ones(x):
+    text, shown = repr(x), _fmt(_fresh(x))
+    h = hash(x)
+    y = _fresh(x)
+    assert y == x and hash(y) == h  # hashed first, or built fresh
+    for v in _subvalues(x):
+        if isinstance(v, _CACHED):
+            # The hash the generated `__hash__` would compute.
+            assert hash(v) == hash(tuple(getattr(v, f.name) for f in dataclasses.fields(v)))
+    assert _fmt(x) == shown and hash(x) == h  # printing keeps the hash
+    assert repr(x) == text
+    for c in _subvalues(y):
+        if isinstance(c, S.Const):
+            before = S.fmt_term(S.Const(c.name, c.sort))
+            assert S.fmt_term(c) == before and S.fmt_term(c) == before
