@@ -63,8 +63,6 @@ from .evidence import (
     check,
     check_certificate,
     make_certificate,
-    certificate_to_text,
-    certificate_from_text,
     render_spine,
 )
 from .engine import Prover, Answer, unify, mgu, DEFAULT_DEPTH

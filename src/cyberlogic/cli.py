@@ -52,13 +52,6 @@ def _load_policies(args) -> list:
     return out
 
 
-def _load_certificate(path: str) -> E.Certificate:
-    data = pathlib.Path(path).read_bytes()
-    if data.startswith(b"cyberlogic-cert"):
-        return E.certificate_from_text(data.decode())
-    return codec.decode_certificate(data)
-
-
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", int(port)
@@ -136,9 +129,6 @@ def cmd_query(args) -> int:
     if policy is None:
         print("query requires --policy", file=sys.stderr)
         return EXIT_USAGE
-    if args.transport == "tcp" and not args.peer:
-        print("tcp transport requires at least one --peer", file=sys.stderr)
-        return EXIT_USAGE
     node = _build_node(args, policy)
     goal, free = parser.parse_goal(args.goal, policy.signature)
     answer = node.ask_first(goal, free, depth=args.depth)
@@ -151,17 +141,17 @@ def cmd_query(args) -> int:
         return EXIT_FAIL
     for v, t in sorted(answer.bindings.items(), key=lambda kv: kv[0].name):
         print(f"{v.name} = {fmt_term(t)}")
-    cert = node.certify(answer)
+    data = codec.encode_certificate(node.certify(answer))
     out = args.out or "cert.bin"
-    pathlib.Path(out).write_bytes(codec.encode_certificate(cert))
+    pathlib.Path(out).write_bytes(data)
     print(f"goal {fmt_formula(answer.goal)}")
-    print(f"certificate {out} ({len(codec.encode_certificate(cert))} bytes)")
+    print(f"certificate {out} ({len(data)} bytes)")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     try:
-        cert = _load_certificate(args.cert)
+        cert = codec.decode_certificate(pathlib.Path(args.cert).read_bytes())
     except Exception as ex:
         print(f"nok: unreadable certificate: {ex}")
         return EXIT_FAIL
@@ -239,9 +229,8 @@ def cmd_tamper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags(sp, policy=True):
-    if policy:
-        sp.add_argument("--policy", action="append", metavar="FILE")
+def _common_flags(sp):
+    sp.add_argument("--policy", action="append", metavar="FILE")
     sp.add_argument("--directory", metavar="FILE")
     sp.add_argument("--seed", type=int, default=0, metavar="N")
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="N")
@@ -270,7 +259,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _common_flags(sp)
     sp.add_argument("--timeout", type=int, default=30000, metavar="MS",
                     help="network timeout in milliseconds")
-    sp.add_argument("--transport", choices=("sim", "tcp"), default="sim")
     sp.add_argument("--peer", action="append", metavar="NAME=HOST:PORT")
     sp.add_argument("--out", metavar="FILE")
     sp.set_defaults(fn=cmd_query)

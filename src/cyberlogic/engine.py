@@ -11,9 +11,9 @@ predicate (the predicate of the atom, or of the atom under `says`) and,
 when the goal's first argument is ground, on that argument: only the heads
 that can unify with it are tried, in the policy's textual order, and fresh
 names are numbered as if every clause had been tried.  Hypothesis clauses
-are not indexed.  When a policy is updated by appending clauses, its index
-is extended from the old one rather than rebuilt; the old index is left
-unchanged, since a search suspended on it may resume.
+are not indexed.  An index is built whole and never changed after, since a
+search suspended on it may resume; a policy update that appends clauses
+files only those, sharing the old index's lists that they leave alone.
 Conjunct scheduling prefers attestation goals whose principal is still
 unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
@@ -236,105 +236,61 @@ class ClauseIndex:
     A head whose first argument is a constant, a numeral or a ground
     `succ` chain is filed under `_key` of that argument; one whose first
     argument is a variable or another function application goes in the
-    group's wildcard list.  A ground goal argument can only unify with the
+    group's wildcards.  A ground goal argument can only unify with the
     heads of its own key and the wildcards, so `candidates(pred, key)`
     yields exactly those, merged in textual order; with no key it yields
-    the whole group.  A group is split by key on its first keyed lookup,
-    so building the index stays one pass over the clauses and a group only
-    ever searched whole is never split.  `keyed` holds the predicates with
-    at least one keyed head; for any other a key selects nothing.
+    the whole group.  `keyed` holds the predicates with at least one keyed
+    head; for any other a key selects nothing.
 
     Each candidate is (position, offset, clause): `offset` is the number
     of universals of all the policy's clauses before it, and `total` the
     number in the whole policy, so the prover can number fresh names as if
     it had renamed every clause in turn.
 
+    The index is built whole, in one pass over the clauses, and never
+    changed after: a suspended search may still be iterating its lists.
     Given a `base` index of a policy whose clauses are a prefix of
     `policy`'s (an update that appends clauses), the index starts from
-    `base`'s groups and splits and files only the appended clauses.  An
-    index is never changed once built, except that `candidates` adds the
-    split of a group: a suspended search may still be iterating `base`,
-    so the extension copies every group, bucket and wildcard list it
-    appends to and shares the rest."""
+    `base`'s lists and files only the appended clauses, copying each list
+    it appends to and sharing the rest."""
 
     def __init__(self, policy, base=None):
         self.policy = policy
         clauses = policy.clauses
         start = 0 if base is None else len(base.policy.clauses)
+        # pred -> the group, (pred, key) -> a bucket, (pred, None) -> the
+        # wildcards; each list in textual order
         if start and base.policy.clauses == clauses[:start]:
-            self._groups = dict(base._groups)  # pred -> entries in textual order
-            self._split = dict(base._split)  # pred -> (key -> entries, wildcard entries)
-            self.keyed = set(base.keyed)
-            offset = base.total
+            lists, self.keyed, offset = dict(base._lists), set(base.keyed), base.total
         else:
-            self._groups, self._split, self.keyed = {}, {}, set()
-            start = offset = 0
-        added: dict = {}  # pred -> entries of this index's own clauses
+            lists, self.keyed, start, offset = {}, set(), 0, 0
+        added: dict = {}  # the entries of the clauses filed here, by list
         for pos in range(start, len(clauses)):
             c = clauses[pos]
+            atom = _atom_of(c.head)
+            first = atom.args[0] if atom.args else None
+            key = _key(first) if isinstance(first, S.Const) else S.int_value(first)
+            if key is not None:
+                self.keyed.add(atom.pred)
             entry = (pos, offset, c)
-            pred = _atom_of(c.head).pred
-            group = added.get(pred)
-            if group is None:
-                added[pred] = [entry]
-            else:
-                group.append(entry)
-            if pred not in self.keyed and _head_key(c) is not None:
-                self.keyed.add(pred)
+            added.setdefault(atom.pred, []).append(entry)
+            added.setdefault((atom.pred, key), []).append(entry)
             offset += len(c.universals)
-        self.total = offset
-        for pred, entries in added.items():
-            group = self._groups.get(pred)
-            self._groups[pred] = entries if group is None else group + entries
-            split = self._split.get(pred)
-            if split is not None:
-                self._split[pred] = _extend_split(split, entries)
+        for name, entries in added.items():
+            old = lists.get(name)
+            lists[name] = entries if old is None else old + entries
+        self._lists, self.total = lists, offset
 
     def candidates(self, pred, key=None):
-        group = self._groups.get(pred, ())
-        if key is None or not group:
-            return group
-        split = self._split.get(pred)
-        if split is None:
-            split = self._split[pred] = _split_by_key(group)
-        keyed, wildcards = split
-        bucket = keyed.get(key, ())
+        if key is None:
+            return self._lists.get(pred, ())
+        bucket = self._lists.get((pred, key), ())
+        wildcards = self._lists.get((pred, None), ())
         if not wildcards:
             return bucket
         if not bucket:
             return wildcards
         return heapq.merge(bucket, wildcards)
-
-
-def _head_key(clause):
-    """Index key of a clause head's first argument, or None when it is a
-    variable or a function application other than a ground `succ` chain."""
-    args = _atom_of(clause.head).args
-    first = args[0] if args else None
-    return _key(first) if isinstance(first, S.Const) else S.int_value(first)
-
-
-def _split_by_key(group):
-    keyed, wildcards = {}, []
-    for entry in group:
-        key = _head_key(entry[2])
-        if key is None:
-            wildcards.append(entry)
-        else:
-            keyed.setdefault(key, []).append(entry)
-    return keyed, wildcards
-
-
-def _extend_split(split, entries):
-    """`split` of a group with `entries` appended to the group.  The
-    buckets and wildcards that grow are copied, the others shared."""
-    keyed, wildcards = split
-    added, more = _split_by_key(entries)
-    keyed = dict(keyed)
-    for key, bucket in added.items():
-        old = keyed.get(key)
-        keyed[key] = bucket if old is None else old + bucket
-    return keyed, wildcards + more if more else wildcards
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,11 @@ policies and public keys without any proof search.
 
 from __future__ import annotations
 
-import base64
 import types
 from dataclasses import dataclass, fields
 
 from . import syntax as S
 from .crypto import Directory, PrincipalId, SignedAttestation, verify_attestation
-from .errors import CodecError
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +124,33 @@ def _flat(e) -> tuple:
     return tuple(out)
 
 
+class _Shown(str):
+    """Text that is its own `repr`: an evidence node's, inside its parent's."""
+
+    __repr__ = str.__str__
+
+
+def _repr(e) -> str:
+    """The dataclass-generated `repr` of `e`, built without recursion."""
+
+    def show(x, kids):
+        kids = iter(kids)
+        part = lambda v: next(kids) if v.__class__ in _NODE_CLASSES else v
+        values = [getattr(x, f.name) for f in fields(x)]
+        values = [tuple(map(part, v)) if v.__class__ is tuple else part(v) for v in values]
+        args = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(x), values))
+        return _Shown(f"{x.__class__.__qualname__}({args})")
+
+    return str(fold(e, show))
+
+
 # Evidence from a peer can nest thousands of levels deep, and the generated
-# `__eq__` and `__hash__` take a Python frame per level.
+# `__eq__`, `__hash__` and `__repr__` take a Python frame per level.
 _NODE_CLASSES = frozenset(Evidence.__args__)
 for _cls in _NODE_CLASSES:
     _cls.__eq__ = lambda a, b: _flat(a) == _flat(b) if b.__class__ is a.__class__ else NotImplemented
     _cls.__hash__ = lambda e: hash(_flat(e))
+    _cls.__repr__ = _repr
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +242,6 @@ def make_certificate(
         directory=frozenset(directory_ids),
         created_at=created_at,
     )
-
-
-CERT_HEADER = "cyberlogic-cert v1"
-
-
-def certificate_to_text(cert: Certificate) -> str:
-    from . import codec
-
-    body = base64.b64encode(codec.encode_certificate(cert)).decode()
-    lines = [CERT_HEADER]
-    lines += [body[i : i + 76] for i in range(0, len(body), 76)]
-    return "\n".join(lines) + "\n"
-
-
-def certificate_from_text(text: str) -> Certificate:
-    from . import codec
-
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CERT_HEADER:
-        raise CodecError("missing certificate header")
-    try:
-        raw = base64.b64decode("".join(lines[1:]), validate=True)
-    except Exception as e:
-        raise CodecError("bad certificate base64") from e
-    return codec.decode_certificate(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ class Node:
         self.rng = random.Random((seed, name).__repr__())
         self.sessions: dict[str, list] = {}  # token -> S.Clauses assumed, of running and kept queries
         self._kept: dict[str, None] = {}  # tokens of kept sessions, oldest first
-        self._indexes: dict = {}  # owner -> engine.ClauseIndex of a served policy
+        self._indexes: dict = {}  # owner -> engine.ClauseIndex of a served policy, never changed once built
         self._qid_seq = 0
         self._answered: dict[str, list[bytes]] = {}  # request digest -> reply
         self.metrics = {
@@ -282,7 +282,8 @@ class Node:
             indexes=self._indexes,
         )
         # Keep the indexes of the policies served now; a replaced policy's
-        # index is extended from the old one, which is then dropped.
+        # index is extended from the old one, which is then dropped here
+        # but stays whole for any search still suspended on it.
         self._indexes = prover.indexes
         try:
             yield from prover.ask(goal, free_vars, depth, self._env_for_chain(chain))

@@ -1,12 +1,13 @@
 """Command-line surface: exit codes and artifact outputs."""
 
+import base64
 import os
 import socket
 import time
 
 import pytest
 
-from cyberlogic import cli, scenarios
+from cyberlogic import cli, codec, scenarios
 from cyberlogic.crypto import Directory
 from cyberlogic.services import TrustedServices
 
@@ -82,6 +83,14 @@ def test_check_cyl1_certificate_is_unreadable(tmp_path, capsys):
     assert capsys.readouterr().out == "nok: unreadable certificate: not a certificate\n"
 
 
+def test_check_text_certificate_is_unreadable(tmp_path, capsys):
+    data = codec.encode_certificate(scenarios.run_hospital(0).certificate)
+    cert = tmp_path / "h.txt"  # the retired text format: a header, then base64
+    cert.write_text("cyberlogic-cert v1\n" + base64.b64encode(data).decode() + "\n")
+    assert run(["check", str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("nok: unreadable certificate: ")
+
+
 def test_query_local_policy(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYBERLOGIC_KEYDIR", str(tmp_path))
     pol = tmp_path / "Q"
@@ -142,7 +151,7 @@ def test_query_timeout_flag_bounds_the_wait_for_a_peer(tmp_path, monkeypatch):
     with socket.create_server(("127.0.0.1", 0)) as silent:  # never replies
         host, port = silent.getsockname()
         t0 = time.monotonic()
-        assert run(["query", "R says good(R)", "--policy", str(pol), "--transport", "tcp",
+        assert run(["query", "R says good(R)", "--policy", str(pol),
                     "--peer", f"R={host}:{port}", "--timeout", "200"]) == 3
         assert time.monotonic() - t0 < 5.0
 

@@ -139,14 +139,6 @@ def test_certificate_round_trip_scenario():
     assert back.policy_digests == cert.policy_digests
 
 
-def test_certificate_text_round_trip():
-    cert = scenarios.run_delegation(0).certificate
-    text = E.certificate_to_text(cert)
-    assert text.startswith("cyberlogic-cert v1\n")
-    back = E.certificate_from_text(text)
-    assert codec.encode_certificate(back) == codec.encode_certificate(cert)
-
-
 def test_truncated_input_rejected():
     cert = scenarios.run_hospital(0).certificate
     enc = codec.encode_certificate(cert)

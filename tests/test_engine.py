@@ -1,6 +1,7 @@
 """Unification and local proof search: substitution laws, connectives,
 builtins, knowledge restriction, modal laws, depth budget, clause indexing."""
 
+import copy
 import functools
 import itertools
 import random
@@ -457,8 +458,9 @@ def test_an_extended_index_searches_as_a_fresh_one(rnd):
     goal = _random_goal(rnd)
     cuts = {owner: rnd.randint(0, len(pol.clauses)) for owner, pol in policies.items()}
     fresh = _search(policies, goal, engine.ClauseIndex)
-    # The base's groups unsplit, split by a keyed lookup, and split with
-    # its last clause not the policy's (so the index is built afresh).
+    # A base only built, one that keyed lookups have read (which changes
+    # nothing), and one whose last clause is not the policy's (so the
+    # index is built afresh).
     for split_base, replace in ((False, False), (True, False), (True, True)):
         prefixes = {}
         for owner, pol in policies.items():
@@ -482,6 +484,23 @@ def test_an_extended_index_searches_as_a_fresh_one(rnd):
                     assert extended[owner].candidates(pred) is bases[owner].candidates(pred)
         own_base = _search(prefixes, goal, lambda pol: bases[pol.owner])
         assert own_base == _search(prefixes, goal, engine.ClauseIndex)
+
+
+def _snapshot(index):
+    return copy.deepcopy({k: v for k, v in vars(index).items() if k != "policy"})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=True))
+def test_lookups_leave_an_index_as_it_was_built(rnd):
+    policy = _random_policy(rnd, "K")
+    index = engine.ClauseIndex(policy)
+    built = _snapshot(index)
+    for _ in range(5):  # searches look up the keys of their goals
+        list(index.candidates(rnd.choice(list(_PREDS)), rnd.choice((None, "any key"))))
+        _search({"K": policy}, _random_goal(rnd), lambda pol: index)
+    unchanged = _snapshot(index) == built  # pytest's diff of two snapshots takes minutes
+    assert unchanged
 
 
 def test_a_bound_join_goal_tries_only_matching_heads(monkeypatch):

@@ -371,6 +371,27 @@ def test_deep_evidence_compares_and_hashes_at_the_default_recursion_limit():
     assert app != E.ClauseApp("r", b"d", (a,), (E.Unit(), z))
 
 
+def test_deep_evidence_prints_at_the_default_recursion_limit():
+    ev = E.Unit()
+    for _ in range(3000):
+        ev = E.Inl(ev)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = repr(ev)
+    except RecursionError:
+        text = None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "Inl(body=" * 3000 + "Unit()" + ")" * 3000
+    a = S.Const("a", "Thing")
+    app = E.ClauseApp("r", None, (a,), (E.PairEv(E.Unit(), E.Inr(E.Unit())),))
+    assert repr(app) == (
+        f"ClauseApp(label='r', policy_digest=None, args=({a!r},), "
+        "premises=(PairEv(left=Unit(), right=Inr(body=Unit())),))"
+    )
+
+
 @pytest.mark.parametrize("args", [(), (S.Const("1", "Int"), S.Const("2", "Int"))])
 def test_a_comparison_of_an_ill_formed_successor_gets_a_verdict(args):
     # The codec reads `succ` with any number of arguments.

@@ -57,7 +57,7 @@ def test_a_suspended_ask_survives_an_appended_policy():
     b.policy = S.Policy("B", added.signature, b.policy.clauses + added.clauses)
     old = b.policy
     first, _ = parser.parse_goal("good(B)", old.signature)
-    assert b.ask_first(first) is not None  # a keyed lookup splits the good group
+    assert b.ask_first(first) is not None  # builds the index of `old`
     goal, free = parser.parse_goal("good(z)", old.signature)
     suspended = b.ask(goal, free)
     answers = [next(suspended)]
