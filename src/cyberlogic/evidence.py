@@ -11,6 +11,7 @@ policies and public keys without any proof search.
 from __future__ import annotations
 
 import types
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from . import syntax as S
@@ -294,28 +295,44 @@ class CheckResult:
     def __bool__(self):
         return self.ok
 
-    @property
-    def verdict(self) -> str:
-        return "ok" if self.ok else "nok"
+
+def _items(linked) -> tuple:
+    """The items of a linked list, first to last: () when empty, else
+    (the list before the last item, the last item).  Paths are such lists."""
+    items = []
+    while linked:
+        linked, x = linked
+        items.append(x)
+    return tuple(reversed(items))
 
 
 def _nok(path, reason) -> CheckResult:
-    """A failure at `path`: () for the root, else (parent path, index)."""
-    steps = []
-    while path:
-        path, i = path
-        steps.append(i)
-    return CheckResult(False, tuple(reversed(steps)), reason)
+    return CheckResult(False, _items(path), reason)
 
 
 _OK = CheckResult(True)
 
 
+# A clause application under a policy known only by its owner record:
+# `node`, at `path`, must prove `goal` inside `scope`, the (formula,
+# evidence) pairs, outermost first, of the implications that assume the
+# hypotheses in scope and of the `knows` restrictions around it.
+Obligation = namedtuple("Obligation", "path node goal scope")
+
+
+def _settled(result: CheckResult, obligations) -> CheckResult:
+    """`result`, or a failure at the first obligation: its policy is unknown here."""
+    if not obligations:
+        return result
+    o = obligations[0]
+    return CheckResult(False, o.path, f"unknown policy digest {o.node.policy_digest.hex()[:12]}")
+
+
 class _Checker:
-    def __init__(self, policies, directory, foreign_check):
+    def __init__(self, policies, directory):
         self.policies = policies or {}  # digest -> Policy or owner record
         self.directory = directory
-        self.foreign_check = foreign_check
+        self.obligations: list[Obligation] = []
 
     # -- leaves ------------------------------------------------------------
 
@@ -359,7 +376,7 @@ class _Checker:
 
     # -- clause application ------------------------------------------------
 
-    def _check_clause_app(self, e: ClauseApp, phi, env, path):
+    def _check_clause_app(self, e: ClauseApp, phi, env, allowed, scope, path):
         """The verdict on `e`, or the goals its premises must prove."""
         if e.policy_digest is None:
             clause = env.clause(e.label)
@@ -368,14 +385,15 @@ class _Checker:
                 return _nok(path, f"unknown hypothesis {e.label!r}")
         else:
             policy = self.policies.get(e.policy_digest)
-            if not isinstance(policy, S.Policy):
-                if self.foreign_check is not None:
-                    sub = self.foreign_check(e.policy_digest, e, phi, env)
-                    if sub is not None:
-                        return sub if sub.ok else _nok(path, sub.reason or "remote check failed")
+            if policy is None:
                 return _nok(path, f"unknown policy digest {e.policy_digest.hex()[:12]}")
-            clause = policy.clause(e.label)
             owner = policy.owner
+            if allowed is not None and owner not in allowed:
+                return _nok(path, f"evidence draws on a policy of {owner!r}, outside the restriction")
+            if not isinstance(policy, S.Policy):
+                self.obligations.append(Obligation(_items(path), e, phi, _items(scope)))
+                return _OK
+            clause = policy.clause(e.label)
             if clause is None:
                 return _nok(path, f"no clause {e.label!r} in policy of {owner!r}")
         if len(e.args) != len(clause.universals):
@@ -407,38 +425,35 @@ class _Checker:
     # -- the walk ----------------------------------------------------------
 
     def check(self, e: Evidence, phi, env: HypothesisEnv) -> CheckResult:
-        """Check that `e` proves `phi`.  Obligations (evidence, goal, env,
-        path) wait on a stack and are met left to right, so the first failure
-        met is the result; a KnowsWrap's provenance test (env None) waits
-        below its body."""
-        todo = [(e, phi, env, ())]
+        """Check that `e` proves `phi`.  Goals (evidence, goal, hypotheses,
+        owners the `knows` restrictions in scope admit, the implications and
+        restrictions around the goal, path) wait on a stack and are met in
+        pre-order, so the first failure met is the result; `self.obligations`
+        gets those met before it, in the same order."""
+        todo = [(e, phi, env, None, (), ())]
         while todo:
-            e, phi, env, path = todo.pop()
-            if env is None:
-                stray = extract_provenance(e.body, self.policies) - S.knows_owners(phi.principals)
-                if stray:
-                    return _nok(path, f"evidence draws on policies outside the restriction: {sorted(stray)}")
-            elif isinstance(e, ClauseApp):
-                slots = self._check_clause_app(e, phi, env, path)
+            e, phi, env, allowed, scope, path = todo.pop()
+            if isinstance(e, ClauseApp):
+                slots = self._check_clause_app(e, phi, env, allowed, scope, path)
                 if isinstance(slots, CheckResult):
                     if not slots.ok:
                         return slots
                     continue
                 for i in reversed(range(len(slots))):
-                    todo.append((e.premises[i], slots[i], env, (path, i)))
+                    todo.append((e.premises[i], slots[i], env, allowed, scope, (path, i)))
             elif isinstance(e, Unit):
                 if phi != S.TOP:
                     return _nok(path, "unit evidence for a non-trivial goal")
             elif isinstance(e, PairEv):
                 if not isinstance(phi, S.And):
                     return _nok(path, "pair evidence for a non-conjunction")
-                todo.append((e.right, phi.right, env, (path, 1)))
-                todo.append((e.left, phi.left, env, (path, 0)))
+                todo.append((e.right, phi.right, env, allowed, scope, (path, 1)))
+                todo.append((e.left, phi.left, env, allowed, scope, (path, 0)))
             elif isinstance(e, (Inl, Inr)):
                 if not isinstance(phi, S.Or):
                     return _nok(path, "injection evidence for a non-disjunction")
                 side = 0 if isinstance(e, Inl) else 1
-                todo.append((e.body, (phi.left, phi.right)[side], env, (path, side)))
+                todo.append((e.body, (phi.left, phi.right)[side], env, allowed, scope, (path, side)))
             elif isinstance(e, Witness):
                 if not isinstance(phi, S.Exists):
                     return _nok(path, "witness evidence for a non-existential")
@@ -446,7 +461,7 @@ class _Checker:
                     inst = S.substitute1(phi.body, phi.var, e.term)
                 except Exception:
                     return _nok(path, "witness has the wrong sort")
-                todo.append((e.body, inst, env, (path, 0)))
+                todo.append((e.body, inst, env, allowed, scope, (path, 0)))
             elif isinstance(e, Abstraction):
                 if isinstance(phi, S.Forall):
                     used = S.const_names(phi)
@@ -456,13 +471,13 @@ class _Checker:
                     if e.var in used:
                         return _nok(path, f"eigenvariable {e.var!r} is not fresh")
                     inst = S.substitute(phi.body, {phi.var: S.Const(e.var, phi.var.sort)})
-                    todo.append((e.body, inst, env, (path, 0)))
+                    todo.append((e.body, inst, env, allowed, scope, (path, 0)))
                 elif isinstance(phi, S.Implies):
                     try:
-                        assumed = S.clauses_of(phi.left, e.var)
+                        hyps = env.extend(S.clauses_of(phi.left, e.var))
                     except Exception as ex:
                         return _nok(path, f"hypothesis is not a program: {ex}")
-                    todo.append((e.body, phi.right, env.extend(assumed), (path, 0)))
+                    todo.append((e.body, phi.right, hyps, allowed, (scope, (phi, e)), (path, 0)))
                 else:
                     return _nok(path, "abstraction evidence for a non-binder goal")
             elif isinstance(e, KnowsWrap):
@@ -470,8 +485,10 @@ class _Checker:
                     return _nok(path, "restriction evidence for a non-restricted goal")
                 if e.principals != phi.principals:
                     return _nok(path, "restriction sets differ")
-                todo.append((e, phi, None, path))
-                todo.append((e.body, phi.body, env, (path, 0)))
+                owners = frozenset(S.knows_owners(phi.principals))
+                if allowed is not None:
+                    owners &= allowed
+                todo.append((e.body, phi.body, env, owners, (scope, (phi, e)), (path, 0)))
             elif isinstance(e, (AttLeaf, TheoryHole)):
                 leaf = (self._check_att_leaf if isinstance(e, AttLeaf) else self._check_theory)(e, phi, path)
                 if not leaf.ok:
@@ -481,63 +498,43 @@ class _Checker:
         return _OK
 
 
-def check(
-    policies,
-    env: HypothesisEnv,
-    e: Evidence,
-    phi,
-    directory: Directory | None = None,
-    foreign_check=None,
-) -> CheckResult:
+def check(policies, env: HypothesisEnv, e: Evidence, phi, directory: Directory | None = None) -> CheckResult:
     """Check that `e` proves `phi` under hypothesis environment `env`.
 
     `policies` maps policy digest to Policy, or, for a policy checked
-    elsewhere, to a record naming its `owner` (a registry entry);
-    `directory` supplies public keys for signature leaves; `foreign_check`
-    (digest, evidence, formula, env) -> CheckResult|None is consulted for
-    clause applications against digests without a Policy.
+    elsewhere, to a record naming its `owner` (a registry entry); a clause
+    application under such a record fails as an unknown policy.
+    `directory` supplies public keys for signature leaves.
     """
-    return _Checker(policies, directory, foreign_check).check(e, phi, env or HypothesisEnv())
+    checker = _Checker(policies, directory)
+    return _settled(checker.check(e, phi, env or HypothesisEnv()), checker.obligations)
 
 
-def check_certificate(
-    cert: Certificate,
-    policies,
-    directory: Directory | None = None,
-    foreign_check=None,
-) -> CheckResult:
-    """Check a full certificate: pinned identities, the creation stamp, and
-    the evidence for the root formula."""
+def check_part(cert: Certificate, policies, directory: Directory | None = None) -> tuple[CheckResult, list]:
+    """Check a certificate as far as `policies` hold its clauses: pinned
+    identities, the creation stamp, and the evidence for the root formula,
+    except below each clause application under an owner record, which is
+    left as an `Obligation`.  Returns the verdict on the rest and the
+    obligations met before its first failure, in pre-order."""
     if directory is not None:
         for pid in cert.directory:
             known = directory.principal_id(pid.name)
             if known is not None and known != pid:
-                return _nok((), f"pinned key for {pid.name!r} does not match the directory")
+                return _nok((), f"pinned key for {pid.name!r} does not match the directory"), []
     if cert.created_at is not None and clock_reading(directory, cert.created_at) is None:
-        return _nok((), "creation stamp is not a reading signed by T")
-    return check(
-        policies,
-        HypothesisEnv(),
-        cert.root_evidence,
-        cert.root_formula,
-        directory=directory,
-        foreign_check=foreign_check,
-    )
+        return _nok((), "creation stamp is not a reading signed by T"), []
+    checker = _Checker(policies, directory)
+    return checker.check(cert.root_evidence, cert.root_formula, HypothesisEnv()), checker.obligations
+
+
+def check_certificate(cert: Certificate, policies, directory: Directory | None = None) -> CheckResult:
+    """Check a full certificate: pinned identities, the creation stamp, and
+    the evidence for the root formula."""
+    return _settled(*check_part(cert, policies, directory))
 
 
 # ---------------------------------------------------------------------------
-# Provenance and display
-
-
-def extract_provenance(e: Evidence, policies=None) -> set:
-    """Owners of every policy whose clauses the evidence applies."""
-    policies = policies or {}
-    digests = {
-        x.policy_digest
-        for x in nodes(e)
-        if isinstance(x, ClauseApp) and x.policy_digest is not None
-    }
-    return {policies[d].owner if d in policies else f"digest:{d.hex()[:12]}" for d in digests}
+# Display
 
 
 def render_spine(e: Evidence) -> str:

@@ -8,13 +8,28 @@ unique, seeded, and issued with their creation time.  The registry is an
 append-only hash chain mapping policy digests to their owners and checker
 endpoints, so a certificate that applies private clauses can be verified
 by their owner without the policy ever leaving home.
+
+`remote_check` is the only sender of check requests: one worklist from
+the entry endpoint.  Each request cuts every clause application under a
+digest the receiving endpoint `forwards` down to its head (no premises), so
+an endpoint sees only its own part and the hypotheses in scope.  CHECK_REQ
+carries `cert_b64`, a certificate, and for an obligation `evidence_b64`
+too, the clause application to check in place of the certificate's
+innermost node.  CHECK_RESP carries the `verdict`, `path` and `reason` on
+the endpoint's own part and `obligations`: per cut application met, its
+`path` and, as `cert_b64`, its goal and cut application inside the
+implications that assume the hypotheses in scope and the `knows`
+restrictions around it.  Paths are relative to the evidence sent; the
+caller takes each cut path back once and maps every path into the
+certificate, so the verdict, path and reason are the local checker's.
 """
 
 from __future__ import annotations
 
 import base64
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import syntax as S
 from . import codec
@@ -147,9 +162,9 @@ class Registry:
 class CheckerEndpoint:
     """A principal's certificate-checking service.  It holds the policies
     the principal is willing to check against (its own and any public
-    ones) and answers serialized check requests; clause applications
-    against other owners' digests are forwarded to their endpoints through
-    the registry, so no policy ever crosses the wire."""
+    ones) and answers check request frames.  A clause application under a
+    digest it `forwards` is left to that policy's owner as an obligation,
+    so no policy ever crosses the wire."""
 
     def __init__(
         self,
@@ -163,54 +178,77 @@ class CheckerEndpoint:
         self.directory = directory
         self.registry = registry
 
-    def check_local(self, cert: E.Certificate) -> E.CheckResult:
-        # A foreign digest's owner is named by its registry entry, never by
-        # the certificate; the endpoint's own policies take precedence.
-        known = {e.digest: e for e in self.registry.entries} if self.registry else {}
-        known.update(self.policies)
-        return E.check_certificate(cert, known, self.directory, foreign_check=self._foreign)
-
-    def _foreign(self, digest, ev, phi, env):
-        if self.registry is None:
-            return None
-        endpoint = self.registry.endpoint_for(digest)
-        if endpoint is None or endpoint is self:
-            return None
-        # The hypotheses in scope travel as premises of the forwarded root:
-        # one implication, and one abstraction naming it, per clause.
-        for c in env.clauses():
-            clause = c.head
-            for s in reversed(c.slots):
-                clause = S.Implies(s, clause)
-            for v in reversed(c.universals):
-                clause = S.Forall(v, clause)
-            phi = S.Implies(clause, phi)
-            ev = E.Abstraction(c.label, ev)
-        sub = E.Certificate(
-            root_formula=phi,
-            root_evidence=ev,
-            policy_digests=frozenset({digest}),
-        )
-        return remote_check(self.registry, sub, digest)
+    def forwards(self, digest) -> bool:
+        """Whether clauses under `digest` are checked elsewhere: this endpoint
+        does not hold that policy, and its registry routes it."""
+        routed = self.registry is not None and self.registry.endpoint_for(digest) is not None
+        return routed and digest not in self.policies
 
     def handle_frame(self, data: bytes) -> bytes:
-        """Serve one check request frame (see `node.encode_frame`)."""
+        """Serve one check request frame (see the module docstring)."""
         try:
             req = decode_frame(data)
             cert = codec.decode_certificate(base64.b64decode(req["cert_b64"]))
+            chain = [cert.root_evidence]  # wrapper nodes down to the one `evidence_b64` replaces
+            if "evidence_b64" in req:
+                while isinstance(chain[-1], (E.KnowsWrap, E.Abstraction)):
+                    chain.append(chain[-1].body)
+                chain[-1] = codec.decode_evidence(base64.b64decode(req["evidence_b64"]))
         except Exception as ex:
-            return encode_frame(
-                {"type": "CHECK_RESP", "verdict": "nok", "reason": f"malformed request: {ex}"}
-            )
-        result = self.check_local(cert)
-        return encode_frame(
-            {
-                "type": "CHECK_RESP",
-                "verdict": result.verdict,
-                "path": list(result.path),
-                "reason": result.reason,
-            }
-        )
+            return _refusal(f"malformed request: {ex}")
+        ev, depth = chain.pop(), len(chain)
+        for w in reversed(chain):
+            ev = E.rebuild(w, (ev,), None)
+        # A digest this endpoint forwards is known here by its registry record, which names its owner.
+        known = {e.digest: e for e in self.registry.entries} if self.registry else {}
+        cert = replace(cert, root_evidence=ev)
+        result, obligations = E.check_part(cert, known | self.policies, self.directory)
+        oblige = [{"path": o.path[depth:], "cert_b64": _b64(codec.encode_certificate(_certificate(o)))}
+                  for o in obligations]
+        resp = {"verdict": "ok" if result else "nok", "path": result.path[depth:], "reason": result.reason}
+        try:
+            return encode_frame({"type": "CHECK_RESP", **resp, "obligations": oblige})
+        except TransportError as ex:
+            return _refusal(str(ex))
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode()
+
+
+def _refusal(reason: str) -> bytes:
+    return encode_frame({"type": "CHECK_RESP", "verdict": "nok", "reason": reason})
+
+
+def _certificate(o: E.Obligation) -> E.Certificate:
+    """An obligation as a certificate of its own: its goal and clause
+    application inside the implications and restrictions of its scope."""
+    phi, ev = o.goal, o.node
+    for w, w_ev in reversed(o.scope):
+        phi = S.Implies(w.left, phi) if isinstance(w, S.Implies) else S.Knows(w.principals, phi)
+        ev = E.rebuild(w_ev, (ev,), None)
+    return E.Certificate(phi, ev)
+
+
+def _cut(ev, forwards):
+    """`ev` with each clause application under a digest that `forwards`
+    accepts cut down to its head, and the cut applications by path."""
+    cut, out, todo = {}, [], [(ev, ())]
+    while todo:
+        x, y = todo.pop()
+        if x.__class__ is tuple:  # the children of y, whose results are last in `out`
+            new = out[len(out) - len(x) :]
+            del out[len(out) - len(x) :]
+            out.append(y if all(map(operator.is_, new, x)) else E.rebuild(y, new, lambda t: t))
+        elif x.__class__ is E.ClauseApp and forwards(x.policy_digest):
+            cut[y] = x
+            out.append(E.ClauseApp(x.label, x.policy_digest, x.args))
+        elif kids := E.children(x):
+            todo.append((kids, x))
+            todo += [(kids[i], y + (i,)) for i in range(len(kids) - 1, -1, -1)]
+        else:
+            out.append(x)
+    return out[0], cut
 
 
 def remote_check(
@@ -220,34 +258,51 @@ def remote_check(
     frame_log: list | None = None,
 ) -> E.CheckResult:
     """Check a certificate at the endpoint registered for `digest` (or for
-    any of the certificate's pinned digests).  The certificate is passed
-    through serialized frames even in-process, and the frames are appended
-    to `frame_log` so callers can audit exactly what was disclosed."""
-    endpoint = None
-    for d in [digest] if digest is not None else sorted(cert.policy_digests):
-        if d is None:
-            continue
-        endpoint = registry.endpoint_for(d)
-        if endpoint is not None:
-            break
+    the first pinned digest that has one), and each obligation there and
+    after at the endpoint its registry routes it to.  Every frame sent and
+    received is appended to `frame_log`, so callers can audit exactly what
+    was disclosed.  The result is the local checker's."""
+    pins = [digest] if digest is not None else sorted(cert.policy_digests)
+    endpoint = next(filter(None, map(registry.endpoint_for, pins)), None)
     if endpoint is None:
         return E.CheckResult(False, (), "no registered checker for the pinned policies")
-    cert_b64 = base64.b64encode(codec.encode_certificate(cert)).decode()
-    try:
-        frame = encode_frame({"type": "CHECK_REQ", "cert_b64": cert_b64})
-    except TransportError as ex:
-        return E.CheckResult(False, (), str(ex))
-    if frame_log is not None:
-        frame_log.append(frame)
-    resp_frame = endpoint.handle_frame(frame)
-    if frame_log is not None:
-        frame_log.append(resp_frame)
-    try:
-        resp = decode_frame(resp_frame)
-    except TransportError:
-        return E.CheckResult(False, (), "malformed checker response")
-    return E.CheckResult(
-        resp.get("verdict") == "ok",
-        tuple(resp.get("path") or ()),
-        resp.get("reason"),
-    )
+    # Requests, lowest path on top: the endpoint, the evidence it checks,
+    # that evidence's path in `cert`, and the obligation met (None: `cert`).
+    failure, todo = None, [(endpoint, cert.root_evidence, (), None)]
+    while todo:
+        endpoint, ev, base, obligation = todo.pop()
+        if failure is not None and base > failure.path:
+            break  # all that is left comes after the failure in pre-order
+        ev, cut = _cut(ev, endpoint.forwards)
+        try:
+            if obligation is None:
+                req = {"cert_b64": _b64(codec.encode_certificate(replace(cert, root_evidence=ev)))}
+            else:
+                req = {"cert_b64": obligation, "evidence_b64": _b64(codec.encode_evidence(ev))}
+            frame = encode_frame({"type": "CHECK_REQ", **req})
+        except TransportError as ex:
+            return E.CheckResult(False, base, str(ex))
+        resp = endpoint.handle_frame(frame)
+        if frame_log is not None:
+            frame_log += [frame, resp]
+        try:
+            resp = decode_frame(resp)
+            ok, reason = resp["verdict"] == "ok", resp.get("reason")
+            path = tuple(map(operator.index, resp.get("path", ())))
+            obligations = [(tuple(map(operator.index, o["path"])), o["cert_b64"])
+                           for o in resp.get("obligations", ())]
+            if resp["type"] != "CHECK_RESP" or not (ok or isinstance(reason, str)):
+                raise ValueError("no verdict")
+            obligations.sort(reverse=True)  # the lowest path goes on the stack last
+        except (TransportError, KeyError, TypeError, ValueError) as ex:
+            return E.CheckResult(False, base, f"malformed checker response: {ex}")
+        for at, obligation in obligations:
+            if at not in cut:
+                return E.CheckResult(False, base, f"{endpoint.name!r} sent an unknown or repeated obligation")
+            node = cut.pop(at)
+            todo.append((endpoint.registry.endpoint_for(node.policy_digest), node, base + at, obligation))
+        if not ok and (failure is None or base + path < failure.path):
+            failure = E.CheckResult(False, base + path, reason)
+        elif ok and cut:
+            return E.CheckResult(False, base, f"{endpoint.name!r} left {len(cut)} cut applications unchecked")
+    return E.CheckResult(True) if failure is None else failure

@@ -6,6 +6,7 @@ import gc
 import statistics
 import sys
 import time
+import types
 
 import pytest
 
@@ -90,14 +91,25 @@ def test_knows_provenance_must_stay_inside_the_group():
     res = E.check(r.world.policy_map(), E.HypothesisEnv(), wrapped, phi,
                   directory=r.world.directory)
     assert not res  # the proof uses A's and C's clauses too
-    assert "outside the restriction" in (res.reason or "")
+    # the first clause application met outside the group is A's, at the root
+    assert res.path == (0,)
+    assert res.reason == "evidence draws on a policy of 'A', outside the restriction"
 
 
-def test_extract_provenance_owners():
+def test_a_policy_known_by_its_owner_record_is_left_as_an_obligation():
     r = _hospital()
-    owners = E.extract_provenance(r.certificate.root_evidence, r.world.policy_map())
-    assert owners == {"A", "B", "C"}
-    assert E.extract_provenance(E.Unit()) == set()
+    cert = r.certificate
+    a = r.world.policies["A"]
+    # A's checker: B's and C's policies known only by a record naming the owner
+    known = {d: p if p is a else types.SimpleNamespace(owner=p.owner)
+             for d, p in r.world.policy_map().items()}
+    result, obligations = E.check_part(cert, known, r.world.directory)
+    assert result.ok
+    assert [o.path for o in obligations] == [(0, 0, 2, 0), (0, 0, 2, 1), (0, 1)]
+    assert all(o.node.policy_digest != a.digest and o.scope == () for o in obligations)
+    first = obligations[0]
+    assert E.check_certificate(cert, known, r.world.directory) == E.CheckResult(
+        False, first.path, f"unknown policy digest {first.node.policy_digest.hex()[:12]}")
 
 
 def test_certificates_are_immutable_and_have_no_store():

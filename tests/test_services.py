@@ -6,12 +6,18 @@ import json
 
 import pytest
 
+import test_evidence
 from cyberlogic import codec, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
-from cyberlogic.crypto import Directory, verify_attestation
-from cyberlogic.node import MAX_FRAME, decode_frame
+from cyberlogic.crypto import Directory, sha256, verify_attestation
+from cyberlogic.node import MAX_FRAME, decode_frame, encode_frame
 from cyberlogic.services import CheckerEndpoint, Registry, TrustedServices, remote_check
+
+# SHA-256 of the frames that check hospital's seed-0 certificate, then its
+# `knows {A, B}` certificate entering at each pinned digest.  CI also runs
+# this file under fixed hash seeds, so no set or dict order reaches a frame.
+FRAMES_SHA256 = "ba726436e0e058e48d170b558db6dcb85754523b4b8020c2dddd876ac7807065"
 
 
 def test_clock_is_monotonic():
@@ -107,26 +113,36 @@ def _registry_for(world):
     return reg
 
 
+def _knows_certificate(world):
+    """A's certificate for a goal restricted to {A, B}: it applies only B's
+    clauses, which A's endpoint knows only from the registry."""
+    node = world.node("A")
+    goal, free = parser.parse_goal("knows {A, B} B says isHospital(B)", node.policy.signature)
+    return node.certify(node.ask_first(goal, free))
+
+
 def test_remote_check_matches_local_check():
+    # Field by field, on each scenario certificate (and hospital's `knows`
+    # one) and on every single-node tamper of it, entering at every pinned
+    # digest: each obligation goes where the registry routes it, also under
+    # hypotheses or a restriction, and the failure is the local one.
     for name, run in sorted(scenarios.SCENARIOS.items()):
         r = run(0)
-        local = E.check_certificate(r.certificate, r.world.policy_map(), r.world.directory)
         reg = _registry_for(r.world)
-        assert bool(remote_check(reg, r.certificate)) == bool(local) == True  # noqa: E712
-        # Entering at any pinned owner's endpoint gives the same verdict,
-        # also when a clause application is forwarded under hypotheses.
-        for d in sorted(r.certificate.policy_digests):
-            remote = remote_check(reg, r.certificate, d)
-            assert remote.ok, (name, d.hex()[:12], remote.reason)
+        certs = [r.certificate] + ([_knows_certificate(r.world)] if name == "hospital" else [])
+        for cert in certs:
+            assert E.check_certificate(cert, r.world.policy_map(), r.world.directory).ok, name
+            tampered = [dataclasses.replace(cert, root_evidence=ev)
+                        for _, ev in test_evidence._mutations(cert.root_evidence)]
+            for c in [cert, *tampered]:
+                local = E.check_certificate(c, r.world.policy_map(), r.world.directory)
+                for d in [None, *sorted(c.policy_digests)]:
+                    assert remote_check(reg, c, d) == local, (name, d and d.hex()[:12])
 
 
 def test_remote_check_names_foreign_owners_from_the_registry():
-    # A's certificate for a goal restricted to {A, B} applies only B's
-    # clauses; A's endpoint learns that B owns them from the registry.
     world = scenarios.run_hospital(0).world
-    node = world.node("A")
-    goal, free = parser.parse_goal("knows {A, B} B says isHospital(B)", node.policy.signature)
-    cert = node.certify(node.ask_first(goal, free))
+    cert = _knows_certificate(world)
     local = E.check_certificate(cert, world.policy_map(), world.directory)
     assert local.ok
     reg = _registry_for(world)
@@ -135,15 +151,79 @@ def test_remote_check_names_foreign_owners_from_the_registry():
         assert remote_check(reg, cert, d) == local, d.hex()[:12]
 
 
+def _owners_registry(*policies):
+    """A registry with one endpoint per policy, named after its owner."""
+    reg = Registry()
+    for pol in policies:
+        reg.register(pol.digest, CheckerEndpoint(pol.owner, [pol], None, reg))
+    return reg
+
+
+def _alternating(steps: int, last: str = "f1", knows: bool = False):
+    """The local policy map, a registry with one endpoint per owner, and a
+    certificate of `steps` clause applications that alternate between K1's
+    `r1: q(a) => p(a)` and K2's `r2: p(a) => q(a)` above K1's `last`,
+    restricted to `knows {K1, K2}` if `knows`."""
+    sig = "sort Thing. pred p(Thing). pred q(Thing).\n"
+    k1 = parser.parse_policy(sig + "r1: q(a) => p(a).\nf1: p(a).\n", "K1")
+    k2 = parser.parse_policy(sig + "r2: p(a) => q(a).\n", "K2")
+    ev = E.ClauseApp(last, k1.digest)
+    for i in range(steps):
+        ev = E.ClauseApp("r1", k1.digest, (), (ev,)) if i % 2 else E.ClauseApp("r2", k2.digest, (), (ev,))
+    goal = S.Atom("q" if steps % 2 else "p", (S.Const("a", "Thing"),))
+    if knows:
+        group = frozenset({S.Const("K1", "Principal"), S.Const("K2", "Principal")})
+        goal, ev = S.Knows(group, goal), E.KnowsWrap(group, ev)
+    cert = E.Certificate(goal, ev, frozenset({k1.digest, k2.digest}))
+    return {k1.digest: k1, k2.digest: k2}, _owners_registry(k1, k2), cert
+
+
+def test_alternating_endpoints_check_in_frames_linear_in_the_chain():
+    # Each alternation between two owners is one more request of the
+    # worklist, not one more nested call, and each node crosses the wire
+    # once: 3,000 alternations get the local verdict at the default
+    # recursion limit, also inside a restriction that every request after
+    # the first carries, and ten times the chain sends at most 11 times the
+    # bytes.
+    sent = {}
+    for steps, knows in [(200, False), (200, True), (300, False), (3000, False), (3000, True)]:
+        policies, reg, cert = _alternating(steps, knows=knows)
+        frames = []
+        local = E.check_certificate(cert, policies)
+        assert local.ok and remote_check(reg, cert, frame_log=frames) == local
+        sent[steps, knows] = sum(map(len, frames))
+        policies, reg, broken = _alternating(steps, last="g", knows=knows)
+        local = E.check_certificate(broken, policies)
+        assert local.path == (0,) * (steps + knows) and local.reason == "no clause 'g' in policy of 'K1'"
+        assert remote_check(reg, broken) == local
+    assert sent[3000, False] <= 11 * sent[300, False]
+
+
+def test_the_lowest_failure_wins_though_another_endpoint_answers_first():
+    # K1 answers first, failing at premise 1; K2's part fails at premise 0,
+    # lower in pre-order, and that is the local checker's verdict.
+    sig = "sort Thing. pred p(Thing). pred q(Thing). pred s(Thing).\n"
+    k1 = parser.parse_policy(sig + "r1: q(a) => s(a) => p(a).\nf1: s(a).\n", "K1")
+    k2 = parser.parse_policy(sig + "f2: q(a).\n", "K2")
+    ev = E.ClauseApp("r1", k1.digest, (), (E.ClauseApp("g2", k2.digest), E.ClauseApp("g1", k1.digest)))
+    cert = E.Certificate(S.Atom("p", (S.Const("a", "Thing"),)), ev, frozenset({k1.digest, k2.digest}))
+    local = E.check_certificate(cert, {k1.digest: k1, k2.digest: k2})
+    assert local == E.CheckResult(False, (0,), "no clause 'g2' in policy of 'K2'")
+    assert remote_check(_owners_registry(k1, k2), cert, k1.digest) == local
+
+
 def disclosed_payloads(frames) -> list:
-    """Each frame, as sent and with its JSON string escapes undone, and the
-    certificate it carries base64-encoded."""
+    """Each frame, as sent and with its JSON string escapes undone, and each
+    certificate or evidence it carries base64-encoded: a request's, and a
+    reply's obligations."""
     payloads = list(frames)
     for frame in frames:
         payloads.append(frame.decode("unicode_escape").encode())
-        cert_b64 = decode_frame(frame).get("cert_b64")
-        if cert_b64:
-            payloads.append(base64.b64decode(cert_b64))
+        msg = decode_frame(frame)
+        for part in [msg, *msg.get("obligations", [])]:
+            for key in ("cert_b64", "evidence_b64"):
+                if part.get(key):
+                    payloads.append(base64.b64decode(part[key]))
     return payloads
 
 
@@ -163,6 +243,83 @@ def test_remote_check_frames_never_contain_policy_bytes():
             assert blob not in payload
         for body in clause_bodies:
             assert body not in payload
+
+
+def test_frame_log_holds_every_endpoint_frame(monkeypatch):
+    seen = []
+    serve = CheckerEndpoint.handle_frame
+
+    def spy(endpoint, data):
+        resp = serve(endpoint, data)
+        seen.extend((data, resp))
+        return resp
+
+    monkeypatch.setattr(CheckerEndpoint, "handle_frame", spy)
+    r = scenarios.run_hospital(0)
+    frames = []
+    assert remote_check(_registry_for(r.world), r.certificate, frame_log=frames)
+    assert len(frames) > 2 and frames == seen
+
+
+def test_remote_check_frames_match_golden_digest():
+    r = scenarios.run_hospital(0)
+    reg = _registry_for(r.world)
+    knows = _knows_certificate(r.world)
+    frames = []
+    assert remote_check(reg, r.certificate, frame_log=frames)
+    for d in sorted(knows.policy_digests):
+        assert remote_check(reg, knows, d, frame_log=frames)
+    assert sha256(b"".join(frames)).hex() == FRAMES_SHA256
+
+
+def _resp(honest: bytes, **fields) -> bytes:
+    return encode_frame({**decode_frame(honest), **fields})
+
+
+def _obligations(honest: bytes) -> list:
+    return decode_frame(honest)["obligations"]
+
+
+HOSTILE_REPLIES = {
+    "not json": (lambda honest: b"not json\n", "malformed checker response"),
+    "not a reply": (lambda honest: encode_frame({"type": "ANSWER"}), "malformed checker response"),
+    "nok without a reason": (lambda honest: _resp(honest, verdict="nok", reason=None), "malformed checker response"),
+    "path not a list": (lambda honest: _resp(honest, verdict="nok", path="0"), "malformed checker response"),
+    "obligations not a list": (lambda honest: _resp(honest, obligations=7), "malformed checker response"),
+    "obligation without a certificate": (
+        lambda honest: _resp(honest, obligations=[{"path": o["path"]} for o in _obligations(honest)]),
+        "malformed checker response",
+    ),
+    "obligation at a path not cut": (
+        lambda honest: _resp(honest, obligations=[{**o, "path": [9, 9]} for o in _obligations(honest)]),
+        "sent an unknown or repeated obligation",
+    ),
+    "repeated obligation": (
+        lambda honest: _resp(honest, obligations=_obligations(honest) * 2),
+        "sent an unknown or repeated obligation",
+    ),
+    "obligations left out": (lambda honest: _resp(honest, obligations=[]), "unchecked"),
+    "obligation certificate garbled": (
+        lambda honest: _resp(honest, obligations=[{**o, "cert_b64": "!!"} for o in _obligations(honest)]),
+        "malformed request",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_REPLIES))
+def test_a_hostile_checker_reply_ends_in_a_refusal_with_a_reason(case):
+    reply, reason = HOSTILE_REPLIES[case]
+    r = scenarios.run_hospital(0)
+    reg = _registry_for(r.world)
+    a_digest = r.world.policies["A"].digest
+    frames = []
+    assert remote_check(reg, r.certificate, a_digest, frame_log=frames)
+    assert len(_obligations(frames[1])) == 3  # A's reply leaves three clause applications to B and C
+    a = reg.endpoint_for(a_digest)
+    honest = a.handle_frame
+    a.handle_frame = lambda data: reply(honest(data))
+    res = remote_check(reg, r.certificate, a_digest)
+    assert not res and reason in res.reason, res
 
 
 def test_remote_check_rejects_tampered_certificate():
