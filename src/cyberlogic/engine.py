@@ -19,11 +19,20 @@ unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
 variables; evidence slots are filled positionally regardless of the
 evaluation order actually taken.
-A derivation step does only the search's own work: atomic goals resolve in
-one pass, the variables and goals that key the substitution and the
-open-goal set hash once, and constants print once for the trace (`syntax`).
-They are immutable, so a cache holds what a fresh computation would give,
-even when TCP handler threads race to fill it.
+A derivation step does only the search's own work.  A clause is renamed
+apart as Warren's machine does it (`get_variable`): a universal whose first
+occurrence is a whole head argument facing a ground goal argument of its
+sort stands for that argument, with no fresh variable, binding or trail
+entry; the others get fresh variables, and the fresh-name counter advances
+once per universal either way.  Atomic heads, slots and goals are renamed
+and resolved in one pass; only formulas with binders take the
+capture-avoiding `syntax.substitute`.  A clause whose one premise slot is
+neither a conjunction nor an interpreted atom solves it without the
+conjunct scheduler.  A goal that applying a clause leaves as it was is
+printed once for the trace.  The variables and goals that key the
+substitution and the open-goal set hash once, and constants print once
+(`syntax`).  They are immutable, so a cache holds what a fresh computation
+would give, even when TCP handler threads race to fill it.
 """
 
 from __future__ import annotations
@@ -78,6 +87,20 @@ def resolve_formula(f, s: dict):
     return S.substitute(f, m) if m else f
 
 
+def _rename(f, ren: dict):
+    """`f` with its variables renamed by `ren`, all at once (a fresh name
+    may be that of another universal).  An atom or an attested atom has no
+    binder, so it is renamed in one pass; other formulas take the
+    capture-avoiding path."""
+    if not ren:
+        return f
+    if f.__class__ is S.Atom:
+        return S.Atom(f.pred, tuple([S.term_subst(t, ren) for t in f.args]))
+    if f.__class__ is S.Attest and f.body.__class__ is S.Atom:
+        return S.Attest(S.term_subst(f.principal, ren), _rename(f.body, ren))
+    return S.substitute(f, ren)
+
+
 def _bind(v: S.Var, t, s: dict, state):
     if t.__class__ is S.Const:  # no occurs check, and the sort is at hand
         if t.sort != v.sort:
@@ -105,7 +128,7 @@ def unify(a, b, s: dict, state=None):
     """Extend `s` in place to a most general unifier of `a` and `b` and return
     it, or None; a miss may leave bindings, which `state`'s trail undoes."""
     a, b = walk(a, s), walk(b, s)
-    if a == b:
+    if a is b or a == b:
         return s
     if isinstance(a, S.Var) and isinstance(b, S.Var) and state is not None:
         # Bind the younger variable to the older one, so that an
@@ -160,6 +183,46 @@ def unify_atomic(goal, head, s: dict, state=None):
     return None
 
 
+def _match_head(goal, head, universals, s: dict) -> dict:
+    """The universals among `universals` whose first occurrence in `head`
+    is a whole argument facing, in `goal` under `s`, a ground term of their
+    sort, each mapped to that term: what unifying `goal` with `head` renamed
+    apart would bind their fresh variables to.  Empty when the two differ in
+    shape, which no unifier mends."""
+    ren: dict = {}
+    if goal.__class__ is S.Attest:  # the principal, then the atom's arguments
+        if head.__class__ is not S.Attest or goal.body.__class__ is not S.Atom:
+            return ren
+        pairs = zip((goal.principal,) + goal.body.args, (head.principal,) + head.body.args)
+    elif head.__class__ is S.Atom:
+        pairs = zip(goal.args, head.args)
+    else:
+        return ren
+    met = []  # the head's variables met so far
+    for g, h in pairs:
+        if h.__class__ is S.FunApp:
+            met += S.term_vars(h)
+        if h.__class__ is not S.Var or h in met:
+            continue
+        met.append(h)
+        if h not in universals:
+            continue
+        t = walk(g, s)
+        if t.__class__ is S.Const:
+            sort = t.sort
+        elif t.__class__ is S.FunApp:
+            t = resolve(t, s)
+            try:
+                sort = S.term_sort(t) if S.is_ground(t) else None
+            except SortError:
+                continue  # unification fails on it
+        else:
+            continue
+        if sort == h.sort:
+            ren[h] = t
+    return ren
+
+
 # ---------------------------------------------------------------------------
 # Search state
 
@@ -197,6 +260,12 @@ class _State:
 
 # ---------------------------------------------------------------------------
 # Clause selection
+
+
+def _interpreted(f) -> bool:
+    """Whether `f` is an atom of an interpreted predicate (a comparison or
+    a clock reading)."""
+    return f.__class__ is S.Atom and f.pred in S.BUILTIN_PREDS
 
 
 def _atom_of(f):
@@ -422,8 +491,13 @@ class Prover:
         self.state.meta_birth[v.name] = n
         return v
 
-    def _log(self, depth, rule, goal):
-        self.trace.append(f"STEP {depth} {rule} {S.fmt_formula(goal)}")
+    def _log(self, depth, rule, goal, text=None):
+        """Append the STEP line of `goal` and return its printed text;
+        `text`, when given, is that of an equal formula printed before."""
+        if text is None:
+            text = S.fmt_formula(goal)
+        self.trace.append(f"STEP {depth} {rule} {text}")
+        return text
 
     # -- goal decomposition --------------------------------------------------
 
@@ -432,7 +506,7 @@ class Prover:
         choice point; a composite goal puts its subgoal in front of `todo`,
         then a step that wraps the subgoal's evidence."""
         state, s = self.state, self.state.subst
-        if isinstance(goal, S.Atom) and goal.pred in S.BUILTIN_PREDS:
+        if _interpreted(goal):
             return self._builtin(goal, todo, evs)
         if isinstance(goal, (S.Atom, S.Attest)):
             if depth <= 0:
@@ -443,8 +517,8 @@ class Prover:
             if len(state.open) == n:
                 return None  # identical goal already open on this path
             state.trail.append(g_res)
-            self._log(depth, "goal", g_res)
-            return self._backchain(goal, g_res, depth, env, restriction, todo, evs)
+            text = self._log(depth, "goal", g_res)
+            return self._backchain(goal, g_res, text, depth, env, restriction, todo, evs)
         if isinstance(goal, S.Top):
             return todo, (E.Unit(), evs)
         if isinstance(goal, S.And):
@@ -497,14 +571,14 @@ class Prover:
                 return 0
             if isinstance(g, S.Or) and it.open_or:
                 return 3
-            if isinstance(g, S.Atom) and g.pred in S.BUILTIN_PREDS:
+            if _interpreted(g):
                 return 2
             return 1
 
         order = sorted(range(len(items)), key=lambda i: (klass(items[i]), items[i].idx))
         for i in order:
             it = items[i]
-            if isinstance(it.goal, S.Atom) and it.goal.pred in S.BUILTIN_PREDS:
+            if _interpreted(it.goal):
                 args = [resolve(a, s) for a in it.goal.args]
                 if not all(S.is_ground(a) for a in args):
                     continue  # delay until ground
@@ -547,12 +621,12 @@ class Prover:
         self.state.trail.append(g_res)
         return todo, evs
 
-    def _backchain(self, goal, g_res, depth, env, restriction, todo, evs):
+    def _backchain(self, goal, g_res, text, depth, env, restriction, todo, evs):
         """The alternatives for an atomic goal: hypothesis clauses, policy
         clauses, then attestations by T or N or answers from peers.  Each one
         goes on to a step that closes the goal."""
         state, todo = self.state, (partial(self._close, g_res), todo)
-        apply = partial(self._apply, goal, g_res, depth, env, restriction, todo, evs)
+        apply = partial(self._apply, goal, g_res, text, depth, env, restriction, todo, evs)
         for clause in env.clauses():
             yield apply(clause, None, None)
         atom = _atom_of(goal)
@@ -573,29 +647,50 @@ class Prover:
         if isinstance(goal, S.Attest):
             yield from self._remote(goal, depth, restriction, todo, evs)
 
-    def _apply(self, goal, g_res, depth, env, restriction, todo, evs, clause, owner, digest):
-        s = self.state.subst
-        ren = {v: self._fresh_var(v.sort) for v in clause.universals}
-        head = S.substitute(clause.head, ren)
-        if isinstance(goal, S.Attest) and isinstance(head, S.Atom) and owner not in (None, S.COMMON):
+    def _apply(self, goal, g_res, text, depth, env, restriction, todo, evs, clause, owner, digest):
+        """The alternative of `clause` for atomic goal `goal` (open as
+        `g_res`, printed as `text`): the goal unified with the clause's
+        head, renamed apart, in one call of `unify_atomic`.
+
+        The universals `_match_head` finds stand for the goal's ground
+        arguments; every other one gets a fresh variable.  Each advances the
+        fresh-name counter, so names do not depend on which are matched.
+        A single premise slot that is neither a conjunction nor an
+        interpreted atom is solved directly, its evidence wrapped into the
+        clause application; other bodies go to the conjunct scheduler."""
+        state, s = self.state, self.state.subst
+        head, universals = clause.head, clause.universals
+        if goal.__class__ is S.Attest and head.__class__ is S.Atom and owner not in (None, S.COMMON):
             # An owner's bare-headed clause also answers the owner's own
             # attestation of its head.
             head = S.Attest(S.Const(owner, "Principal"), head)
-        if unify_atomic(goal, head, s, self.state) is None:
+        ren = _match_head(goal, head, universals, s) if universals else {}
+        for v in universals:
+            if v in ren:
+                state.counter += 1
+            else:
+                ren[v] = self._fresh_var(v.sort)
+        if unify_atomic(goal, _rename(head, ren), s, state) is None:
             return None
         # Unifying with the head may have instantiated the goal into one
         # that is already open higher on this path; looping on it proves
         # nothing new.  (`g_res`, this goal's own pre-unification form, is
         # open too.)
         g2 = resolve_formula(goal, s)
-        if g2 != g_res and g2 in self.state.open:
-            return None
-        self._log(depth, f"apply {clause.label}", g2)
-        args = tuple(ren[v] for v in clause.universals)
-        if not clause.slots:
-            return todo, (E.ClauseApp(clause.label, digest, args), evs)
-        slots = [S.substitute(g, ren) for g in clause.slots]
-        build = lambda it: E.ClauseApp(clause.label, digest, args, tuple(_assemble(g, it) for g in slots))
+        if g2 != g_res:
+            if g2 in state.open:
+                return None
+            text = None
+        self._log(depth, f"apply {clause.label}", g2, text)
+        label, args, slots = clause.label, tuple([ren[v] for v in universals]), clause.slots
+        if not slots:
+            return todo, (E.ClauseApp(label, digest, args), evs)
+        if len(slots) == 1 and slots[0].__class__ is not S.And and not _interpreted(slots[0]):
+            node = lambda ev: E.ClauseApp(label, digest, args, (ev,))
+            solve = partial(self._solve, _rename(slots[0], ren), depth - 1, env, restriction)
+            return (solve, (partial(_wrap, node), todo)), evs
+        slots = [_rename(g, ren) for g in slots]
+        build = lambda it: E.ClauseApp(label, digest, args, tuple(_assemble(g, it) for g in slots))
         return (partial(self._group, _items(slots, s), (), build, depth - 1, env, restriction), todo), evs
 
     def _remote(self, goal, depth, restriction, todo, evs):

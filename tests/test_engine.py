@@ -1,8 +1,10 @@
 """Unification and local proof search: substitution laws, connectives,
-builtins, knowledge restriction, modal laws, depth budget, clause indexing."""
+builtins, knowledge restriction, modal laws, depth budget, clause indexing
+and clause application."""
 
 import copy
 import functools
+import hashlib
 import itertools
 import random
 
@@ -503,6 +505,29 @@ def test_lookups_leave_an_index_as_it_was_built(rnd):
     assert unchanged
 
 
+# SHA-256 of the answers (bindings, goal text, evidence), trace and final
+# fresh-name counter of the 500 random searches below, recorded before
+# clause application matched head variables directly.  The tests above
+# compare index variants that share one clause application, so this is
+# what pins the bindings, fresh names and trace lines it produces.  The
+# programs are drawn from seeded `random.Random`s rather than hypothesis,
+# whose draws may change with its version.
+SEARCH_SHA256 = "d7d070161bf2b639b9ac315a81248f3a2bdbaf6390b9c03e5c8eb4b938280579"
+
+
+def test_random_searches_give_recorded_answers_and_traces():
+    digest = hashlib.sha256()
+    for seed in range(500):
+        rnd = random.Random(seed)
+        policies = {owner: _random_policy(rnd, owner) for owner in ("K", S.COMMON)}
+        answers, trace, counter = _search(policies, _random_goal(rnd), engine.ClauseIndex)
+        for a in answers:
+            bindings = sorted(f"{v.name}:{v.sort}={S.fmt_term(t)}" for v, t in a.bindings.items())
+            digest.update(repr((bindings, S.fmt_formula(a.goal), repr(a.evidence))).encode())
+        digest.update(repr((trace, counter)).encode())
+    assert digest.hexdigest() == SEARCH_SHA256
+
+
 def test_a_bound_join_goal_tries_only_matching_heads(monkeypatch):
     # 800 objects, two edges out of each and every other one tagged: 2,000 facts
     objects = 800
@@ -529,3 +554,149 @@ def test_a_bound_join_goal_tries_only_matching_heads(monkeypatch):
     answer = prover.first(goal, free)
     assert answer.bindings[free[0]] == S.Const("o0", "Obj")  # o798 -> o799 -> o0
     assert 0 < len(calls) <= 10
+
+
+# ---------------------------------------------------------------------------
+# Clause application: head variables matched to ground goal arguments, and
+# one-slot bodies solved without the conjunct scheduler.  Each test pins the
+# answers, the trace and the fresh-name counter.
+
+HEADS_SIG = (
+    "sort Thing. pred p(Thing, Thing). pred q(Thing). pred n(Time). pred m(Time, Time).\n"
+    "principal K. const a: Thing. const b: Thing.\n"
+)
+
+
+def _applied(src, goal_text):
+    """Answers ({name: term text}, evidence), trace, fresh-name counter and
+    policy digest of `goal_text` against K's policy `src`."""
+    pol = parser.parse_policy(HEADS_SIG + src, "K")
+    goal, free = parser.parse_goal(goal_text, pol.signature)
+    prover = Prover({"K": pol})
+    answers = [
+        ({v.name: S.fmt_term(t) for v, t in a.bindings.items()}, a.evidence)
+        for a in prover.ask(goal, free)
+    ]
+    return answers, prover.trace, prover.state.counter, pol.digest
+
+
+def test_a_repeated_head_variable_takes_the_first_goal_argument():
+    src = "r1: forall x:Thing. p(x, x).\n"
+    assert _applied(src, "p(a, b)")[:3] == ([], ["STEP 64 goal p(a, b)"], 1)
+    answers, trace, counter, d = _applied(src, "p(a, a)")
+    assert answers == [({}, E.ClauseApp("r1", d, (C("a"),)))]
+    assert (trace, counter) == (["STEP 64 goal p(a, a)", "STEP 64 apply r1 p(a, a)"], 1)
+    # A numeral and a `succ` chain of one value unify; the first one met
+    # is what the variable stands for.
+    three, succ2 = S.Const("3", "Time"), _succ(S.Const("2", "Time"))
+    for goal, first in (("m(3, succ(2))", three), ("m(succ(2), 3)", succ2)):
+        answers, trace, counter, d = _applied("t1: forall t:Time. m(t, t).\n", goal)
+        assert answers == [({}, E.ClauseApp("t1", d, (first,)))]
+        assert (trace, counter) == ([f"STEP 64 goal {goal}", f"STEP 64 apply t1 {goal}"], 1)
+
+
+def test_a_head_variable_under_succ_and_a_whole_succ_argument():
+    zero, one = S.Const("0", "Time"), _succ(S.Const("0", "Time"))
+    src = "n1: n(0).\nn2: forall t:Time. n(t) => n(succ(t)).\n"
+    answers, trace, counter, d = _applied(src, "n(succ(succ(0)))")
+    n1 = E.ClauseApp("n1", d)
+    assert answers == [({}, E.ClauseApp("n2", d, (one,), (E.ClauseApp("n2", d, (zero,), (n1,)),)))]
+    assert trace == [
+        "STEP 64 goal n(succ(succ(0)))", "STEP 64 apply n2 n(succ(succ(0)))",
+        "STEP 63 goal n(succ(0))", "STEP 63 apply n2 n(succ(0))",
+        "STEP 62 goal n(0)", "STEP 62 apply n1 n(0)",
+    ]
+    assert counter == 3
+    # `t` under `succ` gets a variable, which has no value to meet a
+    # numeral, even where a later argument would give it one
+    assert _applied(src, "n(2)")[:3] == ([], ["STEP 64 goal n(2)"], 1)
+    assert _applied("t1: forall t:Time. m(succ(t), t).\n", "m(4, 3)")[:3] == ([], ["STEP 64 goal m(4, 3)"], 1)
+    answers, trace, counter, d = _applied("m1: forall t:Time. n(t).\n", "n(succ(succ(0)))")
+    assert answers == [({}, E.ClauseApp("m1", d, (_succ(one),)))]
+    assert (trace, counter) == (["STEP 64 goal n(succ(succ(0)))", "STEP 64 apply m1 n(succ(succ(0)))"], 1)
+
+
+def test_a_goal_constant_of_another_sort_fails_and_fresh_names_stay(monkeypatch):
+    k, x, y = S.Var("k", "Int"), V("x"), V("y")
+    pol = S.Policy("K", S.Signature(), [
+        S.Clause("s1", (k,), (), S.Atom("q", (k,))),
+        S.Clause("s2", (x, y), (), S.Atom("q", (x,))),
+    ])
+    calls = []
+    unify_atomic = engine.unify_atomic
+
+    def counting(*args):
+        calls.append(args)
+        return unify_atomic(*args)
+
+    monkeypatch.setattr(engine, "unify_atomic", counting)
+    prover = Prover({"K": pol})
+    answers = list(prover.ask(S.Atom("q", (C("a"),))))
+    # `k` does not take the Thing `a`; `y` is named as if `k` and `x` had
+    # each had a variable
+    assert [a.evidence for a in answers] == [E.ClauseApp("s2", pol.digest, (C("a"), S.Var("_3", "Thing")))]
+    assert (prover.trace, prover.state.counter) == (["STEP 64 goal q(a)", "STEP 64 apply s2 q(a)"], 3)
+    assert len(calls) == 2  # one head attempt each
+
+
+def test_a_variable_goal_argument_gets_a_fresh_variable():
+    answers, trace, counter, d = _applied("r1: forall x:Thing. p(x, x).\n", "exists z:Thing. p(a, z)")
+    assert answers == [({}, E.Witness(C("a"), E.ClauseApp("r1", d, (C("a"),))))]
+    assert (trace, counter) == (["STEP 64 goal p(a, _1)", "STEP 64 apply r1 p(a, a)"], 2)
+    src = "r1: forall x:Thing, y:Thing. p(x, y) => q(x).\nr2: p(b, a).\n"
+    answers, trace, counter, d = _applied(src, "exists z:Thing. q(z)")
+    r1 = E.ClauseApp("r1", d, (C("b"), C("a")), (E.ClauseApp("r2", d),))
+    assert answers == [({}, E.Witness(C("b"), r1))]
+    assert trace == [
+        "STEP 64 goal q(_1)", "STEP 64 apply r1 q(_1)",
+        "STEP 63 goal p(_1, _3)", "STEP 63 apply r2 p(b, a)",
+    ]
+    assert counter == 5
+    # A hypothesis clause's head may hold a metavariable (here `_1`, for
+    # `z`), which is not the clause's to rename: unification binds it.
+    goal = "exists z:Thing. ((forall y:Thing. q(y) => p(y, z)) => p(a, b))"
+    answers, trace, counter, d = _applied("r1: forall y:Thing. q(y).\n", goal)
+    h2 = E.ClauseApp("h2", None, (C("a"),), (E.ClauseApp("r1", d, (C("a"),)),))
+    assert answers == [({}, E.Witness(C("b"), E.Abstraction("h2", h2)))]
+    assert trace == [
+        "STEP 64 assume forall y:Thing. q(y) => p(y, _1)", "STEP 64 goal p(a, b)",
+        "STEP 64 apply h2 p(a, b)", "STEP 63 goal q(a)", "STEP 63 apply r1 q(a)",
+    ]
+    assert counter == 6
+
+
+def test_attested_heads_match_the_principal_first():
+    k = S.Const("K", "Principal")
+    answers, trace, counter, d = _applied("r1: forall x:Thing. K says q(x).\n", "K says q(a)")
+    assert answers == [({}, E.ClauseApp("r1", d, (C("a"),)))]
+    assert (trace, counter) == (["STEP 64 goal K says q(a)", "STEP 64 apply r1 K says q(a)"], 1)
+    src = "r1: forall k:Principal, x:Thing. k says p(x, x).\n"
+    answers, trace, counter, d = _applied(src, "K says p(a, a)")
+    assert answers == [({}, E.ClauseApp("r1", d, (k, C("a"))))]
+    assert (trace, counter) == (["STEP 64 goal K says p(a, a)", "STEP 64 apply r1 K says p(a, a)"], 2)
+    # an owner's bare head answers `K says ...`, for a variable principal too
+    answers, trace, counter, d = _applied("r1: forall x:Thing. q(x).\n", "w says q(a)")
+    assert answers == [({"w": "K"}, E.ClauseApp("r1", d, (C("a"),)))]
+    assert (trace, counter) == (["STEP 64 goal w says q(a)", "STEP 64 apply r1 K says q(a)"], 2)
+
+
+def test_a_single_disjunction_slot():
+    src = "r1: forall x:Thing, y:Thing. (q(x) \\/ p(x, y)) => p(y, x).\nr2: p(a, b).\n"
+    answers, trace, counter, d = _applied(src, "p(b, a)")
+    assert answers == [({}, E.ClauseApp("r1", d, (C("a"), C("b")), (E.Inr(E.ClauseApp("r2", d)),)))]
+    assert trace == [
+        "STEP 64 goal p(b, a)", "STEP 64 apply r1 p(b, a)", "STEP 63 or q(a) \\/ p(a, b)",
+        "STEP 63 goal q(a)", "STEP 63 goal p(a, b)", "STEP 63 apply r1 p(a, b)",
+        "STEP 62 or q(b) \\/ p(b, a)", "STEP 62 goal q(b)", "STEP 63 apply r2 p(a, b)",
+    ]
+    assert counter == 8
+
+
+def test_a_single_comparison_slot_is_still_scheduled():
+    src = "r1: forall x:Thing, y:Thing. x != y => p(x, y).\n"
+    answers, trace, counter, d = _applied(src, "p(a, b)")
+    hole = E.TheoryHole("!=", (C("a"), C("b")))
+    assert answers == [({}, E.ClauseApp("r1", d, (C("a"), C("b")), (hole,)))]
+    assert (trace, counter) == (["STEP 64 goal p(a, b)", "STEP 64 apply r1 p(a, b)"], 2)
+    with pytest.raises(FlounderError, match="^interpreted goals never became ground: a != z$"):
+        _applied(src, "p(a, z)")
