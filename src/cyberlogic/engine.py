@@ -21,18 +21,18 @@ variables; evidence slots are filled positionally regardless of the
 evaluation order actually taken.
 A derivation step does only the search's own work.  A clause is renamed
 apart as Warren's machine does it (`get_variable`): a universal whose first
-occurrence is a whole head argument facing a ground goal argument of its
-sort stands for that argument, with no fresh variable, binding or trail
-entry; the others get fresh variables, and the fresh-name counter advances
-once per universal either way.  Atomic heads, slots and goals are renamed
-and resolved in one pass; only formulas with binders take the
-capture-avoiding `syntax.substitute`.  A clause whose one premise slot is
-neither a conjunction nor an interpreted atom solves it without the
-conjunct scheduler.  A goal that applying a clause leaves as it was is
-printed once for the trace.  The variables and goals that key the
-substitution and the open-goal set hash once, and constants print once
-(`syntax`).  They are immutable, so a cache holds what a fresh computation
-would give, even when TCP handler threads race to fill it.
+occurrence is a whole head argument facing a goal constant of its sort
+stands for that constant, with no fresh variable, binding or trail entry;
+the others get fresh variables, and the fresh-name counter advances once
+per universal either way.  Atomic goals resolve in one pass, and
+`syntax.substitute` renames an atomic head or slot in one pass too.  A
+clause whose one premise slot is neither a conjunction nor an interpreted
+atom solves it without the conjunct scheduler.  A goal that applying a
+clause leaves as it was is printed once for the trace.  The variables and
+goals that key the substitution and the open-goal set hash once, and
+constants print once (`syntax`).  They are immutable, so a cache holds
+what a fresh computation would give, even when TCP handler threads race to
+fill it.
 """
 
 from __future__ import annotations
@@ -85,20 +85,6 @@ def resolve_formula(f, s: dict):
     m = {v: resolve(v, s) for v in fv}
     m = {v: t for v, t in m.items() if t != v}
     return S.substitute(f, m) if m else f
-
-
-def _rename(f, ren: dict):
-    """`f` with its variables renamed by `ren`, all at once (a fresh name
-    may be that of another universal).  An atom or an attested atom has no
-    binder, so it is renamed in one pass; other formulas take the
-    capture-avoiding path."""
-    if not ren:
-        return f
-    if f.__class__ is S.Atom:
-        return S.Atom(f.pred, tuple([S.term_subst(t, ren) for t in f.args]))
-    if f.__class__ is S.Attest and f.body.__class__ is S.Atom:
-        return S.Attest(S.term_subst(f.principal, ren), _rename(f.body, ren))
-    return S.substitute(f, ren)
 
 
 def _bind(v: S.Var, t, s: dict, state):
@@ -185,10 +171,10 @@ def unify_atomic(goal, head, s: dict, state=None):
 
 def _match_head(goal, head, universals, s: dict) -> dict:
     """The universals among `universals` whose first occurrence in `head`
-    is a whole argument facing, in `goal` under `s`, a ground term of their
-    sort, each mapped to that term: what unifying `goal` with `head` renamed
-    apart would bind their fresh variables to.  Empty when the two differ in
-    shape, which no unifier mends."""
+    is a whole argument facing, in `goal` under `s`, a constant of their
+    sort, each mapped to that constant: what unifying `goal` with `head`
+    renamed apart would bind their fresh variables to.  Empty when the two
+    differ in shape, which no unifier mends."""
     ren: dict = {}
     if goal.__class__ is S.Attest:  # the principal, then the atom's arguments
         if head.__class__ is not S.Attest or goal.body.__class__ is not S.Atom:
@@ -205,21 +191,10 @@ def _match_head(goal, head, universals, s: dict) -> dict:
         if h.__class__ is not S.Var or h in met:
             continue
         met.append(h)
-        if h not in universals:
-            continue
-        t = walk(g, s)
-        if t.__class__ is S.Const:
-            sort = t.sort
-        elif t.__class__ is S.FunApp:
-            t = resolve(t, s)
-            try:
-                sort = S.term_sort(t) if S.is_ground(t) else None
-            except SortError:
-                continue  # unification fails on it
-        else:
-            continue
-        if sort == h.sort:
-            ren[h] = t
+        if h in universals:
+            t = walk(g, s)
+            if t.__class__ is S.Const and t.sort == h.sort:
+                ren[h] = t
     return ren
 
 
@@ -652,8 +627,8 @@ class Prover:
         `g_res`, printed as `text`): the goal unified with the clause's
         head, renamed apart, in one call of `unify_atomic`.
 
-        The universals `_match_head` finds stand for the goal's ground
-        arguments; every other one gets a fresh variable.  Each advances the
+        The universals `_match_head` finds stand for the goal's constants;
+        every other one gets a fresh variable.  Each advances the
         fresh-name counter, so names do not depend on which are matched.
         A single premise slot that is neither a conjunction nor an
         interpreted atom is solved directly, its evidence wrapped into the
@@ -670,7 +645,7 @@ class Prover:
                 state.counter += 1
             else:
                 ren[v] = self._fresh_var(v.sort)
-        if unify_atomic(goal, _rename(head, ren), s, state) is None:
+        if unify_atomic(goal, S.substitute(head, ren), s, state) is None:
             return None
         # Unifying with the head may have instantiated the goal into one
         # that is already open higher on this path; looping on it proves
@@ -687,9 +662,9 @@ class Prover:
             return todo, (E.ClauseApp(label, digest, args), evs)
         if len(slots) == 1 and slots[0].__class__ is not S.And and not _interpreted(slots[0]):
             node = lambda ev: E.ClauseApp(label, digest, args, (ev,))
-            solve = partial(self._solve, _rename(slots[0], ren), depth - 1, env, restriction)
+            solve = partial(self._solve, S.substitute(slots[0], ren), depth - 1, env, restriction)
             return (solve, (partial(_wrap, node), todo)), evs
-        slots = [_rename(g, ren) for g in slots]
+        slots = [S.substitute(g, ren) for g in slots]
         build = lambda it: E.ClauseApp(label, digest, args, tuple(_assemble(g, it) for g in slots))
         return (partial(self._group, _items(slots, s), (), build, depth - 1, env, restriction), todo), evs
 

@@ -301,10 +301,10 @@ def substitute(f: Formula, s: dict) -> Formula:
     """Capture-avoiding substitution of free variables by terms."""
     if not s:
         return f
+    if f.__class__ is Atom:  # the common case, tested first
+        return Atom(f.pred, tuple([term_subst(a, s) for a in f.args]))
     if isinstance(f, (Top, Bottom)):
         return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(term_subst(a, s) for a in f.args))
     if isinstance(f, Attest):
         return Attest(term_subst(f.principal, s), substitute(f.body, s))
     if isinstance(f, Knows):

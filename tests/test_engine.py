@@ -557,7 +557,7 @@ def test_a_bound_join_goal_tries_only_matching_heads(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Clause application: head variables matched to ground goal arguments, and
+# Clause application: head variables matched to goal constants, and
 # one-slot bodies solved without the conjunct scheduler.  Each test pins the
 # answers, the trace and the fresh-name counter.
 
@@ -700,3 +700,25 @@ def test_a_single_comparison_slot_is_still_scheduled():
     assert (trace, counter) == (["STEP 64 goal p(a, b)", "STEP 64 apply r1 p(a, b)"], 2)
     with pytest.raises(FlounderError, match="^interpreted goals never became ground: a != z$"):
         _applied(src, "p(a, z)")
+
+
+def test_a_slot_binder_spelled_like_a_fresh_name():
+    # The slot binds `_1`, the name the first fresh variable gets.  A
+    # universal matched to a goal constant puts no variable into the slot,
+    # so the binder keeps its name; one renamed to a fresh variable that is
+    # then printed as `_1` makes the `all` line rename the binder.
+    src = "r1: forall x:Thing. (forall _1:Thing. q(_1) => p(x, _1)) => q(x).\nr2: forall y:Thing. p(a, y).\n"
+    answers, trace, counter, d = _applied(src, "q(a)")
+    c2 = S.Const("c2", "Thing")
+    body = E.Abstraction("c2", E.Abstraction("h4", E.ClauseApp("r2", d, (c2,))))
+    assert answers == [({}, E.ClauseApp("r1", d, (C("a"),), (body,)))]
+    assert trace == [
+        "STEP 64 goal q(a)", "STEP 64 apply r1 q(a)",
+        "STEP 63 all forall _1:Thing. q(_1) => p(a, _1)",
+        "STEP 63 assume q(c2)", "STEP 63 goal p(a, c2)", "STEP 63 apply r2 p(a, c2)",
+    ]
+    assert counter == 7
+    answers, trace, counter, d = _applied(src, "exists z:Thing. q(z)")
+    assert len(answers) == 1
+    assert trace[2] == "STEP 63 all forall _1'1:Thing. q(_1'1) => p(_1, _1'1)"
+    assert counter == 8
