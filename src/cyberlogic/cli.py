@@ -8,7 +8,6 @@ or input error, 3 transport error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import random

@@ -146,10 +146,6 @@ def unify(a, b, s: dict, state=None):
     return None
 
 
-def mgu(a, b):
-    return unify(a, b, {})
-
-
 def unify_atomic(goal, head, s: dict, state=None):
     """Unify an atomic goal with a clause head (atom against atom,
     attestation against attestation)."""
@@ -651,7 +647,7 @@ class Prover:
         # that is already open higher on this path; looping on it proves
         # nothing new.  (`g_res`, this goal's own pre-unification form, is
         # open too.)
-        g2 = resolve_formula(goal, s)
+        g2 = resolve_formula(g_res, s)
         if g2 != g_res:
             if g2 in state.open:
                 return None

@@ -229,22 +229,6 @@ def fold(e: Evidence, f):
     return out[0]
 
 
-def make_certificate(
-    formula,
-    evidence: Evidence,
-    policy_digests,
-    directory_ids,
-    created_at: SignedAttestation | None = None,
-) -> Certificate:
-    return Certificate(
-        root_formula=formula,
-        root_evidence=evidence,
-        policy_digests=frozenset(policy_digests),
-        directory=frozenset(directory_ids),
-        created_at=created_at,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis environments
 

@@ -31,7 +31,7 @@ from . import engine
 from . import evidence as E
 from . import syntax as S
 from .crypto import Directory, KeyPair
-from .errors import CodecError, RouteError, TransportError
+from .errors import CodecError, FlounderError, RouteError, TransportError
 
 MAX_FRAME = 16 * 1024 * 1024
 SERVICE_NAMES = ("T", "N")
@@ -428,13 +428,14 @@ class Node:
         goal = S.substitute(goal, ren)
         search = self._ask(goal, list(ren.values()), min(budget, self.depth), chain)
         try:
-            answer = next(search, None)
+            answer, reason = next(search, None), "no proof"
         except Exception as ex:
-            answer = None
+            kind = "flounder" if isinstance(ex, FlounderError) else f"internal: {type(ex).__name__}"
+            answer, reason = None, f"{kind}: {ex}"
             self.trace.append(f"ERROR {qid} {ex}")
         search.close()
         if answer is None:
-            return {"type": "FAIL", "qid": qid, "reason": "no proof"}
+            return {"type": "FAIL", "qid": qid, "reason": reason}
         frame = {
             "type": "ANSWER",
             "qid": qid,
@@ -474,4 +475,4 @@ class Node:
             if pid is not None:
                 ids.add(pid)
         stamp = self.services.attest_time() if self.services is not None else None
-        return E.make_certificate(answer.goal, answer.evidence, digests, ids, created_at=stamp)
+        return E.Certificate(answer.goal, answer.evidence, frozenset(digests), frozenset(ids), stamp)

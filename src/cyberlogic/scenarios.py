@@ -12,7 +12,6 @@ import random
 import time as _time
 from dataclasses import dataclass, field
 
-from . import codec
 from . import evidence as E
 from . import parser
 from . import syntax as S

@@ -385,9 +385,6 @@ class Clause:
     slots: tuple  # of goal Formula; empty for a fact
     head: Formula  # Atom or Attest(principal, Atom)
 
-    def is_fact(self) -> bool:
-        return not self.slots
-
     # Not a cached_property: that stores into `__dict__`, and making the
     # instance dict real slows every later attribute read on the clause.
     _encoding = None

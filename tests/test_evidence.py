@@ -3,6 +3,7 @@ and scaling."""
 
 import dataclasses
 import gc
+import random
 import statistics
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 from cyberlogic import codec, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
+from cyberlogic.crypto import Directory, keygen, sign_attestation
 from cyberlogic.errors import CodecError, ParseError
 from cyberlogic.services import CheckerEndpoint, Registry, remote_check
 
@@ -128,6 +130,80 @@ def test_a_creation_stamp_must_name_the_time_source():
     res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)
     assert not res
     assert res.reason == "creation stamp is not a reading signed by T"
+
+
+def _rejection_rows():
+    """(evidence, goal, hypotheses or directory, path, reason): one row for
+    each rejection of the checker that no other test names."""
+    rng = random.Random(0)
+    keys = {name: keygen(name, rng) for name in ("K", "T")}
+    directory = Directory()
+    for name, (kp, _) in keys.items():
+        directory.add(name, kp.public)
+    k, b = S.Const("K", "Principal"), S.Const("B", "Principal")
+    p, q = S.Atom("p", ()), S.Atom("q", ())
+    sa = sign_attestation(*keys["K"], p)
+    forged = dataclasses.replace(sa, signature=bytes([sa.signature[0] ^ 1]) + sa.signature[1:])
+    three = S.Const("3", "Time")
+    clock = sign_attestation(*keys["T"], S.Atom("time", (three,)))
+    not_clock = sign_attestation(*keys["K"], S.Atom("time", (three,)))
+    x, t = S.Var("x", "Thing"), S.Var("t", "Time")
+    lt = S.Atom("<", (t, three))
+    deadline = S.Atom("time_not_elapsed", (three,))
+    hyps = E.HypothesisEnv().extend([S.Clause("h", (x,), (q,), S.Atom("r", (x,)))])
+    r_a = S.Atom("r", (S.Const("a", "Thing"),))
+    return [
+        (E.AttLeaf(sa), p, directory, (), "attestation evidence for a non-attestation goal"),
+        (E.AttLeaf(sa), S.Attest(S.Var("z", "Principal"), p), directory, (), "attesting principal is not ground"),
+        (E.AttLeaf(sa), S.Attest(b, p), directory, (), "no public key for 'B'"),
+        (E.AttLeaf(forged), S.Attest(k, p), directory, (), "signature by 'K' does not verify"),
+        (E.AttLeaf(sa), S.Attest(k, q), directory, (), "attested formula differs from the goal"),
+        (E.TheoryHole("<", lt.args), p, None, (), "theory evidence for a non-interpreted goal"),
+        (E.TheoryHole("<", (three, t)), lt, None, (), "theory evidence does not match the goal atom"),
+        (E.TheoryHole("<", lt.args), lt, None, (), "< needs 2 ground arguments"),
+        (E.TheoryHole("time_not_elapsed", deadline.args), deadline, directory, (), "missing clock receipt"),
+        (E.TheoryHole("time_not_elapsed", deadline.args, not_clock), deadline, directory, (),
+         "clock receipt is not a reading signed by T"),
+        (E.TheoryHole("time_not_elapsed", deadline.args, clock), deadline, directory, (),
+         "clock receipt is not earlier than the deadline"),
+        (E.ClauseApp("h", None, (three,), (E.Unit(),)), r_a, hyps, (), "argument for 'x' has the wrong sort"),
+        (E.ClauseApp("h", None, (S.FunApp("f", ()),), (E.Unit(),)), r_a, hyps, (),
+         "unintelligible argument for 'x'"),
+        (E.ClauseApp("h", None, (r_a.args[0],)), r_a, hyps, (), "clause 'h': 1 premises expected"),
+        (E.PairEv(E.Unit(), E.Unit()), S.TOP, None, (), "pair evidence for a non-conjunction"),
+        (E.PairEv(E.Unit(), E.Witness(three, E.Unit())), S.And(S.TOP, S.TOP), None, (1,),
+         "witness evidence for a non-existential"),
+        (E.Witness(r_a.args[0], E.Unit()), S.Exists(t, S.TOP), None, (), "witness has the wrong sort"),
+        (E.Abstraction("h", E.Unit()), S.Implies(S.Or(p, q), S.TOP), None, (),
+         "hypothesis is not a program: clause head is not atomic: p \\/ q"),
+        (E.Inl(E.Abstraction("e", E.Unit())), S.Or(S.TOP, S.TOP), None, (0,),
+         "abstraction evidence for a non-binder goal"),
+        (E.KnowsWrap(frozenset({k}), E.Unit()), S.TOP, None, (), "restriction evidence for a non-restricted goal"),
+        (E.KnowsWrap(frozenset({k}), E.Unit()), S.Knows(frozenset({b}), S.TOP), None, (),
+         "restriction sets differ"),
+        ("tt", S.TOP, None, (), "unrecognized evidence node str"),
+    ]
+
+
+_REJECTIONS = _rejection_rows()
+
+
+@pytest.mark.parametrize("evidence, goal, context, path, reason", _REJECTIONS, ids=[r[-1] for r in _REJECTIONS])
+def test_each_rejection_names_its_reason(evidence, goal, context, path, reason):
+    env = context if isinstance(context, E.HypothesisEnv) else E.HypothesisEnv()
+    directory = context if isinstance(context, Directory) else None
+    assert E.check({}, env, evidence, goal, directory) == E.CheckResult(False, path, reason)
+
+
+def test_nested_restrictions_admit_only_the_owners_both_admit():
+    policy = parser.parse_policy("pred ok(Principal).\nprincipal A.\na1: ok(A).\n", "A")
+    a, b = S.Const("A", "Principal"), S.Const("B", "Principal")
+    proof = E.KnowsWrap(frozenset({a}), E.ClauseApp("a1", policy.digest))
+    inner = S.Knows(frozenset({a}), S.Atom("ok", (a,)))
+    assert E.check({policy.digest: policy}, E.HypothesisEnv(), proof, inner)
+    res = E.check({policy.digest: policy}, E.HypothesisEnv(), E.KnowsWrap(frozenset({b}), proof),
+                  S.Knows(frozenset({b}), inner))
+    assert res == E.CheckResult(False, (0, 0), "evidence draws on a policy of 'A', outside the restriction")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +484,7 @@ def test_deep_evidence_prints_at_the_default_recursion_limit():
 def test_a_comparison_of_an_ill_formed_successor_gets_a_verdict(args):
     # The codec reads `succ` with any number of arguments.
     atom = S.Atom("<", (S.FunApp("succ", args), S.Const("3", "Int")))
-    cert = E.make_certificate(atom, E.TheoryHole("<", atom.args), [], [])
+    cert = E.Certificate(atom, E.TheoryHole("<", atom.args))
     cert = codec.decode_certificate(codec.encode_certificate(cert))
     res = E.check_certificate(cert, {})
     assert not res and res.reason == "< does not hold"

@@ -1,13 +1,18 @@
 """Module boundaries: no module of the package, and no test, reads another
-cyberlogic module's underscore-prefixed names."""
+cyberlogic module's underscore-prefixed names, and each module imports on
+its own."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "cyberlogic").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "cyberlogic").glob("*.py"))
+FILES = MODULES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -61,3 +66,12 @@ def test_the_guard_sees_each_import_form():
     assert private_reads(source) == [
         "syntax._fresh_rename", "codec._W", "E._children", "cyberlogic.node._b64"
     ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_each_module_imports_in_a_fresh_interpreter(path):
+    # The package's __init__ imports nothing, so each module must pull in
+    # what it uses itself.
+    name = "cyberlogic" if path.stem == "__init__" else f"cyberlogic.{path.stem}"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", f"import {name}"], env=env, check=True, timeout=60)

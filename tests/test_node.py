@@ -407,6 +407,17 @@ def test_a_query_for_a_non_goal_is_malformed():
     assert b.trace == []
 
 
+def test_a_query_that_flounders_says_so():
+    b = _bcast_world().node("B")
+    goal, free = parser.parse_goal("x < 3", b.policy.signature)
+    query = decode_frame(_query_frame("A", "B", goal, "A-1"))
+    query["vars"] = [[v.name, v.sort] for v in free]
+    (resp,) = b.handle_frame(encode_frame(query))
+    resp = decode_frame(resp)
+    assert resp["type"] == "FAIL" and resp["reason"].startswith("flounder: "), resp
+    assert [line.split()[:2] for line in b.trace if line.startswith("ERROR")] == [["ERROR", "A-1"]]
+
+
 # ---------------------------------------------------------------------------
 # A node signs answers, never attestations a peer asked it to assume
 

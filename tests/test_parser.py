@@ -26,7 +26,7 @@ def test_three_attested_facts():
     pol = parser.parse_policy(GAMMA_B, "B")
     assert [c.label for c in pol.clauses] == ["b1", "b2", "b3"]
     for c in pol.clauses:
-        assert c.is_fact()
+        assert not c.slots
         assert isinstance(c.head, S.Attest)
         assert c.head.principal == S.Const("B", "Principal")
     assert pol.clauses[2].head.body.args == (
