@@ -4,12 +4,20 @@ deterministic and decode(encode(x)) == x.  Signatures and digests are
 computed over these bytes.
 
 `FORMAT` is the only statement of the format: for each node kind it maps a
-tag to the node's class and the kinds of its fields.  One writer and one
-reader interpret it, each with an explicit work stack and no recursion, so
-evidence, whose depth grows with the proof, may nest to any depth.  Terms
-and formulas come from people: both refuse, with CodecError, one nested
-deeper than `syntax.MAX_NESTING`, as the parser does.  Every error the
-reader raises is a CodecError.
+tag to the node's class and the kinds of its fields.  The writer interprets
+it; the reader is compiled from it at import, one reader per tag.  Both
+keep an explicit work stack and do not recurse, so evidence, whose depth
+grows with the proof, may nest to any depth.  Terms and formulas come from
+people: both refuse, with CodecError, one nested deeper than
+`syntax.MAX_NESTING`, as the parser does.  Every error the reader raises is
+a CodecError.
+
+Decoding is canonical: the reader refuses, with CodecError, what the writer
+would not write, so encode(decode(b)) == b for all bytes b it reads.  The
+lists read as sets must strictly increase: a `{term}` set by the bytes of
+its terms, a certificate's digests by their bytes and its principal ids by
+name.  One decode makes one value of each node with only string and byte
+fields, such as one `Const` per (name, sort).
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import fields as _class_fields
 from functools import partial
+from operator import attrgetter, lt
 
 from .errors import CodecError
 from . import evidence as E
@@ -58,12 +67,6 @@ FORMAT = {
 }
 NESTED = ("term", "var", "formula")  # the kinds whose depth is bounded
 
-# The reader's view: kind -> tag -> (class, field kinds, only string or byte fields)
-_BY_TAG = {
-    kind: {tag: (cls, tuple(ks.split()), set(ks.split()) <= {"s", "b"}) for tag, (cls, ks) in tags.items()}
-    for kind, tags in FORMAT.items()
-}
-
 
 def _field(name, kind):
     """The writer's view of a field: (name, "s" | "b" | "q" | "{term}", None), (name,
@@ -77,10 +80,10 @@ def _field(name, kind):
 # `flat` is (name, is a string) of each field of a node with only string or
 # byte fields, else None.
 _BY_CLASS = {kind: {} for kind in FORMAT}
-for _kind, _tags in _BY_TAG.items():
-    for _tag, (_cls, _ks, _flat) in _tags.items():
-        _fs = tuple(_field(f.name, k) for f, k in zip(_class_fields(_cls), _ks))
-        _flat = tuple((f[0], f[1] == "s") for f in _fs) if _flat else None
+for _kind, _tags in FORMAT.items():
+    for _tag, (_cls, _ks) in _tags.items():
+        _fs = tuple(_field(f.name, k) for f, k in zip(_class_fields(_cls), _ks.split()))
+        _flat = tuple((f[0], f[1] == "s") for f in _fs) if set(_ks.split()) <= {"s", "b"} else None
         _BY_CLASS[_kind][_cls] = (bytes((_tag,)), _fs, _flat, _kind in NESTED)
 _U32 = struct.Struct(">I").pack
 _I64 = struct.Struct(">q").pack
@@ -192,85 +195,169 @@ def _encode(kind, x, d: int = 1) -> bytes:
 
 # ---------------------------------------------------------------------------
 # Reader
+#
+# A field kind compiles to an op (rd, sub, many).  A string, byte string or
+# i64 has a reader `rd(data, pos, memo) -> (value, pos)`.  A node has its
+# kind's table `sub`: tag -> (the tag's reader or None, class, field ops,
+# whether the fields are one level deeper).  A list or an optional has its
+# item's op `sub` and `many`, (count reader, build from the items).  A node
+# with only string and byte fields is read in place: `memo`, local to one
+# decode, maps its bytes, tag included, to its one value (a tag byte names
+# one class in every kind it belongs to).
 
 
-def _read(data: bytes, kinds, pos: int = 0) -> list:
-    """The values of the field kinds `kinds`, read in turn from `data` at
-    `pos` to its end.  The work stack holds (field kind, depth of its nodes)
-    to read and (constructor, count) to apply to the last count values."""
-    vals = []
-    put = vals.append
-    todo = [(k, 1) for k in reversed(kinds)]
-    pop, push = todo.pop, todo.append
-    end = len(data)
+def _string(decode):
+    def read(data, pos, memo):
+        (n,) = _U32_AT(data, pos)
+        pos += 4 + n
+        if pos > len(data):
+            raise CodecError("truncated input")
+        return decode(data[pos - n : pos]), pos
+
+    return read
+
+
+def _i64(data, pos, memo):
+    return _I64_AT(data, pos)[0], pos + 8
+
+
+def _interned(cls, kinds):
+    """The reader, after its tag, of a node with only string and byte
+    fields: its bytes are looked up before any field is decoded."""
+    rds = [_PLAIN[k] for k in kinds]
+
+    def read(data, pos, memo):
+        start = pos - 1
+        for _ in rds:
+            pos += 4 + _U32_AT(data, pos)[0]
+        v = memo.get(data[start:pos])  # a node cut short is never found: `rd` refuses it
+        if v is None:
+            args, i = [], start + 1
+            for rd in rds:
+                a, i = rd(data, i, memo)
+                args.append(a)
+            v = memo[data[start:pos]] = cls(*args)
+        return v, pos
+
+    return read
+
+
+def _count(data, pos) -> tuple:
+    (n,) = _U32_AT(data, pos)
+    if n > len(data) - pos - 4:  # every item takes at least one byte
+        raise CodecError("truncated input")
+    return n, pos + 4
+
+
+def _flag(data, pos) -> tuple:
+    if data[pos] > 1:
+        raise CodecError("bad option flag")
+    return data[pos], pos + 1
+
+
+def _values(*items) -> tuple:
+    return items
+
+
+def _ascending(key=None):
+    """The build of a list read as a set: the items, or their keys,
+    strictly increase."""
+
+    def build(*items):
+        keys = list(map(key, items)) if key else items
+        if len(items) > 1 and not all(map(lt, keys, keys[1:])):
+            raise CodecError("set out of order")
+        return frozenset(items)
+
+    return build
+
+
+_PLAIN = {"s": _string(bytes.decode), "b": _string(bytes), "q": _i64}
+_MANY = {  # (count reader, build) of a list, an optional and a {term} set
+    "*": (_count, _values),
+    "?": (_flag, lambda *x: x[0] if x else None),
+    "{": (_count, _ascending(partial(_encode, "term"))),
+}
+_READ = {kind: {} for kind in FORMAT}
+
+
+def _op(kind) -> tuple:
+    if kind in _PLAIN:
+        return _PLAIN[kind], None, None
+    if kind[0] in _MANY:
+        return None, _op(kind[1:] if kind[0] != "{" else "term"), _MANY[kind[0]]
+    return None, _READ[kind], None
+
+
+for _kind, _tags in FORMAT.items():
+    for _tag, (_cls, _ks) in _tags.items():
+        _rd = _interned(_cls, _ks.split()) if set(_ks.split()) <= {"s", "b"} else None
+        _READ[_kind][_tag] = (_rd, _cls, tuple(map(_op, _ks.split())), _kind in NESTED)
+
+
+def _read(data: bytes, ops, pos: int) -> tuple:
+    """The values of the fields `ops`, read from `data` at `pos` to its end.
+    The node or list being read is (build, its values so far, its ops, the
+    next op, the depth of its nodes); those around it wait on a stack."""
+    memo, stack, limit = {}, [], S.MAX_NESTING
+    build, vals, i, d = _values, [], 0, 1
     try:
-        while todo:
-            k, d = pop()
-            tags = _BY_TAG.get(k)
-            if tags is not None:
-                tag = data[pos]
-                pos += 1
-                spec = tags.get(tag)
-                if spec is None:
-                    raise CodecError(f"bad {k} tag {tag:#x}")
-                if d > S.MAX_NESTING:
-                    raise CodecError(_TOO_DEEP)
-                cls, fks, flat = spec
-                if flat:
-                    args = []
-                    for fk in fks:
-                        (n,) = _U32_AT(data, pos)
-                        pos += 4 + n
-                        if pos > end:
-                            raise CodecError("truncated input")
-                        args.append(data[pos - n : pos].decode() if fk == "s" else data[pos - n : pos])
-                    put(cls(*args))
+        while True:
+            while i < len(ops):
+                rd, sub, many = ops[i]
+                i += 1
+                if many is not None:  # a list: the items read in place, then the rest as ops
+                    count, pos = many[0](data, pos)
+                    items = []
+                    while len(items) < count:
+                        rd = sub[0]
+                        if rd is None:  # a node: read in place if its tag has a reader
+                            spec = sub[1].get(data[pos])
+                            if spec is None or spec[0] is None or d > limit:
+                                break
+                            rd, pos = spec[0], pos + 1
+                        v, pos = rd(data, pos, memo)
+                        items.append(v)
+                    else:
+                        vals.append(many[1](*items))
+                        continue
+                    stack.append((build, vals, ops, i, d))
+                    build, vals, ops, i = many[1], items, (sub,) * (count - len(items)), 0
                     continue
-                push((cls, len(fks)))
-                d = d + 1 if k in NESTED else 1
-                for fk in reversed(fks):
-                    push((fk, d))
-            elif k.__class__ is not str:  # d is the count; no constructor makes a tuple
-                args = vals[len(vals) - d :]
-                del vals[len(vals) - d :]
-                put(tuple(args) if k is None else k(*args))
-            elif k == "s" or k == "b":
-                (n,) = _U32_AT(data, pos)
-                pos += 4 + n
-                if pos > end:
-                    raise CodecError("truncated input")
-                put(data[pos - n : pos].decode() if k == "s" else data[pos - n : pos])
-            elif k == "q":
-                put(_I64_AT(data, pos)[0])
-                pos += 8
-            elif k[0] == "?":
-                pos += 1
-                if data[pos - 1] > 1:
-                    raise CodecError("bad option flag")
-                if data[pos - 1]:
-                    push((k[1:], d))
-                else:
-                    put(None)
-            else:  # a list or {term}
-                (n,) = _U32_AT(data, pos)
-                pos += 4
-                if n > end - pos:  # every item takes at least one byte
-                    raise CodecError("truncated input")
-                if k == "{term}":
-                    push((frozenset, 1))
-                push((None, n))
-                todo += [(k[1:] if k[0] == "*" else "term", d)] * n
+                if rd is None:
+                    spec = sub.get(data[pos])
+                    if spec is None:
+                        kind = next(k for k, t in _READ.items() if t is sub)
+                        raise CodecError(f"bad {kind} tag {data[pos]:#x}")
+                    if d > limit:
+                        raise CodecError(_TOO_DEEP)
+                    rd, cls, sub, nests = spec
+                    pos += 1
+                    if rd is None:  # enter the node
+                        stack.append((build, vals, ops, i, d))
+                        build, vals, ops, i, d = cls, [], sub, 0, d + 1 if nests else 1
+                        continue
+                v, pos = rd(data, pos, memo)
+                vals.append(v)
+            v = build(*vals)
+            if not stack:
+                break
+            build, vals, ops, i, d = stack.pop()
+            vals.append(v)
     except (IndexError, struct.error) as ex:
         raise CodecError("truncated input") from ex
     except UnicodeDecodeError as ex:
         raise CodecError("invalid utf-8") from ex
-    if pos != end:
+    if pos != len(data):
         raise CodecError("trailing bytes")
-    return vals
+    return v
+
+
+_ROOT_OPS = {kind: (_op(kind),) for kind in FORMAT}
 
 
 def _decode(kind, data: bytes):
-    return _read(data, (kind,))[0]
+    return _read(data, _ROOT_OPS[kind], 0)[0]
 
 
 encode_term, decode_term = partial(_encode, "term"), partial(_decode, "term")
@@ -303,9 +390,15 @@ def policy_digest(p: S.Policy) -> bytes:
 
 
 # A certificate is MAGIC, tag 0x40, then these fields, with the digests in
-# byte order and the principal ids by name.
+# byte order and the principal ids by name: the reader reads both as sets.
 CERTIFICATE = ("formula", "evidence", "*b", "*pid", "?attestation")
 _CERTIFICATE = _fields(CERTIFICATE)
+_CERTIFICATE_OPS = (
+    *map(_op, CERTIFICATE[:2]),
+    (None, _op("b"), (_count, _ascending())),
+    (None, _op("pid"), (_count, _ascending(attrgetter("name")))),
+    _op(CERTIFICATE[4]),
+)
 
 
 def encode_certificate(c) -> bytes:
@@ -319,5 +412,4 @@ def encode_certificate(c) -> bytes:
 def decode_certificate(data: bytes):
     if data[:5] != MAGIC + b"\x40":
         raise CodecError("not a certificate")
-    f, e, digests, pids, stamp = _read(data, CERTIFICATE, 5)
-    return E.Certificate(f, e, frozenset(digests), frozenset(pids), stamp)
+    return E.Certificate(*_read(data, _CERTIFICATE_OPS, 5))

@@ -382,15 +382,13 @@ class _Checker:
                 return _nok(path, f"no clause {e.label!r} in policy of {owner!r}")
         if len(e.args) != len(clause.universals):
             return _nok(path, f"clause {e.label!r} expects {len(clause.universals)} arguments")
-        inst = {}
         for v, t in zip(clause.universals, e.args):
             try:
                 if S.term_sort(t) != v.sort:
                     return _nok(path, f"argument for {v.name!r} has the wrong sort")
             except Exception:
                 return _nok(path, f"unintelligible argument for {v.name!r}")
-            inst[v] = t
-        head = S.substitute(clause.head, inst)
+        head, slots = clause.instantiate(e.args)
         if head != phi:
             # A policy owner's clause with a bare atomic head also witnesses
             # the owner's own attestation of that head.
@@ -401,7 +399,6 @@ class _Checker:
                 and phi.body == head
             ):
                 return _nok(path, f"clause {e.label!r} head does not match the goal")
-        slots = [S.substitute(s, inst) for s in clause.slots]
         if len(slots) != len(e.premises):
             return _nok(path, f"clause {e.label!r}: {len(slots)} premises expected")
         return slots

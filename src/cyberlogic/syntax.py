@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import FragmentError, MacroError, SortError
 
@@ -373,6 +373,13 @@ class Signature:
         self.consts[name] = sort
 
 
+def _picker(picks: list):
+    """The function from a tuple to the tuple of its items at `picks`."""
+    if len(picks) == 1:
+        return lambda t, i=picks[0]: (t[i],)
+    return itemgetter(*picks) if picks else lambda t: ()
+
+
 @dataclass(frozen=True)
 class Clause:
     """Normalized program clause: forall universals. s1 => s2 => ... => head.
@@ -385,18 +392,46 @@ class Clause:
     slots: tuple  # of goal Formula; empty for a fact
     head: Formula  # Atom or Attest(principal, Atom)
 
-    # Not a cached_property: that stores into `__dict__`, and making the
-    # instance dict real slows every later attribute read on the clause.
-    _encoding = None
+    # What is computed once per clause, in one attribute set with
+    # `object.__setattr__`: the encoding, or (encoding or None, template)
+    # once a template is made.  A cached_property stores into `__dict__`,
+    # and a second attribute would make the instance dict real; either
+    # slows every later attribute read on the clause.
+    _cache = None
 
     @property
     def encoding(self) -> bytes:
         """The clause's CYL2 bytes, computed once."""
-        if self._encoding is None:
+        cache = self._cache
+        encoding = cache[0] if cache.__class__ is tuple else cache
+        if encoding is None:
             from . import codec
 
-            object.__setattr__(self, "_encoding", codec.encode_clause(self))
-        return self._encoding
+            encoding = codec.encode_clause(self)
+            object.__setattr__(self, "_cache", (encoding, cache[1]) if cache.__class__ is tuple else encoding)
+        return encoding
+
+    def instantiate(self, args: tuple) -> tuple:
+        """(head, slots) with `args` for the universals, as `substitute`
+        gives them.  Each atom over variables and constants is built from a
+        template made once: a function that picks its arguments from `args`
+        followed by the atom's own (its universal's, or its own)."""
+        if not self.universals:
+            return self.head, self.slots
+        cache = self._cache
+        if cache.__class__ is not tuple:
+            n, at = len(self.universals), {v: i for i, v in enumerate(self.universals)}
+            cache = cache, tuple(
+                _picker([at.get(a, n + j) for j, a in enumerate(f.args)])
+                if f.__class__ is Atom and FunApp not in map(type, f.args) else None
+                for f in (self.head, *self.slots)
+            )
+            object.__setattr__(self, "_cache", cache)
+        parts = [
+            Atom(f.pred, pick(args + f.args)) if pick else substitute(f, dict(zip(self.universals, args)))
+            for f, pick in zip((self.head, *self.slots), cache[1])
+        ]
+        return parts[0], tuple(parts[1:])
 
 
 @dataclass(frozen=True)

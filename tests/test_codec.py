@@ -404,3 +404,142 @@ def test_formulas_nest_at_most_max_nesting_deep(tags, as_term):
 def test_a_count_beyond_the_input_is_refused_before_reading():
     with pytest.raises(CodecError):
         codec.decode_formula(b"\x12" + struct.pack(">I", 1) + b"p" + b"\xff" * 4)
+
+
+# ---------------------------------------------------------------------------
+# Canonical decoding: a value has one encoding, so the reader refuses the
+# lists it reads as sets unless their items strictly increase
+
+
+def _pid_bytes(name: str) -> bytes:
+    return b"\x31" + struct.pack(">I", len(name)) + name.encode() + struct.pack(">I", 1) + b"\x00"
+
+
+def _cert_bytes(digests=(), pids=(), formula=b"\x10") -> bytes:
+    out = codec.MAGIC + b"\x40" + formula + b"\x20" + struct.pack(">I", len(digests))
+    out += b"".join(struct.pack(">I", len(d)) + d for d in digests)
+    return out + struct.pack(">I", len(pids)) + b"".join(map(_pid_bytes, pids)) + b"\x00"
+
+
+_A, _B = (codec.encode_term(S.Const(n, "Principal")) for n in "AB")
+_KNOWS = b"\x14" + struct.pack(">I", 2) + b"%s%s" + b"\x10"
+
+
+@pytest.mark.parametrize("data", [
+    _cert_bytes(digests=(b"\x02" * 32, b"\x01" * 32)),
+    _cert_bytes(digests=(b"\x01" * 32, b"\x01" * 32)),
+    _cert_bytes(pids=("B", "A")),
+    _cert_bytes(pids=("A", "A")),
+    _cert_bytes(formula=_KNOWS % (_B, _A)),
+    _cert_bytes(formula=_KNOWS % (_A, _A)),
+], ids=["digests swapped", "digest twice", "ids swapped", "id twice", "knows swapped", "knows twice"])
+def test_a_set_out_of_order_is_refused(data):
+    with pytest.raises(CodecError, match="out of order"):
+        codec.decode_certificate(data)
+
+
+def test_a_set_in_order_is_read():
+    data = _cert_bytes(digests=(b"\x01" * 32, b"\x02" * 32), pids=("A", "B"), formula=_KNOWS % (_A, _B))
+    assert codec.encode_certificate(codec.decode_certificate(data)) == data
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(scenarios.SCENARIOS)),
+    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=255),
+    st.booleans(),
+    st.booleans(),
+)
+def test_an_edited_certificate_is_refused_or_read_back_to_itself(name, where, byte, truncate, from_end):
+    # The lists read as sets (digests, principal ids) sit near the end.
+    data = _scenario_cert(name)
+    where %= len(data)
+    if from_end:
+        where = len(data) - 1 - where
+    _refused_or_canonical(data[:where] if truncate else data[:where] + bytes((byte,)) + data[where + 1 :])
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
+def test_each_byte_set_to_0_or_255_is_refused_or_read_back_to_itself(name):
+    # An item of a set moved below its predecessor or above its successor.
+    data = _scenario_cert(name)
+    for where in range(len(data)):
+        for byte in (0x00, 0xFF):
+            _refused_or_canonical(data[:where] + bytes((byte,)) + data[where + 1 :])
+
+
+def _refused_or_canonical(data: bytes):
+    try:
+        cert = codec.decode_certificate(data)
+    except CodecError:
+        return
+    assert codec.encode_certificate(cert) == data
+
+
+# ---------------------------------------------------------------------------
+# Interning: one decode makes one Const per (name, sort), and shares none
+# with another decode
+
+
+def _consts(cert) -> list:
+    out, todo = [], [cert.root_formula, *E.nodes(cert.root_evidence)]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, S.Const):
+            out.append(x)
+        elif isinstance(x, E.ClauseApp):
+            todo += x.args
+        elif not isinstance(x, tuple(E.Evidence.__args__)):
+            todo += S.parts(x)
+    return out
+
+
+def test_a_decoded_chain_certificate_holds_one_const_per_name_and_sort():
+    lines = ["sort Key. sort Tag.", "principal P.", "const k: Key."]
+    lines += [f"pred p{i}(Key, Tag)." for i in range(21)]
+    lines += [f"r{i}: forall x:Key, y:Tag. p{i + 1}(x, y) => p{i}(x, y)." for i in range(20)]
+    lines += ["f: forall y:Tag. p20(k, y)."]
+    world = scenarios.build_world([("P", "\n".join(lines) + "\n")], seed=0, depth=40)
+    node = world.node("P")
+    goal, free = parser.parse_goal('p0(k, "t")', node.policy.signature)
+    data = codec.encode_certificate(node.certify(node.ask_first(goal, free)))
+    first, second = codec.decode_certificate(data), codec.decode_certificate(data)
+    consts = _consts(first)
+    assert len(consts) == 2 + 2 * 20 + 1  # two in the goal and in each rule, one in the fact
+    assert {(c.name, c.sort) for c in consts} == {("k", "Key"), ("t", "Tag")}
+    assert len({id(c) for c in consts}) == 2
+    assert not {id(c) for c in consts} & {id(c) for c in _consts(second)}
+
+
+@pytest.mark.parametrize("decode, data, reason", [
+    (codec.decode_formula, b"\x12" + struct.pack(">I", 2) + b"\xc3", "truncated input"),  # half a character
+    (codec.decode_term, b"\x02" + struct.pack(">I", 1) + b"a" + struct.pack(">I", 9) + b"T", "truncated input"),
+    (codec.decode_formula, b"\x12" + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 0), "invalid utf-8"),
+    (codec.decode_term, b"\x02" + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 1) + b"T", "invalid utf-8"),
+], ids=["string too long", "constant too long", "string not utf-8", "constant not utf-8"])
+def test_a_malformed_string_is_refused(decode, data, reason):
+    with pytest.raises(CodecError, match=reason):
+        decode(data)
+
+
+@pytest.mark.parametrize("depth", [S.MAX_NESTING, S.MAX_NESTING + 1])
+@pytest.mark.parametrize("as_term", [False, True], ids=["disjunctions", "successors"])
+def test_a_term_or_formula_deeper_than_max_nesting_is_refused(depth, as_term):
+    if as_term:  # the constant at the bottom is the item of a list
+        data = (b"\x03" + struct.pack(">I", 4) + b"succ" + struct.pack(">I", 1)) * (depth - 1)
+        data, decode = data + codec.encode_term(S.Const("0", "Int")), codec.decode_term
+    else:  # each disjunction has an atom on the left
+        data, decode = _FORMULA_STEP[0x16] * (depth - 1) + _ATOM, codec.decode_formula
+    if depth > S.MAX_NESTING:
+        with pytest.raises(CodecError, match="nested deeper"):
+            decode(data)
+    else:
+        assert S.nesting(decode(data)) == depth
+
+
+def test_an_option_flag_above_one_is_refused():
+    # Read as a count, flag 2 would take the two empty strings that follow.
+    data = b"\x26" + struct.pack(">I", 1) + b"r" + b"\x02" + bytes(16)
+    with pytest.raises(CodecError, match="bad option flag"):
+        codec.decode_evidence(data)

@@ -488,3 +488,84 @@ def test_a_comparison_of_an_ill_formed_successor_gets_a_verdict(args):
     cert = codec.decode_certificate(codec.encode_certificate(cert))
     res = E.check_certificate(cert, {})
     assert not res and res.reason == "< does not hold"
+
+
+# ---------------------------------------------------------------------------
+# Clause templates: the checker instantiates each applied clause from a
+# template made once per clause, or through `substitute` for a part that is
+# not an atom over variables and constants.  The verdicts below were
+# recorded when every part went through `substitute`.
+
+_SHAPE_HEADER = (
+    "sort Thing. principal K. const a: Thing. const b: Thing.\n"
+    "pred p(Thing). pred p2(Thing, Thing). pred n(Int). pred q(Thing).\n"
+    "pred q2(Thing, Thing). pred g(Thing). pred h(Thing).\n"
+)
+_HEAD = "clause 'r' head does not match the goal"
+
+# (clauses, goal, verdict on the certificate with each argument of its root
+# clause application replaced in turn, or with one added to none)
+_SHAPES = {
+    "a fact with no universals": (
+        "f: p(a).", "p(a)", [(False, (), "clause 'f' expects 0 arguments")]),
+    "a repeated head variable": (
+        "r: forall x:Thing. p2(x, x).", "p2(a, a)", [(False, (), _HEAD)]),
+    "a succ(x) argument": (
+        "r: forall x:Int. n(succ(x)).", "n(succ(4))", [(False, (), _HEAD)]),
+    "an owner's bare head for K says": (
+        "r: forall x:Thing. p(x).", "K says p(a)", [(False, (), _HEAD)]),
+    "a conjunction slot": (
+        "r: forall x:Thing, y:Thing. (q(x) /\\ q(y)) => p(x).\nq1: q(a).", "p(a)",
+        [(False, (), _HEAD), (False, (0, 1), "clause 'q1' head does not match the goal")]),
+    "a forall slot whose binder is a universal": (
+        "r: forall x:Thing, y:Thing. (forall x:Thing. q2(x, y)) => p(x).\n"
+        "q1: forall z:Thing. q2(z, a).", "p(a)",
+        [(False, (), _HEAD), (False, (0, 0), "clause 'q1' head does not match the goal")]),
+    "an implication slot whose hypothesis binds a universal": (
+        "r: forall x:Thing, y:Thing. ((forall x:Thing. h(x)) => g(y)) => q(y) => p(x).\n"
+        "q1: q(a).\ng1: forall y:Thing. h(y) => g(y).", "p(a)",
+        [(False, (), _HEAD), (False, (0, 0), "clause 'g1' head does not match the goal")]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_clause_templates_keep_every_verdict(shape):
+    clauses, goal_text, tampered = _SHAPES[shape]
+    world = scenarios.build_world([("K", _SHAPE_HEADER + clauses + "\n")], seed=0)
+    node = world.node("K")
+    goal, free = parser.parse_goal(goal_text, node.policy.signature)
+    cert = codec.decode_certificate(codec.encode_certificate(node.certify(node.ask_first(goal, free))))
+    check = lambda c: E.check_certificate(c, world.policy_map(), world.directory)
+    assert check(cert) == E.CheckResult(True)
+    root = cert.root_evidence
+    verdicts = []
+    for i in range(max(1, len(root.args))):
+        args = list(root.args) or [S.Const("a", "Thing")]
+        args[i] = S.Const("7" if args[i].sort == "Int" else "b", args[i].sort)
+        bad = dataclasses.replace(root, args=tuple(args))
+        verdicts.append(dataclasses.astuple(check(dataclasses.replace(cert, root_evidence=bad))))
+    assert verdicts == tampered
+    # every clause instantiates as `substitute` does
+    for c in node.policy.clauses:
+        args = tuple(S.Const(f"c{i}", v.sort) for i, v in enumerate(c.universals))
+        inst = dict(zip(c.universals, args))
+        assert c.instantiate(args) == (S.substitute(c.head, inst), tuple(S.substitute(s, inst) for s in c.slots))
+
+
+def test_a_clause_without_universals_is_its_own_instance():
+    c = S.Clause("f", (), (S.Atom("q", ()),), S.Atom("p", (S.Const("a", "Thing"),)))
+    head, slots = c.instantiate(())
+    assert head is c.head and slots is c.slots
+    assert c._cache is None  # no template made
+
+
+def test_a_digest_the_checker_does_not_hold_is_unknown():
+    pol, _, cert = _looping_chain(steps=2)
+    res = E.check_certificate(cert, {})
+    assert res == E.CheckResult(False, (), f"unknown policy digest {pol.digest.hex()[:12]}")
+
+
+@pytest.mark.parametrize("side", [E.Inl, E.Inr])
+def test_injection_evidence_needs_a_disjunction(side):
+    res = E.check({}, E.HypothesisEnv(), side(E.Unit()), S.And(S.TOP, S.TOP))
+    assert res == E.CheckResult(False, (), "injection evidence for a non-disjunction")

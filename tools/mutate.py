@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Mutation check of the certificate reader (`codec`) and the trusted
+checker (`evidence._Checker`).
+
+Each mutant is one small change to one of the listed targets, made in a
+copy of the repository in a temporary directory; the target's named test
+subset then runs against the copy with `-x`.  A mutant is killed when a
+test fails and survives when every test passes: a survivor is a change no
+test notices.  The mutations are fixed:
+
+  flip-compare   a comparison with one operator gets its opposite
+                 (== and !=, < and >=, > and <=, is and is not, in and not in)
+  fail-to-pass   a failure does not fail: `return _nok(...)` returns `_OK`,
+                 `raise CodecError(...)` does nothing
+  skip-check     an `if` whose body is only a failure never takes it
+  off-by-one     an integer in an index, a slice or a sum grows by one
+
+Run from the repository root (standard library only; not part of tier-1):
+
+    python tools/mutate.py                 # run every mutant
+    python tools/mutate.py --list          # list the mutants only
+    python tools/mutate.py --only codec    # the mutants whose id has "codec"
+
+The exit code is 0 when no mutant survives.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import pathlib
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MEMORY_LIMIT = 1 << 30  # bytes of address space for each mutant's test run
+TIMEOUT = 600  # seconds for each mutant's test run
+
+# (name, file, top-level functions or classes mutated, tests run on each mutant)
+TARGETS = [
+    ("codec", "src/cyberlogic/codec.py",
+     ("_string", "_i64", "_interned", "_count", "_flag", "_ascending", "_op", "_read", "decode_certificate"),
+     ("tests/test_codec.py", "tests/test_golden.py")),
+    ("checker", "src/cyberlogic/evidence.py", ("_Checker",),
+     ("tests/test_evidence.py", "tests/test_services.py", "tests/test_acceptance.py")),
+]
+
+_OPPOSITE = {
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
+    ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+    ast.In: ast.NotIn, ast.NotIn: ast.In,
+}
+
+
+def _is_failure(stmt) -> bool:
+    """`return _nok(...)` or `raise CodecError(...)`."""
+    if not isinstance(stmt, (ast.Return, ast.Raise)):
+        return False
+    call = stmt.value if isinstance(stmt, ast.Return) else stmt.exc
+    return (
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in ("_nok", "CodecError")
+    )
+
+
+def _sites(tree, names):
+    """(mutation, node, parent) for every site in the named top-level
+    definitions of `tree`, in a fixed order."""
+    out = []
+    for top in tree.body:
+        if getattr(top, "name", None) not in names:
+            continue
+        for parent in ast.walk(top):
+            for child in ast.iter_child_nodes(parent):
+                if isinstance(child, ast.Compare) and len(child.ops) == 1 and type(child.ops[0]) in _OPPOSITE:
+                    out.append(("flip-compare", child, parent))
+                elif _is_failure(child):
+                    out.append(("fail-to-pass", child, parent))
+                elif isinstance(child, ast.If) and len(child.body) == 1 and _is_failure(child.body[0]):
+                    out.append(("skip-check", child, parent))
+                elif (
+                    isinstance(child, ast.Constant) and type(child.value) is int
+                    and isinstance(parent, (ast.Subscript, ast.Slice, ast.BinOp))
+                ):
+                    out.append(("off-by-one", child, parent))
+    return out
+
+
+def _mutate(kind, node, parent):
+    """Change `node` in place (or in `parent`)."""
+    if kind == "flip-compare":
+        node.ops = [_OPPOSITE[type(node.ops[0])]()]
+    elif kind == "fail-to-pass":
+        new = ast.Return(ast.Name("_OK", ast.Load())) if isinstance(node, ast.Return) else ast.Pass()
+        for _, value in ast.iter_fields(parent):
+            if isinstance(value, list) and node in value:
+                value[value.index(node)] = new
+    elif kind == "skip-check":
+        node.test = ast.Constant(False)
+    else:
+        node.value += 1
+
+
+def mutants():
+    """(id, target, line, the changed line) for every mutant, in order."""
+    out = []
+    for target in TARGETS:
+        name, path, names, _ = target
+        source = pathlib.Path(ROOT, path).read_text()
+        lines = source.splitlines()
+        for i, (kind, node, _) in enumerate(_sites(ast.parse(source), names)):
+            out.append((f"{name}:{i}:{kind}", target, node.lineno, lines[node.lineno - 1].strip()))
+    return out
+
+
+def mutant_source(source, names, index) -> str:
+    tree = ast.parse(source)
+    _mutate(*_sites(tree, names)[index])
+    return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
+
+
+def _limit_memory():
+    # A mutant that skips a length check may try to allocate without bound.
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_tests(copy, tests) -> bool:
+    """Whether every test in `tests` passes in the copy."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT,
+                              preexec_fn=_limit_memory)
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--list", action="store_true", help="list the mutants without running them")
+    ap.add_argument("--only", default="", help="run only the mutants whose id contains this text")
+    args = ap.parse_args(argv)
+    chosen = [m for m in mutants() if args.only in m[0]]
+    if args.list:
+        for mid, target, line, text in chosen:
+            print(f"{mid:28s} {target[1]}:{line}  {text}")
+        return 0
+    copy = tempfile.mkdtemp(prefix="mutate-")
+    try:
+        shutil.copytree(os.path.join(ROOT, "src"), os.path.join(copy, "src"))
+        shutil.copytree(os.path.join(ROOT, "tests"), os.path.join(copy, "tests"))
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
+        for _, path, _, tests in TARGETS:
+            if not run_tests(copy, tests):
+                print(f"the unmutated copy fails {' '.join(tests)}")
+                return 2
+        survivors = []
+        for mid, target, line, text in chosen:
+            path = pathlib.Path(copy, target[1])
+            original = path.read_text()
+            path.write_text(mutant_source(original, target[2], int(mid.split(":")[1])))
+            try:
+                killed = not run_tests(copy, target[3])
+            finally:
+                path.write_text(original)
+            print(f"{'killed' if killed else 'SURVIVED':8s} {mid:28s} {target[1]}:{line}  {text}", flush=True)
+            if not killed:
+                survivors.append(mid)
+        print(f"{len(chosen)} mutants, {len(chosen) - len(survivors)} killed, {len(survivors)} survived")
+        return 1 if survivors else 0
+    finally:
+        shutil.rmtree(copy, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
