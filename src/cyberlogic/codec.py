@@ -4,20 +4,21 @@ deterministic and decode(encode(x)) == x.  Signatures and digests are
 computed over these bytes.
 
 `FORMAT` is the only statement of the format: for each node kind it maps a
-tag to the node's class and the kinds of its fields.  The writer interprets
-it; the reader is compiled from it at import, one reader per tag.  Both
-keep an explicit work stack and do not recurse, so evidence, whose depth
-grows with the proof, may nest to any depth.  Terms and formulas come from
-people: both refuse, with CodecError, one nested deeper than
-`syntax.MAX_NESTING`, as the parser does.  Every error the reader raises is
-a CodecError.
+tag to the node's class and the kinds of its fields.  It is compiled once,
+at import, into one table per kind that maps each tag and each class to
+the node's spec, whose field ops both the writer and the reader walk.
+Both keep an explicit work stack and do not recurse, so evidence, whose
+depth grows with the proof, may nest to any depth.  Terms and formulas
+come from people: both refuse, with CodecError, one nested deeper than
+`syntax.MAX_NESTING`, as the parser does.  Every error the reader raises
+is a CodecError.
 
 Decoding is canonical: the reader refuses, with CodecError, what the writer
-would not write, so encode(decode(b)) == b for all bytes b it reads.  The
-lists read as sets must strictly increase: a `{term}` set by the bytes of
-its terms, a certificate's digests by their bytes and its principal ids by
-name.  One decode makes one value of each node with only string and byte
-fields, such as one `Const` per (name, sort).
+would not write, so encode(decode(b)) == b for all bytes b it reads.  A
+list read as a set has one op that carries its order key: the writer
+sorts by it and the reader checks it, and both refuse a repeated key.  One
+decode makes one value of each node with only string and byte fields,
+such as one `Const` per (name, sort).
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from . import evidence as E
 from . import syntax as S
 from .crypto import PrincipalId, SignedAttestation, sha256
 
-MAGIC = b"CYL2"
+MAGIC = b"CYL2"  # a certificate is MAGIC, then its node
 
 # Field kinds: "s" a UTF-8 string and "b" a byte string, each after its u32
 # length; "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "*k" a
-# counted list of k (u32 count, then the items); "{term}" a set of terms (a
-# list in sorted byte order, read as a frozenset); else a node of that kind.
+# counted list of k (u32 count, then the items); "{k}" a set of k (a counted
+# list whose items strictly increase by `_ORDER`'s key for k, else by
+# value, read as a frozenset); else a node of that kind.
 FORMAT = {
     "term": {0x01: (S.Var, "s s"), 0x02: (S.Const, "s s"), 0x03: (S.FunApp, "s *term")},
     "var": {0x01: (S.Var, "s s")},  # a quantifier's binder
@@ -64,146 +66,28 @@ FORMAT = {
     "attestation": {0x30: (SignedAttestation, "pid b b ?q")},
     "pid": {0x31: (PrincipalId, "s b")},
     "clause": {0x50: (S.Clause, "s *term *formula formula")},
+    "certificate": {0x40: (E.Certificate, "formula evidence {b} {pid} ?attestation")},
 }
 NESTED = ("term", "var", "formula")  # the kinds whose depth is bounded
-
-
-def _field(name, kind):
-    """The writer's view of a field: (name, "s" | "b" | "q" | "{term}", None), (name,
-    "n", nodes by class), or (name, "*" | "?", the field of an item or of the value)."""
-    if kind[0] in "*?":
-        return name, kind[0], _field(None, kind[1:])
-    return (name, "n", _BY_CLASS[kind]) if kind in FORMAT else (name, kind, None)
-
-
-# The writer's view: kind -> class -> (tag byte, fields, flat, depth counts);
-# `flat` is (name, is a string) of each field of a node with only string or
-# byte fields, else None.
-_BY_CLASS = {kind: {} for kind in FORMAT}
-for _kind, _tags in FORMAT.items():
-    for _tag, (_cls, _ks) in _tags.items():
-        _fs = tuple(_field(f.name, k) for f, k in zip(_class_fields(_cls), _ks.split()))
-        _flat = tuple((f[0], f[1] == "s") for f in _fs) if set(_ks.split()) <= {"s", "b"} else None
-        _BY_CLASS[_kind][_cls] = (bytes((_tag,)), _fs, _flat, _kind in NESTED)
 _U32 = struct.Struct(">I").pack
 _I64 = struct.Struct(">q").pack
 _U32_AT = struct.Struct(">I").unpack_from
 _I64_AT = struct.Struct(">q").unpack_from
 _TOO_DEEP = f"term or formula nested deeper than {S.MAX_NESTING}"
 
-
-def _fields(kinds) -> tuple:
-    return tuple(_field(None, k) for k in kinds)
-
-
 # ---------------------------------------------------------------------------
-# Writer
-
-
-def _write(out: list, values, fields, d: int = 1):
-    """Append to `out` the encoding of each value as the field at the same
-    position of `fields`.  The state is (x, fields, i, d): the fields[i:]
-    of x (a node, or a sequence whose fields are named None), with their
-    nodes at depth d.  A flat node is written in place; before any other
-    node or a list is entered, the state after it goes on the work stack."""
-    put, limit = out.append, S.MAX_NESTING
-    todo = []
-    x, i, n = values, 0, len(fields)
-    while True:
-        while i < n:
-            name, op, sub = fields[i]
-            v = x[i] if name is None else getattr(x, name)
-            i += 1
-            if op == "?":
-                put(b"\x00" if v is None else b"\x01")
-                if v is None:
-                    continue
-                _, op, sub = sub  # the field of the value
-            if op == "s":
-                v = v.encode()
-                put(_U32(len(v)))
-                put(v)
-            elif sub is not None:  # a node or a list: its flat nodes in place
-                if op == "n":
-                    spec = sub.get(v.__class__)
-                    if spec is not None and spec[2] is None and d <= limit:
-                        put(spec[0])  # enter a node that is not flat
-                        if i < n:
-                            todo.append((x, fields, i, d))
-                        x, fields, i, d = v, spec[1], 0, d + 1 if spec[3] else 1
-                        n = len(fields)
-                        continue
-                    v = (v,)
-                else:
-                    put(_U32(len(v)))
-                    if not v:
-                        continue
-                    op, sub = sub, sub[2]  # the field of an item, its nodes
-                    if sub is None:  # strings or bytes, one by one
-                        if i < n:
-                            todo.append((x, fields, i, d))
-                        x, fields, i, n = v, (op,) * len(v), 0, len(v)
-                        continue
-                if d > limit:
-                    raise CodecError(_TOO_DEEP)
-                j = 0
-                for y in v:
-                    spec = sub.get(y.__class__)
-                    if spec is None:
-                        kind = next(k for k, specs in _BY_CLASS.items() if specs is sub)
-                        raise CodecError(f"not a {kind} node: {type(y).__name__}")
-                    put(spec[0])
-                    if spec[2] is None:
-                        break
-                    for name, is_str in spec[2]:
-                        a = getattr(y, name)
-                        if is_str:
-                            a = a.encode()
-                        put(_U32(len(a)))
-                        put(a)
-                    j += 1
-                if j < len(v):
-                    if i < n:
-                        todo.append((x, fields, i, d))
-                    if j + 1 < len(v):
-                        todo.append((v, (op,) * len(v), j + 1, d))
-                    x, fields, i, d = v[j], spec[1], 0, d + 1 if spec[3] else 1
-                    n = len(fields)
-            elif op == "b":
-                put(_U32(len(v)))
-                put(v)
-            elif op == "q":
-                put(_I64(v))
-            else:  # {term}
-                v = sorted(_encode("term", t, d) for t in v)
-                put(_U32(len(v)))
-                out += v
-        if not todo:
-            return
-        x, fields, i, d = todo.pop()
-        n = len(fields)
-
-
-_ROOT = {kind: _fields((kind,)) for kind in FORMAT}
-
-
-def _encode(kind, x, d: int = 1) -> bytes:
-    out = []
-    _write(out, (x,), _ROOT[kind], d)
-    return b"".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Reader
+# Ops
 #
-# A field kind compiles to an op (rd, sub, many).  A string, byte string or
-# i64 has a reader `rd(data, pos, memo) -> (value, pos)`.  A node has its
-# kind's table `sub`: tag -> (the tag's reader or None, class, field ops,
-# whether the fields are one level deeper).  A list or an optional has its
-# item's op `sub` and `many`, (count reader, build from the items).  A node
-# with only string and byte fields is read in place: `memo`, local to one
-# decode, maps its bytes, tag included, to its one value (a tag byte names
-# one class in every kind it belongs to).
+# A field kind compiles to an op (rd, sub, many, name), `name` being the
+# field's attribute, or None for an item of a sequence.  A string, byte
+# string or i64 has a reader `rd(data, pos, memo) -> (value, pos)`.  A
+# node has its kind's table `sub`: tag and class -> spec (the tag's reader
+# or None, class, field ops, whether the fields are one level deeper, tag
+# byte).  A list, a set or an optional has its item's op `sub` and `many`,
+# (count reader, build from the items, the writer's sort or None).  A node
+# with only string and byte fields is written and read in place: the
+# reader's `memo`, local to one decode, maps its bytes, tag included, to
+# its one value (a tag byte names one class in every kind it belongs to).
 
 
 def _string(decode):
@@ -259,40 +143,133 @@ def _values(*items) -> tuple:
     return items
 
 
-def _ascending(key=None):
-    """The build of a list read as a set: the items, or their keys,
-    strictly increase."""
+def _set(key) -> tuple:
+    """The `many` of a list read as a set: its items' keys (or the items)
+    strictly increase, checked as the reader builds it and after the
+    writer sorts it.  The writer sorts a set of terms, keyed by their
+    encodings, as its items' encodings at the set's depth."""
 
-    def build(*items):
-        keys = list(map(key, items)) if key else items
-        if len(items) > 1 and not all(map(lt, keys, keys[1:])):
-            raise CodecError("set out of order")
-        return frozenset(items)
+    def ascending(items, key=key):
+        if len(items) > 1:
+            keys = list(map(key, items)) if key else items
+            if not all(map(lt, keys, keys[1:])):
+                raise CodecError("set item repeated or out of order")
+        return items
 
-    return build
+    def sort(v, d):
+        if key is encode_term:
+            return ascending(sorted(_encode("term", t, d) for t in v), None)
+        return ascending(sorted(v, key=key))
 
-
-_PLAIN = {"s": _string(bytes.decode), "b": _string(bytes), "q": _i64}
-_MANY = {  # (count reader, build) of a list, an optional and a {term} set
-    "*": (_count, _values),
-    "?": (_flag, lambda *x: x[0] if x else None),
-    "{": (_count, _ascending(partial(_encode, "term"))),
-}
-_READ = {kind: {} for kind in FORMAT}
+    return _count, lambda *items: frozenset(ascending(items)), sort
 
 
-def _op(kind) -> tuple:
+_TEXT = _string(bytes.decode)
+_PLAIN = {"s": _TEXT, "b": _string(bytes), "q": _i64}
+_LIST, _OPTION = (_count, _values, None), (_flag, lambda *x: x[0] if x else None, None)
+_TABLES = {kind: {} for kind in FORMAT}
+
+
+def _op(kind, name=None) -> tuple:
     if kind in _PLAIN:
-        return _PLAIN[kind], None, None
-    if kind[0] in _MANY:
-        return None, _op(kind[1:] if kind[0] != "{" else "term"), _MANY[kind[0]]
-    return None, _READ[kind], None
+        return _PLAIN[kind], None, None, name
+    if kind[0] == "{":
+        return None, _op(kind[1:-1]), _set(_ORDER.get(kind[1:-1])), name
+    if kind[0] in "*?":
+        return None, _op(kind[1:]), _LIST if kind[0] == "*" else _OPTION, name
+    return None, _TABLES[kind], None, name
 
 
-for _kind, _tags in FORMAT.items():
-    for _tag, (_cls, _ks) in _tags.items():
-        _rd = _interned(_cls, _ks.split()) if set(_ks.split()) <= {"s", "b"} else None
-        _READ[_kind][_tag] = (_rd, _cls, tuple(map(_op, _ks.split())), _kind in NESTED)
+# ---------------------------------------------------------------------------
+# Writer
+
+
+def _write(out: list, x, ops, d: int = 1):
+    """Append to `out` the encoding of the fields `ops` of x (a node, or a
+    sequence whose ops are named None), with their nodes at depth d.  A
+    node with only string and byte fields is written in place, as are a
+    list's items up to the first other node; before that node is entered,
+    the state after it, (x, ops, next op, d), goes on the work stack."""
+    put, limit, todo = out.append, S.MAX_NESTING, []
+    text, i64, option, u32 = _TEXT, _i64, _OPTION, _U32
+    i, n = 0, len(ops)
+    while True:
+        while i < n:
+            rd, sub, many, name = ops[i]
+            v = x[i] if name is None else getattr(x, name)
+            i += 1
+            if many is option:
+                put(b"\x00" if v is None else b"\x01")
+                if v is None:
+                    continue
+                rd, sub, many, _ = sub  # the value's op
+            if rd is not None:  # a string, a byte string or an i64
+                if rd is text:
+                    v = v.encode()
+                elif rd is i64:
+                    put(_I64(v))
+                    continue
+                put(u32(len(v)))
+                put(v)
+                continue
+            if many is None:  # a node: enter it, or write it in place below
+                spec = sub.get(v.__class__)
+                if spec is not None and spec[0] is None and d <= limit:
+                    put(spec[4])
+                    if i < n:
+                        todo.append((x, ops, i, d))
+                    x, ops, i, d = v, spec[2], 0, d + 1 if spec[3] else 1
+                    n = len(ops)
+                    continue
+                v = (v,)
+            else:
+                if many[2] is not None:  # a set, sorted
+                    v = many[2](v, d)
+                    if v and v[0].__class__ is bytes and sub[0] is None:  # terms, as encoded
+                        out += [u32(len(v)), *v]
+                        continue
+                put(u32(len(v)))
+                if not v:
+                    continue
+                if sub[0] is not None:  # strings or bytes, one by one
+                    if i < n:
+                        todo.append((x, ops, i, d))
+                    x, ops, i, n = v, (sub,) * len(v), 0, len(v)
+                    continue
+                item, sub = sub, sub[1]
+            if d > limit:
+                raise CodecError(_TOO_DEEP)
+            j = 0
+            for y in v:
+                spec = sub.get(y.__class__)
+                if spec is None:
+                    kind = next(k for k, t in _TABLES.items() if t is sub)
+                    raise CodecError(f"not a {kind} node: {type(y).__name__}")
+                put(spec[4])
+                if spec[0] is None:
+                    break
+                for frd, _, _, fname in spec[2]:
+                    a = getattr(y, fname)
+                    if frd is text:
+                        a = a.encode()
+                    put(u32(len(a)))
+                    put(a)
+                j += 1
+            if j < len(v):  # enter v[j]; a single node is never left over
+                if i < n:
+                    todo.append((x, ops, i, d))
+                if j + 1 < len(v):
+                    todo.append((v, (item,) * len(v), j + 1, d))
+                x, ops, i, d = v[j], spec[2], 0, d + 1 if spec[3] else 1
+                n = len(ops)
+        if not todo:
+            return
+        x, ops, i, d = todo.pop()
+        n = len(ops)
+
+
+# ---------------------------------------------------------------------------
+# Reader
 
 
 def _read(data: bytes, ops, pos: int) -> tuple:
@@ -304,7 +281,7 @@ def _read(data: bytes, ops, pos: int) -> tuple:
     try:
         while True:
             while i < len(ops):
-                rd, sub, many = ops[i]
+                rd, sub, many, _ = ops[i]
                 i += 1
                 if many is not None:  # a list: the items read in place, then the rest as ops
                     count, pos = many[0](data, pos)
@@ -327,11 +304,11 @@ def _read(data: bytes, ops, pos: int) -> tuple:
                 if rd is None:
                     spec = sub.get(data[pos])
                     if spec is None:
-                        kind = next(k for k, t in _READ.items() if t is sub)
+                        kind = next(k for k, t in _TABLES.items() if t is sub)
                         raise CodecError(f"bad {kind} tag {data[pos]:#x}")
                     if d > limit:
                         raise CodecError(_TOO_DEEP)
-                    rd, cls, sub, nests = spec
+                    rd, cls, sub, nests, _ = spec
                     pos += 1
                     if rd is None:  # enter the node
                         stack.append((build, vals, ops, i, d))
@@ -353,17 +330,31 @@ def _read(data: bytes, ops, pos: int) -> tuple:
     return v
 
 
-_ROOT_OPS = {kind: (_op(kind),) for kind in FORMAT}
+def _encode(kind, x, d: int = 1) -> bytes:
+    out = []
+    _write(out, (x,), _ROOT[kind], d)
+    return b"".join(out)
 
 
 def _decode(kind, data: bytes):
-    return _read(data, _ROOT_OPS[kind], 0)[0]
+    return _read(data, _ROOT[kind], 0)[0]
 
 
 encode_term, decode_term = partial(_encode, "term"), partial(_decode, "term")
 encode_formula, decode_formula = partial(_encode, "formula"), partial(_decode, "formula")
 encode_evidence, decode_evidence = partial(_encode, "evidence"), partial(_decode, "evidence")
 encode_clause = partial(_encode, "clause")
+# The order key of each set kind that is not ordered by value.
+_ORDER = {"term": encode_term, "pid": attrgetter("name")}
+for _kind, _tags in FORMAT.items():
+    for _tag, (_cls, _ks) in _tags.items():
+        _ks = _ks.split()
+        _rd = _interned(_cls, _ks) if set(_ks) <= {"s", "b"} else None
+        _ops = tuple(map(_op, _ks, (f.name for f in _class_fields(_cls))))
+        _TABLES[_kind][_tag] = _TABLES[_kind][_cls] = (_rd, _cls, _ops, _kind in NESTED, bytes((_tag,)))
+_ROOT = {kind: (_op(kind),) for kind in FORMAT}
+_POLICY = tuple(map(_op, ("s", "{s}", "{s}")))  # owner, sorts, principals
+_PREDICATE = tuple(map(_op, ("s", "*s")))  # name, argument sorts
 
 
 def encode_policy(p: S.Policy) -> bytes:
@@ -377,9 +368,9 @@ def encode_policy(p: S.Policy) -> bytes:
     sig = p.signature
     preds = sorted(sig.preds.items())
     out = [b"\x51"]
-    _write(out, (p.owner, sorted(sig.sorts), sorted(sig.principals)), _fields(("s", "*s", "*s")))
+    _write(out, (p.owner, sig.sorts, sig.principals), _POLICY)
     out.append(_U32(len(preds)))
-    _write(out, tuple(x for kv in preds for x in kv), _fields(("s", "*s") * len(preds)))
+    _write(out, [x for kv in preds for x in kv], _PREDICATE * len(preds))
     out.append(_U32(len(p.clauses)))
     out += [c.encoding for c in p.clauses]
     return b"".join(out)
@@ -389,27 +380,11 @@ def policy_digest(p: S.Policy) -> bytes:
     return sha256(encode_policy(p))
 
 
-# A certificate is MAGIC, tag 0x40, then these fields, with the digests in
-# byte order and the principal ids by name: the reader reads both as sets.
-CERTIFICATE = ("formula", "evidence", "*b", "*pid", "?attestation")
-_CERTIFICATE = _fields(CERTIFICATE)
-_CERTIFICATE_OPS = (
-    *map(_op, CERTIFICATE[:2]),
-    (None, _op("b"), (_count, _ascending())),
-    (None, _op("pid"), (_count, _ascending(attrgetter("name")))),
-    _op(CERTIFICATE[4]),
-)
-
-
 def encode_certificate(c) -> bytes:
-    pids = sorted(c.directory, key=lambda p: p.name)
-    values = (c.root_formula, c.root_evidence, sorted(c.policy_digests), pids, c.created_at)
-    out = [MAGIC, b"\x40"]
-    _write(out, values, _CERTIFICATE)
-    return b"".join(out)
+    return MAGIC + _encode("certificate", c)
 
 
 def decode_certificate(data: bytes):
     if data[:5] != MAGIC + b"\x40":
         raise CodecError("not a certificate")
-    return E.Certificate(*_read(data, _CERTIFICATE_OPS, 5))
+    return _read(data, _ROOT["certificate"], 4)[0]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cyberlogic import codec, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
+from cyberlogic.crypto import PrincipalId
 from cyberlogic.errors import CodecError
 from cyberlogic.node import decode_frame, encode_frame
 from cyberlogic.services import CheckerEndpoint
@@ -543,3 +544,61 @@ def test_an_option_flag_above_one_is_refused():
     data = b"\x26" + struct.pack(">I", 1) + b"r" + b"\x02" + bytes(16)
     with pytest.raises(CodecError, match="bad option flag"):
         codec.decode_evidence(data)
+
+
+# ---------------------------------------------------------------------------
+# The writer refuses what the reader would refuse, and values it has no
+# node for
+
+
+def _succ(depth: int):
+    """A term `depth` deep: successors of a constant."""
+    t = S.Const("0", "Int")
+    for _ in range(depth - 1):
+        t = S.FunApp("succ", (t,))
+    return t
+
+
+def _disjunctions(depth: int, last=S.Atom("p")):
+    """`last` under `depth - 1` disjunctions, each with an atom without
+    arguments on its left."""
+    f = last
+    for _ in range(depth - 1):
+        f = S.Or(S.Atom("p"), f)
+    return f
+
+
+@pytest.mark.parametrize("encode, value, reason", [
+    (codec.encode_formula, S.Forall(S.Const("x", "Int"), S.TOP), "not a var node"),
+    (codec.encode_formula, S.Atom("p", (S.TOP,)), "not a term node"),
+    (codec.encode_evidence, E.PairEv(S.TOP, E.Unit()), "not a evidence node"),
+    (codec.encode_evidence, S.TOP, "not a evidence node"),
+    (codec.encode_evidence, E.AttLeaf("x"), "not a attestation node"),
+    (codec.encode_evidence, E.Witness(_succ(S.MAX_NESTING + 1), E.Unit()), "nested deeper"),
+    (codec.encode_evidence, E.ClauseApp("r", None, (_succ(S.MAX_NESTING + 1),)), "nested deeper"),
+    (codec.encode_formula, _disjunctions(S.MAX_NESTING + 1), "nested deeper"),
+    (codec.encode_formula, _disjunctions(S.MAX_NESTING - 1, S.Knows(frozenset({_succ(2)}), S.TOP)),
+     "nested deeper"),
+], ids=["constant as binder", "formula as term", "formula in a pair", "formula as evidence",
+        "string as attestation", "deep witness", "deep clause argument", "deep disjunctions",
+        "deep principal in a knows set"])
+def test_the_writer_refuses_what_it_has_no_encoding_for(encode, value, reason):
+    with pytest.raises(CodecError, match=reason):
+        encode(value)
+
+
+def test_the_writer_writes_a_term_and_a_formula_max_nesting_deep():
+    term, formula = _succ(S.MAX_NESTING), _disjunctions(S.MAX_NESTING)
+    assert S.nesting(term) == S.nesting(formula) == S.MAX_NESTING
+    assert codec.decode_term(codec.encode_term(term)) == term
+    assert codec.decode_formula(codec.encode_formula(formula)) == formula
+
+
+@pytest.mark.parametrize("keys", [(b"1", b"2"), (b"2", b"1")], ids=["ascending", "descending"])
+def test_two_pinned_ids_with_one_name_are_refused_by_the_writer(keys):
+    # The reader refuses ids that do not strictly increase by name, so the
+    # writer does not write them.
+    pids = [PrincipalId("A", k * 32) for k in keys]
+    cert = E.Certificate(S.TOP, E.Unit(), frozenset(), frozenset(pids))
+    with pytest.raises(CodecError, match="repeated"):
+        codec.encode_certificate(cert)

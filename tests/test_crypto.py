@@ -74,6 +74,23 @@ def test_issued_at_is_covered_by_the_signature():
     assert verify_attestation(kp.public, bad) is None
 
 
+def test_a_signed_formula_that_is_not_an_atom_is_rejected():
+    kp, pid = keygen("K", random.Random(7))
+    for formula in (S.TOP, S.And(_atom(), _atom())):
+        sa = sign_attestation(kp, pid, formula)
+        assert verify_attestation(kp.public, sa) is None
+
+
+def test_an_attestation_relabelled_to_another_principal_is_rejected():
+    # K's signature stays valid under K's key, but the principal it names
+    # has another fingerprint.
+    kp, pid = keygen("K", random.Random(8))
+    _, other = keygen("M", random.Random(9))
+    sa = sign_attestation(kp, pid, _atom())
+    relabelled = type(sa)(other, sa.payload, sa.signature, sa.issued_at)
+    assert verify_attestation(kp.public, relabelled) is None
+
+
 def test_key_file_round_trip(tmp_path):
     kp, _ = keygen("K", random.Random(4))
     path = tmp_path / "K.key"

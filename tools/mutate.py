@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the certificate reader (`codec`) and the trusted
-checker (`evidence._Checker`).
+"""Mutation check of the certificate writer and reader (`codec`), the
+trusted checker (`evidence._Checker`) and `crypto.verify_attestation`.
 
 Each mutant is one small change to one of the listed targets, made in a
 copy of the repository in a temporary directory; the target's named test
@@ -11,7 +11,7 @@ test notices.  The mutations are fixed:
   flip-compare   a comparison with one operator gets its opposite
                  (== and !=, < and >=, > and <=, is and is not, in and not in)
   fail-to-pass   a failure does not fail: `return _nok(...)` returns `_OK`,
-                 `raise CodecError(...)` does nothing
+                 `raise CodecError(...)` and `return None` do nothing
   skip-check     an `if` whose body is only a failure never takes it
   off-by-one     an integer in an index, a slice or a sum grows by one
 
@@ -21,7 +21,8 @@ Run from the repository root (standard library only; not part of tier-1):
     python tools/mutate.py --list          # list the mutants only
     python tools/mutate.py --only codec    # the mutants whose id has "codec"
 
-The exit code is 0 when no mutant survives.
+The exit code is 0 when no mutant survives, and 2 when a listed target is
+not a top-level definition of its file.
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ TIMEOUT = 600  # seconds for each mutant's test run
 # (name, file, top-level functions or classes mutated, tests run on each mutant)
 TARGETS = [
     ("codec", "src/cyberlogic/codec.py",
-     ("_string", "_i64", "_interned", "_count", "_flag", "_ascending", "_op", "_read", "decode_certificate"),
+     ("_string", "_i64", "_interned", "_count", "_flag", "_set", "_op", "_write", "_read",
+      "encode_policy", "encode_certificate", "decode_certificate"),
      ("tests/test_codec.py", "tests/test_golden.py")),
     ("checker", "src/cyberlogic/evidence.py", ("_Checker",),
      ("tests/test_evidence.py", "tests/test_services.py", "tests/test_acceptance.py")),
+    ("attestation", "src/cyberlogic/crypto.py", ("verify_attestation",),
+     ("tests/test_crypto.py", "tests/test_evidence.py")),
 ]
 
 _OPPOSITE = {
@@ -57,10 +61,12 @@ _OPPOSITE = {
 
 
 def _is_failure(stmt) -> bool:
-    """`return _nok(...)` or `raise CodecError(...)`."""
+    """`return _nok(...)`, `raise CodecError(...)` or `return None`."""
     if not isinstance(stmt, (ast.Return, ast.Raise)):
         return False
     call = stmt.value if isinstance(stmt, ast.Return) else stmt.exc
+    if isinstance(call, ast.Constant) and call.value is None:
+        return True
     return (
         isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
         and call.func.id in ("_nok", "CodecError")
@@ -95,7 +101,8 @@ def _mutate(kind, node, parent):
     if kind == "flip-compare":
         node.ops = [_OPPOSITE[type(node.ops[0])]()]
     elif kind == "fail-to-pass":
-        new = ast.Return(ast.Name("_OK", ast.Load())) if isinstance(node, ast.Return) else ast.Pass()
+        nok = isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+        new = ast.Return(ast.Name("_OK", ast.Load())) if nok else ast.Pass()
         for _, value in ast.iter_fields(parent):
             if isinstance(value, list) and node in value:
                 value[value.index(node)] = new
@@ -111,8 +118,12 @@ def mutants():
     for target in TARGETS:
         name, path, names, _ = target
         source = pathlib.Path(ROOT, path).read_text()
-        lines = source.splitlines()
-        for i, (kind, node, _) in enumerate(_sites(ast.parse(source), names)):
+        lines, tree = source.splitlines(), ast.parse(source)
+        missing = set(names) - {getattr(top, "name", None) for top in tree.body}
+        if missing:
+            print(f"{path} defines no {', '.join(sorted(missing))} at top level", file=sys.stderr)
+            sys.exit(2)
+        for i, (kind, node, _) in enumerate(_sites(tree, names)):
             out.append((f"{name}:{i}:{kind}", target, node.lineno, lines[node.lineno - 1].strip()))
     return out
 
@@ -155,7 +166,7 @@ def main(argv=None) -> int:
         shutil.copytree(os.path.join(ROOT, "src"), os.path.join(copy, "src"))
         shutil.copytree(os.path.join(ROOT, "tests"), os.path.join(copy, "tests"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
-        for _, path, _, tests in TARGETS:
+        for tests in dict.fromkeys(target[3] for _, target, _, _ in chosen):
             if not run_tests(copy, tests):
                 print(f"the unmutated copy fails {' '.join(tests)}")
                 return 2
