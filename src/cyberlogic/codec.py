@@ -19,6 +19,11 @@ list read as a set has one op that carries its order key: the writer
 sorts by it and the reader checks it, and both refuse a repeated key.  One
 decode makes one value of each node with only string and byte fields,
 such as one `Const` per (name, sort).
+
+A clause application's policy digest is written in full once per encoding,
+then as its index among the distinct digests written so far.  The reader
+refuses a digest written in full twice, a reference to an index not read
+yet and a flag above 2; decoded applications share one digest object.
 """
 
 from __future__ import annotations
@@ -36,10 +41,13 @@ from .crypto import PrincipalId, SignedAttestation, sha256
 MAGIC = b"CYL2"  # a certificate is MAGIC, then its node
 
 # Field kinds: "s" a UTF-8 string and "b" a byte string, each after its u32
-# length; "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "*k" a
-# counted list of k (u32 count, then the items); "{k}" a set of k (a counted
-# list whose items strictly increase by `_ORDER`'s key for k, else by
-# value, read as a frozenset); else a node of that kind.
+# length; "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "#" an
+# optional policy digest: flag 0; 1 then a "b" this encoding has not held
+# before; 2 then the u32 index, by first writing, of one it has; the reader
+# refuses a digest in full twice, an index not read yet, any other flag; "*k"
+# a counted list of k (u32 count, then the items); "{k}" a set of k (a
+# counted list whose items strictly increase by `_ORDER`'s key for k, else
+# by value, read as a frozenset); else a node of that kind.
 FORMAT = {
     "term": {0x01: (S.Var, "s s"), 0x02: (S.Const, "s s"), 0x03: (S.FunApp, "s *term")},
     "var": {0x01: (S.Var, "s s")},  # a quantifier's binder
@@ -58,7 +66,7 @@ FORMAT = {
         0x22: (E.Inl, "evidence"), 0x23: (E.Inr, "evidence"),
         0x24: (E.Witness, "term evidence"),
         0x25: (E.Abstraction, "s evidence"),
-        0x26: (E.ClauseApp, "s ?b *term *evidence"),
+        0x26: (E.ClauseApp, "s # *term *evidence"),
         0x28: (E.AttLeaf, "attestation"),
         0x29: (E.TheoryHole, "s *term ?attestation"),
         0x2A: (E.KnowsWrap, "{term} evidence"),
@@ -126,6 +134,25 @@ def _interned(cls, kinds):
     return read
 
 
+def _digest(data, pos, memo):
+    """A "#" field.  `memo[None]` maps each digest read, and its index, to it."""
+    flag, seen = data[pos], memo[None]
+    if flag == 2:
+        v = seen.get(_U32_AT(data, pos + 1)[0])
+        if v is None:
+            raise CodecError("digest reference to a digest not read yet")
+        return v, pos + 5
+    if flag == 1:
+        v, pos = _BYTES(data, pos + 1, memo)
+        if v in seen:
+            raise CodecError("digest written in full twice")
+        seen[len(seen) // 2] = seen[v] = v  # its index, then itself
+        return v, pos
+    if flag:
+        raise CodecError("bad digest flag")
+    return None, pos + 1
+
+
 def _count(data, pos) -> tuple:
     (n,) = _U32_AT(data, pos)
     if n > len(data) - pos - 4:  # every item takes at least one byte
@@ -164,8 +191,8 @@ def _set(key) -> tuple:
     return _count, lambda *items: frozenset(ascending(items)), sort
 
 
-_TEXT = _string(bytes.decode)
-_PLAIN = {"s": _TEXT, "b": _string(bytes), "q": _i64}
+_TEXT, _BYTES = _string(bytes.decode), _string(bytes)
+_PLAIN = {"s": _TEXT, "b": _BYTES, "q": _i64, "#": _digest}
 _LIST, _OPTION = (_count, _values, None), (_flag, lambda *x: x[0] if x else None, None)
 _TABLES = {kind: {} for kind in FORMAT}
 
@@ -190,8 +217,8 @@ def _write(out: list, x, ops, d: int = 1):
     node with only string and byte fields is written in place, as are a
     list's items up to the first other node; before that node is entered,
     the state after it, (x, ops, next op, d), goes on the work stack."""
-    put, limit, todo = out.append, S.MAX_NESTING, []
-    text, i64, option, u32 = _TEXT, _i64, _OPTION, _U32
+    put, limit, todo, seen = out.append, S.MAX_NESTING, [], {}  # seen: digest -> reference
+    text, i64, digest, option, u32 = _TEXT, _i64, _digest, _OPTION, _U32
     i, n = 0, len(ops)
     while True:
         while i < n:
@@ -203,12 +230,18 @@ def _write(out: list, x, ops, d: int = 1):
                 if v is None:
                     continue
                 rd, sub, many, _ = sub  # the value's op
-            if rd is not None:  # a string, a byte string or an i64
+            if rd is not None:  # a string, a byte string, an i64 or a digest
                 if rd is text:
                     v = v.encode()
                 elif rd is i64:
                     put(_I64(v))
                     continue
+                elif rd is digest:
+                    if v is None or v in seen:
+                        put(b"\x00" if v is None else seen[v])
+                        continue
+                    seen[v] = b"\x02" + u32(len(seen))
+                    put(b"\x01")
                 put(u32(len(v)))
                 put(v)
                 continue
@@ -276,7 +309,7 @@ def _read(data: bytes, ops, pos: int) -> tuple:
     """The values of the fields `ops`, read from `data` at `pos` to its end.
     The node or list being read is (build, its values so far, its ops, the
     next op, the depth of its nodes); those around it wait on a stack."""
-    memo, stack, limit = {}, [], S.MAX_NESTING
+    memo, stack, limit = {None: {}}, [], S.MAX_NESTING
     build, vals, i, d = _values, [], 0, 1
     try:
         while True:

@@ -134,6 +134,7 @@ class Registry:
     def __init__(self):
         self.entries: list[RegistryEntry] = []
         self._endpoints: dict[bytes, "CheckerEndpoint"] = {}  # digest -> newest endpoint
+        self._entries: dict[bytes, RegistryEntry] = {}  # digest -> newest entry
 
     def register(self, digest: bytes, endpoint: "CheckerEndpoint") -> RegistryEntry:
         """Route `digest` to `endpoint`, which must hold that policy; the
@@ -145,10 +146,14 @@ class Registry:
         entry = RegistryEntry(len(self.entries), prev, digest, policy.owner, endpoint.name)
         self.entries.append(entry)
         self._endpoints[digest] = endpoint
+        self._entries[digest] = entry
         return entry
 
     def endpoint_for(self, digest: bytes) -> "CheckerEndpoint | None":
         return self._endpoints.get(digest)
+
+    def entry_for(self, digest: bytes) -> RegistryEntry | None:
+        return self._entries.get(digest)
 
     def verify_chain(self) -> bool:
         prev = b"\0" * 32
@@ -181,8 +186,12 @@ class CheckerEndpoint:
     def forwards(self, digest) -> bool:
         """Whether clauses under `digest` are checked elsewhere: this endpoint
         does not hold that policy, and its registry routes it."""
-        routed = self.registry is not None and self.registry.endpoint_for(digest) is not None
-        return routed and digest not in self.policies
+        return isinstance(self.get(digest), RegistryEntry)
+
+    def get(self, digest):
+        """As the checker's policy map: the policy held under `digest`, else the registry's newest record."""
+        policy = self.policies.get(digest)
+        return self.registry.entry_for(digest) if policy is None and self.registry else policy
 
     def handle_frame(self, data: bytes) -> bytes:
         """Serve one check request frame (see the module docstring)."""
@@ -199,10 +208,8 @@ class CheckerEndpoint:
         ev, depth = chain.pop(), len(chain)
         for w in reversed(chain):
             ev = E.rebuild(w, (ev,), None)
-        # A digest this endpoint forwards is known here by its registry record, which names its owner.
-        known = {e.digest: e for e in self.registry.entries} if self.registry else {}
         cert = replace(cert, root_evidence=ev)
-        result, obligations = E.check_part(cert, known | self.policies, self.directory)
+        result, obligations = E.check_part(cert, self, self.directory)
         oblige = [{"path": o.path[depth:], "cert_b64": _b64(codec.encode_certificate(_certificate(o)))}
                   for o in obligations]
         resp = {"verdict": "ok" if result else "nok", "path": result.path[depth:], "reason": result.reason}

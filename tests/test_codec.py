@@ -16,7 +16,7 @@ from cyberlogic import syntax as S
 from cyberlogic.crypto import PrincipalId
 from cyberlogic.errors import CodecError
 from cyberlogic.node import decode_frame, encode_frame
-from cyberlogic.services import CheckerEndpoint
+from cyberlogic.services import CheckerEndpoint, TrustedServices
 
 
 SORTS = ("Principal", "Thing", "Time")
@@ -196,8 +196,11 @@ def _random_evidence(rng, pool, depth=4):
 # SHA-256 of the encodings of the 300 trees below, in order.  Recorded when
 # the evidence writer still recursed, so it pins the writer's bytes; the
 # hypothesis leaves, once a node of their own, were mapped to the clause
-# applications that replaced them and encoded by that writer.
-RANDOM_TREES_SHA256 = "55d50d419e43b67e14779ec31b902f15fd9d9fa8fbe5cf19ed60eba8f0cec9c8"
+# applications that replaced them and encoded by that writer.  Moved when
+# a repeated policy digest became a reference to the first: each tree
+# decodes to the value its earlier bytes decoded to.  CI runs this file
+# under two hash seeds, so the references' numbering is not hash order.
+RANDOM_TREES_SHA256 = "463776abafccde1afea6e8abcc498466d6675feef6872ccf7df53d6584732404"
 
 
 def test_random_trees_round_trip_to_recorded_bytes():
@@ -540,10 +543,115 @@ def test_a_term_or_formula_deeper_than_max_nesting_is_refused(depth, as_term):
 
 
 def test_an_option_flag_above_one_is_refused():
-    # Read as a count, flag 2 would take the two empty strings that follow.
-    data = b"\x26" + struct.pack(">I", 1) + b"r" + b"\x02" + bytes(16)
+    # A theory hole's receipt, flag 2 then a whole attestation: read as
+    # "present", flag 2 would be taken for flag 1.  (A clause application's
+    # digest slot takes flag 2, a reference: see below.)
+    receipt = TrustedServices(seed=0).attest_time()
+    data = bytearray(codec.encode_evidence(E.TheoryHole("<", (), receipt)))
+    assert data[10] == 1 and codec.decode_evidence(bytes(data)).receipt == receipt
+    data[10] = 2
     with pytest.raises(CodecError, match="bad option flag"):
+        codec.decode_evidence(bytes(data))
+
+
+# ---------------------------------------------------------------------------
+# A policy digest is written in full once per encoding, then referred to by
+# its index among the distinct digests written before
+
+
+def _app(digest: bytes, *kids: bytes) -> bytes:
+    """A clause application `r`, with no arguments, whose digest field is
+    `digest` and whose premises are encoded as `kids`."""
+    return b"\x26" + struct.pack(">I", 1) + b"r" + digest + struct.pack(">II", 0, len(kids)) + b"".join(kids)
+
+
+def _full(d: bytes) -> bytes:
+    return b"\x01" + struct.pack(">I", len(d)) + d
+
+
+def _ref(k: int) -> bytes:
+    return b"\x02" + struct.pack(">I", k)
+
+
+_D1, _D2 = b"\x01" * 32, b"\x02" * 32
+
+
+def test_a_repeated_digest_is_written_as_a_reference_to_its_first_writing():
+    ev = E.ClauseApp("r", _D1, (), (
+        E.ClauseApp("r", _D2), E.ClauseApp("r", None), E.ClauseApp("r", _D1), E.ClauseApp("r", _D2[:16] + _D2[16:]),
+    ))
+    data = _app(_full(_D1), _app(_full(_D2)), _app(b"\x00"), _app(_ref(0)), _app(_ref(1)))
+    assert codec.encode_evidence(ev) == data
+    assert codec.decode_evidence(data) == ev
+
+
+@pytest.mark.parametrize("data, reason", [
+    (_app(_full(_D1), _app(_full(_D1))), "written in full twice"),
+    (_app(_full(_D1), _app(_full(_D2)), _app(_full(_D1))), "written in full twice"),
+    (_app(_ref(0)), "not read yet"),
+    (_app(_full(_D1), _app(_ref(1))), "not read yet"),
+    (_app(_full(_D1), _app(_full(_D2)), _app(_ref(2))), "not read yet"),
+    (_app(_full(_D1), _app(_ref(2**32 - 1))), "not read yet"),
+    (_app(b"\x03" + _full(_D1)[1:]), "bad digest flag"),
+    (_app(b"\xff" + _ref(0)[1:]), "bad digest flag"),
+], ids=["full twice", "full twice, apart", "first as a reference", "reference at the count",
+        "reference at the count of two", "reference far beyond", "flag 3", "flag 255"])
+def test_a_digest_repeated_in_full_referred_ahead_or_flagged_above_two_is_refused(data, reason):
+    with pytest.raises(CodecError, match=reason):
         codec.decode_evidence(data)
+
+
+def test_a_decoded_chain_certificate_holds_one_digest_object():
+    lines = ["sort Key. sort Tag.", "principal P.", "const k: Key."]
+    lines += [f"pred p{i}(Key, Tag)." for i in range(21)]
+    lines += [f"r{i}: forall x:Key, y:Tag. p{i + 1}(x, y) => p{i}(x, y)." for i in range(20)]
+    lines += ["f: forall y:Tag. p20(k, y)."]
+    world = scenarios.build_world([("P", "\n".join(lines) + "\n")], seed=0, depth=40)
+    node = world.node("P")
+    goal, free = parser.parse_goal('p0(k, "t")', node.policy.signature)
+    data = codec.encode_certificate(node.certify(node.ask_first(goal, free)))
+    assert data.count(node.policy.digest) == 2  # the pin and the first application
+    digests = [x.policy_digest for x in E.nodes(codec.decode_certificate(data).root_evidence)]
+    assert len(digests) == 21 and digests[0] == node.policy.digest
+    assert len({id(d) for d in digests}) == 1
+
+
+_DIGESTS = st.sampled_from([None, _D1, _D2, b"\x03" * 32, b"", b"\x02"])
+_EVIDENCE = st.recursive(
+    st.builds(E.ClauseApp, st.just("h"), _DIGESTS) | st.just(E.Unit()),
+    lambda kids: st.one_of(
+        st.builds(E.PairEv, kids, kids),
+        st.builds(E.Inl, kids),
+        st.builds(E.ClauseApp, st.sampled_from(["r", "s"]), _DIGESTS, st.just(()),
+                  st.lists(kids, max_size=3).map(tuple)),
+    ),
+    max_leaves=20,
+)
+
+
+def _without_digests(ev):
+    def node(x, kids):
+        if isinstance(x, E.ClauseApp):
+            return E.ClauseApp(x.label, None, x.args, tuple(kids))
+        return E.rebuild(x, kids, lambda t: t)
+
+    return E.fold(ev, node)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_EVIDENCE)
+def test_evidence_with_repeated_and_mixed_digests_reads_back_to_its_bytes(ev):
+    # Each distinct digest takes its length and 4 bytes once, and 4 bytes
+    # each time after: the bytes beyond the same evidence with no digests.
+    data = codec.encode_evidence(ev)
+    back = codec.decode_evidence(data)
+    assert back == ev and codec.encode_evidence(back) == data
+    seen, extra = set(), 0
+    for x in E.nodes(ev):
+        if isinstance(x, E.ClauseApp) and x.policy_digest is not None:
+            extra += 4 if x.policy_digest in seen else 4 + len(x.policy_digest)
+            seen.add(x.policy_digest)
+    assert len(data) == len(codec.encode_evidence(_without_digests(ev))) + extra
 
 
 # ---------------------------------------------------------------------------

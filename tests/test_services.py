@@ -17,7 +17,10 @@ from cyberlogic.services import CheckerEndpoint, Registry, TrustedServices, remo
 # SHA-256 of the frames that check hospital's seed-0 certificate, then its
 # `knows {A, B}` certificate entering at each pinned digest.  CI also runs
 # this file under fixed hash seeds, so no set or dict order reaches a frame.
-FRAMES_SHA256 = "ba726436e0e058e48d170b558db6dcb85754523b4b8020c2dddd876ac7807065"
+# Moved when a policy digest came to be written in full only once per
+# encoding: each certificate and evidence the frames carry decodes to the
+# value it did before (6,408 bytes of frames became 6,240).
+FRAMES_SHA256 = "6b5a78a5456b12bc50fd00bc89a65d6a2f60f20da1dda3d3a6dbe1b054803043"
 
 
 def test_clock_is_monotonic():
@@ -211,6 +214,35 @@ def test_the_lowest_failure_wins_though_another_endpoint_answers_first():
     assert local == E.CheckResult(False, (0,), "no clause 'g2' in policy of 'K2'")
     assert remote_check(_owners_registry(k1, k2), cert, k1.digest) == local
 
+
+def test_a_stale_re_registered_digest_gets_the_local_verdict():
+    # K1 updates its policy, then registers the old digest again; K2's
+    # endpoint knows that digest only by the registry's newest record of it.
+    sig = "sort Thing. pred p(Thing). pred q(Thing).\n"
+    old = parser.parse_policy(sig + "r1: q(a) => p(a).\n", "K1")
+    new = parser.parse_policy(sig + "r1: q(a) => p(a).\nf1: p(a).\n", "K1")
+    k2 = parser.parse_policy(sig + "f2: q(a).\n", "K2")
+    reg = Registry()
+    k1_end, k2_end = CheckerEndpoint("K1", [old, new], None, reg), CheckerEndpoint("K2", [k2], None, reg)
+    for pol, endpoint in [(old, k1_end), (k2, k2_end), (new, k1_end), (old, k1_end)]:
+        reg.register(pol.digest, endpoint)
+    assert reg.verify_chain() and reg.entry_for(old.digest) is reg.entries[3]
+    policies = {p.digest: p for p in (old, new, k2)}
+    group = frozenset({S.Const("K2", "Principal")})
+    verdicts = []
+    for label, knows in [("r1", False), ("g", False), ("r1", True)]:
+        goal, ev = S.Atom("p", (S.Const("a", "Thing"),)), E.ClauseApp(label, old.digest, (), (E.ClauseApp("f2", k2.digest),))
+        if knows:
+            goal, ev = S.Knows(group, goal), E.KnowsWrap(group, ev)
+        cert = E.Certificate(goal, ev, frozenset({old.digest, k2.digest}))
+        local = E.check_certificate(cert, policies)
+        assert remote_check(reg, cert, k2.digest) == local
+        verdicts.append((local.ok, local.path, local.reason))
+    assert verdicts == [
+        (True, (), None),
+        (False, (), "no clause 'g' in policy of 'K1'"),
+        (False, (0,), "evidence draws on a policy of 'K1', outside the restriction"),
+    ]
 
 def disclosed_payloads(frames) -> list:
     """Each frame, as sent and with its JSON string escapes undone, and each
