@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from cyberlogic import codec
+from cyberlogic import codec, scenarios
+from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import (
     Directory,
@@ -89,6 +90,24 @@ def test_an_attestation_relabelled_to_another_principal_is_rejected():
     sa = sign_attestation(kp, pid, _atom())
     relabelled = type(sa)(other, sa.payload, sa.signature, sa.issued_at)
     assert verify_attestation(kp.public, relabelled) is None
+
+
+def test_a_verified_attestation_names_the_principal_it_was_signed_as():
+    # The checker relies on this: an attestation leaf whose formula equals
+    # the goal `K says a` names K, so it needs no test of its own name.
+    seen = 0
+    for name, run in sorted(scenarios.SCENARIOS.items()):
+        r = run(0)
+        certs = [r.certificate, *(cert for cert, _ in r.details.get("certs", {}).values())]
+        for cert in certs:
+            found = [cert.created_at]
+            for node in E.nodes(cert.root_evidence):
+                found.append(node.attestation if isinstance(node, E.AttLeaf) else getattr(node, "receipt", None))
+            for sa in filter(None, found):
+                got = verify_attestation(r.world.directory.public_key(sa.principal.name), sa)
+                assert got.principal == S.Const(sa.principal.name, "Principal"), name
+                seen += 1
+    assert seen >= 10
 
 
 def test_key_file_round_trip(tmp_path):

@@ -11,7 +11,8 @@ import types
 
 import pytest
 
-from cyberlogic import codec, parser, scenarios
+import test_golden
+from cyberlogic import codec, crypto, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import Directory, keygen, sign_attestation
@@ -130,6 +131,145 @@ def test_a_creation_stamp_must_name_the_time_source():
     res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)
     assert not res
     assert res.reason == "creation stamp is not a reading signed by T"
+
+
+def _registry(world) -> Registry:
+    """One checker endpoint per policy of `world`."""
+    registry = Registry()
+    for owner, pol in world.policies.items():
+        registry.register(pol.digest, CheckerEndpoint(owner, [pol], world.directory, registry))
+    return registry
+
+
+def _timed(goal):
+    r = scenarios.run_timed(0)
+    return r.world, r.details["certs"][goal][0]
+
+
+def _certified(r):
+    return r.world, r.certificate
+
+
+_ONE_READING = {  # certificates whose signed attestations are all one
+    "curr(5)": lambda: _timed("curr(5)"),  # stamp, attestation leaf and receipt
+    "past(3)": lambda: _timed("past(3)"),  # stamp and attestation leaf
+    "future(9)": lambda: _timed("future(9)"),  # stamp and receipt
+    "hospital": lambda: _certified(_hospital()),  # stamp
+    "chain-50": test_golden._chain50,  # stamp
+}
+
+
+@pytest.mark.parametrize("name", _ONE_READING)
+def test_each_distinct_attestation_is_verified_once_per_check(monkeypatch, name):
+    world, cert = _ONE_READING[name]()
+    registry = _registry(world)
+    calls, verify = [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
+    # Twice each: a check remembers nothing of the one before it.
+    for check in [lambda: E.check_certificate(cert, world.policy_map(), world.directory),
+                  lambda: remote_check(registry, cert)] * 2:
+        calls.clear()
+        assert check().ok
+        assert len(calls) == 1
+
+
+def _flip(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+def _signed_by_t(atom):
+    """An edit that puts T's signature over `atom`, issued at 5, in place of a reading."""
+    return lambda sa, svc: sign_attestation(svc.time_keys, svc.time_id, atom, issued_at=5)
+
+
+_FIVE = S.Const("5", "Time")
+# Edits of T's reading `time(5)`, issued at 5; `svc` holds T's key.
+_READING_EDITS = {
+    "signature bit": lambda sa, svc: dataclasses.replace(sa, signature=_flip(sa.signature)),
+    "payload bit": lambda sa, svc: dataclasses.replace(sa, payload=_flip(sa.payload)),
+    "issued_at, not re-signed": lambda sa, svc: dataclasses.replace(sa, issued_at=6),
+    "principal renamed": lambda sa, svc: dataclasses.replace(
+        sa, principal=dataclasses.replace(sa.principal, name="K")),
+    "fingerprint bit": lambda sa, svc: dataclasses.replace(
+        sa, principal=dataclasses.replace(sa.principal, fingerprint=_flip(sa.principal.fingerprint))),
+    "signed again, issued at 4": lambda sa, svc: sign_attestation(
+        svc.time_keys, svc.time_id, sa.atom(), issued_at=4),
+    "T signs noop(5)": _signed_by_t(S.Atom("noop", (_FIVE,))),
+    "T signs time(5, 5)": _signed_by_t(S.Atom("time", (_FIVE, _FIVE))),
+    "T signs time(succ(4))": _signed_by_t(S.Atom("time", (S.FunApp("succ", (S.Const("4", "Time"),)),))),
+}
+_STAMP = (False, (), "creation stamp is not a reading signed by T")
+_LEAF = (False, (0,), "signature by 'T' does not verify")
+_RECEIPT = (False, (1,), "clock receipt is not a reading signed by T")
+_ACCEPTED = (True, (), None)
+
+# (copies of curr(5)'s reading edited, edit, (ok, path, reason)), as the
+# checker gave them when it verified every copy.
+_READING_ROWS = [
+    ("stamp", "signature bit", _STAMP),
+    ("stamp", "payload bit", _STAMP),
+    ("stamp", "issued_at, not re-signed", _STAMP),
+    ("stamp", "principal renamed", _STAMP),
+    ("stamp", "fingerprint bit", _STAMP),
+    ("stamp", "signed again, issued at 4", _ACCEPTED),
+    ("leaf", "signature bit", _LEAF),
+    ("leaf", "payload bit", _LEAF),
+    ("leaf", "issued_at, not re-signed", _LEAF),
+    ("leaf", "principal renamed", (False, (0,), "attested formula differs from the goal")),
+    ("leaf", "fingerprint bit", _LEAF),
+    ("leaf", "signed again, issued at 4", _ACCEPTED),
+    ("receipt", "signature bit", _RECEIPT),
+    ("receipt", "payload bit", _RECEIPT),
+    ("receipt", "issued_at, not re-signed", _RECEIPT),
+    ("receipt", "principal renamed", _RECEIPT),
+    ("receipt", "fingerprint bit", _RECEIPT),
+    ("receipt", "signed again, issued at 4", _ACCEPTED),
+    ("stamp leaf receipt", "signature bit", _STAMP),
+    ("stamp leaf receipt", "payload bit", _STAMP),
+    ("stamp leaf receipt", "issued_at, not re-signed", _STAMP),
+    ("stamp leaf receipt", "principal renamed", _STAMP),
+    ("stamp leaf receipt", "fingerprint bit", _STAMP),
+    ("stamp leaf receipt", "signed again, issued at 4", _ACCEPTED),
+    ("stamp", "T signs noop(5)", _STAMP),
+    ("stamp", "T signs time(5, 5)", _STAMP),
+    ("stamp", "T signs time(succ(4))", _STAMP),
+    ("receipt", "T signs noop(5)", _RECEIPT),
+    ("receipt", "T signs time(5, 5)", _RECEIPT),
+    ("receipt", "T signs time(succ(4))", _RECEIPT),
+]
+
+
+@pytest.mark.parametrize("copies, edit, verdict", _READING_ROWS, ids=[f"{c}: {e}" for c, e, _ in _READING_ROWS])
+def test_an_edited_copy_of_a_repeated_reading_gets_the_verdict_of_a_check_of_every_copy(copies, edit, verdict):
+    # The stamp is checked first, then the attestation leaf at (0,), then
+    # the receipt at (1,): an edited later copy must not pass as the
+    # reading verified before it.
+    world, cert = _timed("curr(5)")
+
+    def change(sa):
+        return _READING_EDITS[edit](sa, world.services)
+
+    def swap(x, kids):
+        if isinstance(x, E.AttLeaf) and "leaf" in copies:
+            return E.AttLeaf(change(x.attestation))
+        if isinstance(x, E.TheoryHole) and "receipt" in copies:
+            return dataclasses.replace(x, receipt=change(x.receipt))
+        return E.rebuild(x, kids, lambda t: t)
+
+    stamp = change(cert.created_at) if "stamp" in copies else cert.created_at
+    bad = dataclasses.replace(cert, root_evidence=E.fold(cert.root_evidence, swap), created_at=stamp)
+    assert bad != cert
+    for result in (E.check_certificate(bad, world.policy_map(), world.directory), remote_check(_registry(world), bad)):
+        assert (result.ok, result.path, result.reason) == verdict
+
+
+def test_one_attestation_under_two_names_is_verified_under_each():
+    world, cert = _timed("curr(5)")
+    time5 = cert.created_at.atom()
+    goal = S.And(S.Attest(S.Const("T", "Principal"), time5), S.Attest(S.Const("K", "Principal"), time5))
+    ev = E.PairEv(E.AttLeaf(cert.created_at), E.AttLeaf(cert.created_at))
+    assert E.check({}, E.HypothesisEnv(), ev, goal, world.directory) == E.CheckResult(
+        False, (1,), "signature by 'K' does not verify")
 
 
 def _rejection_rows():
