@@ -24,15 +24,16 @@ apart as Warren's machine does it (`get_variable`): a universal whose first
 occurrence is a whole head argument facing a goal constant of its sort
 stands for that constant, with no fresh variable, binding or trail entry;
 the others get fresh variables, and the fresh-name counter advances once
-per universal either way.  Atomic goals resolve in one pass, and
-`syntax.substitute` renames an atomic head or slot in one pass too.  A
-clause whose one premise slot is neither a conjunction nor an interpreted
-atom solves it without the conjunct scheduler.  A goal that applying a
-clause leaves as it was is printed once for the trace.  The variables and
-goals that key the substitution and the open-goal set hash once, and
-constants print once (`syntax`).  They are immutable, so a cache holds
-what a fresh computation would give, even when TCP handler threads race to
-fill it.
+per universal either way.  Those places come from the clause's record,
+compiled once (`syntax.Clause.places`); head and slots from its templates
+(`Clause.instantiate`), and what the head proves from `syntax.proved_head`,
+both as in the checker.  A clause whose one premise slot is neither a
+conjunction nor an interpreted atom solves it without the conjunct
+scheduler.  Atomic goals resolve in one pass, and a goal that applying a
+clause leaves as it was is printed once for the trace.  The variables and goals that key the substitution and the
+open-goal set hash once, and constants print once (`syntax`).  They are
+immutable, so a cache holds what a fresh computation would give, even
+when TCP handler threads race to fill it.
 """
 
 from __future__ import annotations
@@ -163,35 +164,6 @@ def unify_atomic(goal, head, s: dict, state=None):
             return None
         return unify_atomic(goal.body, head.body, s, state)
     return None
-
-
-def _match_head(goal, head, universals, s: dict) -> dict:
-    """The universals among `universals` whose first occurrence in `head`
-    is a whole argument facing, in `goal` under `s`, a constant of their
-    sort, each mapped to that constant: what unifying `goal` with `head`
-    renamed apart would bind their fresh variables to.  Empty when the two
-    differ in shape, which no unifier mends."""
-    ren: dict = {}
-    if goal.__class__ is S.Attest:  # the principal, then the atom's arguments
-        if head.__class__ is not S.Attest or goal.body.__class__ is not S.Atom:
-            return ren
-        pairs = zip((goal.principal,) + goal.body.args, (head.principal,) + head.body.args)
-    elif head.__class__ is S.Atom:
-        pairs = zip(goal.args, head.args)
-    else:
-        return ren
-    met = []  # the head's variables met so far
-    for g, h in pairs:
-        if h.__class__ is S.FunApp:
-            met += S.term_vars(h)
-        if h.__class__ is not S.Var or h in met:
-            continue
-        met.append(h)
-        if h in universals:
-            t = walk(g, s)
-            if t.__class__ is S.Const and t.sort == h.sort:
-                ren[h] = t
-    return ren
 
 
 # ---------------------------------------------------------------------------
@@ -619,29 +591,30 @@ class Prover:
             yield from self._remote(goal, depth, restriction, todo, evs)
 
     def _apply(self, goal, g_res, text, depth, env, restriction, todo, evs, clause, owner, digest):
-        """The alternative of `clause` for atomic goal `goal` (open as
-        `g_res`, printed as `text`): the goal unified with the clause's
-        head, renamed apart, in one call of `unify_atomic`.
-
-        The universals `_match_head` finds stand for the goal's constants;
-        every other one gets a fresh variable.  Each advances the
-        fresh-name counter, so names do not depend on which are matched.
-        A single premise slot that is neither a conjunction nor an
-        interpreted atom is solved directly, its evidence wrapped into the
-        clause application; other bodies go to the conjunct scheduler."""
+        """The alternative of `clause` of `owner`'s policy (None: a
+        hypothesis) for atomic goal `goal` (open as `g_res`, printed as
+        `text`): the goal unified with what the head proves, renamed apart,
+        in one call of `unify_atomic`.  A universal that `clause.places`
+        puts facing a goal constant of its sort stands for it, and every
+        other one gets a fresh variable; each advances the fresh-name
+        counter.  A single premise slot that is neither a conjunction nor an
+        interpreted atom is solved directly; other bodies go to the conjunct
+        scheduler."""
         state, s = self.state, self.state.subst
-        head, universals = clause.head, clause.universals
-        if goal.__class__ is S.Attest and head.__class__ is S.Atom and owner not in (None, S.COMMON):
-            # An owner's bare-headed clause also answers the owner's own
-            # attestation of its head.
-            head = S.Attest(S.Const(owner, "Principal"), head)
-        ren = _match_head(goal, head, universals, s) if universals else {}
-        for v in universals:
-            if v in ren:
-                state.counter += 1
-            else:
-                ren[v] = self._fresh_var(v.sort)
-        if unify_atomic(goal, S.substitute(head, ren), s, state) is None:
+        universals, ren = clause.universals, {}
+        if universals:
+            atom = _atom_of(goal)
+            row = () if atom is None else (goal.principal if goal.__class__ is S.Attest else None, *atom.args)
+            for v, at in zip(universals, clause.places):
+                t = walk(row[at], s) if at is not None and at < len(row) else None
+                if v in ren or (t.__class__ is S.Const and t.sort == v.sort):
+                    state.counter += 1
+                    ren.setdefault(v, t)
+                else:
+                    ren[v] = self._fresh_var(v.sort)
+        args = tuple([ren[v] for v in universals])
+        head, slots = clause.instantiate(args)
+        if unify_atomic(goal, S.proved_head(head, owner, goal), s, state) is None:
             return None
         # Unifying with the head may have instantiated the goal into one
         # that is already open higher on this path; looping on it proves
@@ -653,14 +626,13 @@ class Prover:
                 return None
             text = None
         self._log(depth, f"apply {clause.label}", g2, text)
-        label, args, slots = clause.label, tuple([ren[v] for v in universals]), clause.slots
+        label = clause.label
         if not slots:
             return todo, (E.ClauseApp(label, digest, args), evs)
         if len(slots) == 1 and slots[0].__class__ is not S.And and not _interpreted(slots[0]):
             node = lambda ev: E.ClauseApp(label, digest, args, (ev,))
-            solve = partial(self._solve, S.substitute(slots[0], ren), depth - 1, env, restriction)
+            solve = partial(self._solve, slots[0], depth - 1, env, restriction)
             return (solve, (partial(_wrap, node), todo)), evs
-        slots = [S.substitute(g, ren) for g in slots]
         build = lambda it: E.ClauseApp(label, digest, args, tuple(_assemble(g, it) for g in slots))
         return (partial(self._group, _items(slots, s), (), build, depth - 1, env, restriction), todo), evs
 

@@ -392,16 +392,8 @@ class _Checker:
             except Exception:
                 return _nok(path, f"unintelligible argument for {v.name!r}")
         head, slots = clause.instantiate(e.args)
-        if head != phi:
-            # A policy owner's clause with a bare atomic head also witnesses
-            # the owner's own attestation of that head.
-            if not (
-                owner is not None
-                and isinstance(phi, S.Attest)
-                and phi.principal == S.Const(owner, "Principal")
-                and phi.body == head
-            ):
-                return _nok(path, f"clause {e.label!r} head does not match the goal")
+        if S.proved_head(head, owner, phi) != phi:
+            return _nok(path, f"clause {e.label!r} head does not match the goal")
         if len(slots) != len(e.premises):
             return _nok(path, f"clause {e.label!r}: {len(slots)} premises expected")
         return slots

@@ -58,16 +58,16 @@ def decode_frame(data: bytes) -> dict:
     return obj
 
 
-def _b64(data: bytes) -> str:
+def b64(data: bytes) -> str:
     return base64.b64encode(data).decode()
 
 
-def _unb64(text: str) -> bytes:
+def unb64(text: str) -> bytes:
     return base64.b64decode(text)
 
 
 def _is_b64(x) -> bool:
-    """Whether `x` can be given to `_unb64`: text that is all ASCII."""
+    """Whether `x` can be given to `unb64`: text that is all ASCII."""
     return isinstance(x, str) and x.isascii()
 
 
@@ -120,7 +120,7 @@ class SimNetwork:
             except TransportError:
                 continue
             if obj.get("type") == "QUERY":
-                goal = codec.decode_formula(_unb64(obj["goal_b64"]))
+                goal = codec.decode_formula(unb64(obj["goal_b64"]))
                 out.append(f"{frm} -> {to}: {S.fmt_formula(goal)}")
         return out
 
@@ -335,7 +335,7 @@ class Node:
                         "from": self.name,
                         "to": to,
                         "session": list(chain),
-                        "goal_b64": _b64(codec.encode_formula(to_goal)),
+                        "goal_b64": b64(codec.encode_formula(to_goal)),
                         "vars": [[v.name, v.sort] for v in to_vars],
                         "budget": budget,
                     }
@@ -377,10 +377,10 @@ class Node:
             ):
                 continue  # unsigned or malformed
             try:
-                if pub is None or not crypto.verify(pub, _unb64(sig), encode_frame(obj)):
+                if pub is None or not crypto.verify(pub, unb64(sig), encode_frame(obj)):
                     continue  # no key, forged or altered
-                bindings = {name: codec.decode_term(_unb64(t)) for name, t in bindings.items()}
-                ev = codec.decode_evidence(_unb64(ev))
+                bindings = {name: codec.decode_term(unb64(t)) for name, t in bindings.items()}
+                ev = codec.decode_evidence(unb64(ev))
             except (CodecError, TransportError, binascii.Error):
                 continue
             if restriction is not None and isinstance(ev, E.KnowsWrap):
@@ -406,22 +406,24 @@ class Node:
             self.metrics["duplicates_ignored"] += 1
             return self._answered[request]
         self.metrics["queries_handled"] += 1
-        resp = [encode_frame(self._reply(obj, request))]
+        resp = [self._reply(obj, request)]
         if len(self._answered) >= ANSWER_CACHE:
             del self._answered[next(iter(self._answered))]
         self._answered[request] = resp
         return resp
 
-    def _reply(self, obj: dict, request: str) -> dict:
+    def _reply(self, obj: dict, request: str) -> bytes:
+        """The reply frame to a QUERY.  A search that raises, or an answer that
+        cannot be encoded, fails as `flounder: ...` or `internal: ...`."""
         qid = obj.get("qid", "")
         try:
-            goal = codec.decode_formula(_unb64(obj["goal_b64"]))
+            goal = codec.decode_formula(unb64(obj["goal_b64"]))
             S.validate_goal(goal)
             vars_ = [S.Var(n, s) for n, s in obj.get("vars", [])]
             budget = int(obj.get("budget", self.depth))
             chain = list(obj.get("session", []))
         except Exception as ex:
-            return {"type": "FAIL", "qid": qid, "reason": f"malformed query: {ex}"}
+            return encode_frame({"type": "FAIL", "qid": qid, "reason": f"malformed query: {ex}"})
         # Rename incoming metavariables into a local namespace so they can
         # never collide with this prover's own fresh variables.
         ren = {v: S.Var(f"q.{qid}.{v.name}", v.sort) for v in vars_}
@@ -429,25 +431,26 @@ class Node:
         search = self._ask(goal, list(ren.values()), min(budget, self.depth), chain)
         try:
             answer, reason = next(search, None), "no proof"
+            if answer is not None:
+                frame = {
+                    "type": "ANSWER",
+                    "qid": qid,
+                    "from": self.name,
+                    "request": request,
+                    "bindings": {
+                        v.name: b64(codec.encode_term(answer.bindings[rv])) for v, rv in ren.items()
+                    },
+                    "evidence_b64": b64(codec.encode_evidence(answer.evidence)),
+                }
+                frame["sig_b64"] = b64(crypto.sign(self.keys, encode_frame(frame)))
+                return encode_frame(frame)
         except Exception as ex:
             kind = "flounder" if isinstance(ex, FlounderError) else f"internal: {type(ex).__name__}"
-            answer, reason = None, f"{kind}: {ex}"
+            reason = f"{kind}: {ex}"
             self.trace.append(f"ERROR {qid} {ex}")
-        search.close()
-        if answer is None:
-            return {"type": "FAIL", "qid": qid, "reason": reason}
-        frame = {
-            "type": "ANSWER",
-            "qid": qid,
-            "from": self.name,
-            "request": request,
-            "bindings": {
-                v.name: _b64(codec.encode_term(answer.bindings[rv])) for v, rv in ren.items()
-            },
-            "evidence_b64": _b64(codec.encode_evidence(answer.evidence)),
-        }
-        frame["sig_b64"] = _b64(crypto.sign(self.keys, encode_frame(frame)))
-        return frame
+        finally:
+            search.close()
+        return encode_frame({"type": "FAIL", "qid": qid, "reason": reason})
 
     # -- local entry point ----------------------------------------------------
 

@@ -26,7 +26,6 @@ certificate, so the verdict, path and reason are the local checker's.
 
 from __future__ import annotations
 
-import base64
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -36,7 +35,7 @@ from . import codec
 from . import evidence as E
 from .crypto import Directory, keygen, sign_attestation, sha256
 from .errors import TransportError
-from .node import decode_frame, encode_frame
+from .node import b64, decode_frame, encode_frame, unb64
 
 
 def _time_term(t: int) -> S.Const:
@@ -197,12 +196,12 @@ class CheckerEndpoint:
         """Serve one check request frame (see the module docstring)."""
         try:
             req = decode_frame(data)
-            cert = codec.decode_certificate(base64.b64decode(req["cert_b64"]))
+            cert = codec.decode_certificate(unb64(req["cert_b64"]))
             chain = [cert.root_evidence]  # wrapper nodes down to the one `evidence_b64` replaces
             if "evidence_b64" in req:
                 while isinstance(chain[-1], (E.KnowsWrap, E.Abstraction)):
                     chain.append(chain[-1].body)
-                chain[-1] = codec.decode_evidence(base64.b64decode(req["evidence_b64"]))
+                chain[-1] = codec.decode_evidence(unb64(req["evidence_b64"]))
         except Exception as ex:
             return _refusal(f"malformed request: {ex}")
         ev, depth = chain.pop(), len(chain)
@@ -210,17 +209,13 @@ class CheckerEndpoint:
             ev = E.rebuild(w, (ev,), None)
         cert = replace(cert, root_evidence=ev)
         result, obligations = E.check_part(cert, self, self.directory)
-        oblige = [{"path": o.path[depth:], "cert_b64": _b64(codec.encode_certificate(_certificate(o)))}
+        oblige = [{"path": o.path[depth:], "cert_b64": b64(codec.encode_certificate(_certificate(o)))}
                   for o in obligations]
         resp = {"verdict": "ok" if result else "nok", "path": result.path[depth:], "reason": result.reason}
         try:
             return encode_frame({"type": "CHECK_RESP", **resp, "obligations": oblige})
         except TransportError as ex:
             return _refusal(str(ex))
-
-
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode()
 
 
 def _refusal(reason: str) -> bytes:
@@ -283,9 +278,9 @@ def remote_check(
         ev, cut = _cut(ev, endpoint.forwards)
         try:
             if obligation is None:
-                req = {"cert_b64": _b64(codec.encode_certificate(replace(cert, root_evidence=ev)))}
+                req = {"cert_b64": b64(codec.encode_certificate(replace(cert, root_evidence=ev)))}
             else:
-                req = {"cert_b64": obligation, "evidence_b64": _b64(codec.encode_evidence(ev))}
+                req = {"cert_b64": obligation, "evidence_b64": b64(codec.encode_evidence(ev))}
             frame = encode_frame({"type": "CHECK_REQ", **req})
         except TransportError as ex:
             return E.CheckResult(False, base, str(ex))

@@ -393,10 +393,10 @@ class Clause:
     head: Formula  # Atom or Attest(principal, Atom)
 
     # What is computed once per clause, in one attribute set with
-    # `object.__setattr__`: the encoding, or (encoding or None, template)
-    # once a template is made.  A cached_property stores into `__dict__`,
-    # and a second attribute would make the instance dict real; either
-    # slows every later attribute read on the clause.
+    # `object.__setattr__`: the encoding, or (encoding or None, templates,
+    # places) once the clause is compiled.  A cached_property stores into
+    # `__dict__`, and a second attribute would make the instance dict real;
+    # either slows every later attribute read on the clause.
     _cache = None
 
     @property
@@ -408,28 +408,47 @@ class Clause:
             from . import codec
 
             encoding = codec.encode_clause(self)
-            object.__setattr__(self, "_cache", (encoding, cache[1]) if cache.__class__ is tuple else encoding)
+            object.__setattr__(self, "_cache", (encoding, *cache[1:]) if cache.__class__ is tuple else encoding)
         return encoding
 
-    def instantiate(self, args: tuple) -> tuple:
-        """(head, slots) with `args` for the universals, as `substitute`
-        gives them.  Each atom over variables and constants is built from a
-        template made once: a function that picks its arguments from `args`
-        followed by the atom's own (its universal's, or its own)."""
-        if not self.universals:
-            return self.head, self.slots
+    def _compiled(self) -> tuple:
+        """The cache as (encoding or None, templates, `places`), made on first use."""
         cache = self._cache
         if cache.__class__ is not tuple:
             n, at = len(self.universals), {v: i for i, v in enumerate(self.universals)}
-            cache = cache, tuple(
+            templates = tuple(
                 _picker([at.get(a, n + j) for j, a in enumerate(f.args)])
                 if f.__class__ is Atom and FunApp not in map(type, f.args) else None
                 for f in (self.head, *self.slots)
             )
+            h = self.head
+            row = enumerate((h.principal, *h.body.args)) if h.__class__ is Attest else enumerate(h.args, 1)
+            first = {}  # each variable's first place, None when inside a function application
+            for i, t in row:
+                for v in term_vars(t):
+                    first.setdefault(v, i if v is t else None)
+            cache = cache, templates, tuple(first.get(v) for v in self.universals)
             object.__setattr__(self, "_cache", cache)
+        return cache
+
+    @property
+    def places(self) -> tuple:
+        """Per universal, its first place in the head row (an attestation's
+        principal at 0, then the atom's arguments from 1) if that is a whole
+        argument, else None: facing a goal constant of its sort there, the
+        universal stands for it (Warren's `get_variable`)."""
+        return self._compiled()[2]
+
+    def instantiate(self, args: tuple) -> tuple:
+        """(head, slots) with `args` for the universals, as `substitute`
+        gives them; a clause without universals is its own instance.  A
+        template picks the arguments of an atom over variables and constants
+        from `args` followed by the atom's own."""
+        if not self.universals:
+            return self.head, self.slots
         parts = [
             Atom(f.pred, pick(args + f.args)) if pick else substitute(f, dict(zip(self.universals, args)))
-            for f, pick in zip((self.head, *self.slots), cache[1])
+            for f, pick in zip((self.head, *self.slots), self._compiled()[1])
         ]
         return parts[0], tuple(parts[1:])
 
@@ -470,6 +489,16 @@ def knows_owners(principals) -> set:
     """Owners whose policies a `knows {principals}` goal admits: the
     constant principals, and the common policy."""
     return {p.name for p in principals if isinstance(p, Const)} | {COMMON}
+
+
+def proved_head(head: Formula, owner: str | None, goal: Formula) -> Formula:
+    """What a clause of `owner`'s policy (None: a hypothesis) with head
+    instantiated as `head` proves toward `goal`: the head, or for an
+    attestation goal an owner's bare head attested by the owner.  The common
+    policy's bare heads and a hypothesis's attest nothing."""
+    if goal.__class__ is Attest and head.__class__ is Atom and owner not in (None, COMMON):
+        return Attest(Const(owner, "Principal"), head)
+    return head
 
 
 # ---------------------------------------------------------------------------

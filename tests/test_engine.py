@@ -665,6 +665,19 @@ def test_a_variable_goal_argument_gets_a_fresh_variable():
     assert counter == 6
 
 
+def test_a_universal_bound_twice_gets_one_term():
+    # `c1_2` quantifies `x` twice, outside the conjunction and inside it;
+    # both binders take the one term, matched or fresh
+    src = "c1: forall x:Thing. (p(x, x) /\\ forall x:Thing. q(x)).\n"
+    answers, trace, counter, d = _applied(src, "q(a)")
+    assert answers == [({}, E.ClauseApp("c1_2", d, (C("a"), C("a"))))]
+    assert (trace, counter) == (["STEP 64 goal q(a)", "STEP 64 apply c1_2 q(a)"], 3)
+    answers, trace, counter, d = _applied(src, "exists z:Thing. q(z)")
+    z = S.Var("_1", "Thing")
+    assert answers == [({}, E.Witness(z, E.ClauseApp("c1_2", d, (z, z))))]
+    assert (trace, counter) == (["STEP 64 goal q(_1)", "STEP 64 apply c1_2 q(_1)"], 4)
+
+
 def test_attested_heads_match_the_principal_first():
     k = S.Const("K", "Principal")
     answers, trace, counter, d = _applied("r1: forall x:Thing. K says q(x).\n", "K says q(a)")
@@ -678,6 +691,31 @@ def test_attested_heads_match_the_principal_first():
     answers, trace, counter, d = _applied("r1: forall x:Thing. q(x).\n", "w says q(a)")
     assert answers == [({"w": "K"}, E.ClauseApp("r1", d, (C("a"),)))]
     assert (trace, counter) == (["STEP 64 goal w says q(a)", "STEP 64 apply r1 K says q(a)"], 2)
+
+
+# Who owns a bare fact `p(K)`, and which goals its application proves: the
+# prover finds an answer exactly when the checker accepts the application.
+_BARE_OWNERS = {"K": "K", "common": S.COMMON, "a hypothesis": None}
+_BARE_PROVES = {"p(K)": {"K", "common", "a hypothesis"}, "K says p(K)": {"K"}, "common says p(K)": set()}
+
+
+@pytest.mark.parametrize("owner", sorted(_BARE_OWNERS))
+@pytest.mark.parametrize("goal_text", sorted(_BARE_PROVES))
+def test_prover_and_checker_agree_on_bare_heads(owner, goal_text):
+    name = _BARE_OWNERS[owner]
+    pol = parser.parse_policy("pred p(Principal).\nprincipal K, common.\nf: p(K).\n", name or "K")
+    goal, _ = parser.parse_goal(goal_text, pol.signature)
+    if name is None:
+        prover, policies, env, digest = Prover({}), {}, E.HypothesisEnv({"f": pol.clauses[0]}), None
+    else:
+        prover, policies, env, digest = Prover({name: pol}), {pol.digest: pol}, E.HypothesisEnv(), pol.digest
+    answer = prover.first(goal, env=env)
+    verdict = E.check(policies, env, E.ClauseApp("f", digest), goal)
+    assert (answer is not None, verdict.ok) == ((owner in _BARE_PROVES[goal_text],) * 2)
+    if answer is not None:
+        assert answer.evidence == E.ClauseApp("f", digest)
+    else:
+        assert verdict.reason == "clause 'f' head does not match the goal"
 
 
 def test_a_single_disjunction_slot():

@@ -699,6 +699,21 @@ def test_a_clause_without_universals_is_its_own_instance():
     assert c._cache is None  # no template made
 
 
+def test_a_clause_record_places_the_universals_the_head_determines():
+    k, x, y = S.Var("k", "Principal"), S.Var("x", "Thing"), S.Var("y", "Int")
+    a = S.Const("a", "Thing")
+    # an attestation's principal is place 0; `y` first occurs under `succ`
+    head = S.Attest(k, S.Atom("p", (x, S.FunApp("succ", (y,)), x, y)))
+    assert S.Clause("r", (k, x, y), (), head).places == (0, 1, None)
+    # a bare head's arguments count from 1; a repeated universal shares its place
+    c = S.Clause("r", (x, x), (S.Atom("q", (x,)),), S.Atom("p", (x,)))
+    assert c.places == (1, 1)
+    # the encoding, computed after the record, keeps it
+    compiled = c.instantiate((a, a)), c.places
+    assert c.encoding == codec.encode_clause(c)
+    assert (c.instantiate((a, a)), c.places) == compiled == ((S.Atom("p", (a,)), (S.Atom("q", (a,)),)), (1, 1))
+
+
 def test_a_digest_the_checker_does_not_hold_is_unknown():
     pol, _, cert = _looping_chain(steps=2)
     res = E.check_certificate(cert, {})

@@ -563,3 +563,34 @@ def test_a_silent_peer_counts_as_no_answer():
     finally:
         server.shutdown()
         server.server_close()
+
+
+DEEP_DECLS = "pred n(Time).\nprincipal A, B.\n"
+# B tries the recursive clause first, so it binds X to the deepest chain
+# its depth budget reaches: `succ` nested far past MAX_NESTING
+DEEP_B = DEEP_DECLS + "b1: forall t:Time. (B says n(t)) => B says n(succ(t)).\nb0: B says n(0).\n"
+
+
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_an_answer_too_deep_to_encode_is_an_internal_failure(transport):
+    w = scenarios.build_world([("A", DEEP_DECLS), ("B", DEEP_B)], 0, depth=300)
+    a, b = w.node("A"), w.node("B")
+    goal, free = parser.parse_goal("B says n(X)", a.policy.signature)
+    if transport == "sim":
+        assert a.ask_first(goal, free) is None
+        (_, _, query), (_, _, reply) = w.network.frames
+        assert b.handle_frame(query) == [reply]  # cached like any other reply
+    else:
+        server, thread, port = serve_node(b, "127.0.0.1", 0)
+        try:
+            a.network = TcpTransport({"B": ("127.0.0.1", port)}, timeout=30)
+            assert a.ask_first(goal, free) is None
+        finally:
+            server.shutdown()
+            server.server_close()
+        (reply,) = b._answered.values()
+        assert a.metrics["transport_errors"] == 0  # B replied
+        (reply,) = reply
+    fail = decode_frame(reply)
+    assert fail["type"] == "FAIL" and fail["qid"] == "A-1"
+    assert fail["reason"] == "internal: CodecError: term or formula nested deeper than 128"

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Mutation check of the certificate writer and reader (`codec`), the
-trusted checker (`evidence._Checker`) and `crypto.verify_attestation`.
+trusted checker (`evidence._Checker`), `crypto.verify_attestation`, and
+clause application as prover and checker share it (`syntax.Clause` and
+`syntax.proved_head`).
 
 Each mutant is one small change to one of the listed targets, made in a
 copy of the repository in a temporary directory; the target's named test
@@ -51,6 +53,8 @@ TARGETS = [
      ("tests/test_evidence.py", "tests/test_services.py", "tests/test_acceptance.py")),
     ("attestation", "src/cyberlogic/crypto.py", ("verify_attestation",),
      ("tests/test_crypto.py", "tests/test_evidence.py")),
+    ("clause", "src/cyberlogic/syntax.py", ("Clause", "proved_head"),
+     ("tests/test_evidence.py", "tests/test_engine.py", "tests/test_golden.py")),
 ]
 
 _OPPOSITE = {
