@@ -1,7 +1,7 @@
-"""Canonical binary encoding (`CYL2`): a node is a one-byte tag, then its
-fields in the order of its class's fields, so encodings are injective and
-deterministic and decode(encode(x)) == x.  Signatures and digests are
-computed over these bytes.
+"""Canonical binary encoding (`CYL3`): a node is a one-byte tag, then its
+fields in the order of its class's fields (a certificate's pins first), so
+encodings are injective and deterministic and decode(encode(x)) == x.
+Signatures and digests are computed over these bytes.
 
 `FORMAT` is the only statement of the format: for each node kind it maps a
 tag to the node's class and the kinds of its fields.  It is compiled once,
@@ -20,10 +20,10 @@ sorts by it and the reader checks it, and both refuse a repeated key.  One
 decode makes one value of each node with only string and byte fields,
 such as one `Const` per (name, sort).
 
-A clause application's policy digest is written in full once per encoding,
-then as its index among the distinct digests written so far.  The reader
-refuses a digest written in full twice, a reference to an index not read
-yet and a flag above 2; decoded applications share one digest object.
+A policy digest is written in full once per encoding, a certificate's pins
+first, then as its index among the distinct digests written so far.  The
+reader refuses a digest written in full twice, a reference to an index not
+read yet and a flag above 2; decoded applications share one digest object.
 """
 
 from __future__ import annotations
@@ -38,16 +38,17 @@ from . import evidence as E
 from . import syntax as S
 from .crypto import PrincipalId, SignedAttestation, sha256
 
-MAGIC = b"CYL2"  # a certificate is MAGIC, then its node
+MAGIC = b"CYL3"  # a certificate is MAGIC, then its node
 
 # Field kinds: "s" a UTF-8 string and "b" a byte string, each after its u32
-# length; "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "#" an
-# optional policy digest: flag 0; 1 then a "b" this encoding has not held
-# before; 2 then the u32 index, by first writing, of one it has; the reader
-# refuses a digest in full twice, an index not read yet, any other flag; "*k"
-# a counted list of k (u32 count, then the items); "{k}" a set of k (a
-# counted list whose items strictly increase by `_ORDER`'s key for k, else
-# by value, read as a frozenset); else a node of that kind.
+# length; "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "p" a
+# policy digest new to this encoding, as a "b"; "#" an optional policy
+# digest: flag 0; 1 then a "p"; 2 then the u32 index, by first writing, of
+# one it has; the reader refuses a digest in full twice, an index not read
+# yet, any other flag; "*k" a counted list of k (u32 count, then the items);
+# "{k}" a set of k (a counted list whose items strictly increase by
+# `_ORDER`'s key for k, else by value, read as a frozenset); else a node of
+# that kind.  A third item lists the fields in writing order.
 FORMAT = {
     "term": {0x01: (S.Var, "s s"), 0x02: (S.Const, "s s"), 0x03: (S.FunApp, "s *term")},
     "var": {0x01: (S.Var, "s s")},  # a quantifier's binder
@@ -74,7 +75,8 @@ FORMAT = {
     "attestation": {0x30: (SignedAttestation, "pid b b ?q")},
     "pid": {0x31: (PrincipalId, "s b")},
     "clause": {0x50: (S.Clause, "s *term *formula formula")},
-    "certificate": {0x40: (E.Certificate, "formula evidence {b} {pid} ?attestation")},
+    "certificate": {0x40: (E.Certificate, "{p} formula evidence {pid} ?attestation",
+                           "policy_digests root_formula root_evidence directory created_at")},
 }
 NESTED = ("term", "var", "formula")  # the kinds whose depth is bounded
 _U32 = struct.Struct(">I").pack
@@ -90,7 +92,7 @@ _TOO_DEEP = f"term or formula nested deeper than {S.MAX_NESTING}"
 # field's attribute, or None for an item of a sequence.  A string, byte
 # string or i64 has a reader `rd(data, pos, memo) -> (value, pos)`.  A
 # node has its kind's table `sub`: tag and class -> spec (the tag's reader
-# or None, class, field ops, whether the fields are one level deeper, tag
+# or None, builder, field ops, whether the fields are one level deeper, tag
 # byte).  A list, a set or an optional has its item's op `sub` and `many`,
 # (count reader, build from the items, the writer's sort or None).  A node
 # with only string and byte fields is written and read in place: the
@@ -134,20 +136,25 @@ def _interned(cls, kinds):
     return read
 
 
+def _pin(data, pos, memo):
+    """A "p" field.  `memo[None]` maps each digest read, and its index, to it."""
+    (v, pos), seen = _BYTES(data, pos, memo), memo[None]
+    if v in seen:
+        raise CodecError("digest written in full twice")
+    seen[len(seen) // 2] = seen[v] = v  # its index, then itself
+    return v, pos
+
+
 def _digest(data, pos, memo):
-    """A "#" field.  `memo[None]` maps each digest read, and its index, to it."""
-    flag, seen = data[pos], memo[None]
+    """A "#" field."""
+    flag = data[pos]
     if flag == 2:
-        v = seen.get(_U32_AT(data, pos + 1)[0])
+        v = memo[None].get(_U32_AT(data, pos + 1)[0])
         if v is None:
             raise CodecError("digest reference to a digest not read yet")
         return v, pos + 5
     if flag == 1:
-        v, pos = _BYTES(data, pos + 1, memo)
-        if v in seen:
-            raise CodecError("digest written in full twice")
-        seen[len(seen) // 2] = seen[v] = v  # its index, then itself
-        return v, pos
+        return _pin(data, pos + 1, memo)
     if flag:
         raise CodecError("bad digest flag")
     return None, pos + 1
@@ -192,7 +199,7 @@ def _set(key) -> tuple:
 
 
 _TEXT, _BYTES = _string(bytes.decode), _string(bytes)
-_PLAIN = {"s": _TEXT, "b": _BYTES, "q": _i64, "#": _digest}
+_PLAIN = {"s": _TEXT, "b": _BYTES, "q": _i64, "p": _pin, "#": _digest}
 _LIST, _OPTION = (_count, _values, None), (_flag, lambda *x: x[0] if x else None, None)
 _TABLES = {kind: {} for kind in FORMAT}
 
@@ -218,7 +225,7 @@ def _write(out: list, x, ops, d: int = 1):
     list's items up to the first other node; before that node is entered,
     the state after it, (x, ops, next op, d), goes on the work stack."""
     put, limit, todo, seen = out.append, S.MAX_NESTING, [], {}  # seen: digest -> reference
-    text, i64, digest, option, u32 = _TEXT, _i64, _digest, _OPTION, _U32
+    text, i64, pin, digest, option, u32 = _TEXT, _i64, _pin, _digest, _OPTION, _U32
     i, n = 0, len(ops)
     while True:
         while i < n:
@@ -236,12 +243,12 @@ def _write(out: list, x, ops, d: int = 1):
                 elif rd is i64:
                     put(_I64(v))
                     continue
-                elif rd is digest:
+                elif rd is digest or rd is pin:  # a pin is new: a certificate's come first
                     if v is None or v in seen:
                         put(b"\x00" if v is None else seen[v])
                         continue
                     seen[v] = b"\x02" + u32(len(seen))
-                    put(b"\x01")
+                    put(b"\x01" if rd is digest else b"")
                 put(u32(len(v)))
                 put(v)
                 continue
@@ -380,11 +387,12 @@ encode_clause = partial(_encode, "clause")
 # The order key of each set kind that is not ordered by value.
 _ORDER = {"term": encode_term, "pid": attrgetter("name")}
 for _kind, _tags in FORMAT.items():
-    for _tag, (_cls, _ks) in _tags.items():
-        _ks = _ks.split()
+    for _tag, (_cls, _ks, *_order) in _tags.items():
+        _ks, _names = _ks.split(), _order[0].split() if _order else [f.name for f in _class_fields(_cls)]
         _rd = _interned(_cls, _ks) if set(_ks) <= {"s", "b"} else None
-        _ops = tuple(map(_op, _ks, (f.name for f in _class_fields(_cls))))
-        _TABLES[_kind][_tag] = _TABLES[_kind][_cls] = (_rd, _cls, _ops, _kind in NESTED, bytes((_tag,)))
+        _build = partial(lambda c, ns, *vs: c(**dict(zip(ns, vs))), _cls, _names) if _order else _cls
+        _ops = tuple(map(_op, _ks, _names))
+        _TABLES[_kind][_tag] = _TABLES[_kind][_cls] = (_rd, _build, _ops, _kind in NESTED, bytes((_tag,)))
 _ROOT = {kind: (_op(kind),) for kind in FORMAT}
 _POLICY = tuple(map(_op, ("s", "{s}", "{s}")))  # owner, sorts, principals
 _PREDICATE = tuple(map(_op, ("s", "*s")))  # name, argument sorts

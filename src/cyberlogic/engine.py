@@ -25,15 +25,16 @@ occurrence is a whole head argument facing a goal constant of its sort
 stands for that constant, with no fresh variable, binding or trail entry;
 the others get fresh variables, and the fresh-name counter advances once
 per universal either way.  Those places come from the clause's record,
-compiled once (`syntax.Clause.places`); head and slots from its templates
+compiled once (`syntax.Clause.matcher`); head and slots from its templates
 (`Clause.instantiate`), and what the head proves from `syntax.proved_head`,
-both as in the checker.  A clause whose one premise slot is neither a
-conjunction nor an interpreted atom solves it without the conjunct
-scheduler.  Atomic goals resolve in one pass, and a goal that applying a
-clause leaves as it was is printed once for the trace.  The variables and goals that key the substitution and the
-open-goal set hash once, and constants print once (`syntax`).  They are
-immutable, so a cache holds what a fresh computation would give, even
-when TCP handler threads race to fill it.
+all as in the checker; the evidence writes only the arguments the checker
+cannot read off the goal.  A clause whose one premise slot is neither a
+conjunction nor an interpreted atom solves it without the conjunct scheduler.
+Atomic goals resolve in one pass, and a goal that applying a clause leaves as
+it was is printed once for the trace.  The variables and goals that key the
+substitution and the open-goal set hash once, and constants print once
+(`syntax`).  They are immutable, so a cache holds what a fresh computation
+would give, even when TCP handler threads race to fill it.
 """
 
 from __future__ import annotations
@@ -594,19 +595,19 @@ class Prover:
         """The alternative of `clause` of `owner`'s policy (None: a
         hypothesis) for atomic goal `goal` (open as `g_res`, printed as
         `text`): the goal unified with what the head proves, renamed apart,
-        in one call of `unify_atomic`.  A universal that `clause.places`
-        puts facing a goal constant of its sort stands for it, and every
+        in one call of `unify_atomic`.  A universal that the clause's places
+        put facing a goal constant of its sort stands for it, and every
         other one gets a fresh variable; each advances the fresh-name
         counter.  A single premise slot that is neither a conjunction nor an
         interpreted atom is solved directly; other bodies go to the conjunct
         scheduler."""
         state, s = self.state, self.state.subst
-        universals, ren = clause.universals, {}
+        universals, ren, (places, keep, _, _) = clause.universals, {}, clause.matcher
         if universals:
             atom = _atom_of(goal)
-            row = () if atom is None else (goal.principal if goal.__class__ is S.Attest else None, *atom.args)
-            for v, at in zip(universals, clause.places):
-                t = walk(row[at], s) if at is not None and at < len(row) else None
+            row = () if atom is None else (goal.principal, *atom.args) if goal.__class__ is S.Attest else atom.args
+            for v, at in zip(universals, places):
+                t = walk(row[at], s) if 0 > at >= -len(row) else None
                 if v in ren or (t.__class__ is S.Const and t.sort == v.sort):
                     state.counter += 1
                     ren.setdefault(v, t)
@@ -626,14 +627,14 @@ class Prover:
                 return None
             text = None
         self._log(depth, f"apply {clause.label}", g2, text)
-        label = clause.label
+        label, written = clause.label, keep(args)
         if not slots:
-            return todo, (E.ClauseApp(label, digest, args), evs)
+            return todo, (E.ClauseApp(label, digest, written), evs)
         if len(slots) == 1 and slots[0].__class__ is not S.And and not _interpreted(slots[0]):
-            node = lambda ev: E.ClauseApp(label, digest, args, (ev,))
+            node = lambda ev: E.ClauseApp(label, digest, written, (ev,))
             solve = partial(self._solve, slots[0], depth - 1, env, restriction)
             return (solve, (partial(_wrap, node), todo)), evs
-        build = lambda it: E.ClauseApp(label, digest, args, tuple(_assemble(g, it) for g in slots))
+        build = lambda it: E.ClauseApp(label, digest, written, tuple(_assemble(g, it) for g in slots))
         return (partial(self._group, _items(slots, s), (), build, depth - 1, env, restriction), todo), evs
 
     def _remote(self, goal, depth, restriction, todo, evs):

@@ -63,9 +63,9 @@ class Abstraction:
 class ClauseApp:
     """Backchaining step.  `policy_digest` pins the policy the clause came
     from; None means a session hypothesis looked up in the environment.
-    `args` instantiate the clause universals in binder order; `premises`
-    hold one evidence term per premise slot of the instantiated clause,
-    in textual order."""
+    `args` instantiate the universals the head does not fix (the checker
+    reads the others off the goal), in binder order; `premises` hold one
+    evidence term per premise slot of the instantiated clause, in order."""
 
     label: str
     policy_digest: bytes | None
@@ -366,8 +366,7 @@ class _Checker:
     def _check_clause_app(self, e: ClauseApp, phi, env, allowed, scope, path):
         """The verdict on `e`, or the goals its premises must prove."""
         if e.policy_digest is None:
-            clause = env.clause(e.label)
-            owner = None
+            clause, owner = env.clause(e.label), None
             if clause is None:
                 return _nok(path, f"unknown hypothesis {e.label!r}")
         else:
@@ -383,15 +382,21 @@ class _Checker:
             clause = policy.clause(e.label)
             if clause is None:
                 return _nok(path, f"no clause {e.label!r} in policy of {owner!r}")
-        if len(e.args) != len(clause.universals):
-            return _nok(path, f"clause {e.label!r} expects {len(clause.universals)} arguments")
-        for v, t in zip(clause.universals, e.args):
+        _, keep, need, fill = clause.matcher
+        if len(e.args) != len(keep(clause.universals)):
+            return _nok(path, f"clause {e.label!r} expects {len(keep(clause.universals))} arguments")
+        says = phi.__class__ is S.Attest  # the goal row: its principal, then the atom's arguments
+        row = (phi.principal, *getattr(phi.body, "args", ())) if says else getattr(phi, "args", ())
+        if len(row) < need:
+            return _nok(path, f"clause {e.label!r} head does not match the goal")
+        args = fill(e.args + row)
+        for v, t in zip(clause.universals, args):
             try:
                 if S.term_sort(t) != v.sort:
                     return _nok(path, f"argument for {v.name!r} has the wrong sort")
             except Exception:
                 return _nok(path, f"unintelligible argument for {v.name!r}")
-        head, slots = clause.instantiate(e.args)
+        head, slots = clause.instantiate(args)
         if S.proved_head(head, owner, phi) != phi:
             return _nok(path, f"clause {e.label!r} head does not match the goal")
         if len(slots) != len(e.premises):

@@ -394,14 +394,15 @@ class Clause:
 
     # What is computed once per clause, in one attribute set with
     # `object.__setattr__`: the encoding, or (encoding or None, templates,
-    # places) once the clause is compiled.  A cached_property stores into
+    # matcher) once the clause is compiled.  A cached_property stores into
     # `__dict__`, and a second attribute would make the instance dict real;
     # either slows every later attribute read on the clause.
     _cache = None
+    _NO_MATCH = ((), _picker([]), 0, _picker([]))  # the matcher of a clause without universals
 
     @property
     def encoding(self) -> bytes:
-        """The clause's CYL2 bytes, computed once."""
+        """The clause's canonical bytes (`codec`), computed once."""
         cache = self._cache
         encoding = cache[0] if cache.__class__ is tuple else cache
         if encoding is None:
@@ -412,7 +413,7 @@ class Clause:
         return encoding
 
     def _compiled(self) -> tuple:
-        """The cache as (encoding or None, templates, `places`), made on first use."""
+        """The cache as (encoding or None, templates, `matcher`), made on first use."""
         cache = self._cache
         if cache.__class__ is not tuple:
             n, at = len(self.universals), {v: i for i, v in enumerate(self.universals)}
@@ -422,22 +423,27 @@ class Clause:
                 for f in (self.head, *self.slots)
             )
             h = self.head
-            row = enumerate((h.principal, *h.body.args)) if h.__class__ is Attest else enumerate(h.args, 1)
+            row = (h.principal, *h.body.args) if h.__class__ is Attest else h.args
             first = {}  # each variable's first place, None when inside a function application
-            for i, t in row:
+            for i, t in enumerate(row, -len(row)):
                 for v in term_vars(t):
                     first.setdefault(v, i if v is t else None)
-            cache = cache, templates, tuple(first.get(v) for v in self.universals)
+            found = [first.get(v) for v in self.universals]
+            places = tuple(found[:j].count(None) if p is None else p for j, p in enumerate(found))
+            keep = _picker([j for j, p in enumerate(found) if p is None])
+            cache = cache, templates, (places, keep, -min([0, *places]), _picker(places))
             object.__setattr__(self, "_cache", cache)
         return cache
 
     @property
-    def places(self) -> tuple:
-        """Per universal, its first place in the head row (an attestation's
-        principal at 0, then the atom's arguments from 1) if that is a whole
-        argument, else None: facing a goal constant of its sort there, the
-        universal stands for it (Warren's `get_variable`)."""
-        return self._compiled()[2]
+    def matcher(self) -> tuple:
+        """(places, keep, need, fill).  Per universal, its first place in the
+        head row (an attestation's principal, then the atom's arguments) from
+        the end, if a whole argument is there (Warren's `get_variable`), else
+        its index among the arguments an application writes, `keep(args)`;
+        `fill(written + row)` gives all for a goal row of `need` items or more."""
+        cache = self._cache
+        return cache[2] if cache.__class__ is tuple else self._compiled()[2] if self.universals else self._NO_MATCH
 
     def instantiate(self, args: tuple) -> tuple:
         """(head, slots) with `args` for the universals, as `substitute`

@@ -24,17 +24,15 @@ def test_01_hospital_scenario():
     assert r.elapsed < 1.0
     assert r.check and r.check.ok
     # the medical-record derivation instantiates the trusted-hospital
-    # clause at Z = B and the cross-vouching clause at Z1 = B, Z2 = C
+    # clause at Z = B and the cross-vouching clause at Z1 = B, Z2 = C; the
+    # other arguments are in the clauses' heads, which the checker matches
+    # against the goal, so they are not written
     apps = {a.label: a for a in _clause_apps(r.certificate.root_evidence)}
     B = S.Const("B", "Principal")
     C = S.Const("C", "Principal")
-    assert apps["a3"].args[2] == B  # Z
-    assert apps["a4"].args[1] == B  # Z1
-    assert apps["a4"].args[2] == C  # Z2
-    assert r.details["spine"] == (
-        "a2(Alice)(Peter)(a3(Alice)(Peter)(B)"
-        "(a4(B)(B)(C)(_)(inr(a1))((b2,c1)))(b3))"
-    )
+    assert apps["a3"].args == (B,)  # Z
+    assert apps["a4"].args == (B, C)  # Z1, Z2
+    assert r.details["spine"] == "a2(a3(B)(a4(B)(C)(_)(inr(a1))((b2,c1)))(b3))"
 
 
 def test_02_delegation_scenario():

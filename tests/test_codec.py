@@ -244,13 +244,28 @@ def test_hypothesis_tag_rejected():
 # layout: magic, tag, formula, evidence, an empty store, no digests, no
 # directory, no creation stamp.
 CYL1_TOP = b"CYL1\x40\x10\x20" + bytes(12) + b"\x00"
+# The same certificate in the retired CYL2 layout: magic, tag, formula,
+# evidence, no pins, no directory, no creation stamp.  CYL3 writes the pins
+# first.
+CYL2_TOP = b"CYL2\x40\x10\x20" + bytes(9)
+CYL3_TOP = b"CYL3\x40" + bytes(4) + b"\x10\x20" + bytes(5)
 
 
 def test_cyl1_certificate_rejected():
     with pytest.raises(CodecError, match="not a certificate"):
         codec.decode_certificate(CYL1_TOP)
-    cert = codec.decode_certificate(b"CYL2" + CYL1_TOP[4:7] + bytes(9))
+    cert = codec.decode_certificate(CYL3_TOP)
     assert cert == E.Certificate(S.TOP, E.Unit())
+    assert codec.encode_certificate(cert) == CYL3_TOP
+
+
+def test_a_cyl2_certificate_is_refused():
+    with pytest.raises(CodecError, match="not a certificate"):
+        codec.decode_certificate(CYL2_TOP)
+    with pytest.raises(CodecError, match="not a certificate"):  # the CYL3 layout under the old magic
+        codec.decode_certificate(b"CYL2" + CYL3_TOP[4:])
+    with pytest.raises(CodecError, match="truncated"):  # the CYL2 layout under the new magic
+        codec.decode_certificate(b"CYL3" + CYL2_TOP[4:])
 
 
 def test_policy_digest_changes_with_any_clause():
@@ -373,7 +388,7 @@ def test_evidence_nests_to_any_depth(pattern, depth, cut):
     assert codec.encode_evidence(codec.decode_evidence(data)) == data
     with pytest.raises(CodecError):
         codec.decode_evidence(data[: len(data) - 1 - cut])
-    cert = codec.MAGIC + b"\x40\x10" + data + bytes(9)  # proves `true`, pins nothing
+    cert = codec.MAGIC + b"\x40" + bytes(4) + b"\x10" + data + bytes(5)  # pins nothing, proves `true`
     _read_or_refuse(cert)
     _answered(cert)
 
@@ -420,8 +435,8 @@ def _pid_bytes(name: str) -> bytes:
 
 
 def _cert_bytes(digests=(), pids=(), formula=b"\x10") -> bytes:
-    out = codec.MAGIC + b"\x40" + formula + b"\x20" + struct.pack(">I", len(digests))
-    out += b"".join(struct.pack(">I", len(d)) + d for d in digests)
+    out = codec.MAGIC + b"\x40" + struct.pack(">I", len(digests))
+    out += b"".join(struct.pack(">I", len(d)) + d for d in digests) + formula + b"\x20"
     return out + struct.pack(">I", len(pids)) + b"".join(map(_pid_bytes, pids)) + b"\x00"
 
 
@@ -429,16 +444,18 @@ _A, _B = (codec.encode_term(S.Const(n, "Principal")) for n in "AB")
 _KNOWS = b"\x14" + struct.pack(">I", 2) + b"%s%s" + b"\x10"
 
 
-@pytest.mark.parametrize("data", [
-    _cert_bytes(digests=(b"\x02" * 32, b"\x01" * 32)),
-    _cert_bytes(digests=(b"\x01" * 32, b"\x01" * 32)),
-    _cert_bytes(pids=("B", "A")),
-    _cert_bytes(pids=("A", "A")),
-    _cert_bytes(formula=_KNOWS % (_B, _A)),
-    _cert_bytes(formula=_KNOWS % (_A, _A)),
+@pytest.mark.parametrize("data, reason", [
+    (_cert_bytes(digests=(b"\x02" * 32, b"\x01" * 32)), "out of order"),
+    # a pin enters the digest references as it is read, so a repeat is a
+    # digest written in full twice before the set is complete
+    (_cert_bytes(digests=(b"\x01" * 32, b"\x01" * 32)), "digest written in full twice"),
+    (_cert_bytes(pids=("B", "A")), "out of order"),
+    (_cert_bytes(pids=("A", "A")), "out of order"),
+    (_cert_bytes(formula=_KNOWS % (_B, _A)), "out of order"),
+    (_cert_bytes(formula=_KNOWS % (_A, _A)), "out of order"),
 ], ids=["digests swapped", "digest twice", "ids swapped", "id twice", "knows swapped", "knows twice"])
-def test_a_set_out_of_order_is_refused(data):
-    with pytest.raises(CodecError, match="out of order"):
+def test_a_set_out_of_order_is_refused(data, reason):
+    with pytest.raises(CodecError, match=reason):
         codec.decode_certificate(data)
 
 
@@ -500,17 +517,18 @@ def _consts(cert) -> list:
 
 
 def test_a_decoded_chain_certificate_holds_one_const_per_name_and_sort():
-    lines = ["sort Key. sort Tag.", "principal P.", "const k: Key."]
-    lines += [f"pred p{i}(Key, Tag)." for i in range(21)]
-    lines += [f"r{i}: forall x:Key, y:Tag. p{i + 1}(x, y) => p{i}(x, y)." for i in range(20)]
-    lines += ["f: forall y:Tag. p20(k, y)."]
-    world = scenarios.build_world([("P", "\n".join(lines) + "\n")], seed=0, depth=40)
+    # Each rule's `y` is not in its head, so each application writes `t`.
+    lines = ["sort Key. sort Tag.", "principal P.", "const k: Key.", "const t: Tag.", "pred q(Key, Tag)."]
+    lines += [f"pred p{i}(Key)." for i in range(21)]
+    lines += [f"r{i}: forall x:Key, y:Tag. q(x, y) /\\ p{i + 1}(x) => p{i}(x)." for i in range(20)]
+    lines += ["f: p20(k).", "g: q(k, t)."]
+    world = scenarios.build_world([("P", "\n".join(lines) + "\n")], seed=0, depth=60)
     node = world.node("P")
-    goal, free = parser.parse_goal('p0(k, "t")', node.policy.signature)
+    goal, free = parser.parse_goal("p0(k)", node.policy.signature)
     data = codec.encode_certificate(node.certify(node.ask_first(goal, free)))
     first, second = codec.decode_certificate(data), codec.decode_certificate(data)
     consts = _consts(first)
-    assert len(consts) == 2 + 2 * 20 + 1  # two in the goal and in each rule, one in the fact
+    assert len(consts) == 1 + 20  # one in the goal, one written by each rule
     assert {(c.name, c.sort) for c in consts} == {("k", "Key"), ("t", "Tag")}
     assert len({id(c) for c in consts}) == 2
     assert not {id(c) for c in consts} & {id(c) for c in _consts(second)}
@@ -610,7 +628,7 @@ def test_a_decoded_chain_certificate_holds_one_digest_object():
     node = world.node("P")
     goal, free = parser.parse_goal('p0(k, "t")', node.policy.signature)
     data = codec.encode_certificate(node.certify(node.ask_first(goal, free)))
-    assert data.count(node.policy.digest) == 2  # the pin and the first application
+    assert data.count(node.policy.digest) == 1  # the pin; every application refers to it
     digests = [x.policy_digest for x in E.nodes(codec.decode_certificate(data).root_evidence)]
     assert len(digests) == 21 and digests[0] == node.policy.digest
     assert len({id(d) for d in digests}) == 1

@@ -511,8 +511,10 @@ def test_lookups_leave_an_index_as_it_was_built(rnd):
 # compare index variants that share one clause application, so this is
 # what pins the bindings, fresh names and trace lines it produces.  The
 # programs are drawn from seeded `random.Random`s rather than hypothesis,
-# whose draws may change with its version.
-SEARCH_SHA256 = "d7d070161bf2b639b9ac315a81248f3a2bdbaf6390b9c03e5c8eb4b938280579"
+# whose draws may change with its version.  Moved when clause applications
+# stopped writing the arguments their heads fix: a prover that writes every
+# argument gives the earlier d7d07016... (CHANGES.md).
+SEARCH_SHA256 = "4d6289a999fdde3da9056d5707d794a7d9062c1a19ef48a9f072b576dde442b4"
 
 
 def test_random_searches_give_recorded_answers_and_traces():
@@ -584,14 +586,13 @@ def test_a_repeated_head_variable_takes_the_first_goal_argument():
     src = "r1: forall x:Thing. p(x, x).\n"
     assert _applied(src, "p(a, b)")[:3] == ([], ["STEP 64 goal p(a, b)"], 1)
     answers, trace, counter, d = _applied(src, "p(a, a)")
-    assert answers == [({}, E.ClauseApp("r1", d, (C("a"),)))]
+    assert answers == [({}, E.ClauseApp("r1", d))]  # `x` is read off the goal
     assert (trace, counter) == (["STEP 64 goal p(a, a)", "STEP 64 apply r1 p(a, a)"], 1)
     # A numeral and a `succ` chain of one value unify; the first one met
-    # is what the variable stands for.
-    three, succ2 = S.Const("3", "Time"), _succ(S.Const("2", "Time"))
-    for goal, first in (("m(3, succ(2))", three), ("m(succ(2), 3)", succ2)):
+    # is what the variable stands for, and the evidence writes neither.
+    for goal in ("m(3, succ(2))", "m(succ(2), 3)"):
         answers, trace, counter, d = _applied("t1: forall t:Time. m(t, t).\n", goal)
-        assert answers == [({}, E.ClauseApp("t1", d, (first,)))]
+        assert answers == [({}, E.ClauseApp("t1", d))]
         assert (trace, counter) == ([f"STEP 64 goal {goal}", f"STEP 64 apply t1 {goal}"], 1)
 
 
@@ -612,7 +613,7 @@ def test_a_head_variable_under_succ_and_a_whole_succ_argument():
     assert _applied(src, "n(2)")[:3] == ([], ["STEP 64 goal n(2)"], 1)
     assert _applied("t1: forall t:Time. m(succ(t), t).\n", "m(4, 3)")[:3] == ([], ["STEP 64 goal m(4, 3)"], 1)
     answers, trace, counter, d = _applied("m1: forall t:Time. n(t).\n", "n(succ(succ(0)))")
-    assert answers == [({}, E.ClauseApp("m1", d, (_succ(one),)))]
+    assert answers == [({}, E.ClauseApp("m1", d))]
     assert (trace, counter) == (["STEP 64 goal n(succ(succ(0)))", "STEP 64 apply m1 n(succ(succ(0)))"], 1)
 
 
@@ -633,19 +634,19 @@ def test_a_goal_constant_of_another_sort_fails_and_fresh_names_stay(monkeypatch)
     prover = Prover({"K": pol})
     answers = list(prover.ask(S.Atom("q", (C("a"),))))
     # `k` does not take the Thing `a`; `y` is named as if `k` and `x` had
-    # each had a variable
-    assert [a.evidence for a in answers] == [E.ClauseApp("s2", pol.digest, (C("a"), S.Var("_3", "Thing")))]
+    # each had a variable, and is the one argument `q(x)` does not fix
+    assert [a.evidence for a in answers] == [E.ClauseApp("s2", pol.digest, (S.Var("_3", "Thing"),))]
     assert (prover.trace, prover.state.counter) == (["STEP 64 goal q(a)", "STEP 64 apply s2 q(a)"], 3)
     assert len(calls) == 2  # one head attempt each
 
 
 def test_a_variable_goal_argument_gets_a_fresh_variable():
     answers, trace, counter, d = _applied("r1: forall x:Thing. p(x, x).\n", "exists z:Thing. p(a, z)")
-    assert answers == [({}, E.Witness(C("a"), E.ClauseApp("r1", d, (C("a"),))))]
+    assert answers == [({}, E.Witness(C("a"), E.ClauseApp("r1", d)))]
     assert (trace, counter) == (["STEP 64 goal p(a, _1)", "STEP 64 apply r1 p(a, a)"], 2)
     src = "r1: forall x:Thing, y:Thing. p(x, y) => q(x).\nr2: p(b, a).\n"
     answers, trace, counter, d = _applied(src, "exists z:Thing. q(z)")
-    r1 = E.ClauseApp("r1", d, (C("b"), C("a")), (E.ClauseApp("r2", d),))
+    r1 = E.ClauseApp("r1", d, (C("a"),), (E.ClauseApp("r2", d),))  # `y`; the goal gives `x`
     assert answers == [({}, E.Witness(C("b"), r1))]
     assert trace == [
         "STEP 64 goal q(_1)", "STEP 64 apply r1 q(_1)",
@@ -656,7 +657,7 @@ def test_a_variable_goal_argument_gets_a_fresh_variable():
     # `z`), which is not the clause's to rename: unification binds it.
     goal = "exists z:Thing. ((forall y:Thing. q(y) => p(y, z)) => p(a, b))"
     answers, trace, counter, d = _applied("r1: forall y:Thing. q(y).\n", goal)
-    h2 = E.ClauseApp("h2", None, (C("a"),), (E.ClauseApp("r1", d, (C("a"),)),))
+    h2 = E.ClauseApp("h2", None, (), (E.ClauseApp("r1", d),))
     assert answers == [({}, E.Witness(C("b"), E.Abstraction("h2", h2)))]
     assert trace == [
         "STEP 64 assume forall y:Thing. q(y) => p(y, _1)", "STEP 64 goal p(a, b)",
@@ -667,29 +668,29 @@ def test_a_variable_goal_argument_gets_a_fresh_variable():
 
 def test_a_universal_bound_twice_gets_one_term():
     # `c1_2` quantifies `x` twice, outside the conjunction and inside it;
-    # both binders take the one term, matched or fresh
+    # both binders take the one term, matched or fresh, which the goal gives
     src = "c1: forall x:Thing. (p(x, x) /\\ forall x:Thing. q(x)).\n"
     answers, trace, counter, d = _applied(src, "q(a)")
-    assert answers == [({}, E.ClauseApp("c1_2", d, (C("a"), C("a"))))]
+    assert answers == [({}, E.ClauseApp("c1_2", d))]
     assert (trace, counter) == (["STEP 64 goal q(a)", "STEP 64 apply c1_2 q(a)"], 3)
     answers, trace, counter, d = _applied(src, "exists z:Thing. q(z)")
     z = S.Var("_1", "Thing")
-    assert answers == [({}, E.Witness(z, E.ClauseApp("c1_2", d, (z, z))))]
+    assert answers == [({}, E.Witness(z, E.ClauseApp("c1_2", d)))]
     assert (trace, counter) == (["STEP 64 goal q(_1)", "STEP 64 apply c1_2 q(_1)"], 4)
 
 
 def test_attested_heads_match_the_principal_first():
     k = S.Const("K", "Principal")
     answers, trace, counter, d = _applied("r1: forall x:Thing. K says q(x).\n", "K says q(a)")
-    assert answers == [({}, E.ClauseApp("r1", d, (C("a"),)))]
+    assert answers == [({}, E.ClauseApp("r1", d))]
     assert (trace, counter) == (["STEP 64 goal K says q(a)", "STEP 64 apply r1 K says q(a)"], 1)
     src = "r1: forall k:Principal, x:Thing. k says p(x, x).\n"
     answers, trace, counter, d = _applied(src, "K says p(a, a)")
-    assert answers == [({}, E.ClauseApp("r1", d, (k, C("a"))))]
+    assert answers == [({}, E.ClauseApp("r1", d))]
     assert (trace, counter) == (["STEP 64 goal K says p(a, a)", "STEP 64 apply r1 K says p(a, a)"], 2)
     # an owner's bare head answers `K says ...`, for a variable principal too
     answers, trace, counter, d = _applied("r1: forall x:Thing. q(x).\n", "w says q(a)")
-    assert answers == [({"w": "K"}, E.ClauseApp("r1", d, (C("a"),)))]
+    assert answers == [({"w": "K"}, E.ClauseApp("r1", d))]
     assert (trace, counter) == (["STEP 64 goal w says q(a)", "STEP 64 apply r1 K says q(a)"], 2)
 
 
@@ -721,7 +722,7 @@ def test_prover_and_checker_agree_on_bare_heads(owner, goal_text):
 def test_a_single_disjunction_slot():
     src = "r1: forall x:Thing, y:Thing. (q(x) \\/ p(x, y)) => p(y, x).\nr2: p(a, b).\n"
     answers, trace, counter, d = _applied(src, "p(b, a)")
-    assert answers == [({}, E.ClauseApp("r1", d, (C("a"), C("b")), (E.Inr(E.ClauseApp("r2", d)),)))]
+    assert answers == [({}, E.ClauseApp("r1", d, (), (E.Inr(E.ClauseApp("r2", d)),)))]
     assert trace == [
         "STEP 64 goal p(b, a)", "STEP 64 apply r1 p(b, a)", "STEP 63 or q(a) \\/ p(a, b)",
         "STEP 63 goal q(a)", "STEP 63 goal p(a, b)", "STEP 63 apply r1 p(a, b)",
@@ -734,7 +735,7 @@ def test_a_single_comparison_slot_is_still_scheduled():
     src = "r1: forall x:Thing, y:Thing. x != y => p(x, y).\n"
     answers, trace, counter, d = _applied(src, "p(a, b)")
     hole = E.TheoryHole("!=", (C("a"), C("b")))
-    assert answers == [({}, E.ClauseApp("r1", d, (C("a"), C("b")), (hole,)))]
+    assert answers == [({}, E.ClauseApp("r1", d, (), (hole,)))]
     assert (trace, counter) == (["STEP 64 goal p(a, b)", "STEP 64 apply r1 p(a, b)"], 2)
     with pytest.raises(FlounderError, match="^interpreted goals never became ground: a != z$"):
         _applied(src, "p(a, z)")
@@ -748,8 +749,8 @@ def test_a_slot_binder_spelled_like_a_fresh_name():
     src = "r1: forall x:Thing. (forall _1:Thing. q(_1) => p(x, _1)) => q(x).\nr2: forall y:Thing. p(a, y).\n"
     answers, trace, counter, d = _applied(src, "q(a)")
     c2 = S.Const("c2", "Thing")
-    body = E.Abstraction("c2", E.Abstraction("h4", E.ClauseApp("r2", d, (c2,))))
-    assert answers == [({}, E.ClauseApp("r1", d, (C("a"),), (body,)))]
+    body = E.Abstraction("c2", E.Abstraction("h4", E.ClauseApp("r2", d)))
+    assert answers == [({}, E.ClauseApp("r1", d, (), (body,)))]
     assert trace == [
         "STEP 64 goal q(a)", "STEP 64 apply r1 q(a)",
         "STEP 63 all forall _1:Thing. q(_1) => p(a, _1)",

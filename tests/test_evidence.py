@@ -306,10 +306,12 @@ def _rejection_rows():
          "clock receipt is not a reading signed by T"),
         (E.TheoryHole("time_not_elapsed", deadline.args, clock), deadline, directory, (),
          "clock receipt is not earlier than the deadline"),
-        (E.ClauseApp("h", None, (three,), (E.Unit(),)), r_a, hyps, (), "argument for 'x' has the wrong sort"),
-        (E.ClauseApp("h", None, (S.FunApp("f", ()),), (E.Unit(),)), r_a, hyps, (),
+        # `x` is read off the goal: a Time, and then a term of no sort
+        (E.ClauseApp("h", None, (), (E.Unit(),)), S.Atom("r", (three,)), hyps, (),
+         "argument for 'x' has the wrong sort"),
+        (E.ClauseApp("h", None, (), (E.Unit(),)), S.Atom("r", (S.FunApp("f", ()),)), hyps, (),
          "unintelligible argument for 'x'"),
-        (E.ClauseApp("h", None, (r_a.args[0],)), r_a, hyps, (), "clause 'h': 1 premises expected"),
+        (E.ClauseApp("h", None), r_a, hyps, (), "clause 'h': 1 premises expected"),
         (E.PairEv(E.Unit(), E.Unit()), S.TOP, None, (), "pair evidence for a non-conjunction"),
         (E.PairEv(E.Unit(), E.Witness(three, E.Unit())), S.And(S.TOP, S.TOP), None, (1,),
          "witness evidence for a non-existential"),
@@ -333,6 +335,61 @@ def test_each_rejection_names_its_reason(evidence, goal, context, path, reason):
     env = context if isinstance(context, E.HypothesisEnv) else E.HypothesisEnv()
     directory = context if isinstance(context, Directory) else None
     assert E.check({}, env, evidence, goal, directory) == E.CheckResult(False, path, reason)
+
+
+_MATCH_POLICY = (
+    "sort Thing. principal K. const a: Thing. const b: Thing.\n"
+    "pred p2(Thing, Thing). pred s(Thing). pred t(Thing). pred u(Thing).\n"
+    "r2: forall x:Thing. p2(x, x).\n"
+    "rs: forall k:Principal, x:Thing. k says s(x).\n"
+    "rw: forall x:Thing, y:Thing. t(y) => u(x).\n"  # `y` is written, `x` read off the goal
+)
+_A, _B = S.Const("a", "Thing"), S.Const("b", "Thing")
+_HOSTILE_MATCHES = {
+    "a goal row shorter than the head": (
+        "r2", (), S.Atom("p2", (_A,)), "clause 'r2' head does not match the goal"),
+    "a conjunction goal": (
+        "r2", (), S.And(S.TOP, S.TOP), "clause 'r2' head does not match the goal"),
+    "a says head facing a bare atom": (
+        "rs", (), S.Atom("s", (_A,)), "clause 'rs' head does not match the goal"),
+    "a repeated universal facing unequal terms": (
+        "r2", (), S.Atom("p2", (_A, _B)), "clause 'r2' head does not match the goal"),
+    "a read constant of the wrong sort": (
+        "r2", (), S.Atom("p2", (S.Const("a", "Int"),) * 2), "argument for 'x' has the wrong sort"),
+    "a principal of the wrong sort": (
+        "rs", (), S.Attest(S.Const("K", "Thing"), S.Atom("s", (_A,))), "argument for 'k' has the wrong sort"),
+    "a written argument too many": (
+        "rw", (_A, _B), S.Atom("u", (_A,)), "clause 'rw' expects 1 arguments"),
+    "a written argument too few": (
+        "rw", (), S.Atom("u", (_A,)), "clause 'rw' expects 1 arguments"),
+    "a head argument written": (
+        "r2", (_A,), S.Atom("p2", (_A, _A)), "clause 'r2' expects 0 arguments"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE_MATCHES))
+def test_the_checker_refuses_a_goal_the_head_does_not_match(case):
+    label, written, goal, reason = _HOSTILE_MATCHES[case]
+    world = scenarios.build_world([("K", _MATCH_POLICY)], seed=0)
+    pol = world.policies["K"]
+    ev = E.ClauseApp(label, pol.digest, written, (E.Unit(),) if label == "rw" else ())
+    cert = E.Certificate(goal, ev, frozenset({pol.digest}))
+    local = E.check_certificate(cert, world.policy_map(), world.directory)
+    remote = remote_check(_registry(world), cert)
+    assert (local.ok, local.path, local.reason) == (remote.ok, remote.path, remote.reason) == (False, (), reason)
+
+
+def test_the_checker_reads_head_arguments_off_the_goal():
+    world = scenarios.build_world([("K", _MATCH_POLICY + "t1: t(b).\n")], seed=0)
+    pol, k = world.policies["K"], S.Const("K", "Principal")
+    for label, written, goal, premises in [
+        ("r2", (), S.Atom("p2", (_A, _A)), ()),
+        ("rs", (), S.Attest(k, S.Atom("s", (_B,))), ()),
+        ("rw", (_B,), S.Atom("u", (_A,)), (E.ClauseApp("t1", pol.digest),)),
+    ]:
+        cert = E.Certificate(goal, E.ClauseApp(label, pol.digest, written, premises), frozenset({pol.digest}))
+        assert E.check_certificate(cert, world.policy_map(), world.directory)
+        assert remote_check(_registry(world), cert)
 
 
 def test_nested_restrictions_admit_only_the_owners_both_admit():
@@ -404,7 +461,7 @@ def _flip_const_bit(t, bit):
 
 def _mutations(ev):
     """Yield single-bit structural mutations: signature bits, clause-label
-    bits, term-arg bits."""
+    bits, policy-digest bits, written term-arg bits."""
     for path, node in _tree_addresses(ev):
         if isinstance(node, E.AttLeaf):
             sa = node.attestation
@@ -420,6 +477,11 @@ def _mutations(ev):
                     continue
                 bad = E.ClauseApp(label, node.policy_digest, node.args, node.premises)
                 yield f"label[{bit}]@{path}", _replace(ev, path, bad)
+            for bit in range(0, len(node.policy_digest or b"") * 8, 4):  # each byte twice; any miss is alike
+                digest = bytearray(node.policy_digest)
+                digest[bit // 8] ^= 1 << (bit % 8)
+                bad = E.ClauseApp(node.label, bytes(digest), node.args, node.premises)
+                yield f"digest[{bit}]@{path}", _replace(ev, path, bad)
             for i, arg in enumerate(node.args):
                 if not isinstance(arg, S.Const):
                     continue
@@ -446,6 +508,8 @@ def test_tamper_completeness(runner):
         res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)
         assert not res, f"mutation accepted: {tag}"
         assert res.reason, f"no failure report for {tag}"
+        if tag.startswith("digest"):
+            assert res.reason.startswith("unknown policy digest"), tag
         total += 1
     assert total > 100  # the suite actually exercised many mutations
 
@@ -643,28 +707,30 @@ _SHAPE_HEADER = (
 )
 _HEAD = "clause 'r' head does not match the goal"
 
-# (clauses, goal, verdict on the certificate with each argument of its root
-# clause application replaced in turn, or with one added to none)
+# (clauses, goal, verdict on the certificate with each written argument of
+# its root clause application replaced in turn, or with one added to none).
+# An application writes only the arguments its head does not fix, so a
+# head that fixes them all gets one added.
 _SHAPES = {
     "a fact with no universals": (
         "f: p(a).", "p(a)", [(False, (), "clause 'f' expects 0 arguments")]),
     "a repeated head variable": (
-        "r: forall x:Thing. p2(x, x).", "p2(a, a)", [(False, (), _HEAD)]),
+        "r: forall x:Thing. p2(x, x).", "p2(a, a)", [(False, (), "clause 'r' expects 0 arguments")]),
     "a succ(x) argument": (
         "r: forall x:Int. n(succ(x)).", "n(succ(4))", [(False, (), _HEAD)]),
     "an owner's bare head for K says": (
-        "r: forall x:Thing. p(x).", "K says p(a)", [(False, (), _HEAD)]),
+        "r: forall x:Thing. p(x).", "K says p(a)", [(False, (), "clause 'r' expects 0 arguments")]),
     "a conjunction slot": (
         "r: forall x:Thing, y:Thing. (q(x) /\\ q(y)) => p(x).\nq1: q(a).", "p(a)",
-        [(False, (), _HEAD), (False, (0, 1), "clause 'q1' head does not match the goal")]),
+        [(False, (0, 1), "clause 'q1' head does not match the goal")]),
     "a forall slot whose binder is a universal": (
         "r: forall x:Thing, y:Thing. (forall x:Thing. q2(x, y)) => p(x).\n"
         "q1: forall z:Thing. q2(z, a).", "p(a)",
-        [(False, (), _HEAD), (False, (0, 0), "clause 'q1' head does not match the goal")]),
+        [(False, (0, 0), "clause 'q1' head does not match the goal")]),
     "an implication slot whose hypothesis binds a universal": (
         "r: forall x:Thing, y:Thing. ((forall x:Thing. h(x)) => g(y)) => q(y) => p(x).\n"
         "q1: q(a).\ng1: forall y:Thing. h(y) => g(y).", "p(a)",
-        [(False, (), _HEAD), (False, (0, 0), "clause 'g1' head does not match the goal")]),
+        [(False, (1,), "clause 'q1' head does not match the goal")]),  # g(b) holds under h(b)
 }
 
 
@@ -702,16 +768,23 @@ def test_a_clause_without_universals_is_its_own_instance():
 def test_a_clause_record_places_the_universals_the_head_determines():
     k, x, y = S.Var("k", "Principal"), S.Var("x", "Thing"), S.Var("y", "Int")
     a = S.Const("a", "Thing")
-    # an attestation's principal is place 0; `y` first occurs under `succ`
+    # places count from the end of the row: an attestation's principal,
+    # then the atom's arguments; `y` first occurs under `succ`, so it is the
+    # first written argument, and the goal row must hold all five
     head = S.Attest(k, S.Atom("p", (x, S.FunApp("succ", (y,)), x, y)))
-    assert S.Clause("r", (k, x, y), (), head).places == (0, 1, None)
-    # a bare head's arguments count from 1; a repeated universal shares its place
+    places, keep, need, fill = S.Clause("r", (k, x, y), (), head).matcher
+    assert (places, keep((k, x, y)), need) == ((-5, -4, 0), (y,), 5)
+    row = (S.Const("K", "Principal"), a, S.FunApp("succ", (S.Const("1", "Int"),)), a, S.Const("1", "Int"))
+    assert fill((S.Const("1", "Int"),) + row) == (row[0], a, S.Const("1", "Int"))
+    # a bare head's row is its arguments; a repeated universal shares its place
     c = S.Clause("r", (x, x), (S.Atom("q", (x,)),), S.Atom("p", (x,)))
-    assert c.places == (1, 1)
+    places, keep, need, _ = c.matcher
+    assert (places, keep((x, x)), need) == ((-1, -1), (), 1)
     # the encoding, computed after the record, keeps it
-    compiled = c.instantiate((a, a)), c.places
+    compiled = c.instantiate((a, a)), c.matcher
     assert c.encoding == codec.encode_clause(c)
-    assert (c.instantiate((a, a)), c.places) == compiled == ((S.Atom("p", (a,)), (S.Atom("q", (a,)),)), (1, 1))
+    assert (c.instantiate((a, a)), c.matcher) == compiled
+    assert compiled[0] == (S.Atom("p", (a,)), (S.Atom("q", (a,)),))
 
 
 def test_a_digest_the_checker_does_not_hold_is_unknown():

@@ -19,8 +19,11 @@ from cyberlogic.services import CheckerEndpoint, Registry, TrustedServices, remo
 # this file under fixed hash seeds, so no set or dict order reaches a frame.
 # Moved when a policy digest came to be written in full only once per
 # encoding: each certificate and evidence the frames carry decodes to the
-# value it did before (6,408 bytes of frames became 6,240).
-FRAMES_SHA256 = "6b5a78a5456b12bc50fd00bc89a65d6a2f60f20da1dda3d3a6dbe1b054803043"
+# value it did before (6,408 bytes of frames became 6,240).  Moved again
+# with CYL3 (6,240 bytes became 5,880): the same frames and verdicts, and
+# each request, with the clause arguments filled in as the checker matches
+# them, decodes to the value of the CYL2 request.
+FRAMES_SHA256 = "a6ba33548083d1aa10884e47d723431a1c265904150d3be8dd235c71752ac3ba"
 
 
 def test_clock_is_monotonic():

@@ -46,7 +46,7 @@ TIMEOUT = 600  # seconds for each mutant's test run
 # (name, file, top-level functions or classes mutated, tests run on each mutant)
 TARGETS = [
     ("codec", "src/cyberlogic/codec.py",
-     ("_string", "_i64", "_interned", "_digest", "_count", "_flag", "_set", "_op", "_write", "_read",
+     ("_string", "_i64", "_interned", "_pin", "_digest", "_count", "_flag", "_set", "_op", "_write", "_read",
       "encode_policy", "encode_certificate", "decode_certificate"),
      ("tests/test_codec.py", "tests/test_golden.py")),
     ("checker", "src/cyberlogic/evidence.py", ("_Checker",),
