@@ -221,8 +221,9 @@ def _op(kind, name=None) -> tuple:
 def _write(out: list, x, ops, d: int = 1):
     """Append to `out` the encoding of the fields `ops` of x (a node, or a
     sequence whose ops are named None), with their nodes at depth d.  A
-    node with only string and byte fields is written in place, as are a
-    list's items up to the first other node; before that node is entered,
+    single node is written as a list of one, without its count.  A node
+    with only string and byte fields is written in place, as are a list's
+    items up to the first other node; before that node is entered,
     the state after it, (x, ops, next op, d), goes on the work stack."""
     put, limit, todo, seen = out.append, S.MAX_NESTING, [], {}  # seen: digest -> reference
     text, i64, pin, digest, option, u32 = _TEXT, _i64, _pin, _digest, _OPTION, _U32
@@ -252,15 +253,7 @@ def _write(out: list, x, ops, d: int = 1):
                 put(u32(len(v)))
                 put(v)
                 continue
-            if many is None:  # a node: enter it, or write it in place below
-                spec = sub.get(v.__class__)
-                if spec is not None and spec[0] is None and d <= limit:
-                    put(spec[4])
-                    if i < n:
-                        todo.append((x, ops, i, d))
-                    x, ops, i, d = v, spec[2], 0, d + 1 if spec[3] else 1
-                    n = len(ops)
-                    continue
+            if many is None:  # a node: a list of one, without its count
                 v = (v,)
             else:
                 if many[2] is not None:  # a set, sorted

@@ -114,7 +114,9 @@ def _bind(v: S.Var, t, s: dict, state):
 
 def unify(a, b, s: dict, state=None):
     """Extend `s` in place to a most general unifier of `a` and `b` and return
-    it, or None; a miss may leave bindings, which `state`'s trail undoes."""
+    it, or None; a miss may leave bindings, which `state`'s trail undoes.
+    Unification is syntactic, as the checker's comparison is: `3` and
+    `succ(2)` do not unify, and only the builtins read numbers."""
     a, b = walk(a, s), walk(b, s)
     if a is b or a == b:
         return s
@@ -131,21 +133,13 @@ def unify(a, b, s: dict, state=None):
         return _bind(a, b, s, state)
     if isinstance(b, S.Var):
         return _bind(b, a, s, state)
-    if (
-        isinstance(a, S.FunApp)
-        and isinstance(b, S.FunApp)
-        and a.symbol == b.symbol
-        and len(a.args) == len(b.args)
-    ):
-        for x, y in zip(a.args, b.args):
-            s = unify(x, y, s, state)
-            if s is None:
-                return None
-        return s
-    va, vb = S.int_value(resolve(a, s)), S.int_value(resolve(b, s))
-    if va is not None and va == vb:
-        return s  # succ-chains and numerals denoting the same value
-    return None
+    if not (a.__class__ is b.__class__ is S.FunApp and a.symbol == b.symbol and len(a.args) == len(b.args)):
+        return None
+    for x, y in zip(a.args, b.args):
+        s = unify(x, y, s, state)
+        if s is None:
+            return None
+    return s
 
 
 def unify_atomic(goal, head, s: dict, state=None):
@@ -221,39 +215,30 @@ def _atom_of(f):
 
 
 def _key(t):
-    """Index key of a ground term: a number's value (numerals and `succ`
-    chains unify by value), a constant's name and sort (a tuple hashes
-    faster than the dataclass), else the term itself."""
-    n = S.int_value(t)
-    if n is not None:
-        return n
-    return (t.name, t.sort) if isinstance(t, S.Const) else t
+    """Index key of a term: a constant's name and sort (a tuple hashes
+    faster than the dataclass), another ground term itself, else None."""
+    if t.__class__ is S.Const:
+        return t.name, t.sort
+    return t if S.is_ground(t) else None
 
 
 def _goal_key(atom, s):
     """Index key of a goal atom's first argument under `s`; None when the
     atom has no arguments or its first one is not ground."""
-    if atom is None or not atom.args:
-        return None
-    t = walk(atom.args[0], s)
-    if isinstance(t, S.Const):
-        return _key(t)
-    t = resolve(t, s)
-    return _key(t) if S.is_ground(t) else None
+    return _key(resolve(atom.args[0], s)) if atom is not None and atom.args else None
 
 
 class ClauseIndex:
     """A policy's clauses grouped by head predicate and, within a group, by
     the head's first argument (WAM-style first-argument indexing).
 
-    A head whose first argument is a constant, a numeral or a ground
-    `succ` chain is filed under `_key` of that argument; one whose first
-    argument is a variable or another function application goes in the
-    group's wildcards.  A ground goal argument can only unify with the
-    heads of its own key and the wildcards, so `candidates(pred, key)`
-    yields exactly those, merged in textual order; with no key it yields
-    the whole group.  `keyed` holds the predicates with at least one keyed
-    head; for any other a key selects nothing.
+    A head whose first argument is ground is filed under `_key` of that
+    argument; one whose first argument holds a variable goes in the
+    group's wildcards.  Unification is syntactic, so a ground goal argument
+    can only unify with the heads of its own key and the wildcards, and
+    `candidates(pred, key)` yields exactly those, merged in textual order;
+    with no key it yields the whole group.  `keyed` holds the predicates
+    with at least one keyed head; for any other a key selects nothing.
 
     Each candidate is (position, offset, clause): `offset` is the number
     of universals of all the policy's clauses before it, and `total` the
@@ -281,8 +266,7 @@ class ClauseIndex:
         for pos in range(start, len(clauses)):
             c = clauses[pos]
             atom = _atom_of(c.head)
-            first = atom.args[0] if atom.args else None
-            key = _key(first) if isinstance(first, S.Const) else S.int_value(first)
+            key = _key(atom.args[0]) if atom.args else None
             if key is not None:
                 self.keyed.add(atom.pred)
             entry = (pos, offset, c)
@@ -478,12 +462,16 @@ class Prover:
             v = self._fresh_var(goal.var.sort)
             body, wrap = S.substitute(goal.body, {goal.var: v}), partial(E.Witness, v)
         elif isinstance(goal, S.Forall):
+            g_res = resolve_formula(goal, s)
             if goal.var.sort == "Nonce" and self.services is not None:
                 name = self.services.fresh_nonce()
-            else:
+            else:  # a name that the goal, a hypothesis or a policy here does not use
+                used = [*map(S.const_names, (g_res, *env.clauses())), *(p.names for p in self.policies.values())]
                 name = f"c{state.tick()}"
+                while any(name in names for names in used):
+                    name = f"c{state.tick()}"
             state.eigen_birth[name] = state.tick()
-            self._log(depth, "all", resolve_formula(goal, s))
+            self._log(depth, "all", g_res)
             body = S.substitute(goal.body, {goal.var: S.Const(name, goal.var.sort)})
             wrap = partial(E.Abstraction, name)
         elif isinstance(goal, S.Implies):

@@ -363,8 +363,9 @@ class _Checker:
 
     # -- clause application ------------------------------------------------
 
-    def _check_clause_app(self, e: ClauseApp, phi, env, allowed, scope, path):
-        """The verdict on `e`, or the goals its premises must prove."""
+    def _check_clause_app(self, e: ClauseApp, phi, env, allowed, scope, eigens, path):
+        """The verdict on `e`, or the goals its premises must prove.  A policy
+        clause must not mention an eigenvariable in scope, nor may its owner be one."""
         if e.policy_digest is None:
             clause, owner = env.clause(e.label), None
             if clause is None:
@@ -376,12 +377,17 @@ class _Checker:
             owner = policy.owner
             if allowed is not None and owner not in allowed:
                 return _nok(path, f"evidence draws on a policy of {owner!r}, outside the restriction")
+            if owner in eigens:
+                return _nok(path, f"eigenvariable {owner!r} is not fresh")
             if not isinstance(policy, S.Policy):
                 self.obligations.append(Obligation(_items(path), e, phi, _items(scope)))
                 return _OK
             clause = policy.clause(e.label)
             if clause is None:
                 return _nok(path, f"no clause {e.label!r} in policy of {owner!r}")
+            clash = sorted(eigens & S.const_names(clause)) if eigens else ()
+            if clash:
+                return _nok(path, f"eigenvariable {clash[0]!r} is not fresh")
         _, keep, need, fill = clause.matcher
         if len(e.args) != len(keep(clause.universals)):
             return _nok(path, f"clause {e.label!r} expects {len(keep(clause.universals))} arguments")
@@ -408,33 +414,33 @@ class _Checker:
     def check(self, e: Evidence, phi, env: HypothesisEnv) -> CheckResult:
         """Check that `e` proves `phi`.  Goals (evidence, goal, hypotheses,
         owners the `knows` restrictions in scope admit, the implications and
-        restrictions around the goal, path) wait on a stack and are met in
-        pre-order, so the first failure met is the result; `self.obligations`
-        gets those met before it, in the same order."""
-        todo = [(e, phi, env, None, (), ())]
+        restrictions around the goal, the eigenvariables in scope, path) wait
+        on a stack and are met in pre-order, so the first failure met is the
+        result; `self.obligations` gets those met before it, in the same order."""
+        todo = [(e, phi, env, None, (), frozenset(), ())]
         while todo:
-            e, phi, env, allowed, scope, path = todo.pop()
+            e, phi, env, allowed, scope, eigens, path = todo.pop()
             if isinstance(e, ClauseApp):
-                slots = self._check_clause_app(e, phi, env, allowed, scope, path)
+                slots = self._check_clause_app(e, phi, env, allowed, scope, eigens, path)
                 if isinstance(slots, CheckResult):
                     if not slots.ok:
                         return slots
                     continue
                 for i in reversed(range(len(slots))):
-                    todo.append((e.premises[i], slots[i], env, allowed, scope, (path, i)))
+                    todo.append((e.premises[i], slots[i], env, allowed, scope, eigens, (path, i)))
             elif isinstance(e, Unit):
                 if phi != S.TOP:
                     return _nok(path, "unit evidence for a non-trivial goal")
             elif isinstance(e, PairEv):
                 if not isinstance(phi, S.And):
                     return _nok(path, "pair evidence for a non-conjunction")
-                todo.append((e.right, phi.right, env, allowed, scope, (path, 1)))
-                todo.append((e.left, phi.left, env, allowed, scope, (path, 0)))
+                todo.append((e.right, phi.right, env, allowed, scope, eigens, (path, 1)))
+                todo.append((e.left, phi.left, env, allowed, scope, eigens, (path, 0)))
             elif isinstance(e, (Inl, Inr)):
                 if not isinstance(phi, S.Or):
                     return _nok(path, "injection evidence for a non-disjunction")
                 side = 0 if isinstance(e, Inl) else 1
-                todo.append((e.body, (phi.left, phi.right)[side], env, allowed, scope, (path, side)))
+                todo.append((e.body, (phi.left, phi.right)[side], env, allowed, scope, eigens, (path, side)))
             elif isinstance(e, Witness):
                 if not isinstance(phi, S.Exists):
                     return _nok(path, "witness evidence for a non-existential")
@@ -442,23 +448,22 @@ class _Checker:
                     inst = S.substitute1(phi.body, phi.var, e.term)
                 except Exception:
                     return _nok(path, "witness has the wrong sort")
-                todo.append((e.body, inst, env, allowed, scope, (path, 0)))
+                todo.append((e.body, inst, env, allowed, scope, eigens, (path, 0)))
             elif isinstance(e, Abstraction):
                 if isinstance(phi, S.Forall):
-                    used = S.const_names(phi)
-                    for c in env.clauses():
-                        for part in (c.head, *c.slots):
-                            used |= S.const_names(part)
-                    if e.var in used:
+                    # fresh: no number, nor named by the goal, a hypothesis or a policy clause under it
+                    eigen = S.Const(e.var, phi.var.sort)
+                    used = S.const_names(phi).union(*map(S.const_names, env.clauses()))
+                    if e.var in used or S.int_value(eigen) is not None:
                         return _nok(path, f"eigenvariable {e.var!r} is not fresh")
-                    inst = S.substitute(phi.body, {phi.var: S.Const(e.var, phi.var.sort)})
-                    todo.append((e.body, inst, env, allowed, scope, (path, 0)))
+                    inst = S.substitute(phi.body, {phi.var: eigen})
+                    todo.append((e.body, inst, env, allowed, scope, eigens | {e.var}, (path, 0)))
                 elif isinstance(phi, S.Implies):
                     try:
                         hyps = env.extend(S.clauses_of(phi.left, e.var))
                     except Exception as ex:
                         return _nok(path, f"hypothesis is not a program: {ex}")
-                    todo.append((e.body, phi.right, hyps, allowed, (scope, (phi, e)), (path, 0)))
+                    todo.append((e.body, phi.right, hyps, allowed, (scope, (phi, e)), eigens, (path, 0)))
                 else:
                     return _nok(path, "abstraction evidence for a non-binder goal")
             elif isinstance(e, KnowsWrap):
@@ -469,7 +474,7 @@ class _Checker:
                 owners = frozenset(S.knows_owners(phi.principals))
                 if allowed is not None:
                     owners &= allowed
-                todo.append((e.body, phi.body, env, owners, (scope, (phi, e)), (path, 0)))
+                todo.append((e.body, phi.body, env, owners, (scope, (phi, e)), eigens, (path, 0)))
             elif isinstance(e, (AttLeaf, TheoryHole)):
                 leaf = (self._check_att_leaf if isinstance(e, AttLeaf) else self._check_theory)(e, phi, path)
                 if not leaf.ok:

@@ -253,7 +253,7 @@ def _collect_free(f: Formula, bound: tuple, out: dict):
 
 
 def parts(x) -> tuple:
-    """The terms and formulas directly inside a term or a formula."""
+    """The terms and formulas directly inside a term, a formula or a clause."""
     if isinstance(x, (FunApp, Atom)):
         return x.args
     if isinstance(x, Attest):
@@ -264,11 +264,13 @@ def parts(x) -> tuple:
         return (x.left, x.right)
     if isinstance(x, (Forall, Exists)):
         return (x.var, x.body)
+    if isinstance(x, Clause):
+        return (x.head, *x.slots)
     return ()
 
 
 def const_names(x) -> set:
-    """Names of the constants in a term or a formula."""
+    """Names of the constants in a term, a formula or a clause."""
     if isinstance(x, Const):
         return {x.name}
     out = set()
@@ -486,6 +488,12 @@ class Policy:
         from . import codec
 
         return codec.policy_digest(self)
+
+    @cached_property
+    def names(self) -> frozenset:
+        """The owner's name and those of the constants the clauses mention,
+        which no eigenvariable under this policy's clauses may take."""
+        return frozenset({self.owner}.union(*map(const_names, self.clauses)))
 
 
 COMMON = "common"  # owner of the policy that every principal shares

@@ -392,6 +392,68 @@ def test_the_checker_reads_head_arguments_off_the_goal():
         assert remote_check(_registry(world), cert)
 
 
+_EIGEN_POLICY = (
+    "sort Thing. principal K. const c1: Thing. const c2: Thing.\n"
+    "pred p(Thing). pred q(Thing). pred r(Thing, Thing). pred s().\n"
+    "f: p(c1).\n"
+    "g: forall y:Thing. p(c1) => q(y).\n"
+    "h: s().\n"
+    "u: forall y:Thing, z:Thing. r(y, z).\n"
+)
+_EIGEN_CASES = {  # goal, evidence under K's policy, verdict
+    "a fact names it": (
+        "forall x:Thing. p(x)", lambda d: E.Abstraction("c1", E.ClauseApp("f", d)),
+        (False, (0,), "eigenvariable 'c1' is not fresh")),
+    "a premise of the clause names it": (
+        "forall x:Thing. q(x)", lambda d: E.Abstraction("c1", E.ClauseApp("g", d, (), (E.ClauseApp("f", d),))),
+        (False, (0,), "eigenvariable 'c1' is not fresh")),
+    "the clause names another constant": (
+        "forall x:Thing. q(x)", lambda d: E.Abstraction("c9", E.ClauseApp("g", d, (), (E.ClauseApp("f", d),))),
+        (True, (), None)),
+    "the clause's owner is the eigenvariable": (
+        "forall x:Principal. x says s()", lambda d: E.Abstraction("K", E.ClauseApp("h", d)),
+        (False, (0,), "eigenvariable 'K' is not fresh")),
+    "a numeral": (
+        "forall x:Int. x < 4",
+        lambda d: E.Abstraction("3", E.TheoryHole("<", (S.Const("3", "Int"), S.Const("4", "Int")))),
+        (False, (), "eigenvariable '3' is not fresh")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EIGEN_CASES))
+def test_an_eigenvariable_is_fresh_for_the_policy_clauses_applied_under_it(case):
+    text, evidence, verdict = _EIGEN_CASES[case]
+    world = scenarios.build_world([("K", _EIGEN_POLICY), ("L", "sort Thing.\n")], seed=0)
+    k, l = world.policies["K"], world.policies["L"]
+    goal, _ = parser.parse_goal(text, k.signature)
+    cert = E.Certificate(goal, evidence(k.digest), frozenset({k.digest}))
+    local = E.check_certificate(cert, world.policy_map(), world.directory)
+    assert (local.ok, local.path, local.reason) == verdict
+    assert remote_check(_registry(world), cert) == local
+    if case in ("the clause's owner is the eigenvariable", "a numeral"):
+        # L's endpoint sees the eigenvariable and K's owner record
+        assert remote_check(_registry(world), cert, l.digest) == local
+
+
+@pytest.mark.parametrize("text, eigen", [
+    ("forall x:Thing. p(x)", None),  # K's policy names `c1`
+    ("forall x:Thing. r(x, c2)", "c3"),  # K's policy names `c1`, the goal `c2`
+    ("r(c2, c2) => forall x:Thing. r(x, x)", "c3"),  # the hypothesis (labelled `h1`) names `c2`
+])
+def test_the_prover_names_no_eigenvariable_the_checker_would_refuse(text, eigen):
+    world = scenarios.build_world([("K", _EIGEN_POLICY)], seed=0)
+    node = world.node("K")
+    answer = node.ask_first(*parser.parse_goal(text, node.policy.signature))
+    if eigen is None:
+        assert answer is None
+        return
+    abstraction = next(x for x in E.nodes(answer.evidence) if isinstance(x, E.Abstraction) and x.var[0] == "c")
+    assert abstraction.var == eigen
+    cert = node.certify(answer)
+    assert E.check_certificate(cert, world.policy_map(), world.directory) == E.CheckResult(True)
+    assert remote_check(_registry(world), cert) == E.CheckResult(True)
+
+
 def test_nested_restrictions_admit_only_the_owners_both_admit():
     policy = parser.parse_policy("pred ok(Principal).\nprincipal A.\na1: ok(A).\n", "A")
     a, b = S.Const("A", "Principal"), S.Const("B", "Principal")
