@@ -5,41 +5,31 @@ decomposed by their top connective, atomic goals backchain over hypothesis
 and policy clauses, depth-first in clause order under a depth budget.
 The search is one loop over explicit stacks, after Warren's abstract
 machine (see `Prover`): a derivation step takes no Python stack frame, so
-only the depth budget bounds the length of a derivation.
-Policy clauses are selected through a per-policy index on the head
-predicate (the predicate of the atom, or of the atom under `says`) and,
-when the goal's first argument is ground, on that argument: only the heads
-that can unify with it are tried, in the policy's textual order, and fresh
-names are numbered as if every clause had been tried.  Hypothesis clauses
-are not indexed.  An index is built whole and never changed after, since a
-search suspended on it may resume; a policy update that appends clauses
-files only those, sharing the old index's lists that they leave alone.
+only the depth budget bounds the length of a derivation, and a choice
+point exists only where a goal has more than one alternative.
+Policy clauses are selected through a per-policy `ClauseIndex` on the head
+predicate and the goal's first argument when it is ground, in textual
+order, and fresh names are numbered as if every clause had been tried.
+Hypothesis clauses are not indexed.
 Conjunct scheduling prefers attestation goals whose principal is still
 unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
 variables; evidence slots are filled positionally regardless of the
 evaluation order actually taken.
 A derivation step does only the search's own work.  A clause is renamed
-apart as Warren's machine does it (`get_variable`): a universal whose first
-occurrence is a whole head argument facing a goal constant of its sort
-stands for that constant, with no fresh variable, binding or trail entry;
-the others get fresh variables, and the fresh-name counter advances once
-per universal either way.  Those places come from the clause's record,
-compiled once (`syntax.Clause.matcher`); head and slots from its templates
-(`Clause.instantiate`), and what the head proves from `syntax.proved_head`,
-all as in the checker; the evidence writes only the arguments the checker
-cannot read off the goal.  A clause whose one premise slot is neither a
-conjunction nor an interpreted atom solves it without the conjunct scheduler.
-Atomic goals resolve in one pass, and a goal that applying a clause leaves as
-it was is printed once for the trace.  The variables and goals that key the
-substitution and the open-goal set hash once, and constants print once
-(`syntax`).  They are immutable, so a cache holds what a fresh computation
-would give, even when TCP handler threads race to fill it.
+apart as Warren's machine does it (`get_variable`, see `Prover._apply`),
+from its record compiled once and shared with the checker
+(`syntax.Clause`); the evidence writes only the arguments the checker
+cannot read off the goal.  A goal is resolved again only after
+unification bound a variable, and an answer's evidence rebuilds only the
+nodes whose terms a binding changed.  Terms and goals hash once, and
+constants print once (`syntax`).
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -64,9 +54,10 @@ def walk(t, s: dict):
 
 
 def resolve(t, s: dict):
-    t = walk(t, s)
+    t = walk(t, s)  # `t` itself when `s` binds none of its variables
     if isinstance(t, S.FunApp):
-        return S.FunApp(t.symbol, tuple(resolve(a, s) for a in t.args))
+        args = tuple([resolve(a, s) for a in t.args])
+        return t if all(map(operator.is_, args, t.args)) else S.FunApp(t.symbol, args)
     return t
 
 
@@ -78,6 +69,8 @@ def _resolve_atom(a, s: dict):
 def resolve_formula(f, s: dict):
     """`f` under `s`.  An atom or an attested atom has no binder, so it
     resolves in one pass; other formulas take the capture-avoiding path."""
+    if not s:
+        return f
     if f.__class__ is S.Atom:
         return _resolve_atom(f, s)
     if f.__class__ is S.Attest and f.body.__class__ is S.Atom:
@@ -173,7 +166,7 @@ class _State:
     def __init__(self):
         self.subst: dict = {}  # Var -> Term, bound in place
         self.open: set = set()  # resolved atomic goals being proved on this path
-        self.trail: list = []  # variables bound and goals opened or closed, oldest first
+        self.trail: list = []  # variables bound, goals opened or closed, counts; oldest first
         self.counter = 0  # last number handed out
         self.meta_birth: dict[str, int] = {}
         self.eigen_birth: dict[str, int] = {}
@@ -207,8 +200,7 @@ def _interpreted(f) -> bool:
 
 
 def _atom_of(f):
-    """The atom of an atomic formula or of the atom under `says`; None
-    otherwise."""
+    """The atom of an atomic formula or of the atom under `says`, else None."""
     if isinstance(f, S.Attest):
         f = f.body
     return f if isinstance(f, S.Atom) else None
@@ -220,12 +212,6 @@ def _key(t):
     if t.__class__ is S.Const:
         return t.name, t.sort
     return t if S.is_ground(t) else None
-
-
-def _goal_key(atom, s):
-    """Index key of a goal atom's first argument under `s`; None when the
-    atom has no arguments or its first one is not ground."""
-    return _key(resolve(atom.args[0], s)) if atom is not None and atom.args else None
 
 
 class ClauseIndex:
@@ -274,20 +260,14 @@ class ClauseIndex:
             added.setdefault((atom.pred, key), []).append(entry)
             offset += len(c.universals)
         for name, entries in added.items():
-            old = lists.get(name)
-            lists[name] = entries if old is None else old + entries
+            lists[name] = lists.get(name, []) + entries
         self._lists, self.total = lists, offset
 
     def candidates(self, pred, key=None):
         if key is None:
             return self._lists.get(pred, ())
-        bucket = self._lists.get((pred, key), ())
-        wildcards = self._lists.get((pred, None), ())
-        if not wildcards:
-            return bucket
-        if not bucket:
-            return wildcards
-        return heapq.merge(bucket, wildcards)
+        bucket, wildcards = self._lists.get((pred, key), ()), self._lists.get((pred, None), ())
+        return heapq.merge(bucket, wildcards) if bucket and wildcards else bucket or wildcards
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +321,12 @@ class Prover:
     reference.  A step takes the rest and `evs` and returns the next
     (todo, evs), None to fail, or an iterator of alternatives (each a
     (todo, evs), or None when its unification failed), which becomes a
-    choice point marked with the length of `state.trail`.  To backtrack is
-    to undo the trail down to the newest mark and take the next alternative.
+    choice point marked with the length of `state.trail`.  A goal with one
+    alternative (one candidate clause, no hypothesis, T, N or peer) takes
+    none.  The trail holds variables bound, goals opened or closed, and per
+    such goal the fresh names its other clauses would have taken.  To
+    backtrack is to undo the trail down to the newest mark and take the next
+    alternative; out of choices, the search undoes the whole trail.
     """
 
     def __init__(
@@ -362,6 +346,7 @@ class Prover:
             if index is None or index.policy is not policy:
                 index = ClauseIndex(policy, index)
             self.indexes[owner] = index
+        self.keyed = set().union(*(index.keyed for index in self.indexes.values()))  # predicates some index keys
         self.dispatch = dispatch
         self.services = services
         self.trace = trace if trace is not None else []
@@ -391,15 +376,17 @@ class Prover:
                     choices.append((len(trail), out))
                     out = None
             while out is None:  # backtrack
-                if not choices:
-                    return
-                mark, alternatives = choices[-1]
+                mark, alternatives = choices[-1] if choices else (0, None)
                 while len(trail) > mark:
                     x = trail.pop()
                     if x.__class__ is S.Var:
                         del s[x]
+                    elif x.__class__ is int:
+                        state.counter += x  # the numbers a determinate goal's other clauses take
                     else:
                         opened ^= {x}  # close an opened goal, reopen a closed one
+                if alternatives is None:
+                    return  # out of choices, with the trail undone
                 out = next(alternatives, False)
                 if out is False:
                     choices.pop()
@@ -407,9 +394,7 @@ class Prover:
             todo, evs = out
 
     def first(self, goal, free_vars=(), depth: int = DEFAULT_DEPTH, env=None):
-        for a in self.ask(goal, free_vars, depth, env):
-            return a
-        return None
+        return next(self.ask(goal, free_vars, depth, env), None)
 
     # -- fresh names --------------------------------------------------------
 
@@ -430,9 +415,9 @@ class Prover:
     # -- goal decomposition --------------------------------------------------
 
     def _solve(self, goal, depth, env, restriction, todo, evs):
-        """The step that proves `goal`: an atomic goal is opened and gets a
-        choice point; a composite goal puts its subgoal in front of `todo`,
-        then a step that wraps the subgoal's evidence."""
+        """The step that proves `goal`: an atomic goal is opened, then applies
+        its one clause or gets a choice point; a composite goal puts its
+        subgoal in front of `todo`, then a step that wraps its evidence."""
         state, s = self.state, self.state.subst
         if _interpreted(goal):
             return self._builtin(goal, todo, evs)
@@ -446,7 +431,14 @@ class Prover:
                 return None  # identical goal already open on this path
             state.trail.append(g_res)
             text = self._log(depth, "goal", g_res)
-            return self._backchain(goal, g_res, text, depth, env, restriction, todo, evs)
+            todo, selected = (partial(self._close, g_res), todo), self._select(g_res, restriction)
+            sole = None if env.clauses or not self._local(goal, restriction) else self._sole(selected)
+            if sole is None:
+                return self._backchain(goal, g_res, text, depth, env, restriction, todo, evs, selected)
+            before, clause, owner, digest, total = sole
+            state.counter += before
+            state.trail.append(total - before - len(clause.universals))
+            return self._apply(goal, g_res, text, depth, env, restriction, todo, evs, clause, owner, digest)
         if isinstance(goal, S.Top):
             return todo, (E.Unit(), evs)
         if isinstance(goal, S.And):
@@ -466,7 +458,7 @@ class Prover:
             if goal.var.sort == "Nonce" and self.services is not None:
                 name = self.services.fresh_nonce()
             else:  # a name that the goal, a hypothesis or a policy here does not use
-                used = [*map(S.const_names, (g_res, *env.clauses())), *(p.names for p in self.policies.values())]
+                used = [*map(S.const_names, (g_res, *env.clauses)), *(p.names for p in self.policies.values())]
                 name = f"c{state.tick()}"
                 while any(name in names for names in used):
                     name = f"c{state.tick()}"
@@ -537,11 +529,14 @@ class Prover:
     # -- interpreted predicates ----------------------------------------------
 
     def _builtin(self, goal, todo, evs):
-        args = tuple(resolve(a, self.state.subst) for a in goal.args)
+        """A comparison on an eigenconstant holds only as `=` of identical terms."""
+        args, eigens = tuple(resolve(a, self.state.subst) for a in goal.args), self.state.eigen_birth
         if not all(S.is_ground(a) for a in args):
             raise FlounderError(f"{goal.pred} on nonground arguments")
         if goal.pred != "time_not_elapsed":
-            return (todo, (E.TheoryHole(goal.pred, args), evs)) if S.compare(goal.pred, *args) else None
+            eigen = eigens and any(n in eigens for a in args for n in S.const_names(a))
+            holds = goal.pred == "=" and args[0] == args[1] if eigen else S.compare(goal.pred, *args)
+            return (todo, (E.TheoryHole(goal.pred, args), evs)) if holds else None
         receipt = self.services.time_receipt(args[0]) if self.services is not None else None
         return None if receipt is None else (todo, (E.TheoryHole(goal.pred, args, receipt), evs))
 
@@ -553,31 +548,51 @@ class Prover:
         self.state.trail.append(g_res)
         return todo, evs
 
-    def _backchain(self, goal, g_res, text, depth, env, restriction, todo, evs):
-        """The alternatives for an atomic goal: hypothesis clauses, policy
-        clauses, then attestations by T or N or answers from peers.  Each one
-        goes on to a step that closes the goal."""
-        state, todo = self.state, (partial(self._close, g_res), todo)
-        apply = partial(self._apply, goal, g_res, text, depth, env, restriction, todo, evs)
-        for clause in env.clauses():
-            yield apply(clause, None, None)
-        atom = _atom_of(goal)
+    def _select(self, g_res, restriction):
+        """The admitted indexes, each with its candidates for resolved atomic `g_res`."""
+        atom = _atom_of(g_res)
         pred = atom.pred if atom is not None else None
-        indexes = self.indexes.values()
-        if restriction is not None:
-            owners = S.knows_owners(restriction)
-            indexes = [ix for ix in indexes if ix.policy.owner in owners]
-        key = _goal_key(atom, state.subst) if any(pred in ix.keyed for ix in indexes) else None
-        for index in indexes:
-            policy = index.policy
+        key = _key(atom.args[0]) if pred in self.keyed and atom.args else None
+        owners = None if restriction is None else S.knows_owners(restriction)
+        return [(ix, ix.candidates(pred, key)) for ix in self.indexes.values()
+                if owners is None or ix.policy.owner in owners]
+
+    def _sole(self, selected):
+        """(universals before it, clause, owner, digest, universals in all) for a lone candidate."""
+        found, before = None, 0
+        for index, candidates in selected:
+            if candidates:
+                if found or candidates.__class__ is not list or len(candidates) > 1:
+                    return None  # several: a merged bucket holds two at least
+                found = before + candidates[0][1], candidates[0][2], index.policy.owner, index.policy.digest
+            before += index.total
+        return found and (*found, before)
+
+    def _local(self, goal, restriction) -> bool:
+        """Whether neither T or N nor a peer can attest atomic `goal`."""
+        k = walk(goal.principal, self.state.subst) if goal.__class__ is S.Attest else None
+        name = k.name if k.__class__ is S.Const else None
+        if k is None or name is not None and restriction is not None and k not in restriction:
+            return True
+        if name in ("T", "N") and self.services is not None:
+            return False
+        return self.dispatch is None or name in self.policies
+
+    def _backchain(self, goal, g_res, text, depth, env, restriction, todo, evs, selected):
+        """The alternatives for an atomic goal: hypothesis clauses, the policy
+        clauses `selected`, then attestations by T or N or answers from peers."""
+        state = self.state
+        apply = partial(self._apply, goal, g_res, text, depth, env, restriction, todo, evs)
+        for clause in env.clauses:
+            yield apply(clause, None, None)
+        for index, candidates in selected:
             end = 0  # universals up to the end of the previous candidate
-            for _, offset, clause in index.candidates(pred, key):
+            for _, offset, clause in candidates:
                 state.counter += offset - end
                 end = offset + len(clause.universals)
-                yield apply(clause, policy.owner, policy.digest)
+                yield apply(clause, index.policy.owner, index.policy.digest)
             state.counter += index.total - end
-        if isinstance(goal, S.Attest):
-            yield from self._remote(goal, depth, restriction, todo, evs)
+        yield from self._remote(goal, depth, restriction, todo, evs)
 
     def _apply(self, goal, g_res, text, depth, env, restriction, todo, evs, clause, owner, digest):
         """The alternative of `clause` of `owner`'s policy (None: a
@@ -602,15 +617,15 @@ class Prover:
                 else:
                     ren[v] = self._fresh_var(v.sort)
         args = tuple([ren[v] for v in universals])
-        head, slots = clause.instantiate(args)
+        head, slots, mark = *clause.instantiate(args), len(state.trail)
         if unify_atomic(goal, S.proved_head(head, owner, goal), s, state) is None:
             return None
         # Unifying with the head may have instantiated the goal into one
         # that is already open higher on this path; looping on it proves
         # nothing new.  (`g_res`, this goal's own pre-unification form, is
         # open too.)
-        g2 = resolve_formula(g_res, s)
-        if g2 != g_res:
+        g2 = resolve_formula(g_res, s) if len(state.trail) > mark else g_res
+        if g2 is not g_res:
             if g2 in state.open:
                 return None
             text = None
@@ -627,20 +642,15 @@ class Prover:
 
     def _remote(self, goal, depth, restriction, todo, evs):
         state, s = self.state, self.state.subst
+        if self._local(goal, restriction):
+            return
         k = walk(goal.principal, s)
         target = k.name if isinstance(k, S.Const) else None  # None: broadcast
-        if target is not None:
-            if restriction is not None and k not in restriction:
-                return
-            if target in ("T", "N") and self.services is not None:
-                body = resolve_formula(goal.body, s)
-                for sa in self.services.attest_candidates(target, body):
-                    hit = unify_atomic(body, sa.atom(), s, state) is not None
-                    yield (todo, (E.AttLeaf(sa), evs)) if hit else None
-                return
-            if target in self.policies:
-                return  # fully handled locally
-        if self.dispatch is None:
+        if target in ("T", "N") and self.services is not None:
+            body = resolve_formula(goal.body, s)
+            for sa in self.services.attest_candidates(target, body):
+                hit = unify_atomic(body, sa.atom(), s, state) is not None
+                yield (todo, (E.AttLeaf(sa), evs)) if hit else None
             return
         g_send = resolve_formula(goal, s)
         vars_ = list(S.free_vars(g_send))
@@ -669,6 +679,13 @@ def _assemble(g, leaves):
 
 
 def resolve_evidence(ev, s: dict):
-    """Apply the final substitution to the terms embedded in evidence."""
+    """Apply the final substitution to the terms embedded in evidence,
+    keeping each node whose children and terms it leaves as they were."""
     term = partial(resolve, s=s)
-    return E.fold(ev, lambda x, kids: E.rebuild(x, kids, term))
+
+    def node(x, kids):
+        terms = (x.term,) if x.__class__ is E.Witness else getattr(x, "args", ())
+        same = all(map(operator.is_, kids, E.children(x))) and all(map(operator.is_, map(term, terms), terms))
+        return x if same else E.rebuild(x, kids, term)
+
+    return E.fold(ev, node) if s else ev

@@ -234,10 +234,11 @@ def fold(e: Evidence, f):
 
 
 class HypothesisEnv:
-    """Immutable map from hypothesis label to assumed clause."""
+    """Immutable map from hypothesis label to assumed clause; `clauses` is a tuple of them, built once."""
 
     def __init__(self, clauses=None):
         self._clauses: dict[str, S.Clause] = dict(clauses or {})
+        self.clauses = tuple(self._clauses.values())
 
     def extend(self, clauses) -> "HypothesisEnv":
         merged = dict(self._clauses)
@@ -247,9 +248,6 @@ class HypothesisEnv:
 
     def clause(self, label: str) -> S.Clause | None:
         return self._clauses.get(label)
-
-    def clauses(self):
-        return list(self._clauses.values())
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +338,8 @@ class _Checker:
             return _nok(path, "attested formula differs from the goal")
         return _OK
 
-    def _check_theory(self, e: TheoryHole, phi, path):
+    def _check_theory(self, e: TheoryHole, phi, eigens, path):
+        """A comparison on an eigenvariable of `eigens` holds only as `=` of identical terms."""
         if not (isinstance(phi, S.Atom) and phi.pred in S.BUILTIN_PREDS):
             return _nok(path, "theory evidence for a non-interpreted goal")
         if e.pred != phi.pred or e.args != phi.args:
@@ -349,6 +348,9 @@ class _Checker:
         if len(phi.args) != arity or not all(S.is_ground(a) for a in phi.args):
             return _nok(path, f"{phi.pred} needs {arity} ground arguments")
         if phi.pred != "time_not_elapsed":
+            clash = sorted(eigens & S.const_names(phi)) if eigens else ()
+            if clash and not (phi.pred == "=" and phi.args[0] == phi.args[1]):
+                return _nok(path, f"{phi.pred} does not hold for every value of eigenvariable {clash[0]!r}")
             return _OK if S.compare(phi.pred, *phi.args) else _nok(path, f"{phi.pred} does not hold")
         # time_not_elapsed(t): a signed clock reading strictly before t.
         if e.receipt is None:
@@ -453,7 +455,7 @@ class _Checker:
                 if isinstance(phi, S.Forall):
                     # fresh: no number, nor named by the goal, a hypothesis or a policy clause under it
                     eigen = S.Const(e.var, phi.var.sort)
-                    used = S.const_names(phi).union(*map(S.const_names, env.clauses()))
+                    used = S.const_names(phi).union(*map(S.const_names, env.clauses))
                     if e.var in used or S.int_value(eigen) is not None:
                         return _nok(path, f"eigenvariable {e.var!r} is not fresh")
                     inst = S.substitute(phi.body, {phi.var: eigen})
@@ -476,7 +478,8 @@ class _Checker:
                     owners &= allowed
                 todo.append((e.body, phi.body, env, owners, (scope, (phi, e)), eigens, (path, 0)))
             elif isinstance(e, (AttLeaf, TheoryHole)):
-                leaf = (self._check_att_leaf if isinstance(e, AttLeaf) else self._check_theory)(e, phi, path)
+                leaf = (self._check_att_leaf(e, phi, path) if isinstance(e, AttLeaf)
+                        else self._check_theory(e, phi, eigens, path))
                 if not leaf.ok:
                     return leaf
             else:

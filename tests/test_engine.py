@@ -3,6 +3,7 @@ builtins, knowledge restriction, modal laws, depth budget, clause indexing
 and clause application."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -368,6 +369,14 @@ def test_knows_commutation_fails():
     assert _holds(p, pol_k, "knows {K} p(a)")
     assert not _holds(p, pol_k, "knows {L} p(a)")
     assert not _holds(p, pol_k, "knows {L} knows {K} p(a)")
+
+
+def test_a_restriction_inside_a_restriction_may_only_narrow_it():
+    pol_k = parser.parse_policy(LAW_SIG + "f1: p(a).\n", "K")
+    p = Prover({"K": pol_k, "L": parser.parse_policy(LAW_SIG, "L")})
+    assert _holds(p, pol_k, "knows {K} knows {K} p(a)")
+    assert _holds(p, pol_k, "knows {K, L} knows {K} p(a)")
+    assert not _holds(p, pol_k, "knows {K} knows {K, L} p(a)")
 
 
 # ---------------------------------------------------------------------------
@@ -791,3 +800,123 @@ def test_a_slot_binder_spelled_like_a_fresh_name():
     assert len(answers) == 1
     assert trace[2] == "STEP 63 all forall _1'1:Thing. q(_1'1) => p(_1, _1'1)"
     assert counter == 8
+
+
+# `d0`, `d1`, `d2`, `p(a, _)` and `q(_)` under `qp` have one candidate
+# clause each, so each is a determinate goal; `top` and a `q` goal whose
+# argument is unbound have two.  Under `t1` the chain `d1`, `d2` fails at
+# `p(a, b)`, and `t2` then names an `exists` witness and a `forall`
+# eigenconstant.
+_DETERMINATE = (
+    "pred top(Thing). pred d0(Thing). pred d1(Thing). pred d2(Thing). pred r(Thing).\n"
+    "d0r: forall x:Thing. top(x) => d0(x).\n"
+    "t1: forall x:Thing. d1(x) => top(x).\n"
+    "t2: forall x:Thing. (exists y:Thing. q(y)) /\\ (forall z:Thing. r(z) => r(z)) => top(x).\n"
+    "d1r: forall x:Thing. d2(x) => d1(x).\n"
+    "d2r: forall x:Thing. p(x, b) => d2(x).\n"
+    "pa: p(a, a).\n"
+    "qb: q(b).\n"
+    "qp: forall u:Thing, v:Thing. p(u, v) => q(u).\n"
+)
+
+
+@pytest.mark.parametrize("goal, names, counter", [
+    ("d0(a)", ("a", "_26", "_43", "c32", "h34", "c49", "h51"), 70),
+    ("d0(W)", ("W", "_27", "_44", "c33", "h35", "c50", "h52"), 71),
+])
+def test_determinate_goals_number_fresh_names_as_choice_points_did(goal, names, counter):
+    # Trace, answers and counter as a search with a choice point on every
+    # atomic goal gives them: a determinate goal the search backtracks past,
+    # or that is never reopened, still advances the counter past the
+    # universals of the clauses it did not try.
+    x, y, v, c1, h1, c2, h2 = names
+    answers, trace, counter_after, d = _applied(_DETERMINATE, goal)
+
+    def answer(witness, q, eigen, hyp):
+        body = E.PairEv(E.Witness(C(witness), q), E.Abstraction(eigen, E.Abstraction(hyp, E.ClauseApp(hyp, None))))
+        return ({"W": "W"} if x == "W" else {}), E.ClauseApp("d0r", d, (), (E.ClauseApp("t2", d, (), (body,)),))
+
+    assert answers == [
+        answer("b", E.ClauseApp("qb", d), c1, h1),
+        answer("a", E.ClauseApp("qp", d, (C("a"),), (E.ClauseApp("pa", d),)), c2, h2),
+    ]
+    assert trace == [
+        f"STEP 64 goal d0({x})", f"STEP 64 apply d0r d0({x})",
+        f"STEP 63 goal top({x})", f"STEP 63 apply t1 top({x})",
+        f"STEP 62 goal d1({x})", f"STEP 62 apply d1r d1({x})",
+        f"STEP 61 goal d2({x})", f"STEP 61 apply d2r d2({x})",
+        f"STEP 60 goal p({x}, b)",
+        f"STEP 63 apply t2 top({x})",
+        f"STEP 62 goal q({y})", "STEP 62 apply qb q(b)",
+        "STEP 62 all forall z:Thing. r(z) => r(z)", f"STEP 62 assume r({c1})",
+        f"STEP 62 goal r({c1})", f"STEP 62 apply {h1} r({c1})",
+        f"STEP 62 apply qp q({y})",
+        f"STEP 61 goal p({y}, {v})", "STEP 61 apply pa p(a, a)",
+        "STEP 62 all forall z:Thing. r(z) => r(z)", f"STEP 62 assume r({c2})",
+        f"STEP 62 goal r({c2})", f"STEP 62 apply {h2} r({c2})",
+    ]
+    assert counter_after == counter
+
+
+@pytest.mark.parametrize("text, proved", [
+    ("forall x:Thing. x != a", False),
+    ("forall x:Int. x != 4", False),
+    ("forall x:Thing. x = a", False),
+    ("forall x:Thing. x = x", True),
+    ("forall x:Thing. a != b", True),  # no eigenconstant in the comparison
+])
+def test_a_comparison_on_an_eigenconstant_holds_only_as_an_identity(text, proved):
+    pol = parser.parse_policy(HEADS_SIG, "K")
+    goal, _ = parser.parse_goal(text, pol.signature)
+    answer = Prover({"K": pol}).first(goal)
+    assert (answer is not None) == proved
+    if answer is not None:
+        assert E.check({pol.digest: pol}, E.HypothesisEnv(), answer.evidence, answer.goal)
+
+
+class _ClockStub:
+    """Services whose T attests any `q` atom as `q(a)`."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Reading:
+        def atom(self):
+            return S.Atom("q", (C("a"),))
+
+    def attest_candidates(self, who, atom):
+        return [self.Reading()] if who == "T" and atom.pred == "q" else []
+
+
+def test_a_goal_that_a_peer_or_the_services_may_attest_is_not_determinate():
+    # K's own attestation has one clause and nobody else to ask; L's may
+    # come from a peer unless a restriction leaves L out, and T's from the
+    # services.
+    asked = []
+
+    def dispatch(target, goal, vars_, budget, restriction):
+        asked.append(f"{target}: {S.fmt_formula(goal)}")
+        return iter([({}, E.Unit())])
+
+    pol = parser.parse_policy(HEADS_SIG + "principal L.\nr1: forall x:Thing. K says q(x).\n", "K")
+
+    def evidence(text, **kw):
+        goal, free = parser.parse_goal(text, pol.signature)
+        return [a.evidence for a in Prover({"K": pol}, **kw).ask(goal, free)]
+
+    assert evidence("K says q(a)", dispatch=dispatch) == [E.ClauseApp("r1", pol.digest)]
+    assert evidence("knows {K} (L says q(a))", dispatch=dispatch) == []
+    assert asked == []
+    assert evidence("L says q(a)", dispatch=dispatch) == [E.Unit()]
+    assert asked == ["L: L says q(a)"]
+    assert evidence("T says q(a)", services=_ClockStub()) == [E.AttLeaf(_ClockStub.Reading())]
+    assert evidence("T says q(a)") == []
+
+
+def test_a_prover_reuses_an_index_of_its_policy_and_extends_an_earlier_one():
+    old = parser.parse_policy(HEADS_SIG + "f1: q(a).\n", "K")
+    new = parser.parse_policy(HEADS_SIG + "f1: q(a).\nf2: q(b).\n", "K")
+    index = engine.ClauseIndex(new)
+    assert Prover({"K": new}, indexes={"K": index}).indexes["K"] is index
+    prover = Prover({"K": new}, indexes={"K": engine.ClauseIndex(old)})
+    assert prover.indexes["K"].policy is new
+    goal, free = parser.parse_goal("q(b)", new.signature)
+    assert [a.evidence for a in prover.ask(goal, free)] == [E.ClauseApp("f2", new.digest)]

@@ -324,6 +324,9 @@ def _rejection_rows():
         (E.KnowsWrap(frozenset({k}), E.Unit()), S.Knows(frozenset({b}), S.TOP), None, (),
          "restriction sets differ"),
         ("tt", S.TOP, None, (), "unrecognized evidence node str"),
+        (E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c9", "Thing"), r_a.args[0]))),
+         S.Forall(x, S.Atom("!=", (x, r_a.args[0]))), None, (0,),
+         "!= does not hold for every value of eigenvariable 'c9'"),
     ]
 
 
@@ -400,6 +403,7 @@ _EIGEN_POLICY = (
     "h: s().\n"
     "u: forall y:Thing, z:Thing. r(y, z).\n"
 )
+_C9 = S.Const("c9", "Thing")
 _EIGEN_CASES = {  # goal, evidence under K's policy, verdict
     "a fact names it": (
         "forall x:Thing. p(x)", lambda d: E.Abstraction("c1", E.ClauseApp("f", d)),
@@ -417,6 +421,23 @@ _EIGEN_CASES = {  # goal, evidence under K's policy, verdict
         "forall x:Int. x < 4",
         lambda d: E.Abstraction("3", E.TheoryHole("<", (S.Const("3", "Int"), S.Const("4", "Int")))),
         (False, (), "eigenvariable '3' is not fresh")),
+    # A comparison on an eigenvariable must hold for every value of it.
+    "it differs from a constant": (
+        "forall x:Thing. x != c2", lambda d: E.Abstraction("c9", E.TheoryHole("!=", (_C9, S.Const("c2", "Thing")))),
+        (False, (0,), "!= does not hold for every value of eigenvariable 'c9'")),
+    "it differs from a numeral": (
+        "forall x:Int. x != 4",
+        lambda d: E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c9", "Int"), S.Const("4", "Int")))),
+        (False, (0,), "!= does not hold for every value of eigenvariable 'c9'")),
+    "it equals a constant": (
+        "forall x:Thing. x = c2", lambda d: E.Abstraction("c9", E.TheoryHole("=", (_C9, S.Const("c2", "Thing")))),
+        (False, (0,), "= does not hold for every value of eigenvariable 'c9'")),
+    "it equals itself": (
+        "forall x:Thing. x = x", lambda d: E.Abstraction("c9", E.TheoryHole("=", (_C9, _C9))), (True, (), None)),
+    "a comparison without it": (
+        "forall x:Thing. c1 != c2",
+        lambda d: E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c1", "Thing"), S.Const("c2", "Thing")))),
+        (True, (), None)),
 }
 
 
@@ -430,7 +451,7 @@ def test_an_eigenvariable_is_fresh_for_the_policy_clauses_applied_under_it(case)
     local = E.check_certificate(cert, world.policy_map(), world.directory)
     assert (local.ok, local.path, local.reason) == verdict
     assert remote_check(_registry(world), cert) == local
-    if case in ("the clause's owner is the eigenvariable", "a numeral"):
+    if case not in ("a fact names it", "a premise of the clause names it", "the clause names another constant"):
         # L's endpoint sees the eigenvariable and K's owner record
         assert remote_check(_registry(world), cert, l.digest) == local
 

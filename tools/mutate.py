@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check of the certificate writer and reader (`codec`), the
-trusted checker (`evidence._Checker`), `crypto.verify_attestation`, and
+trusted checker (`evidence._Checker`), `crypto.verify_attestation`,
 clause application as prover and checker share it (`syntax.Clause` and
-`syntax.proved_head`).
+`syntax.proved_head`), and proof search (`engine.Prover` and
+`engine.resolve_evidence`).
 
 Each mutant is one small change to one of the listed targets, made in a
 copy of the repository in a temporary directory; the target's named test
@@ -55,6 +56,8 @@ TARGETS = [
      ("tests/test_crypto.py", "tests/test_evidence.py")),
     ("clause", "src/cyberlogic/syntax.py", ("Clause", "proved_head"),
      ("tests/test_evidence.py", "tests/test_engine.py", "tests/test_golden.py")),
+    ("search", "src/cyberlogic/engine.py", ("Prover", "resolve_evidence"),
+     ("tests/test_engine.py", "tests/test_golden.py", "tests/test_oracle.py")),
 ]
 
 _OPPOSITE = {
