@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -37,7 +38,13 @@ class PrincipalId:
 @dataclass(frozen=True)
 class KeyPair:
     public: bytes
-    private: bytes
+    private: bytes = field(repr=False)
+
+    @cached_property
+    def signing_key(self) -> Ed25519PrivateKey:
+        """The Ed25519 key of `private`, loaded on first use; not a field, so
+        equality, hashing and key files see only the bytes."""
+        return Ed25519PrivateKey.from_private_bytes(self.private)
 
 
 def keygen(name: str, rng=None) -> tuple[KeyPair, PrincipalId]:
@@ -53,7 +60,7 @@ def keygen(name: str, rng=None) -> tuple[KeyPair, PrincipalId]:
 
 
 def sign(kp: KeyPair, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(kp.private).sign(message)
+    return kp.signing_key.sign(message)
 
 
 def verify(public: bytes, signature: bytes, message: bytes) -> bool:

@@ -284,8 +284,9 @@ _OK = CheckResult(True)
 # A clause application under a policy known only by its owner record:
 # `node`, at `path`, must prove `goal` inside `scope`, the (formula,
 # evidence) pairs, outermost first, of the implications that assume the
-# hypotheses in scope and of the `knows` restrictions around it.
-Obligation = namedtuple("Obligation", "path node goal scope")
+# hypotheses in scope and of the `knows` restrictions around it, with the
+# names in `eigens` as the eigenvariables in scope.
+Obligation = namedtuple("Obligation", "path node goal scope eigens")
 
 
 def _settled(result: CheckResult, obligations) -> CheckResult:
@@ -382,7 +383,7 @@ class _Checker:
             if owner in eigens:
                 return _nok(path, f"eigenvariable {owner!r} is not fresh")
             if not isinstance(policy, S.Policy):
-                self.obligations.append(Obligation(_items(path), e, phi, _items(scope)))
+                self.obligations.append(Obligation(_items(path), e, phi, _items(scope), eigens))
                 return _OK
             clause = policy.clause(e.label)
             if clause is None:
@@ -413,13 +414,14 @@ class _Checker:
 
     # -- the walk ----------------------------------------------------------
 
-    def check(self, e: Evidence, phi, env: HypothesisEnv) -> CheckResult:
-        """Check that `e` proves `phi`.  Goals (evidence, goal, hypotheses,
+    def check(self, e: Evidence, phi, env: HypothesisEnv, eigens=frozenset()) -> CheckResult:
+        """Check that `e` proves `phi` with the names in `eigens` as
+        eigenvariables in scope.  Goals (evidence, goal, hypotheses,
         owners the `knows` restrictions in scope admit, the implications and
         restrictions around the goal, the eigenvariables in scope, path) wait
         on a stack and are met in pre-order, so the first failure met is the
         result; `self.obligations` gets those met before it, in the same order."""
-        todo = [(e, phi, env, None, (), frozenset(), ())]
+        todo = [(e, phi, env, None, (), eigens, ())]
         while todo:
             e, phi, env, allowed, scope, eigens, path = todo.pop()
             if isinstance(e, ClauseApp):
@@ -499,15 +501,17 @@ def check(policies, env: HypothesisEnv, e: Evidence, phi, directory: Directory |
     return _settled(checker.check(e, phi, env or HypothesisEnv()), checker.obligations)
 
 
-def check_part(cert: Certificate, policies, directory: Directory | None = None) -> tuple[CheckResult, list]:
+def check_part(cert: Certificate, policies, directory: Directory | None = None,
+               eigens=frozenset()) -> tuple[CheckResult, list]:
     """Check a certificate as far as `policies` hold its clauses: pinned
     identities, the creation stamp, and the evidence for the root formula,
     except below each clause application under an owner record, which is
-    left as an `Obligation`.  Returns the verdict on the rest and the
-    obligations met before its first failure, in pre-order.  Each distinct
-    signed attestation is verified once per call: a stamp and receipts that
-    are one clock reading cost one Ed25519 verification, and nothing is
-    remembered from one call to the next."""
+    left as an `Obligation`.  `eigens` names the eigenvariables in scope at
+    the root (an obligation's, checked at its owner).  Returns the verdict
+    on the rest and the obligations met before its first failure, in
+    pre-order.  Each distinct signed attestation is verified once per call:
+    a stamp and receipts that are one clock reading cost one Ed25519
+    verification, and nothing is remembered from one call to the next."""
     if directory is not None:
         for pid in cert.directory:
             known = directory.principal_id(pid.name)
@@ -516,7 +520,7 @@ def check_part(cert: Certificate, policies, directory: Directory | None = None) 
     checker = _Checker(policies, directory)
     if cert.created_at is not None and checker._clock_reading(cert.created_at) is None:
         return _nok((), "creation stamp is not a reading signed by T"), []
-    return checker.check(cert.root_evidence, cert.root_formula, HypothesisEnv()), checker.obligations
+    return checker.check(cert.root_evidence, cert.root_formula, HypothesisEnv(), eigens), checker.obligations
 
 
 def check_certificate(cert: Certificate, policies, directory: Directory | None = None) -> CheckResult:

@@ -2,7 +2,7 @@
 checker registry.
 
 The clock is logical: it only moves when advanced, so runs are
-reproducible.  T signs `time(t)` readings; a receipt for
+reproducible.  T signs a `time(t)` reading once per tick; a receipt for
 `time_not_elapsed(t)` is a signed reading strictly before t.  Nonces are
 unique, seeded, and issued with their creation time.  The registry is an
 append-only hash chain mapping policy digests to their owners and checker
@@ -15,13 +15,15 @@ digest the receiving endpoint `forwards` down to its head (no premises), so
 an endpoint sees only its own part and the hypotheses in scope.  CHECK_REQ
 carries `cert_b64`, a certificate, and for an obligation `evidence_b64`
 too, the clause application to check in place of the certificate's
-innermost node.  CHECK_RESP carries the `verdict`, `path` and `reason` on
-the endpoint's own part and `obligations`: per cut application met, its
-`path` and, as `cert_b64`, its goal and cut application inside the
+innermost node, and `eigens`, the eigenvariables in scope, when there are
+some.  CHECK_RESP carries the `verdict`, `path` and `reason` on the
+endpoint's own part and `obligations`: per cut application met, its
+`path`, as `cert_b64` its goal and cut application inside the
 implications that assume the hypotheses in scope and the `knows`
-restrictions around it.  Paths are relative to the evidence sent; the
-caller takes each cut path back once and maps every path into the
-certificate, so the verdict, path and reason are the local checker's.
+restrictions around it, and its `eigens` when there are some.  Paths are
+relative to the evidence sent; the caller takes each cut path back once
+and maps every path into the certificate, so the verdict, path and
+reason are the local checker's.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ class TrustedServices:
         self.time_keys, self.time_id = keygen("T", self.rng)
         self.nonce_keys, self.nonce_id = keygen("N", self.rng)
         self._now = start
+        self._reading = None  # the last signed reading, reused while the clock stands
         self._nonce_seq = 0
         self.issued: dict[str, int] = {}  # nonce name -> issue time
 
@@ -64,9 +67,13 @@ class TrustedServices:
         self._now += dt
 
     def attest_time(self):
-        """Signed current reading: <T> time(now)."""
-        atom = S.Atom("time", (_time_term(self._now),))
-        return sign_attestation(self.time_keys, self.time_id, atom, issued_at=self._now)
+        """Signed current reading: <T> time(now), signed once per tick.
+        Ed25519 signing is deterministic, so the reused reading is the
+        one a new signature would give."""
+        if self._reading is None or self._reading.issued_at != self._now:
+            atom = S.Atom("time", (_time_term(self._now),))
+            self._reading = sign_attestation(self.time_keys, self.time_id, atom, issued_at=self._now)
+        return self._reading
 
     def time_receipt(self, t):
         """Receipt for time_not_elapsed(t): a signed reading strictly
@@ -202,20 +209,28 @@ class CheckerEndpoint:
                 while isinstance(chain[-1], (E.KnowsWrap, E.Abstraction)):
                     chain.append(chain[-1].body)
                 chain[-1] = codec.decode_evidence(unb64(req["evidence_b64"]))
+            eigens = req.get("eigens", [])
+            if not (isinstance(eigens, list) and all(isinstance(x, str) for x in eigens)):
+                raise ValueError("eigens is not a list of names")
         except Exception as ex:
             return _refusal(f"malformed request: {ex}")
         ev, depth = chain.pop(), len(chain)
         for w in reversed(chain):
             ev = E.rebuild(w, (ev,), None)
         cert = replace(cert, root_evidence=ev)
-        result, obligations = E.check_part(cert, self, self.directory)
-        oblige = [{"path": o.path[depth:], "cert_b64": b64(codec.encode_certificate(_certificate(o)))}
-                  for o in obligations]
+        result, obligations = E.check_part(cert, self, self.directory, frozenset(eigens))
+        oblige = [{"path": o.path[depth:], "cert_b64": b64(codec.encode_certificate(_certificate(o))),
+                   **_eigens(sorted(o.eigens))} for o in obligations]
         resp = {"verdict": "ok" if result else "nok", "path": result.path[depth:], "reason": result.reason}
         try:
             return encode_frame({"type": "CHECK_RESP", **resp, "obligations": oblige})
         except TransportError as ex:
             return _refusal(str(ex))
+
+
+def _eigens(names) -> dict:
+    """The `eigens` field of a request or an obligation: none for no names."""
+    return {"eigens": names} if names else {}
 
 
 def _refusal(reason: str) -> bytes:
@@ -269,7 +284,8 @@ def remote_check(
     if endpoint is None:
         return E.CheckResult(False, (), "no registered checker for the pinned policies")
     # Requests, lowest path on top: the endpoint, the evidence it checks,
-    # that evidence's path in `cert`, and the obligation met (None: `cert`).
+    # that evidence's path in `cert`, and the obligation met (None: `cert`),
+    # as the fields of its reply that go on into the request.
     failure, todo = None, [(endpoint, cert.root_evidence, (), None)]
     while todo:
         endpoint, ev, base, obligation = todo.pop()
@@ -280,7 +296,7 @@ def remote_check(
             if obligation is None:
                 req = {"cert_b64": b64(codec.encode_certificate(replace(cert, root_evidence=ev)))}
             else:
-                req = {"cert_b64": obligation, "evidence_b64": b64(codec.encode_evidence(ev))}
+                req = {**obligation, "evidence_b64": b64(codec.encode_evidence(ev))}
             frame = encode_frame({"type": "CHECK_REQ", **req})
         except TransportError as ex:
             return E.CheckResult(False, base, str(ex))
@@ -291,11 +307,13 @@ def remote_check(
             resp = decode_frame(resp)
             ok, reason = resp["verdict"] == "ok", resp.get("reason")
             path = tuple(map(operator.index, resp.get("path", ())))
-            obligations = [(tuple(map(operator.index, o["path"])), o["cert_b64"])
+            obligations = [(tuple(map(operator.index, o["path"])),
+                            {"cert_b64": o["cert_b64"], **_eigens(o.get("eigens"))})
                            for o in resp.get("obligations", ())]
             if resp["type"] != "CHECK_RESP" or not (ok or isinstance(reason, str)):
                 raise ValueError("no verdict")
-            obligations.sort(reverse=True)  # the lowest path goes on the stack last
+            # by path, the lowest going on the stack last
+            obligations.sort(key=operator.itemgetter(0), reverse=True)
         except (TransportError, KeyError, TypeError, ValueError) as ex:
             return E.CheckResult(False, base, f"malformed checker response: {ex}")
         for at, obligation in obligations:

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from cyberlogic import codec, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import (
     Directory,
+    KeyPair,
     keygen,
     load_keypair,
     save_keypair,
@@ -117,6 +119,30 @@ def test_key_file_round_trip(tmp_path):
     assert load_keypair(str(path)) == kp
     mode = path.stat().st_mode & 0o777
     assert mode & 0o077 == 0  # not readable by group/other
+
+
+def test_a_loaded_signing_key_signs_as_the_seed_does(tmp_path):
+    kp, _ = keygen("K", random.Random(10))
+    save_keypair(str(tmp_path / "K.key"), kp)
+    for pair in (kp, load_keypair(str(tmp_path / "K.key"))):
+        for msg in (b"", b"payload", b"payload"):
+            assert sign(pair, msg) == Ed25519PrivateKey.from_private_bytes(pair.private).sign(msg)
+
+
+def test_a_key_pair_that_has_signed_equals_one_that_has_not():
+    kp, _ = keygen("K", random.Random(11))
+    twin = KeyPair(kp.public, kp.private)
+    sign(kp, b"payload")
+    assert kp == twin and hash(kp) == hash(twin)
+    assert {kp: 1}[twin] == 1
+
+
+def test_a_key_pair_repr_shows_no_private_seed():
+    kp, _ = keygen("K", random.Random(12))
+    sign(kp, b"payload")
+    text = repr(kp)
+    assert repr(kp.private) not in text and kp.private.hex() not in text
+    assert repr(kp.public) in text
 
 
 def test_malformed_key_file(tmp_path):

@@ -402,6 +402,7 @@ _EIGEN_POLICY = (
     "g: forall y:Thing. p(c1) => q(y).\n"
     "h: s().\n"
     "u: forall y:Thing, z:Thing. r(y, z).\n"
+    "g2: forall y:Thing. y != c2 => q(y).\n"
 )
 _C9 = S.Const("c9", "Thing")
 _EIGEN_CASES = {  # goal, evidence under K's policy, verdict
@@ -434,6 +435,10 @@ _EIGEN_CASES = {  # goal, evidence under K's policy, verdict
         (False, (0,), "= does not hold for every value of eigenvariable 'c9'")),
     "it equals itself": (
         "forall x:Thing. x = x", lambda d: E.Abstraction("c9", E.TheoryHole("=", (_C9, _C9))), (True, (), None)),
+    "a premise compares it": (
+        "forall x:Thing. q(x)",
+        lambda d: E.Abstraction("c9", E.ClauseApp("g2", d, (), (E.TheoryHole("!=", (_C9, S.Const("c2", "Thing"))),))),
+        (False, (0, 0), "!= does not hold for every value of eigenvariable 'c9'")),
     "a comparison without it": (
         "forall x:Thing. c1 != c2",
         lambda d: E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c1", "Thing"), S.Const("c2", "Thing")))),
@@ -451,9 +456,8 @@ def test_an_eigenvariable_is_fresh_for_the_policy_clauses_applied_under_it(case)
     local = E.check_certificate(cert, world.policy_map(), world.directory)
     assert (local.ok, local.path, local.reason) == verdict
     assert remote_check(_registry(world), cert) == local
-    if case not in ("a fact names it", "a premise of the clause names it", "the clause names another constant"):
-        # L's endpoint sees the eigenvariable and K's owner record
-        assert remote_check(_registry(world), cert, l.digest) == local
+    # from L's endpoint, K's clauses are obligations checked at K under the eigenvariables in scope
+    assert remote_check(_registry(world), cert, l.digest) == local
 
 
 @pytest.mark.parametrize("text, eigen", [

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import test_evidence
-from cyberlogic import codec, parser, scenarios
+from cyberlogic import codec, crypto, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import Directory, sha256, verify_attestation
@@ -49,6 +49,48 @@ def test_time_receipt_only_before_deadline():
     assert svc.time_receipt(S.Const("5", "Time")) is not None
     assert svc.time_receipt(S.Const("3", "Time")) is None
     assert svc.time_receipt(S.Const("2", "Time")) is None
+
+
+def _time_reading(t):
+    return S.Attest(S.Const("T", "Principal"), S.Atom("time", (S.Const(str(t), "Time"),)))
+
+
+def test_a_clock_reading_is_signed_once_per_tick(monkeypatch):
+    signed = []
+    real = crypto.sign
+    monkeypatch.setattr(crypto, "sign", lambda kp, m: signed.append(m) or real(kp, m))
+    svc = TrustedServices(seed=0, start=3)
+    first = svc.attest_time()
+    assert svc.attest_time() is first and len(signed) == 1
+    assert svc.attest_candidates("T", S.Atom("time", (S.Var("t", "Time"),))) == [first]
+    assert svc.time_receipt(S.Const("5", "Time")) is first and len(signed) == 1
+
+
+def test_advancing_the_clock_signs_a_new_reading():
+    svc = TrustedServices(seed=0, start=3)
+    d = Directory()
+    svc.register_keys(d)
+    old = svc.attest_time()
+    svc.advance(0)
+    assert svc.attest_time() is old
+    svc.advance(1)
+    new = svc.attest_time()
+    assert new != old and new.issued_at == 4
+    assert verify_attestation(d.public_key("T"), new) == _time_reading(4)
+    assert verify_attestation(d.public_key("T"), old) == _time_reading(3)
+    # the reused reading is the one a fresh service at that tick signs
+    assert TrustedServices(seed=0, start=4).attest_time() == new
+
+
+def test_a_reused_reading_is_no_receipt_at_or_after_the_deadline():
+    svc = TrustedServices(seed=0, start=3)
+    assert svc.time_receipt(S.Const("5", "Time")).issued_at == 3
+    svc.advance(1)
+    assert svc.time_receipt(S.Const("5", "Time")).issued_at == 4
+    svc.advance(1)
+    assert svc.time_receipt(S.Const("5", "Time")) is None
+    svc.advance(1)
+    assert svc.time_receipt(S.Const("5", "Time")) is None
 
 
 def test_nonces_unique_over_ten_thousand():
@@ -336,6 +378,14 @@ HOSTILE_REPLIES = {
     "obligations left out": (lambda honest: _resp(honest, obligations=[]), "unchecked"),
     "obligation certificate garbled": (
         lambda honest: _resp(honest, obligations=[{**o, "cert_b64": "!!"} for o in _obligations(honest)]),
+        "malformed request",
+    ),
+    "obligation eigenvariables not a list": (
+        lambda honest: _resp(honest, obligations=[{**o, "eigens": "c9"} for o in _obligations(honest)]),
+        "malformed request",
+    ),
+    "obligation eigenvariable not a name": (
+        lambda honest: _resp(honest, obligations=[{**o, "eigens": [9]} for o in _obligations(honest)]),
         "malformed request",
     ),
 }

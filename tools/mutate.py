@@ -2,14 +2,17 @@
 """Mutation check of the certificate writer and reader (`codec`), the
 trusted checker (`evidence._Checker`), `crypto.verify_attestation`,
 clause application as prover and checker share it (`syntax.Clause` and
-`syntax.proved_head`), and proof search (`engine.Prover` and
-`engine.resolve_evidence`).
+`syntax.proved_head`), proof search (`engine.Prover` and
+`engine.resolve_evidence`), and signing (`crypto.sign`, `crypto.KeyPair`
+and `services.TrustedServices`).
 
 Each mutant is one small change to one of the listed targets, made in a
 copy of the repository in a temporary directory; the target's named test
 subset then runs against the copy with `-x`.  A mutant is killed when a
-test fails and survives when every test passes: a survivor is a change no
-test notices.  The mutations are fixed:
+test fails or its run takes more than TIMEOUT_FACTOR times as long as the
+unmutated run of the same subset (and at least MIN_TIMEOUT seconds), and
+survives when every test passes: a survivor is a change no test notices.
+The mutations are fixed:
 
   flip-compare   a comparison with one operator gets its opposite
                  (== and !=, < and >=, > and <=, is and is not, in and not in)
@@ -39,12 +42,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MEMORY_LIMIT = 1 << 30  # bytes of address space for each mutant's test run
-TIMEOUT = 600  # seconds for each mutant's test run
+TIMEOUT_FACTOR = 10  # a mutant's test run may take this many times the unmutated run's time
+MIN_TIMEOUT = 60  # seconds, however quick the unmutated run
 
-# (name, file, top-level functions or classes mutated, tests run on each mutant)
+# (name, file, top-level functions or classes mutated, tests run on each
+# mutant).  A target over two files is listed once per file.
 TARGETS = [
     ("codec", "src/cyberlogic/codec.py",
      ("_string", "_i64", "_interned", "_pin", "_digest", "_count", "_flag", "_set", "_op", "_write", "_read",
@@ -58,6 +65,10 @@ TARGETS = [
      ("tests/test_evidence.py", "tests/test_engine.py", "tests/test_golden.py")),
     ("search", "src/cyberlogic/engine.py", ("Prover", "resolve_evidence"),
      ("tests/test_engine.py", "tests/test_golden.py", "tests/test_oracle.py")),
+    ("signing", "src/cyberlogic/crypto.py", ("sign", "KeyPair"),
+     ("tests/test_crypto.py", "tests/test_services.py")),
+    ("signing", "src/cyberlogic/services.py", ("TrustedServices",),
+     ("tests/test_crypto.py", "tests/test_services.py")),
 ]
 
 _OPPOSITE = {
@@ -120,8 +131,9 @@ def _mutate(kind, node, parent):
 
 
 def mutants():
-    """(id, target, line, the changed line) for every mutant, in order."""
-    out = []
+    """(id, target, site index in its file, line, the changed line) for every
+    mutant, in order.  A target's ids number on across its files."""
+    out, count = [], Counter()
     for target in TARGETS:
         name, path, names, _ = target
         source = pathlib.Path(ROOT, path).read_text()
@@ -131,7 +143,8 @@ def mutants():
             print(f"{path} defines no {', '.join(sorted(missing))} at top level", file=sys.stderr)
             sys.exit(2)
         for i, (kind, node, _) in enumerate(_sites(tree, names)):
-            out.append((f"{name}:{i}:{kind}", target, node.lineno, lines[node.lineno - 1].strip()))
+            out.append((f"{name}:{count[name]}:{kind}", target, i, node.lineno, lines[node.lineno - 1].strip()))
+            count[name] += 1
     return out
 
 
@@ -146,12 +159,12 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(copy, tests) -> bool:
-    """Whether every test in `tests` passes in the copy."""
+def run_tests(copy, tests, timeout=None) -> bool:
+    """Whether every test in `tests` passes in the copy within `timeout` seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT,
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout,
                               preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return False
@@ -165,7 +178,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     chosen = [m for m in mutants() if args.only in m[0]]
     if args.list:
-        for mid, target, line, text in chosen:
+        for mid, target, _, line, text in chosen:
             print(f"{mid:28s} {target[1]}:{line}  {text}")
         return 0
     copy = tempfile.mkdtemp(prefix="mutate-")
@@ -173,17 +186,20 @@ def main(argv=None) -> int:
         shutil.copytree(os.path.join(ROOT, "src"), os.path.join(copy, "src"))
         shutil.copytree(os.path.join(ROOT, "tests"), os.path.join(copy, "tests"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
-        for tests in dict.fromkeys(target[3] for _, target, _, _ in chosen):
+        timeouts = {}  # test subset -> seconds allowed to each of its mutants
+        for tests in dict.fromkeys(m[1][3] for m in chosen):
+            start = time.monotonic()
             if not run_tests(copy, tests):
                 print(f"the unmutated copy fails {' '.join(tests)}")
                 return 2
+            timeouts[tests] = max(MIN_TIMEOUT, TIMEOUT_FACTOR * (time.monotonic() - start))
         survivors = []
-        for mid, target, line, text in chosen:
+        for mid, target, index, line, text in chosen:
             path = pathlib.Path(copy, target[1])
             original = path.read_text()
-            path.write_text(mutant_source(original, target[2], int(mid.split(":")[1])))
+            path.write_text(mutant_source(original, target[2], index))
             try:
-                killed = not run_tests(copy, target[3])
+                killed = not run_tests(copy, target[3], timeouts[target[3]])
             finally:
                 path.write_text(original)
             print(f"{'killed' if killed else 'SURVIVED':8s} {mid:28s} {target[1]}:{line}  {text}", flush=True)
