@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from . import syntax as S
-from .crypto import Directory, PrincipalId, SignedAttestation, verify_attestation
+from .crypto import Directory, PrincipalId, SignedAttestation
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +302,13 @@ class _Checker:
         self.policies = policies or {}  # digest -> Policy or owner record
         self.directory = directory
         self.obligations: list[Obligation] = []
-        self.attested = {}  # (name, SignedAttestation) -> its formula or None, for this check only
 
     # -- leaves ------------------------------------------------------------
-
-    def _attested(self, name: str, sa: SignedAttestation):
-        """`verify_attestation` of `sa` under `name`'s key (None without one), run once per pair."""
-        if (name, sa) not in self.attested:
-            key = self.directory.public_key(name) if self.directory is not None else None
-            self.attested[name, sa] = verify_attestation(key, sa) if key is not None else None
-        return self.attested[name, sa]
 
     def _clock_reading(self, sa: SignedAttestation) -> int | None:
         """The time `t` of `sa` if it is a reading `T says time(t)`: signed
         under T's key, naming T, with a numeral `t`.  None otherwise."""
-        got = self._attested(S.TIME_SOURCE.name, sa)
+        got = self.directory.attested(S.TIME_SOURCE.name, sa) if self.directory is not None else None
         if got is None or got.principal != S.TIME_SOURCE:
             return None
         atom = got.body
@@ -332,7 +324,7 @@ class _Checker:
             return _nok(path, "attesting principal is not ground")
         if self.directory is None or k.name not in self.directory:
             return _nok(path, f"no public key for {k.name!r}")
-        got = self._attested(k.name, e.attestation)
+        got = self.directory.attested(k.name, e.attestation)
         if got is None:
             return _nok(path, f"signature by {k.name!r} does not verify")
         if got != phi:
@@ -509,9 +501,10 @@ def check_part(cert: Certificate, policies, directory: Directory | None = None,
     left as an `Obligation`.  `eigens` names the eigenvariables in scope at
     the root (an obligation's, checked at its owner).  Returns the verdict
     on the rest and the obligations met before its first failure, in
-    pre-order.  Each distinct signed attestation is verified once per call:
-    a stamp and receipts that are one clock reading cost one Ed25519
-    verification, and nothing is remembered from one call to the next."""
+    pre-order.  Signed attestations are verified through `directory`, which
+    remembers each that verified (`Directory.attested`): a clock reading
+    that stamps every certificate of a tick costs one Ed25519 verification
+    per directory, however many checks and receipts carry it."""
     if directory is not None:
         for pid in cert.directory:
             known = directory.principal_id(pid.name)

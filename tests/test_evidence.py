@@ -6,6 +6,7 @@ import gc
 import random
 import statistics
 import sys
+import threading
 import time
 import types
 
@@ -133,12 +134,20 @@ def test_a_creation_stamp_must_name_the_time_source():
     assert res.reason == "creation stamp is not a reading signed by T"
 
 
-def _registry(world) -> Registry:
-    """One checker endpoint per policy of `world`."""
+def _registry(world, directory=None) -> Registry:
+    """One checker endpoint per policy of `world`, on `directory` (the world's by default)."""
     registry = Registry()
     for owner, pol in world.policies.items():
-        registry.register(pol.digest, CheckerEndpoint(owner, [pol], world.directory, registry))
+        registry.register(pol.digest, CheckerEndpoint(owner, [pol], directory or world.directory, registry))
     return registry
+
+
+def _cold(directory) -> Directory:
+    """A directory with the keys of `directory` that has verified nothing."""
+    cold = Directory()
+    for name in directory.names():
+        cold.add(name, directory.public_key(name))
+    return cold
 
 
 def _timed(goal):
@@ -160,17 +169,21 @@ _ONE_READING = {  # certificates whose signed attestations are all one
 
 
 @pytest.mark.parametrize("name", _ONE_READING)
-def test_each_distinct_attestation_is_verified_once_per_check(monkeypatch, name):
+def test_each_distinct_attestation_is_verified_once_per_directory(monkeypatch, name):
     world, cert = _ONE_READING[name]()
-    registry = _registry(world)
     calls, verify = [], crypto.verify
     monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
-    # Twice each: a check remembers nothing of the one before it.
-    for check in [lambda: E.check_certificate(cert, world.policy_map(), world.directory),
-                  lambda: remote_check(registry, cert)] * 2:
-        calls.clear()
-        assert check().ok
-        assert len(calls) == 1
+    # The first check verifies the reading, and no later one, local or
+    # remote; a fresh directory with the same keys verifies it again.
+    for order in (["local", "remote"] * 2, ["remote", "local"] * 2):
+        directory = _cold(world.directory)
+        registry = _registry(world, directory)
+        checks = {"local": lambda: E.check_certificate(cert, world.policy_map(), directory),
+                  "remote": lambda: remote_check(registry, cert)}
+        for i, how in enumerate(order):
+            calls.clear()
+            assert checks[how]().ok
+            assert len(calls) == (1 if i == 0 else 0), (i, how)
 
 
 def _flip(data: bytes) -> bytes:
@@ -261,6 +274,115 @@ def test_an_edited_copy_of_a_repeated_reading_gets_the_verdict_of_a_check_of_eve
     assert bad != cert
     for result in (E.check_certificate(bad, world.policy_map(), world.directory), remote_check(_registry(world), bad)):
         assert (result.ok, result.path, result.reason) == verdict
+
+
+def _with_reading(cert, copies, sa):
+    """`cert` with `sa` in place of the copies of its reading that `copies` names."""
+    def swap(x, kids):
+        if isinstance(x, E.AttLeaf) and "leaf" in copies:
+            return E.AttLeaf(sa)
+        if isinstance(x, E.TheoryHole) and "receipt" in copies:
+            return dataclasses.replace(x, receipt=sa)
+        return E.rebuild(x, kids, lambda t: t)
+
+    stamp = sa if "stamp" in copies else cert.created_at
+    return dataclasses.replace(cert, root_evidence=E.fold(cert.root_evidence, swap), created_at=stamp)
+
+
+@pytest.mark.parametrize("edit", _READING_EDITS)
+def test_a_directory_that_verified_a_reading_judges_its_edits_as_a_fresh_one_does(edit):
+    world, cert = _timed("curr(5)")
+    warm, reading = world.directory, cert.created_at
+    assert (warm.public_key("T"), reading) in warm._attested
+    edited = _READING_EDITS[edit](reading, world.services)
+    assert warm.attested("T", edited) == _cold(warm).attested("T", edited)
+    for copies in ("stamp", "leaf", "receipt", "stamp leaf receipt"):
+        bad = _with_reading(cert, copies, edited)
+        verdicts = [E.check_certificate(bad, world.policy_map(), d) for d in (warm, _cold(warm))]
+        verdicts += [remote_check(_registry(world, d), bad) for d in (warm, _cold(warm))]
+        assert verdicts[1:] == verdicts[:-1], copies
+
+
+def test_a_reading_verified_under_a_replaced_key_is_refused():
+    world, cert = _timed("curr(5)")
+    directory, reading = world.directory, cert.created_at
+    assert directory.attested("T", reading) is not None
+    other, _ = keygen("T", random.Random(1))
+    directory.add("T", other.public)
+    assert directory.attested("T", reading) is None
+    goal = S.Attest(S.TIME_SOURCE, reading.atom())
+    assert E.check({}, E.HypothesisEnv(), E.AttLeaf(reading), goal, directory) == E.CheckResult(
+        False, (), "signature by 'T' does not verify")
+    assert E.check_certificate(cert, world.policy_map(), directory) == E.CheckResult(
+        False, (), "pinned key for 'T' does not match the directory")
+
+
+def _signed_readings(n):
+    """A directory holding K's key, and `n` distinct attestations K signed."""
+    kp, pid = keygen("K", random.Random(0))
+    directory = Directory()
+    directory.add("K", kp.public)
+    return directory, [sign_attestation(kp, pid, S.Atom("time", (S.Const(str(t), "Time"),))) for t in range(n)]
+
+
+def test_a_directory_keeps_only_the_newest_verified_attestations():
+    directory, signed = _signed_readings(crypto.ATTESTED_CACHE + 5)
+    for sa in signed:
+        assert directory.attested("K", sa) is not None
+    assert [sa for _, sa in directory._attested] == signed[5:]
+
+
+def test_a_directory_shared_by_threads_keeps_every_verdict_and_the_cap():
+    # More threads than cores, switching often: a lost update or a race
+    # between two evictions would raise, lose a verdict or pass the cap.
+    directory, signed = _signed_readings(crypto.ATTESTED_CACHE + 200)
+    workers = 4
+    results = [[] for _ in range(workers)]
+
+    def run(i):
+        results[i] = [directory.attested("K", sa) is not None for sa in signed[i::workers]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(map(len, results)) == len(signed) and all(map(all, results))
+    assert len(directory._attested) == crypto.ATTESTED_CACHE
+
+
+def test_a_forged_attestation_is_never_remembered(monkeypatch):
+    directory, (sa,) = _signed_readings(1)
+    forged = dataclasses.replace(sa, signature=_flip(sa.signature))
+    calls, verify = [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
+    for _ in range(2):
+        assert directory.attested("K", forged) is None
+    assert len(calls) == 2 and not directory._attested
+    assert directory.attested("B", sa) is None  # no key for B
+    assert directory.attested("K", sa) is not None
+    assert list(directory._attested) == [(directory.public_key("K"), sa)]
+
+
+def test_remote_verdicts_equal_local_ones_with_warm_and_cold_directories():
+    # Each golden scenario's world has checked its certificate; every
+    # single-node tamper of it gets one verdict from the world's directory
+    # and from fresh ones, local and remote.
+    for name, run in sorted(scenarios.SCENARIOS.items()):
+        r = run(0)
+        world, cert = r.world, r.certificate
+        for _, ev in [("", cert.root_evidence), *_mutations(cert.root_evidence)]:
+            c = dataclasses.replace(cert, root_evidence=ev)
+            local = E.check_certificate(c, world.policy_map(), _cold(world.directory))
+            for directory in (world.directory, _cold(world.directory)):
+                assert remote_check(_registry(world, directory), c) == local, name
+            assert E.check_certificate(c, world.policy_map(), world.directory) == local, name
 
 
 def test_one_attestation_under_two_names_is_verified_under_each():

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Mutation check of the certificate writer and reader (`codec`), the
-trusted checker (`evidence._Checker`), `crypto.verify_attestation`,
+trusted checker (`evidence._Checker`, and `crypto.Directory`, which loads
+each key once and remembers the attestations that verified under it),
+`crypto.verify_attestation`,
 clause application as prover and checker share it (`syntax.Clause` and
 `syntax.proved_head`), proof search (`engine.Prover` and
 `engine.resolve_evidence`), and signing (`crypto.sign`, `crypto.KeyPair`
@@ -59,7 +61,9 @@ TARGETS = [
      ("tests/test_codec.py", "tests/test_golden.py")),
     ("checker", "src/cyberlogic/evidence.py", ("_Checker",),
      ("tests/test_evidence.py", "tests/test_services.py", "tests/test_acceptance.py")),
-    ("attestation", "src/cyberlogic/crypto.py", ("verify_attestation",),
+    ("checker", "src/cyberlogic/crypto.py", ("Directory",),
+     ("tests/test_evidence.py", "tests/test_crypto.py", "tests/test_node.py")),
+    ("attestation", "src/cyberlogic/crypto.py", ("verify_attestation", "_attestation"),
      ("tests/test_crypto.py", "tests/test_evidence.py")),
     ("clause", "src/cyberlogic/syntax.py", ("Clause", "proved_head"),
      ("tests/test_evidence.py", "tests/test_engine.py", "tests/test_golden.py")),
