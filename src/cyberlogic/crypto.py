@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,13 +64,9 @@ def sign(kp: KeyPair, message: bytes) -> bytes:
     return kp.signing_key.sign(message)
 
 
-def verify(public: bytes | Ed25519PublicKey, signature: bytes, message: bytes) -> bool:
-    """Whether `signature` over `message` verifies under `public`: raw key
-    bytes, or the key a `Directory` loaded from them once."""
+def verify(public: bytes, signature: bytes, message: bytes) -> bool:
     try:
-        if not isinstance(public, Ed25519PublicKey):
-            public = Ed25519PublicKey.from_public_bytes(public)
-        public.verify(signature, message)
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -121,14 +116,9 @@ def sign_attestation(
 def verify_attestation(public: bytes, sa: SignedAttestation) -> Formula | None:
     """Return the attested formula Attest(K, atom) on success, None on any
     forged, tampered, or mismatched certificate."""
-    return _attestation(public, sha256(public), sa)
-
-
-def _attestation(key: bytes | Ed25519PublicKey, fingerprint: bytes, sa: SignedAttestation) -> Formula | None:
-    """`verify_attestation` under `key`, whose raw bytes have `fingerprint`."""
-    if fingerprint != sa.principal.fingerprint:
+    if sha256(public) != sa.principal.fingerprint:
         return None
-    if not verify(key, sa.signature, _signing_input(sa.payload, sa.issued_at)):
+    if not verify(public, sa.signature, _signing_input(sa.payload, sa.issued_at)):
         return None
     try:
         atom = sa.atom()
@@ -142,9 +132,7 @@ def _attestation(key: bytes | Ed25519PublicKey, fingerprint: bytes, sa: SignedAt
 
 KEYFILE_MODE = 0o600
 ATTESTED_CACHE = 1024  # verified attestations a Directory keeps, oldest dropped first
-
-# A directory entry: raw public key bytes, their sha256, and the key loaded from them.
-_Entry = namedtuple("_Entry", "public fingerprint key")
+ATTESTED_SIZE = 256  # longest payload plus principal name a Directory keeps
 
 
 def save_keypair(path: str, kp: KeyPair):
@@ -166,62 +154,52 @@ def load_keypair(path: str) -> KeyPair:
 class Directory:
     """Deployment directory: principal name -> public key and fingerprint.
     Iteration order is file/registration order and drives broadcast order.
-    Each key is loaded once, when it is added.  A signed attestation is
-    verified once per key: the directory keeps the ATTESTED_CACHE newest
-    that verified, and no attestation that failed."""
+    A signed attestation is verified once per key: the directory keeps the
+    ATTESTED_CACHE newest that verified, none larger than ATTESTED_SIZE,
+    and no attestation that failed."""
 
     def __init__(self):
-        self._entries = {}  # name -> _Entry
+        self._entries = {}  # name -> (public bytes, fingerprint)
         self._attested = {}  # (public bytes, SignedAttestation) -> its formula
         self._lock = threading.Lock()  # held to store in and drop from _attested
 
     def add(self, name: str, public: bytes):
-        try:
-            key = Ed25519PublicKey.from_public_bytes(public)
-        except ValueError:
-            raise KeyError_(f"malformed public key for {name!r}") from None
-        self._entries[name] = _Entry(public, sha256(public), key)
+        self._entries[name] = (public, sha256(public))
 
     def attested(self, name: str, sa: SignedAttestation) -> Formula | None:
         """`verify_attestation` of `sa` under `name`'s key, or None without
         one.  The memo is keyed on the key's bytes and the whole of `sa`,
         so a replaced key or any changed field is verified afresh."""
-        e = self._entries.get(name)
-        if e is None:
+        public = self.public_key(name)
+        if public is None:
             return None
-        got = self._attested.get((e.public, sa))
+        got = self._attested.get((public, sa))
         if got is None:
-            got = _attestation(e.key, e.fingerprint, sa)
-            if got is not None:
+            got = verify_attestation(public, sa)
+            if got is not None and len(sa.payload) + len(sa.principal.name) <= ATTESTED_SIZE:
                 with self._lock:
-                    self._attested[e.public, sa] = got
+                    self._attested[public, sa] = got
                     if len(self._attested) > ATTESTED_CACHE:
                         del self._attested[next(iter(self._attested))]
         return got
-
-    def verifies(self, name: str, signature: bytes, message: bytes) -> bool:
-        """Whether `signature` over `message` verifies under `name`'s key;
-        False without one."""
-        e = self._entries.get(name)
-        return e is not None and verify(e.key, signature, message)
 
     def names(self):
         return list(self._entries)
 
     def public_key(self, name: str) -> bytes | None:
         e = self._entries.get(name)
-        return e.public if e else None
+        return e[0] if e else None
 
     def principal_id(self, name: str) -> PrincipalId | None:
         e = self._entries.get(name)
-        return PrincipalId(name, e.fingerprint) if e else None
+        return PrincipalId(name, e[1]) if e else None
 
     def __contains__(self, name):
         return name in self._entries
 
     def save(self, path: str):
         with open(path, "w") as fh:
-            for name, (pub, fp, _) in self._entries.items():
+            for name, (pub, fp) in self._entries.items():
                 fh.write(f"{name} {pub.hex()} {fp.hex()}\n")
 
     @classmethod

@@ -360,6 +360,7 @@ class Node:
         """The bindings and evidence of the first ANSWER that names `query`
         and carries `frm`'s signature over the rest of the frame."""
         request = crypto.sha256(query).hex()
+        pub = self.directory.public_key(frm)
         for resp in responses:
             try:
                 obj = decode_frame(resp)
@@ -376,7 +377,7 @@ class Node:
             ):
                 continue  # unsigned or malformed
             try:
-                if not self.directory.verifies(frm, unb64(sig), encode_frame(obj)):
+                if pub is None or not crypto.verify(pub, unb64(sig), encode_frame(obj)):
                     continue  # no key, forged or altered
                 bindings = {name: codec.decode_term(unb64(t)) for name, t in bindings.items()}
                 ev = codec.decode_evidence(unb64(ev))

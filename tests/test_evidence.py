@@ -370,6 +370,23 @@ def test_a_forged_attestation_is_never_remembered(monkeypatch):
     assert list(directory._attested) == [(directory.public_key("K"), sa)]
 
 
+def test_a_large_attestation_is_verified_on_every_call_and_never_kept(monkeypatch):
+    # The principal name is not signed, so it pads an attestation that
+    # still verifies: at ATTESTED_SIZE it is kept, one byte more it is not.
+    directory, (sa,) = _signed_readings(1)
+    pid = sa.principal
+    fits, large = (dataclasses.replace(sa, principal=dataclasses.replace(
+        pid, name="K" * (crypto.ATTESTED_SIZE - len(sa.payload) + extra))) for extra in (0, 1))
+    calls, verify = [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
+    for _ in range(2):
+        assert directory.attested("K", large) == S.Attest(S.Const(large.principal.name, "Principal"), sa.atom())
+    assert len(calls) == 2 and not directory._attested
+    for _ in range(2):
+        assert directory.attested("K", fits) is not None
+    assert len(calls) == 3 and list(directory._attested) == [(directory.public_key("K"), fits)]
+
+
 def test_remote_verdicts_equal_local_ones_with_warm_and_cold_directories():
     # Each golden scenario's world has checked its certificate; every
     # single-node tamper of it gets one verdict from the world's directory
