@@ -9,8 +9,8 @@ only the depth budget bounds the length of a derivation, and a choice
 point exists only where a goal has more than one alternative.
 Policy clauses are selected through a per-policy `ClauseIndex` on the head
 predicate and the goal's first argument when it is ground, in textual
-order, and fresh names are numbered as if every clause had been tried.
-Hypothesis clauses are not indexed.
+order; hypothesis clauses are not indexed.  Fresh names are numbered per
+query as they are made, with `@k` at hop k > 0 of a distributed search.
 Conjunct scheduling prefers attestation goals whose principal is still
 unbound (they generate bindings), delays interpreted predicates until
 their arguments are ground, and delays disjunctions that mention unbound
@@ -166,7 +166,7 @@ class _State:
     def __init__(self):
         self.subst: dict = {}  # Var -> Term, bound in place
         self.open: set = set()  # resolved atomic goals being proved on this path
-        self.trail: list = []  # variables bound, goals opened or closed, counts; oldest first
+        self.trail: list = []  # variables bound, goals opened or closed; oldest first
         self.counter = 0  # last number handed out
         self.meta_birth: dict[str, int] = {}
         self.eigen_birth: dict[str, int] = {}
@@ -222,14 +222,10 @@ class ClauseIndex:
     argument; one whose first argument holds a variable goes in the
     group's wildcards.  Unification is syntactic, so a ground goal argument
     can only unify with the heads of its own key and the wildcards, and
-    `candidates(pred, key)` yields exactly those, merged in textual order;
-    with no key it yields the whole group.  `keyed` holds the predicates
-    with at least one keyed head; for any other a key selects nothing.
-
-    Each candidate is (position, offset, clause): `offset` is the number
-    of universals of all the policy's clauses before it, and `total` the
-    number in the whole policy, so the prover can number fresh names as if
-    it had renamed every clause in turn.
+    `candidates(pred, key)` yields exactly those as (position, clause),
+    merged in textual order; with no key it yields the whole group.
+    `keyed` holds the predicates with at least one keyed head; for any
+    other a key selects nothing.
 
     The index is built whole, in one pass over the clauses, and never
     changed after: a suspended search may still be iterating its lists.
@@ -245,9 +241,9 @@ class ClauseIndex:
         # pred -> the group, (pred, key) -> a bucket, (pred, None) -> the
         # wildcards; each list in textual order
         if start and base.policy.clauses == clauses[:start]:
-            lists, self.keyed, offset = dict(base._lists), set(base.keyed), base.total
+            lists, self.keyed = dict(base._lists), set(base.keyed)
         else:
-            lists, self.keyed, start, offset = {}, set(), 0, 0
+            lists, self.keyed, start = {}, set(), 0
         added: dict = {}  # the entries of the clauses filed here, by list
         for pos in range(start, len(clauses)):
             c = clauses[pos]
@@ -255,13 +251,12 @@ class ClauseIndex:
             key = _key(atom.args[0]) if atom.args else None
             if key is not None:
                 self.keyed.add(atom.pred)
-            entry = (pos, offset, c)
+            entry = (pos, c)
             added.setdefault(atom.pred, []).append(entry)
             added.setdefault((atom.pred, key), []).append(entry)
-            offset += len(c.universals)
         for name, entries in added.items():
             lists[name] = lists.get(name, []) + entries
-        self._lists, self.total = lists, offset
+        self._lists = lists
 
     def candidates(self, pred, key=None):
         if key is None:
@@ -314,6 +309,8 @@ class Prover:
     maps owner to a ClauseIndex to reuse: an index of the owner's policy is
     used as it is, and one of an earlier policy of the owner is the base
     the new index extends.  `self.indexes` holds those of `policies` only.
+    `hop` counts the queries between this search and the user's; names made
+    at a hop k > 0 end in `@k`, unlike those of the searches on its chain.
 
     `ask` is the machine.  The continuation `todo` is a linked list of
     (step, rest) pairs and `evs` one of the evidence of the goals met,
@@ -323,8 +320,7 @@ class Prover:
     (todo, evs), or None when its unification failed), which becomes a
     choice point marked with the length of `state.trail`.  A goal with one
     alternative (one candidate clause, no hypothesis, T, N or peer) takes
-    none.  The trail holds variables bound, goals opened or closed, and per
-    such goal the fresh names its other clauses would have taken.  To
+    none.  The trail holds variables bound and goals opened or closed.  To
     backtrack is to undo the trail down to the newest mark and take the next
     alternative; out of choices, the search undoes the whole trail.
     """
@@ -337,6 +333,7 @@ class Prover:
         trace: list | None = None,
         on_hypothesis=None,
         indexes=None,
+        hop: int = 0,
     ):
         self.policies = dict(policies)
         indexes = indexes or {}
@@ -351,6 +348,7 @@ class Prover:
         self.services = services
         self.trace = trace if trace is not None else []
         self.on_hypothesis = on_hypothesis
+        self.suffix = f"@{hop}" if hop else ""
         self.state = _State()
 
     # -- public entry points -----------------------------------------------
@@ -381,8 +379,6 @@ class Prover:
                     x = trail.pop()
                     if x.__class__ is S.Var:
                         del s[x]
-                    elif x.__class__ is int:
-                        state.counter += x  # the numbers a determinate goal's other clauses take
                     else:
                         opened ^= {x}  # close an opened goal, reopen a closed one
                 if alternatives is None:
@@ -400,7 +396,7 @@ class Prover:
 
     def _fresh_var(self, sort: str) -> S.Var:
         n = self.state.tick()
-        v = S.Var(f"_{n}", sort)
+        v = S.Var(f"_{n}{self.suffix}", sort)
         self.state.meta_birth[v.name] = n
         return v
 
@@ -435,10 +431,7 @@ class Prover:
             sole = None if env.clauses or not self._local(goal, restriction) else self._sole(selected)
             if sole is None:
                 return self._backchain(goal, g_res, text, depth, env, restriction, todo, evs, selected)
-            before, clause, owner, digest, total = sole
-            state.counter += before
-            state.trail.append(total - before - len(clause.universals))
-            return self._apply(goal, g_res, text, depth, env, restriction, todo, evs, clause, owner, digest)
+            return self._apply(goal, g_res, text, depth, env, restriction, todo, evs, *sole)
         if isinstance(goal, S.Top):
             return todo, (E.Unit(), evs)
         if isinstance(goal, S.And):
@@ -459,15 +452,15 @@ class Prover:
                 name = self.services.fresh_nonce()
             else:  # a name that the goal, a hypothesis or a policy here does not use
                 used = [*map(S.const_names, (g_res, *env.clauses)), *(p.names for p in self.policies.values())]
-                name = f"c{state.tick()}"
+                name = f"c{state.tick()}{self.suffix}"
                 while any(name in names for names in used):
-                    name = f"c{state.tick()}"
+                    name = f"c{state.tick()}{self.suffix}"
             state.eigen_birth[name] = state.tick()
             self._log(depth, "all", g_res)
             body = S.substitute(goal.body, {goal.var: S.Const(name, goal.var.sort)})
             wrap = partial(E.Abstraction, name)
         elif isinstance(goal, S.Implies):
-            label = f"h{state.tick()}"
+            label = f"h{state.tick()}{self.suffix}"
             left = resolve_formula(goal.left, s)
             assumed = S.clauses_of(left, label)
             env = env.extend(assumed)
@@ -558,15 +551,14 @@ class Prover:
                 if owners is None or ix.policy.owner in owners]
 
     def _sole(self, selected):
-        """(universals before it, clause, owner, digest, universals in all) for a lone candidate."""
-        found, before = None, 0
+        """(clause, owner, digest) for a lone candidate, else None."""
+        found = None
         for index, candidates in selected:
             if candidates:
                 if found or candidates.__class__ is not list or len(candidates) > 1:
                     return None  # several: a merged bucket holds two at least
-                found = before + candidates[0][1], candidates[0][2], index.policy.owner, index.policy.digest
-            before += index.total
-        return found and (*found, before)
+                found = candidates[0][1], index.policy.owner, index.policy.digest
+        return found
 
     def _local(self, goal, restriction) -> bool:
         """Whether neither T or N nor a peer can attest atomic `goal`."""
@@ -581,42 +573,33 @@ class Prover:
     def _backchain(self, goal, g_res, text, depth, env, restriction, todo, evs, selected):
         """The alternatives for an atomic goal: hypothesis clauses, the policy
         clauses `selected`, then attestations by T or N or answers from peers."""
-        state = self.state
         apply = partial(self._apply, goal, g_res, text, depth, env, restriction, todo, evs)
         for clause in env.clauses:
             yield apply(clause, None, None)
         for index, candidates in selected:
-            end = 0  # universals up to the end of the previous candidate
-            for _, offset, clause in candidates:
-                state.counter += offset - end
-                end = offset + len(clause.universals)
+            for _, clause in candidates:
                 yield apply(clause, index.policy.owner, index.policy.digest)
-            state.counter += index.total - end
         yield from self._remote(goal, depth, restriction, todo, evs)
 
     def _apply(self, goal, g_res, text, depth, env, restriction, todo, evs, clause, owner, digest):
-        """The alternative of `clause` of `owner`'s policy (None: a
-        hypothesis) for atomic goal `goal` (open as `g_res`, printed as
-        `text`): the goal unified with what the head proves, renamed apart,
-        in one call of `unify_atomic`.  A universal that the clause's places
-        put facing a goal constant of its sort stands for it, and every
-        other one gets a fresh variable; each advances the fresh-name
-        counter.  A single premise slot that is neither a conjunction nor an
-        interpreted atom is solved directly; other bodies go to the conjunct
-        scheduler."""
+        """The alternative of `clause` of `owner`'s policy (None: a hypothesis)
+        for atomic goal `goal` (open as `g_res`, printed as `text`): the goal
+        unified with what the head proves, renamed apart, in one call of
+        `unify_atomic`.  Each universal, bound once, stands for the goal
+        constant of its sort that the clause's places put it facing, if any,
+        else for a fresh variable.  A single premise slot that is neither a
+        conjunction nor an interpreted atom is solved directly; other bodies go
+        to the conjunct scheduler."""
         state, s = self.state, self.state.subst
-        universals, ren, (places, keep, _, _) = clause.universals, {}, clause.matcher
+        universals, (places, keep, _, _), args = clause.universals, clause.matcher, ()
         if universals:
             atom = _atom_of(goal)
             row = () if atom is None else (goal.principal, *atom.args) if goal.__class__ is S.Attest else atom.args
+            args = []
             for v, at in zip(universals, places):
                 t = walk(row[at], s) if 0 > at >= -len(row) else None
-                if v in ren or (t.__class__ is S.Const and t.sort == v.sort):
-                    state.counter += 1
-                    ren.setdefault(v, t)
-                else:
-                    ren[v] = self._fresh_var(v.sort)
-        args = tuple([ren[v] for v in universals])
+                args.append(t if t.__class__ is S.Const and t.sort == v.sort else self._fresh_var(v.sort))
+            args = tuple(args)
         head, slots, mark = *clause.instantiate(args), len(state.trail)
         if unify_atomic(goal, S.proved_head(head, owner, goal), s, state) is None:
             return None

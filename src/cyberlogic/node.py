@@ -268,9 +268,10 @@ class Node:
 
     def _ask(self, goal, free_vars, depth, chain):
         """Answers for `goal` under the hypotheses of `chain`'s sessions and
-        a new session, whose token the queries to peers add to `chain`.  Once
-        the search ends, the session is kept only if it assumed hypotheses,
-        and then among the ANSWER_CACHE newest such."""
+        a new session, whose token the queries to peers add to `chain`: the
+        search is at hop `len(chain)`.  Once the search ends, the session is
+        kept only if it assumed hypotheses, and then among the ANSWER_CACHE
+        newest such."""
         token, assumed = self._new_token(), []
         self.sessions[token] = assumed
         prover = engine.Prover(
@@ -280,6 +281,7 @@ class Node:
             trace=self.trace,
             on_hypothesis=assumed.extend,
             indexes=self._indexes,
+            hop=len(chain),
         )
         # Keep the indexes of the policies served now; a replaced policy's
         # index is extended from the old one, which is then dropped here

@@ -615,19 +615,25 @@ def _head_form(f: Formula):
 
 
 def clauses_of(f: Formula, label: str) -> list:
-    """Normalize a formula into program clauses (the D grammar)."""
+    """Normalize a formula into program clauses (the D grammar).  Each
+    clause binds each of its universals once, and the clause of a
+    conjunct (`<label>_<i>`) only those outside the conjunction that its
+    head or slots mention."""
     f = normalize(f)
     universals = []
     while isinstance(f, Forall):
-        universals.append(f.var)
+        if f.var not in universals:
+            universals.append(f.var)
         f = f.body
     if isinstance(f, And):
         out = []
-        parts = flatten_and(f)
-        for i, part in enumerate(parts):
-            sub = f"{label}_{i + 1}"
-            for c in clauses_of(part, sub):
-                out.append(Clause(c.label, tuple(universals) + c.universals, c.slots, c.head))
+        for i, part in enumerate(flatten_and(f)):
+            for c in clauses_of(part, f"{label}_{i + 1}"):
+                outer = [v for v in universals if v not in c.universals]
+                if outer:
+                    used = set().union(*map(free_vars, (c.head, *c.slots)))
+                    outer = [v for v in outer if v in used]
+                out.append(Clause(c.label, (*outer, *c.universals), c.slots, c.head))
         return out
     slots, head = _head_form(f)
     slots = tuple(normalize(s) for s in slots)

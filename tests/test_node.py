@@ -13,6 +13,7 @@ from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import SignedAttestation, sha256, sign, verify, verify_attestation
 from cyberlogic.node import ANSWER_CACHE, TcpTransport, decode_frame, encode_frame, serve_node
+from cyberlogic.services import CheckerEndpoint, Registry, remote_check
 
 
 BCAST_DECLS = """
@@ -416,6 +417,55 @@ def test_a_query_that_flounders_says_so():
     resp = decode_frame(resp)
     assert resp["type"] == "FAIL" and resp["reason"].startswith("flounder: "), resp
     assert [line.split()[:2] for line in b.trace if line.startswith("ERROR")] == [["ERROR", "A-1"]]
+
+
+# ---------------------------------------------------------------------------
+# Names made at a hop of a distributed search carry the hop
+
+HOP_DECLS = "sort Thing. pred p(Thing). pred q(). pred r(Thing). pred s(). pred t().\nprincipal A, B.\n"
+
+
+def _hop_answer(a_src, b_src, goal_text):
+    """A's first answer to `goal_text`, and its certificate's local and
+    remote verdicts as (ok, path, reason), with A's policy `a_src` and B's
+    `b_src`."""
+    w = scenarios.build_world([("A", HOP_DECLS + a_src), ("B", HOP_DECLS + b_src)], 0)
+    a = w.node("A")
+    goal, free = parser.parse_goal(goal_text, a.policy.signature)
+    answer = a.ask_first(goal, free)
+    if answer is None:
+        return None, None, None
+    cert = a.certify(answer)
+    registry = Registry()
+    for owner, pol in w.policies.items():
+        registry.register(pol.digest, CheckerEndpoint(owner, [pol], w.directory, registry))
+    local, remote = E.check_certificate(cert, w.policy_map(), w.directory), remote_check(registry, cert)
+    return answer, (local.ok, local.path, local.reason), (remote.ok, remote.path, remote.reason)
+
+
+def test_hypothesis_labels_made_at_a_hop_carry_it():
+    # A assumes `h1`; B, asked for `B says t()`, assumes its own hypothesis
+    # and asks A for `A says s()`, which A proves with `h1` from B's
+    # hypothesis.  Numbered per query, B's label was `h1` too, and the
+    # checker read `h1(h1)` as B's hypothesis applied to itself.
+    goal = "((B says q()) => A says s()) => B says t()"
+    answer, local, remote = _hop_answer("", "nb: ((B says q()) => A says s()) => B says t().\n", goal)
+    assert E.render_spine(answer.evidence) == "\\h1.nb(\\h1@1.h1(h1@1))"
+    assert local == remote == (True, (), None)
+
+
+def test_an_eigenconstant_made_at_a_hop_is_not_one_made_before_it():
+    # `p(c1)` is assumed at A for A's eigenconstant; B's, for `forall z`,
+    # must not be taken for it, or `A says r(...)` holds for the one value
+    # that A assumed `p` of rather than for every value.
+    a_src = "ar: forall w:Thing. p(w) => A says r(w).\n"
+    b_src = "nb: (forall z:Thing. A says r(z)) => B says q().\n"
+    assert _hop_answer(a_src, b_src, "forall x:Thing. (p(x) => B says q())") == (None, None, None)
+    # A hypothesis about the goal's own eigenconstant still serves.
+    answer, local, remote = _hop_answer(a_src, "nb: forall z:Thing. A says r(z) => B says r(z).\n",
+                                        "forall x:Thing. (p(x) => B says r(x))")
+    assert E.render_spine(answer.evidence) == "\\c1.\\h3.nb(ar(h3))"
+    assert local == remote == (True, (), None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 """Mutation check of the certificate writer and reader (`codec`), the
 trusted checker (`evidence._Checker`, and `crypto.Directory`, which
 remembers the attestations that verified under its keys),
-`crypto.verify_attestation`,
-clause application as prover and checker share it (`syntax.Clause` and
-`syntax.proved_head`), proof search (`engine.Prover` and
-`engine.resolve_evidence`), and signing (`crypto.sign`, `crypto.KeyPair`
-and `services.TrustedServices`).
+`crypto.verify_attestation`, clause application as prover and checker
+share it (`syntax.Clause`, `syntax.proved_head`, and `syntax.clauses_of`,
+which also splits a hypothesis into clauses for the checker), proof search
+(`engine.ClauseIndex`, `engine.Prover` and `engine.resolve_evidence`), and
+signing (`crypto.sign`, `crypto.KeyPair` and `services.TrustedServices`).
 
 Each mutant is one small change to one of the listed targets, made in a
 copy of the repository in a temporary directory; the target's named test
@@ -65,9 +65,9 @@ TARGETS = [
      ("tests/test_evidence.py", "tests/test_crypto.py", "tests/test_node.py")),
     ("attestation", "src/cyberlogic/crypto.py", ("verify_attestation",),
      ("tests/test_crypto.py", "tests/test_evidence.py")),
-    ("clause", "src/cyberlogic/syntax.py", ("Clause", "proved_head"),
+    ("clause", "src/cyberlogic/syntax.py", ("Clause", "proved_head", "clauses_of"),
      ("tests/test_evidence.py", "tests/test_engine.py", "tests/test_golden.py")),
-    ("search", "src/cyberlogic/engine.py", ("Prover", "resolve_evidence"),
+    ("search", "src/cyberlogic/engine.py", ("ClauseIndex", "Prover", "resolve_evidence"),
      ("tests/test_engine.py", "tests/test_golden.py", "tests/test_oracle.py")),
     ("signing", "src/cyberlogic/crypto.py", ("sign", "KeyPair"),
      ("tests/test_crypto.py", "tests/test_services.py")),
