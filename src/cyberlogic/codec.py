@@ -1,4 +1,4 @@
-"""Canonical binary encoding (`CYL3`): a node is a one-byte tag, then its
+"""Canonical binary encoding (`CYL4`): a node is a one-byte tag, then its
 fields in the order of its class's fields (a certificate's pins first), so
 encodings are injective and deterministic and decode(encode(x)) == x.
 Signatures and digests are computed over these bytes.
@@ -38,10 +38,12 @@ from . import evidence as E
 from . import syntax as S
 from .crypto import PrincipalId, SignedAttestation, sha256
 
-MAGIC = b"CYL3"  # a certificate is MAGIC, then its node
+MAGIC = b"CYL4"  # a certificate is MAGIC, then its node
 
 # Field kinds: "s" a UTF-8 string and "b" a byte string, each after its u32
-# length; "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "p" a
+# length; "@" a clause reference: a label as an "s", or a position below
+# 2**31 as a u32 with its top bit set (a string would need 2 GiB for that
+# length); "q" an i64; "?k" an optional k (flag byte 0, or 1 then k); "p" a
 # policy digest new to this encoding, as a "b"; "#" an optional policy
 # digest: flag 0; 1 then a "p"; 2 then the u32 index, by first writing, of
 # one it has; the reader refuses a digest in full twice, an index not read
@@ -67,7 +69,7 @@ FORMAT = {
         0x22: (E.Inl, "evidence"), 0x23: (E.Inr, "evidence"),
         0x24: (E.Witness, "term evidence"),
         0x25: (E.Abstraction, "s evidence"),
-        0x26: (E.ClauseApp, "s # *term *evidence"),
+        0x26: (E.ClauseApp, "@ # *term *evidence"),
         0x28: (E.AttLeaf, "attestation"),
         0x29: (E.TheoryHole, "s *term ?attestation"),
         0x2A: (E.KnowsWrap, "{term} evidence"),
@@ -84,6 +86,7 @@ _I64 = struct.Struct(">q").pack
 _U32_AT = struct.Struct(">I").unpack_from
 _I64_AT = struct.Struct(">q").unpack_from
 _TOO_DEEP = f"term or formula nested deeper than {S.MAX_NESTING}"
+_POSITION = 1 << 31  # the top bit of a "@" that holds a position
 
 # ---------------------------------------------------------------------------
 # Ops
@@ -109,6 +112,12 @@ def _string(decode):
         return decode(data[pos - n : pos]), pos
 
     return read
+
+
+def _clause_ref(data, pos, memo):
+    """A "@" field."""
+    (n,) = _U32_AT(data, pos)
+    return (n ^ _POSITION, pos + 4) if n & _POSITION else _TEXT(data, pos, memo)
 
 
 def _i64(data, pos, memo):
@@ -199,7 +208,7 @@ def _set(key) -> tuple:
 
 
 _TEXT, _BYTES = _string(bytes.decode), _string(bytes)
-_PLAIN = {"s": _TEXT, "b": _BYTES, "q": _i64, "p": _pin, "#": _digest}
+_PLAIN = {"s": _TEXT, "b": _BYTES, "@": _clause_ref, "q": _i64, "p": _pin, "#": _digest}
 _LIST, _OPTION = (_count, _values, None), (_flag, lambda *x: x[0] if x else None, None)
 _TABLES = {kind: {} for kind in FORMAT}
 
@@ -226,7 +235,7 @@ def _write(out: list, x, ops, d: int = 1):
     items up to the first other node; before that node is entered,
     the state after it, (x, ops, next op, d), goes on the work stack."""
     put, limit, todo, seen = out.append, S.MAX_NESTING, [], {}  # seen: digest -> reference
-    text, i64, pin, digest, option, u32 = _TEXT, _i64, _pin, _digest, _OPTION, _U32
+    text, ref, i64, pin, digest, option, u32 = _TEXT, _clause_ref, _i64, _pin, _digest, _OPTION, _U32
     i, n = 0, len(ops)
     while True:
         while i < n:
@@ -238,9 +247,14 @@ def _write(out: list, x, ops, d: int = 1):
                 if v is None:
                     continue
                 rd, sub, many, _ = sub  # the value's op
-            if rd is not None:  # a string, a byte string, an i64 or a digest
-                if rd is text:
+            if rd is not None:  # a string, a byte string, a clause reference, an i64 or a digest
+                if rd is text or rd is ref and v.__class__ is str:
                     v = v.encode()
+                elif rd is ref:
+                    if not 0 <= v < _POSITION:
+                        raise CodecError(f"clause position {v} out of range")
+                    put(u32(v | _POSITION))
+                    continue
                 elif rd is i64:
                     put(_I64(v))
                     continue

@@ -551,13 +551,13 @@ class Prover:
                 if owners is None or ix.policy.owner in owners]
 
     def _sole(self, selected):
-        """(clause, owner, digest) for a lone candidate, else None."""
+        """(position, clause, owner, digest) for a lone candidate, else None."""
         found = None
         for index, candidates in selected:
             if candidates:
                 if found or candidates.__class__ is not list or len(candidates) > 1:
                     return None  # several: a merged bucket holds two at least
-                found = candidates[0][1], index.policy.owner, index.policy.digest
+                found = *candidates[0], index.policy.owner, index.policy.digest
         return found
 
     def _local(self, goal, restriction) -> bool:
@@ -575,15 +575,16 @@ class Prover:
         clauses `selected`, then attestations by T or N or answers from peers."""
         apply = partial(self._apply, goal, g_res, text, depth, env, restriction, todo, evs)
         for clause in env.clauses:
-            yield apply(clause, None, None)
+            yield apply(clause.label, clause, None, None)
         for index, candidates in selected:
-            for _, clause in candidates:
-                yield apply(clause, index.policy.owner, index.policy.digest)
+            for pos, clause in candidates:
+                yield apply(pos, clause, index.policy.owner, index.policy.digest)
         yield from self._remote(goal, depth, restriction, todo, evs)
 
-    def _apply(self, goal, g_res, text, depth, env, restriction, todo, evs, clause, owner, digest):
-        """The alternative of `clause` of `owner`'s policy (None: a hypothesis)
-        for atomic goal `goal` (open as `g_res`, printed as `text`): the goal
+    def _apply(self, goal, g_res, text, depth, env, restriction, todo, evs, ref, clause, owner, digest):
+        """The alternative of `clause`, named `ref` in evidence (its position
+        in `owner`'s policy, or for a hypothesis, owner None, its label), for
+        atomic goal `goal` (open as `g_res`, printed as `text`): the goal
         unified with what the head proves, renamed apart, in one call of
         `unify_atomic`.  Each universal, bound once, stands for the goal
         constant of its sort that the clause's places put it facing, if any,
@@ -613,14 +614,14 @@ class Prover:
                 return None
             text = None
         self._log(depth, f"apply {clause.label}", g2, text)
-        label, written = clause.label, keep(args)
+        written = keep(args)
         if not slots:
-            return todo, (E.ClauseApp(label, digest, written), evs)
+            return todo, (E.ClauseApp(ref, digest, written), evs)
         if len(slots) == 1 and slots[0].__class__ is not S.And and not _interpreted(slots[0]):
-            node = lambda ev: E.ClauseApp(label, digest, written, (ev,))
+            node = lambda ev: E.ClauseApp(ref, digest, written, (ev,))
             solve = partial(self._solve, slots[0], depth - 1, env, restriction)
             return (solve, (partial(_wrap, node), todo)), evs
-        build = lambda it: E.ClauseApp(label, digest, written, tuple(_assemble(g, it) for g in slots))
+        build = lambda it: E.ClauseApp(ref, digest, written, tuple(_assemble(g, it) for g in slots))
         return (partial(self._group, _items(slots, s), (), build, depth - 1, env, restriction), todo), evs
 
     def _remote(self, goal, depth, restriction, todo, evs):

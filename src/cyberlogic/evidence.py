@@ -2,10 +2,11 @@
 
 Evidence is a proof skeleton in the Brouwer-Heyting-Kolmogorov reading:
 each connective of the proved formula has a matching evidence constructor,
-clause applications name the applied clause by label and policy digest
-(none for a hypothesis clause), and leaves are signed attestations or
-receipts for interpreted predicates.  `check` replays a certificate against pinned
-policies and public keys without any proof search.
+clause applications name the applied clause by its position in the policy
+its digest pins (a hypothesis clause, with no digest, by its label), and
+leaves are signed attestations or receipts for interpreted predicates.
+`check` replays a certificate against pinned policies and public keys
+without any proof search.
 """
 
 from __future__ import annotations
@@ -62,12 +63,14 @@ class Abstraction:
 @dataclass(frozen=True)
 class ClauseApp:
     """Backchaining step.  `policy_digest` pins the policy the clause came
-    from; None means a session hypothesis looked up in the environment.
-    `args` instantiate the universals the head does not fix (the checker
-    reads the others off the goal), in binder order; `premises` hold one
-    evidence term per premise slot of the instantiated clause, in order."""
+    from, and `ref` is the clause's index in that policy's `clauses`; with
+    no digest, `ref` is the label of a session hypothesis, looked up in the
+    environment.  `args` instantiate the universals the head does not fix
+    (the checker reads the others off the goal), in binder order;
+    `premises` hold one evidence term per premise slot of the instantiated
+    clause, in order."""
 
-    label: str
+    ref: int | str
     policy_digest: bytes | None
     args: tuple = ()
     premises: tuple = ()
@@ -187,7 +190,7 @@ def rebuild(e: Evidence, kids, term) -> Evidence:
     """`e` with its sub-evidence replaced by `kids`, given in `children`
     order, and each term `t` of a witness, clause or receipt by `term(t)`."""
     if isinstance(e, ClauseApp):
-        return ClauseApp(e.label, e.policy_digest, tuple(map(term, e.args)), tuple(kids))
+        return ClauseApp(e.ref, e.policy_digest, tuple(map(term, e.args)), tuple(kids))
     if isinstance(e, PairEv):
         return PairEv(kids[0], kids[1])
     if isinstance(e, (Inl, Inr)):
@@ -316,12 +319,20 @@ class _Checker:
             return None
         return S.int_value(atom.args[0])
 
-    def _check_att_leaf(self, e: AttLeaf, phi, path):
+    def _check_att_leaf(self, e: AttLeaf, phi, eigens, path):
+        """A signature is about the constants it names, so the goal must not
+        name an eigenvariable of `eigens`, with one exception: the paper's
+        nonce rule (a nonce is a fresh value that the nonce service N
+        attests), under which N's signature on `nonce(n)` is the evidence
+        that the eigenvariable `n` is a fresh nonce."""
         if not (isinstance(phi, S.Attest) and isinstance(phi.body, S.Atom)):
             return _nok(path, "attestation evidence for a non-attestation goal")
         k = phi.principal
         if not isinstance(k, S.Const):
             return _nok(path, "attesting principal is not ground")
+        clash = sorted(eigens & S.const_names(phi)) if eigens else ()
+        if clash and not (phi.body.pred == "nonce" and k.name == "N" and "N" not in eigens):
+            return _nok(path, f"eigenvariable {clash[0]!r} is not fresh")
         if self.directory is None or k.name not in self.directory:
             return _nok(path, f"no public key for {k.name!r}")
         got = self.directory.attested(k.name, e.attestation)
@@ -362,9 +373,9 @@ class _Checker:
         """The verdict on `e`, or the goals its premises must prove.  A policy
         clause must not mention an eigenvariable in scope, nor may its owner be one."""
         if e.policy_digest is None:
-            clause, owner = env.clause(e.label), None
+            clause, owner = env.clause(e.ref), None
             if clause is None:
-                return _nok(path, f"unknown hypothesis {e.label!r}")
+                return _nok(path, f"unknown hypothesis {e.ref!r}")
         else:
             policy = self.policies.get(e.policy_digest)
             if policy is None:
@@ -377,19 +388,20 @@ class _Checker:
             if not isinstance(policy, S.Policy):
                 self.obligations.append(Obligation(_items(path), e, phi, _items(scope), eigens))
                 return _OK
-            clause = policy.clause(e.label)
-            if clause is None:
-                return _nok(path, f"no clause {e.label!r} in policy of {owner!r}")
+            i = e.ref
+            if i.__class__ is not int or not 0 <= i < len(policy.clauses):
+                return _nok(path, f"no clause #{i!r} in policy of {owner!r}")
+            clause = policy.clauses[i]
             clash = sorted(eigens & S.const_names(clause)) if eigens else ()
             if clash:
                 return _nok(path, f"eigenvariable {clash[0]!r} is not fresh")
-        _, keep, need, fill = clause.matcher
+        label, (_, keep, need, fill) = clause.label, clause.matcher
         if len(e.args) != len(keep(clause.universals)):
-            return _nok(path, f"clause {e.label!r} expects {len(keep(clause.universals))} arguments")
+            return _nok(path, f"clause {label!r} expects {len(keep(clause.universals))} arguments")
         says = phi.__class__ is S.Attest  # the goal row: its principal, then the atom's arguments
         row = (phi.principal, *getattr(phi.body, "args", ())) if says else getattr(phi, "args", ())
         if len(row) < need:
-            return _nok(path, f"clause {e.label!r} head does not match the goal")
+            return _nok(path, f"clause {label!r} head does not match the goal")
         args = fill(e.args + row)
         for v, t in zip(clause.universals, args):
             try:
@@ -399,9 +411,9 @@ class _Checker:
                 return _nok(path, f"unintelligible argument for {v.name!r}")
         head, slots = clause.instantiate(args)
         if S.proved_head(head, owner, phi) != phi:
-            return _nok(path, f"clause {e.label!r} head does not match the goal")
+            return _nok(path, f"clause {label!r} head does not match the goal")
         if len(slots) != len(e.premises):
-            return _nok(path, f"clause {e.label!r}: {len(slots)} premises expected")
+            return _nok(path, f"clause {label!r}: {len(slots)} premises expected")
         return slots
 
     # -- the walk ----------------------------------------------------------
@@ -472,7 +484,7 @@ class _Checker:
                     owners &= allowed
                 todo.append((e.body, phi.body, env, owners, (scope, (phi, e)), eigens, (path, 0)))
             elif isinstance(e, (AttLeaf, TheoryHole)):
-                leaf = (self._check_att_leaf(e, phi, path) if isinstance(e, AttLeaf)
+                leaf = (self._check_att_leaf(e, phi, eigens, path) if isinstance(e, AttLeaf)
                         else self._check_theory(e, phi, eigens, path))
                 if not leaf.ok:
                     return leaf
@@ -526,10 +538,12 @@ def check_certificate(cert: Certificate, policies, directory: Directory | None =
 # Display
 
 
-def render_spine(e: Evidence) -> str:
+def render_spine(e: Evidence, policies) -> str:
     """Compact one-line rendering of an evidence term.  Clause applications
-    print as label(arg)..(premise)..; maximal runs of theory receipts among
-    a clause's premises collapse to a single `_`."""
+    print as label(arg)..(premise)..: a policy clause's label is read off
+    the clause at its position in `policies[digest]`, so `policies` must
+    hold every policy that `e` applies a clause of.  Maximal runs of theory
+    receipts among a clause's premises collapse to a single `_`."""
 
     def render(x, kids):
         """The text of `x` and whether it holds only theory receipts."""
@@ -550,7 +564,8 @@ def render_spine(e: Evidence) -> str:
             return "_", True
         if isinstance(x, KnowsWrap):
             return f"know{{{','.join(sorted(S.fmt_term(p) for p in x.principals))}}}{body}", False
-        parts, run = [x.label, *(f"({S.fmt_term(t)})" for t in x.args)], False
+        label = x.ref if x.policy_digest is None else policies[x.policy_digest].clauses[x.ref].label
+        parts, run = [label, *(f"({S.fmt_term(t)})" for t in x.args)], False
         for text, theory in kids:
             if not (theory and run):
                 parts.append("(_)" if theory else f"({text})")

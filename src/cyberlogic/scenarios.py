@@ -91,7 +91,7 @@ def _finish(name, world, node, answer, t0, details=None) -> ScenarioResult:
     cert = node.certify(answer)
     result = E.check_certificate(cert, world.policy_map(), world.directory)
     details["answer"] = answer
-    details["spine"] = E.render_spine(cert.root_evidence)
+    details["spine"] = E.render_spine(cert.root_evidence, world.policy_map())
     return ScenarioResult(
         name, bool(result), world.network.query_transcript(), cert, result, world,
         _time.monotonic() - t0, details,

@@ -259,7 +259,7 @@ def _cut(ev, forwards):
             out.append(y if all(map(operator.is_, new, x)) else E.rebuild(y, new, lambda t: t))
         elif x.__class__ is E.ClauseApp and forwards(x.policy_digest):
             cut[y] = x
-            out.append(E.ClauseApp(x.label, x.policy_digest, x.args))
+            out.append(E.ClauseApp(x.ref, x.policy_digest, x.args))
         elif kids := E.children(x):
             todo.append((kids, x))
             todo += [(kids[i], y + (i,)) for i in range(len(kids) - 1, -1, -1)]

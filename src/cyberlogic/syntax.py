@@ -477,12 +477,6 @@ class Policy:
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(self.clauses))
 
-    def clause(self, label: str) -> Clause | None:
-        for c in self.clauses:
-            if c.label == label:
-                return c
-        return None
-
     @cached_property
     def digest(self) -> bytes:
         from . import codec

@@ -1,5 +1,5 @@
 """Text compared up to the names of fresh variables, eigenconstants and
-hypothesis labels.
+hypothesis labels, and evidence compared by the labels of its clauses.
 
 The prover only promises that the names it makes are fresh: `_<n>` for a
 metavariable, `c<n>` for an eigenconstant and `h<n>` for a hypothesis label,
@@ -9,6 +9,8 @@ in what order, but not how its names were numbered.
 """
 
 import re
+
+from cyberlogic import evidence as E
 
 _FRESH = re.compile(r"(?<!\w)([_ch])\d+(?:@\d+)?(?![0-9A-Za-z])")
 
@@ -25,3 +27,21 @@ def canonical_names(text: str) -> str:
         return name
 
     return _FRESH.sub(rename, text)
+
+
+def at(policy, label: str) -> int:
+    """The position of the clause labelled `label` in `policy`."""
+    return [c.label for c in policy.clauses].index(label)
+
+
+def labelled(ev, policies):
+    """`ev` with each policy clause named by its label, read off the clause
+    at its position in `policies` (digest -> Policy), as in evidence written
+    before clause applications named positions."""
+
+    def node(x, kids):
+        if x.__class__ is E.ClauseApp and x.policy_digest is not None:
+            return E.ClauseApp(policies[x.policy_digest].clauses[x.ref].label, x.policy_digest, x.args, tuple(kids))
+        return E.rebuild(x, kids, lambda t: t)
+
+    return E.fold(ev, node)

@@ -5,6 +5,7 @@ import random
 import test_evidence
 import test_oracle
 import test_services
+from canonical import labelled
 
 from cyberlogic import codec, parser, scenarios
 from cyberlogic import evidence as E
@@ -14,7 +15,9 @@ from cyberlogic.node import decode_frame, encode_frame
 from cyberlogic.services import CheckerEndpoint, Registry, remote_check
 
 
-def _clause_apps(ev):
+def _clause_apps(r):
+    """The clause applications of `r`'s certificate, each naming its clause by label."""
+    ev = labelled(r.certificate.root_evidence, r.world.policy_map())
     return [x for x in E.nodes(ev) if isinstance(x, E.ClauseApp)]
 
 
@@ -27,7 +30,7 @@ def test_01_hospital_scenario():
     # clause at Z = B and the cross-vouching clause at Z1 = B, Z2 = C; the
     # other arguments are in the clauses' heads, which the checker matches
     # against the goal, so they are not written
-    apps = {a.label: a for a in _clause_apps(r.certificate.root_evidence)}
+    apps = {a.ref: a for a in _clause_apps(r)}
     B = S.Const("B", "Principal")
     C = S.Const("C", "Principal")
     assert apps["a3"].args == (B,)  # Z
@@ -38,7 +41,7 @@ def test_01_hospital_scenario():
 def test_02_delegation_scenario():
     r = scenarios.run_delegation(0)
     assert r.ok and r.check.ok
-    labels = {a.label for a in _clause_apps(r.certificate.root_evidence)}
+    labels = {a.ref for a in _clause_apps(r)}
     assert {"hmo1", "ca1"} <= labels
     # without the certification authority's delegation the trust query fails
     r_bad = scenarios.run_delegation(0, include_authority=False)
@@ -136,7 +139,7 @@ def test_06_tamper_suite():
         cert = r.certificate
         assert E.check_certificate(cert, r.world.policy_map(), r.world.directory)
         total = rejected = 0
-        for tag, mutated in test_evidence._mutations(cert.root_evidence):
+        for tag, mutated in test_evidence._mutations(cert.root_evidence, r.world.policy_map()):
             bad = E.Certificate(cert.root_formula, mutated,
                                 cert.policy_digests, cert.directory, cert.created_at)
             res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)

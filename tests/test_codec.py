@@ -1,12 +1,14 @@
 """Canonical encoding: round trips, injectivity, and malformed input."""
 
 import base64
+import dataclasses
 import functools
 import hashlib
 import random
 import struct
 
 import pytest
+import test_evidence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from cyberlogic import syntax as S
 from cyberlogic.crypto import PrincipalId
 from cyberlogic.errors import CodecError
 from cyberlogic.node import decode_frame, encode_frame
-from cyberlogic.services import CheckerEndpoint, TrustedServices
+from cyberlogic.services import CheckerEndpoint, TrustedServices, remote_check
 
 
 SORTS = ("Principal", "Thing", "Time")
@@ -125,7 +127,7 @@ def test_principal_sets_encode_to_recorded_bytes():
 
 def test_evidence_round_trip():
     ev = E.PairEv(
-        E.ClauseApp("c1", b"\x01" * 32, (S.Const("a", "Thing"),), (E.Unit(),)),
+        E.ClauseApp(3, b"\x01" * 32, (S.Const("a", "Thing"),), (E.Unit(),)),
         E.Inr(E.Witness(S.Const("b", "Thing"), E.ClauseApp("h1", None))),
     )
     assert codec.decode_evidence(codec.encode_evidence(ev)) == ev
@@ -162,6 +164,11 @@ def test_trailing_garbage_rejected():
         codec.decode_term(codec.encode_term(t) + b"\x00")
 
 
+def _clause_app(k, digest, args, premises):
+    """The application of hypothesis `r<k>`, or of clause `k` of the policy `digest` pins."""
+    return E.ClauseApp(f"r{k}" if digest is None else k, digest, args, premises)
+
+
 def _random_evidence(rng, pool, depth=4):
     r = rng.random()
     if pool and r < 0.45:
@@ -183,8 +190,8 @@ def _random_evidence(rng, pool, depth=4):
         lambda: E.Witness(_random_term(rng), *kids(1)),
         lambda: E.Abstraction(f"c{rng.randrange(3)}", *kids(1)),
         lambda: E.KnowsWrap(frozenset({S.Const("K", "Principal")}), *kids(1)),
-        lambda: E.ClauseApp(
-            f"r{rng.randrange(3)}", rng.choice([None, b"\x07" * 32]),
+        lambda: _clause_app(
+            rng.randrange(3), rng.choice([None, b"\x07" * 32]),
             tuple(_random_term(rng) for _ in range(rng.randrange(3))),
             kids(rng.randrange(4)),
         ),
@@ -200,7 +207,11 @@ def _random_evidence(rng, pool, depth=4):
 # a repeated policy digest became a reference to the first: each tree
 # decodes to the value its earlier bytes decoded to.  CI runs this file
 # under two hash seeds, so the references' numbering is not hash order.
-RANDOM_TREES_SHA256 = "463776abafccde1afea6e8abcc498466d6675feef6872ccf7df53d6584732404"
+# Moved when an application under a digest came to name its clause by
+# position: the trees drew `r<k>` there, and with each position k mapped
+# back to `r<k>` each decodes to the value of its earlier bytes (18,836
+# bytes became 18,732).
+RANDOM_TREES_SHA256 = "e05b7ba2601bf77c92e2e4e09b319a7fedcba002c85f20bd53b35796161afb56"
 
 
 def test_random_trees_round_trip_to_recorded_bytes():
@@ -249,23 +260,32 @@ CYL1_TOP = b"CYL1\x40\x10\x20" + bytes(12) + b"\x00"
 # first.
 CYL2_TOP = b"CYL2\x40\x10\x20" + bytes(9)
 CYL3_TOP = b"CYL3\x40" + bytes(4) + b"\x10\x20" + bytes(5)
+# CYL4 names a policy clause by its position; a certificate that applies
+# none has the CYL3 layout.
+CYL4_TOP = b"CYL4" + CYL3_TOP[4:]
 
 
 def test_cyl1_certificate_rejected():
     with pytest.raises(CodecError, match="not a certificate"):
         codec.decode_certificate(CYL1_TOP)
-    cert = codec.decode_certificate(CYL3_TOP)
+    cert = codec.decode_certificate(CYL4_TOP)
     assert cert == E.Certificate(S.TOP, E.Unit())
-    assert codec.encode_certificate(cert) == CYL3_TOP
+    assert codec.encode_certificate(cert) == CYL4_TOP
 
 
 def test_a_cyl2_certificate_is_refused():
     with pytest.raises(CodecError, match="not a certificate"):
         codec.decode_certificate(CYL2_TOP)
-    with pytest.raises(CodecError, match="not a certificate"):  # the CYL3 layout under the old magic
-        codec.decode_certificate(b"CYL2" + CYL3_TOP[4:])
+    with pytest.raises(CodecError, match="not a certificate"):  # the CYL4 layout under the old magic
+        codec.decode_certificate(b"CYL2" + CYL4_TOP[4:])
     with pytest.raises(CodecError, match="truncated"):  # the CYL2 layout under the new magic
-        codec.decode_certificate(b"CYL3" + CYL2_TOP[4:])
+        codec.decode_certificate(b"CYL4" + CYL2_TOP[4:])
+
+
+def test_a_cyl3_certificate_is_refused():
+    # CYL3 named policy clauses by label, where CYL4 reads a position.
+    with pytest.raises(CodecError, match="not a certificate"):
+        codec.decode_certificate(CYL3_TOP)
 
 
 def test_policy_digest_changes_with_any_clause():
@@ -499,8 +519,47 @@ def _refused_or_canonical(data: bytes):
 
 
 # ---------------------------------------------------------------------------
-# Interning: one decode makes one Const per (name, sort), and shares none
-# with another decode
+# A clause position is a u32 with its top bit set.  Each of a scenario
+# certificate's positions, its bytes edited, is refused by the reader, or
+# read back to itself and refused by the checker, here and remotely alike.
+
+_MARK = 0x2BADF00D  # a position no scenario's policy reaches, found by its bytes
+
+
+def _marked(ev, app):
+    """`ev` with the clause application `app`, wherever it occurs, at position `_MARK`."""
+    def node(x, kids):
+        if x is app:
+            return E.ClauseApp(_MARK, x.policy_digest, x.args, tuple(kids))
+        return E.rebuild(x, kids, lambda t: t)
+
+    return E.fold(ev, node)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
+def test_an_edited_clause_position_is_refused_by_the_reader_or_the_checker(name):
+    r = scenarios.SCENARIOS[name](0)
+    cert, policies, registry = r.certificate, r.world.policy_map(), test_evidence._registry(r.world)
+    apps = [x for x in E.nodes(cert.root_evidence) if x.__class__ is E.ClauseApp and x.policy_digest is not None]
+    edits = 0
+    for app in apps:
+        data = codec.encode_certificate(dataclasses.replace(cert, root_evidence=_marked(cert.root_evidence, app)))
+        n = len(policies[app.policy_digest].clauses)
+        # one off either way, one past the end, the last the codec writes,
+        # and the position with its top bit clear, read as a label's length
+        for v in [p | 1 << 31 for p in (app.ref - 1, app.ref + 1, n, 2**31 - 1) if p >= 0] + [app.ref]:
+            bad = data.replace(struct.pack(">I", _MARK | 1 << 31), struct.pack(">I", v))
+            try:
+                back = codec.decode_certificate(bad)
+            except CodecError:
+                continue
+            assert codec.encode_certificate(back) == bad
+            local = E.check_certificate(back, policies, r.world.directory)
+            assert not local.ok and local.reason
+            assert remote_check(registry, back) == local
+            edits += 1
+    assert edits >= 3 * len(apps)
+
 
 
 def _consts(cert) -> list:
@@ -635,12 +694,15 @@ def test_a_decoded_chain_certificate_holds_one_digest_object():
 
 
 _DIGESTS = st.sampled_from([None, _D1, _D2, b"\x03" * 32, b"", b"\x02"])
+# The codec writes a label or a position with a digest or without; the
+# checker refuses a position without a digest and a label with one.
+_REFS = st.sampled_from(["r", "s"]) | st.integers(0, 2**31 - 1)
 _EVIDENCE = st.recursive(
-    st.builds(E.ClauseApp, st.just("h"), _DIGESTS) | st.just(E.Unit()),
+    st.builds(E.ClauseApp, st.just("h") | st.just(0), _DIGESTS) | st.just(E.Unit()),
     lambda kids: st.one_of(
         st.builds(E.PairEv, kids, kids),
         st.builds(E.Inl, kids),
-        st.builds(E.ClauseApp, st.sampled_from(["r", "s"]), _DIGESTS, st.just(()),
+        st.builds(E.ClauseApp, _REFS, _DIGESTS, st.just(()),
                   st.lists(kids, max_size=3).map(tuple)),
     ),
     max_leaves=20,
@@ -650,7 +712,7 @@ _EVIDENCE = st.recursive(
 def _without_digests(ev):
     def node(x, kids):
         if isinstance(x, E.ClauseApp):
-            return E.ClauseApp(x.label, None, x.args, tuple(kids))
+            return E.ClauseApp(x.ref, None, x.args, tuple(kids))
         return E.rebuild(x, kids, lambda t: t)
 
     return E.fold(ev, node)
@@ -702,11 +764,14 @@ def _disjunctions(depth: int, last=S.Atom("p")):
     (codec.encode_evidence, E.AttLeaf("x"), "not a attestation node"),
     (codec.encode_evidence, E.Witness(_succ(S.MAX_NESTING + 1), E.Unit()), "nested deeper"),
     (codec.encode_evidence, E.ClauseApp("r", None, (_succ(S.MAX_NESTING + 1),)), "nested deeper"),
+    (codec.encode_evidence, E.ClauseApp(2**31, _D1), "clause position 2147483648 out of range"),
+    (codec.encode_evidence, E.ClauseApp(-1, _D1), "clause position -1 out of range"),
     (codec.encode_formula, _disjunctions(S.MAX_NESTING + 1), "nested deeper"),
     (codec.encode_formula, _disjunctions(S.MAX_NESTING - 1, S.Knows(frozenset({_succ(2)}), S.TOP)),
      "nested deeper"),
 ], ids=["constant as binder", "formula as term", "formula in a pair", "formula as evidence",
-        "string as attestation", "deep witness", "deep clause argument", "deep disjunctions",
+        "string as attestation", "deep witness", "deep clause argument", "position read as a label",
+        "negative position", "deep disjunctions",
         "deep principal in a knows set"])
 def test_the_writer_refuses_what_it_has_no_encoding_for(encode, value, reason):
     with pytest.raises(CodecError, match=reason):

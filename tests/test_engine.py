@@ -19,7 +19,7 @@ from cyberlogic import syntax as S
 from cyberlogic.engine import Prover, resolve, unify
 from cyberlogic.errors import FlounderError
 
-from canonical import canonical_names
+from canonical import at, canonical_names, labelled
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def test_an_owner_bare_head_answers_only_the_owner_attestation():
     goal, free = parser.parse_goal("x says p(a)", pol_k.signature)
     answer = next(iter(p.ask(goal, free)))
     assert answer.bindings[free[0]] == S.Const("K", "Principal")
-    assert answer.evidence == E.ClauseApp("f1", pol_k.digest)
+    assert answer.evidence == E.ClauseApp(at(pol_k, "f1"), pol_k.digest)
     assert E.check({pol_k.digest: pol_k}, E.HypothesisEnv(), answer.evidence, answer.goal)
     assert not _holds(p, pol_k, "L says p(a)")
     assert not _holds(p, pol_k, "K says q(a)")  # the common policy attests nothing
@@ -529,7 +529,9 @@ def test_lookups_leave_an_index_as_it_was_built(rnd):
 # drawn from seeded `random.Random`s rather than hypothesis, whose draws may
 # change with its version.  Recorded by the prover that numbered fresh names
 # as if every clause had been tried; the prover that numbers only the names
-# it makes gives the same digest.
+# it makes gives the same digest.  Recorded when evidence named a policy
+# clause by its label, in a field `label`: each answer is hashed with its
+# positions rendered as the labels they name, under that field name.
 SEARCH_SHA256 = "2a09a6a8ee55b3fc94c54caf7fed6192d394f6ba674005bb53a45a5c24e6a8ff"
 
 
@@ -544,7 +546,8 @@ def test_random_searches_give_recorded_answers_and_traces():
             verdict = E.check(digests, E.HypothesisEnv(), a.evidence, a.goal)
             assert verdict, (seed, S.fmt_formula(a.goal), verdict)
             bindings = sorted(f"{v.name}:{v.sort}={S.fmt_term(t)}" for v, t in a.bindings.items())
-            text.append(repr((bindings, S.fmt_formula(a.goal), repr(a.evidence))))
+            ev = repr(labelled(a.evidence, digests)).replace("ClauseApp(ref=", "ClauseApp(label=")
+            text.append(repr((bindings, S.fmt_formula(a.goal), ev)))
         digest.update(canonical_names("\n".join([*text, repr(trace)])).encode())
     assert digest.hexdigest() == SEARCH_SHA256
 
@@ -589,13 +592,14 @@ HEADS_SIG = (
 
 
 def _applied(src, goal_text):
-    """Answers ({name: term text}, evidence), trace, fresh-name counter and
-    policy digest of `goal_text` against K's policy `src`."""
+    """Answers ({name: term text}, evidence naming each clause by label),
+    trace, fresh-name counter and policy digest of `goal_text` against K's
+    policy `src`."""
     pol = parser.parse_policy(HEADS_SIG + src, "K")
     goal, free = parser.parse_goal(goal_text, pol.signature)
     prover = Prover({"K": pol})
     answers = [
-        ({v.name: S.fmt_term(t) for v, t in a.bindings.items()}, a.evidence)
+        ({v.name: S.fmt_term(t) for v, t in a.bindings.items()}, labelled(a.evidence, {pol.digest: pol}))
         for a in prover.ask(goal, free)
     ]
     return answers, prover.trace, prover.state.counter, pol.digest
@@ -625,7 +629,7 @@ def test_numbers_of_one_value_do_not_unify_and_the_checker_agrees(fact, goal):
     prover = Prover({"K": pol})
     assert list(prover.ask(goal)) == []
     assert prover.trace == [f"STEP 64 goal {S.fmt_formula(goal)}"]
-    verdict = E.check({pol.digest: pol}, E.HypothesisEnv(), E.ClauseApp("f", pol.digest), goal)
+    verdict = E.check({pol.digest: pol}, E.HypothesisEnv(), E.ClauseApp(0, pol.digest), goal)
     assert verdict == E.CheckResult(False, (), "clause 'f' head does not match the goal")
 
 
@@ -676,7 +680,7 @@ def test_a_goal_constant_of_another_sort_fails_and_fresh_names_stay(monkeypatch)
     answers = list(prover.ask(S.Atom("q", (C("a"),))))
     # `k` does not take the Thing `a` and gets a variable; `x` takes `a`,
     # and `y`, the one argument `q(x)` does not fix, gets the next variable
-    assert [a.evidence for a in answers] == [E.ClauseApp("s2", pol.digest, (S.Var("_2", "Thing"),))]
+    assert [a.evidence for a in answers] == [E.ClauseApp(at(pol, "s2"), pol.digest, (S.Var("_2", "Thing"),))]
     assert (prover.trace, prover.state.counter) == (["STEP 64 goal q(a)", "STEP 64 apply s2 q(a)"], 2)
     assert len(calls) == 2  # one head attempt each
 
@@ -734,8 +738,8 @@ def test_a_conjunct_clause_drops_the_outer_universals_it_does_not_mention():
     assert [c.universals for c in pol.clauses] == [(x,), ()]
     answers, _, counter, d = _applied(src, "r()")
     assert (answers, counter) == ([({}, E.ClauseApp("a_2", d))], 0)
-    assert E.check({d: pol}, E.HypothesisEnv(), E.ClauseApp("a_2", d), goal)
-    old = E.ClauseApp("a_2", d, (S.Var("_2", "Thing"),))
+    assert E.check({d: pol}, E.HypothesisEnv(), E.ClauseApp(at(pol, "a_2"), d), goal)
+    old = E.ClauseApp(at(pol, "a_2"), d, (S.Var("_2", "Thing"),))
     refused = E.CheckResult(False, (), "clause 'a_2' expects 0 arguments")
     assert E.check({d: pol}, E.HypothesisEnv(), old, goal) == refused
     # A hypothesis splits as the checker splits it.
@@ -776,11 +780,11 @@ def test_prover_and_checker_agree_on_bare_heads(owner, goal_text):
         prover, policies, env, digest = Prover({}), {}, E.HypothesisEnv({"f": pol.clauses[0]}), None
     else:
         prover, policies, env, digest = Prover({name: pol}), {pol.digest: pol}, E.HypothesisEnv(), pol.digest
-    answer = prover.first(goal, env=env)
-    verdict = E.check(policies, env, E.ClauseApp("f", digest), goal)
+    answer, app = prover.first(goal, env=env), E.ClauseApp("f" if name is None else 0, digest)
+    verdict = E.check(policies, env, app, goal)
     assert (answer is not None, verdict.ok) == ((owner in _BARE_PROVES[goal_text],) * 2)
     if answer is not None:
-        assert answer.evidence == E.ClauseApp("f", digest)
+        assert answer.evidence == app
     else:
         assert verdict.reason == "clause 'f' head does not match the goal"
 
@@ -927,7 +931,7 @@ def test_a_goal_that_a_peer_or_the_services_may_attest_is_not_determinate():
         goal, free = parser.parse_goal(text, pol.signature)
         return [a.evidence for a in Prover({"K": pol}, **kw).ask(goal, free)]
 
-    assert evidence("K says q(a)", dispatch=dispatch) == [E.ClauseApp("r1", pol.digest)]
+    assert evidence("K says q(a)", dispatch=dispatch) == [E.ClauseApp(at(pol, "r1"), pol.digest)]
     assert evidence("knows {K} (L says q(a))", dispatch=dispatch) == []
     assert asked == []
     assert evidence("L says q(a)", dispatch=dispatch) == [E.Unit()]
@@ -944,4 +948,4 @@ def test_a_prover_reuses_an_index_of_its_policy_and_extends_an_earlier_one():
     prover = Prover({"K": new}, indexes={"K": engine.ClauseIndex(old)})
     assert prover.indexes["K"].policy is new
     goal, free = parser.parse_goal("q(b)", new.signature)
-    assert [a.evidence for a in prover.ask(goal, free)] == [E.ClauseApp("f2", new.digest)]
+    assert [a.evidence for a in prover.ask(goal, free)] == [E.ClauseApp(at(new, "f2"), new.digest)]

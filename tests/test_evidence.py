@@ -13,6 +13,7 @@ import types
 import pytest
 
 import test_golden
+from canonical import at
 from cyberlogic import codec, crypto, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
@@ -394,7 +395,7 @@ def test_remote_verdicts_equal_local_ones_with_warm_and_cold_directories():
     for name, run in sorted(scenarios.SCENARIOS.items()):
         r = run(0)
         world, cert = r.world, r.certificate
-        for _, ev in [("", cert.root_evidence), *_mutations(cert.root_evidence)]:
+        for _, ev in [("", cert.root_evidence), *_mutations(cert.root_evidence, world.policy_map())]:
             c = dataclasses.replace(cert, root_evidence=ev)
             local = E.check_certificate(c, world.policy_map(), _cold(world.directory))
             for directory in (world.directory, _cold(world.directory)):
@@ -514,7 +515,7 @@ def test_the_checker_refuses_a_goal_the_head_does_not_match(case):
     label, written, goal, reason = _HOSTILE_MATCHES[case]
     world = scenarios.build_world([("K", _MATCH_POLICY)], seed=0)
     pol = world.policies["K"]
-    ev = E.ClauseApp(label, pol.digest, written, (E.Unit(),) if label == "rw" else ())
+    ev = E.ClauseApp(at(pol, label), pol.digest, written, (E.Unit(),) if label == "rw" else ())
     cert = E.Certificate(goal, ev, frozenset({pol.digest}))
     local = E.check_certificate(cert, world.policy_map(), world.directory)
     remote = remote_check(_registry(world), cert)
@@ -527,9 +528,9 @@ def test_the_checker_reads_head_arguments_off_the_goal():
     for label, written, goal, premises in [
         ("r2", (), S.Atom("p2", (_A, _A)), ()),
         ("rs", (), S.Attest(k, S.Atom("s", (_B,))), ()),
-        ("rw", (_B,), S.Atom("u", (_A,)), (E.ClauseApp("t1", pol.digest),)),
+        ("rw", (_B,), S.Atom("u", (_A,)), (E.ClauseApp(at(pol, "t1"), pol.digest),)),
     ]:
-        cert = E.Certificate(goal, E.ClauseApp(label, pol.digest, written, premises), frozenset({pol.digest}))
+        cert = E.Certificate(goal, E.ClauseApp(at(pol, label), pol.digest, written, premises), frozenset({pol.digest}))
         assert E.check_certificate(cert, world.policy_map(), world.directory)
         assert remote_check(_registry(world), cert)
 
@@ -544,43 +545,43 @@ _EIGEN_POLICY = (
     "g2: forall y:Thing. y != c2 => q(y).\n"
 )
 _C9 = S.Const("c9", "Thing")
-_EIGEN_CASES = {  # goal, evidence under K's policy, verdict
+_EIGEN_CASES = {  # goal, evidence given the application of K's clause by label, verdict
     "a fact names it": (
-        "forall x:Thing. p(x)", lambda d: E.Abstraction("c1", E.ClauseApp("f", d)),
+        "forall x:Thing. p(x)", lambda app: E.Abstraction("c1", app("f")),
         (False, (0,), "eigenvariable 'c1' is not fresh")),
     "a premise of the clause names it": (
-        "forall x:Thing. q(x)", lambda d: E.Abstraction("c1", E.ClauseApp("g", d, (), (E.ClauseApp("f", d),))),
+        "forall x:Thing. q(x)", lambda app: E.Abstraction("c1", app("g", (), (app("f"),))),
         (False, (0,), "eigenvariable 'c1' is not fresh")),
     "the clause names another constant": (
-        "forall x:Thing. q(x)", lambda d: E.Abstraction("c9", E.ClauseApp("g", d, (), (E.ClauseApp("f", d),))),
+        "forall x:Thing. q(x)", lambda app: E.Abstraction("c9", app("g", (), (app("f"),))),
         (True, (), None)),
     "the clause's owner is the eigenvariable": (
-        "forall x:Principal. x says s()", lambda d: E.Abstraction("K", E.ClauseApp("h", d)),
+        "forall x:Principal. x says s()", lambda app: E.Abstraction("K", app("h")),
         (False, (0,), "eigenvariable 'K' is not fresh")),
     "a numeral": (
         "forall x:Int. x < 4",
-        lambda d: E.Abstraction("3", E.TheoryHole("<", (S.Const("3", "Int"), S.Const("4", "Int")))),
+        lambda app: E.Abstraction("3", E.TheoryHole("<", (S.Const("3", "Int"), S.Const("4", "Int")))),
         (False, (), "eigenvariable '3' is not fresh")),
     # A comparison on an eigenvariable must hold for every value of it.
     "it differs from a constant": (
-        "forall x:Thing. x != c2", lambda d: E.Abstraction("c9", E.TheoryHole("!=", (_C9, S.Const("c2", "Thing")))),
+        "forall x:Thing. x != c2", lambda app: E.Abstraction("c9", E.TheoryHole("!=", (_C9, S.Const("c2", "Thing")))),
         (False, (0,), "!= does not hold for every value of eigenvariable 'c9'")),
     "it differs from a numeral": (
         "forall x:Int. x != 4",
-        lambda d: E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c9", "Int"), S.Const("4", "Int")))),
+        lambda app: E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c9", "Int"), S.Const("4", "Int")))),
         (False, (0,), "!= does not hold for every value of eigenvariable 'c9'")),
     "it equals a constant": (
-        "forall x:Thing. x = c2", lambda d: E.Abstraction("c9", E.TheoryHole("=", (_C9, S.Const("c2", "Thing")))),
+        "forall x:Thing. x = c2", lambda app: E.Abstraction("c9", E.TheoryHole("=", (_C9, S.Const("c2", "Thing")))),
         (False, (0,), "= does not hold for every value of eigenvariable 'c9'")),
     "it equals itself": (
-        "forall x:Thing. x = x", lambda d: E.Abstraction("c9", E.TheoryHole("=", (_C9, _C9))), (True, (), None)),
+        "forall x:Thing. x = x", lambda app: E.Abstraction("c9", E.TheoryHole("=", (_C9, _C9))), (True, (), None)),
     "a premise compares it": (
         "forall x:Thing. q(x)",
-        lambda d: E.Abstraction("c9", E.ClauseApp("g2", d, (), (E.TheoryHole("!=", (_C9, S.Const("c2", "Thing"))),))),
+        lambda app: E.Abstraction("c9", app("g2", (), (E.TheoryHole("!=", (_C9, S.Const("c2", "Thing"))),))),
         (False, (0, 0), "!= does not hold for every value of eigenvariable 'c9'")),
     "a comparison without it": (
         "forall x:Thing. c1 != c2",
-        lambda d: E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c1", "Thing"), S.Const("c2", "Thing")))),
+        lambda app: E.Abstraction("c9", E.TheoryHole("!=", (S.Const("c1", "Thing"), S.Const("c2", "Thing")))),
         (True, (), None)),
 }
 
@@ -591,12 +592,39 @@ def test_an_eigenvariable_is_fresh_for_the_policy_clauses_applied_under_it(case)
     world = scenarios.build_world([("K", _EIGEN_POLICY), ("L", "sort Thing.\n")], seed=0)
     k, l = world.policies["K"], world.policies["L"]
     goal, _ = parser.parse_goal(text, k.signature)
-    cert = E.Certificate(goal, evidence(k.digest), frozenset({k.digest}))
+    app = lambda label, *rest: E.ClauseApp(at(k, label), k.digest, *rest)
+    cert = E.Certificate(goal, evidence(app), frozenset({k.digest}))
     local = E.check_certificate(cert, world.policy_map(), world.directory)
     assert (local.ok, local.path, local.reason) == verdict
     assert remote_check(_registry(world), cert) == local
     # from L's endpoint, K's clauses are obligations checked at K under the eigenvariables in scope
     assert remote_check(_registry(world), cert, l.digest) == local
+
+
+@pytest.mark.parametrize("text, eigen, signer, refused", [
+    # One signature on `p(c9)` proves `K says p(c9)`, not `K says p(x)` for every x.
+    ("forall x:Thing. K says p(x)", "c9", "K", True),
+    ("forall x:Principal. x says s()", "K", "K", True),
+    # The nonce rule: N's signature on `nonce(n)` is the evidence that `n` is a fresh nonce.
+    ("forall x:Nonce. N says nonce(x)", "nonce", "N", False),
+    ("forall x:Nonce. K says nonce(x)", "nonce", "K", True),
+], ids=["a constant", "the signer", "a fresh nonce", "a nonce signed by another"])
+def test_a_signature_names_no_eigenvariable_in_scope_but_a_nonce_from_n(text, eigen, signer, refused):
+    world = scenarios.build_world([("K", _EIGEN_POLICY)], seed=0)
+    k = world.policies["K"]
+    if eigen == "nonce":
+        eigen = world.services.fresh_nonce()
+    goal = parser.parse_goal(text, k.signature)[0]
+    body = S.substitute(goal.body, {goal.var: S.Const(eigen, goal.var.sort)})
+    if signer == "N":
+        sa = world.services.attest_nonce(eigen)
+    else:
+        sa = sign_attestation(world.node(signer).keys, world.directory.principal_id(signer), body.body)
+    cert = E.Certificate(goal, E.Abstraction(eigen, E.AttLeaf(sa)), frozenset({k.digest}))
+    local = E.check_certificate(cert, world.policy_map(), world.directory)
+    refusal = E.CheckResult(False, (0,), f"eigenvariable {eigen!r} is not fresh")
+    assert local == (refusal if refused else E.CheckResult(True))
+    assert remote_check(_registry(world), cert) == local
 
 
 @pytest.mark.parametrize("text, eigen", [
@@ -621,7 +649,7 @@ def test_the_prover_names_no_eigenvariable_the_checker_would_refuse(text, eigen)
 def test_nested_restrictions_admit_only_the_owners_both_admit():
     policy = parser.parse_policy("pred ok(Principal).\nprincipal A.\na1: ok(A).\n", "A")
     a, b = S.Const("A", "Principal"), S.Const("B", "Principal")
-    proof = E.KnowsWrap(frozenset({a}), E.ClauseApp("a1", policy.digest))
+    proof = E.KnowsWrap(frozenset({a}), E.ClauseApp(0, policy.digest))
     inner = S.Knows(frozenset({a}), S.Atom("ok", (a,)))
     assert E.check({policy.digest: policy}, E.HypothesisEnv(), proof, inner)
     res = E.check({policy.digest: policy}, E.HypothesisEnv(), E.KnowsWrap(frozenset({b}), proof),
@@ -665,7 +693,7 @@ def _replace(ev, path, new):
     if isinstance(ev, E.ClauseApp):
         premises = list(ev.premises)
         premises[step] = _replace(premises[step], rest, new)
-        return E.ClauseApp(ev.label, ev.policy_digest, ev.args, tuple(premises))
+        return E.ClauseApp(ev.ref, ev.policy_digest, ev.args, tuple(premises))
     raise AssertionError(f"bad path {path!r} at {type(ev).__name__}")
 
 
@@ -685,9 +713,13 @@ def _flip_const_bit(t, bit):
     return None
 
 
-def _mutations(ev):
-    """Yield single-bit structural mutations: signature bits, clause-label
-    bits, policy-digest bits, written term-arg bits."""
+def _mutations(ev, policies):
+    """Yield single-bit structural mutations: signature bits, hypothesis-label
+    bits, policy-digest bits, written term-arg bits; and each policy clause's
+    position one off either way, one past the end of its policy (`policies`,
+    digest -> Policy) and the last the codec writes, each hypothesis named
+    by a position and each policy clause by its label, under its digest and
+    under none."""
     for path, node in _tree_addresses(ev):
         if isinstance(node, E.AttLeaf):
             sa = node.attestation
@@ -697,16 +729,26 @@ def _mutations(ev):
                 bad = type(sa)(sa.principal, sa.payload, bytes(sig), sa.issued_at)
                 yield f"sig[{bit}]@{path}", _replace(ev, path, E.AttLeaf(bad))
         elif isinstance(node, E.ClauseApp):
-            for bit in range(len(node.label.encode()) * 8):
-                label = _flip_str_bit(node.label, bit)
-                if label is None or label == node.label:
-                    continue
-                bad = E.ClauseApp(label, node.policy_digest, node.args, node.premises)
-                yield f"label[{bit}]@{path}", _replace(ev, path, bad)
+            d = node.policy_digest
+            if d is None:
+                refs = {f"label[{bit}]": _flip_str_bit(node.ref, bit) for bit in range(len(node.ref.encode()) * 8)}
+                refs["position"], pinned = 0, sorted(policies)[0]
+                swapped = [("label under a digest", E.ClauseApp(node.ref, pinned, node.args, node.premises))]
+            else:
+                label, n = policies[d].clauses[node.ref].label, len(policies[d].clauses)
+                refs = {"position-1": node.ref - 1, "position+1": node.ref + 1, "position past the end": n,
+                        "last position": 2**31 - 1, "label": label}
+                swapped = [("position with no digest", E.ClauseApp(node.ref, None, node.args, node.premises)),
+                           ("label with no digest", E.ClauseApp(label, None, node.args, node.premises))]
+            for tag, ref in refs.items():
+                if ref is not None and ref != node.ref and ref != -1:
+                    yield f"{tag}@{path}", _replace(ev, path, E.ClauseApp(ref, d, node.args, node.premises))
+            for tag, bad in swapped:
+                yield f"{tag}@{path}", _replace(ev, path, bad)
             for bit in range(0, len(node.policy_digest or b"") * 8, 4):  # each byte twice; any miss is alike
                 digest = bytearray(node.policy_digest)
                 digest[bit // 8] ^= 1 << (bit % 8)
-                bad = E.ClauseApp(node.label, bytes(digest), node.args, node.premises)
+                bad = E.ClauseApp(node.ref, bytes(digest), node.args, node.premises)
                 yield f"digest[{bit}]@{path}", _replace(ev, path, bad)
             for i, arg in enumerate(node.args):
                 if not isinstance(arg, S.Const):
@@ -717,7 +759,7 @@ def _mutations(ev):
                         continue
                     args = list(node.args)
                     args[i] = mutated
-                    bad = E.ClauseApp(node.label, node.policy_digest, tuple(args), node.premises)
+                    bad = E.ClauseApp(node.ref, node.policy_digest, tuple(args), node.premises)
                     yield f"arg{i}[{bit}]@{path}", _replace(ev, path, bad)
 
 
@@ -728,7 +770,7 @@ def test_tamper_completeness(runner):
     baseline = E.check_certificate(cert, r.world.policy_map(), r.world.directory)
     assert baseline
     total = 0
-    for tag, mutated in _mutations(cert.root_evidence):
+    for tag, mutated in _mutations(cert.root_evidence, r.world.policy_map()):
         bad = E.Certificate(cert.root_formula, mutated,
                             cert.policy_digests, cert.directory, cert.created_at)
         res = E.check_certificate(bad, r.world.policy_map(), r.world.directory)
@@ -784,15 +826,23 @@ def test_check_scales_roughly_linearly():
 
 
 def test_checker_ignores_how_evidence_was_found():
-    # the same evidence term checks no matter what order clauses appear in
+    # The checker reads which clause each application names, not how the
+    # search found it: with each policy's clauses reversed, the evidence
+    # checks once its positions and digests name the same clauses there.
     r = _hospital()
     cert = r.certificate
-    pol_map = r.world.policy_map()
-    shuffled = {}
-    for d, p in pol_map.items():
-        q = S.Policy(p.owner, p.signature, list(reversed(p.clauses)), p.source)
-        shuffled[d] = q
-    assert E.check_certificate(cert, shuffled, r.world.directory)
+    shuffled = {d: S.Policy(p.owner, p.signature, list(reversed(p.clauses)), p.source)
+                for d, p in r.world.policy_map().items()}
+
+    def node(x, kids):
+        if x.__class__ is E.ClauseApp and x.policy_digest is not None:
+            q = shuffled[x.policy_digest]
+            return E.ClauseApp(len(q.clauses) - 1 - x.ref, q.digest, x.args, tuple(kids))
+        return E.rebuild(x, kids, lambda t: t)
+
+    policies = {q.digest: q for q in shuffled.values()}
+    moved = dataclasses.replace(cert, root_evidence=E.fold(cert.root_evidence, node), policy_digests=frozenset(policies))
+    assert E.check_certificate(moved, policies, r.world.directory)
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +853,13 @@ def test_checker_ignores_how_evidence_was_found():
 LOOP = "sort Thing. pred p(Thing).\nr: p(a) => p(a).\nf: p(a).\n"
 
 
-def _looping_chain(last="f", steps=3000):
+def _looping_chain(last=1, steps=3000):
     """A certificate of `steps` applications of `r: p(a) => p(a)` above one
-    application of clause `last`."""
+    application of the clause at position `last` (`f`'s is 1)."""
     pol = parser.parse_policy(LOOP, "K")
     ev = E.ClauseApp(last, pol.digest)
     for _ in range(steps):
-        ev = E.ClauseApp("r", pol.digest, (), (ev,))
+        ev = E.ClauseApp(0, pol.digest, (), (ev,))
     goal = S.Atom("p", (S.Const("a", "Thing"),))
     registry = Registry()
     registry.register(pol.digest, CheckerEndpoint("K", [pol], None, registry))
@@ -826,12 +876,12 @@ def test_a_3001_step_certificate_round_trips_and_checks():
 
 
 def test_a_3001_step_certificate_is_rejected_at_its_innermost_step():
-    pol, registry, cert = _looping_chain(last="g")
+    pol, registry, cert = _looping_chain(last=2)
     decoded = codec.decode_certificate(codec.encode_certificate(cert))
     for res in (E.check_certificate(decoded, {pol.digest: pol}), remote_check(registry, cert)):
         assert not res
         assert res.path == (0,) * 3000
-        assert res.reason == "no clause 'g' in policy of 'K'"
+        assert res.reason == "no clause #2 in policy of 'K'"
 
 
 def _disjunctions(depth: int) -> str:
@@ -883,10 +933,10 @@ def test_deep_evidence_compares_and_hashes_at_the_default_recursion_limit():
         assert x != z and not x == z
     finally:
         sys.setrecursionlimit(limit)
-    app = E.ClauseApp("r", b"d", (a,), (E.Unit(), x))
-    assert app == E.ClauseApp("r", b"d", (a,), (E.Unit(), y))
-    assert app != E.ClauseApp("r", b"d", (b,), (E.Unit(), y))
-    assert app != E.ClauseApp("r", b"d", (a,), (E.Unit(), z))
+    app = E.ClauseApp(0, b"d", (a,), (E.Unit(), x))
+    assert app == E.ClauseApp(0, b"d", (a,), (E.Unit(), y))
+    assert app != E.ClauseApp(0, b"d", (b,), (E.Unit(), y))
+    assert app != E.ClauseApp(0, b"d", (a,), (E.Unit(), z))
 
 
 def test_deep_evidence_prints_at_the_default_recursion_limit():
@@ -905,7 +955,7 @@ def test_deep_evidence_prints_at_the_default_recursion_limit():
     a = S.Const("a", "Thing")
     app = E.ClauseApp("r", None, (a,), (E.PairEv(E.Unit(), E.Inr(E.Unit())),))
     assert repr(app) == (
-        f"ClauseApp(label='r', policy_digest=None, args=({a!r},), "
+        f"ClauseApp(ref='r', policy_digest=None, args=({a!r},), "
         "premises=(PairEv(left=Unit(), right=Inr(body=Unit())),))"
     )
 

@@ -27,13 +27,17 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # writer gives those bytes again.  NS's moved again when fresh names came
 # to be numbered as they are made, with `@<hop>` at a hop: its certificate
 # `\h1.nsp(\n2_dab564ff.\h3.h1(h3))` became `...\h2@1.h1(h2@1))`, B's
-# label at hop 1, and its 726 bytes 730.
+# label at hop 1, and its 726 bytes 730.  All moved with CYL4, which names
+# a policy clause by its position: with each position mapped to the label
+# of the clause it names, each decodes to the value of its CYL3 bytes
+# (delegation's 797 bytes became 786, hospital's 917 903, ns's 730 727 and
+# revocation's 570 563; timed's, which applies no policy clause, stay 557).
 CERT_SHA256 = {
-    "delegation": "50d032a4a057e4be54335fe5d852f1196f64ec03956eb527f1ada37254e3a496",
-    "hospital": "6081693105233bcedc856c1186eddaeb5b34501c2fd69dd47e39cc016f5053a8",
-    "ns": "04ca636db82fc4d7bf09c58aee3ea8ac1a08bc28a991d796e3749c2434f9e99d",
-    "revocation": "232760608c84f8e6073d8197c17cd9e8f944cafb7477a651ba18e8f2d4888511",
-    "timed": "7f90d83f0677f5f1004d8245391e46f7a20aebdfdb53bee3981e6a6806257549",
+    "delegation": "cb335322d2fb26ed322c1e9ed24b6eacb135e203190f65739a96e6f82577f32c",
+    "hospital": "ac37db9d49a5092515d9c27f7f2308e92eedf32b1e095c2abdd1a5f38fdfbab9",
+    "ns": "9cf9bd073a5ce7eb8404042ad8cb050c03c19d83b8d5cfdef7b0604ebb992647",
+    "revocation": "641a16363e1fb52647c7f44a818c053219354111f4d9e66de39f66469ade3063",
+    "timed": "14980086b04521ffca4be1b05192120d4961f978c2c53f303e5e6e7594ccec02",
 }
 
 # SHA-256 of every node's search trace at seed 0, one "<node> <line>" per
@@ -52,8 +56,9 @@ TRACE_SHA256 = {
 # Moved, as hospital's did, when each of the chain's 101 later applications
 # of its one policy came to name the digest by a reference: 8,515 bytes
 # became 5,283, decoding to the same value.  Moved again with CYL3, as the
-# scenarios' did: 5,283 bytes became 2,525.
-CHAIN50_SHA256 = "de89ef02441d35a6e1ba1fc10315efff57e8f300270ca30bdf96370718b313a8"
+# scenarios' did: 5,283 bytes became 2,525; and with CYL4, as they did:
+# 2,525 bytes became 2,241.
+CHAIN50_SHA256 = "1dc235095ee3a0e725e3ef7f1a504631e569ec80b434856aae9b18ba1c211f38"
 
 
 @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))

@@ -426,9 +426,9 @@ HOP_DECLS = "sort Thing. pred p(Thing). pred q(). pred r(Thing). pred s(). pred 
 
 
 def _hop_answer(a_src, b_src, goal_text):
-    """A's first answer to `goal_text`, and its certificate's local and
-    remote verdicts as (ok, path, reason), with A's policy `a_src` and B's
-    `b_src`."""
+    """The spine of A's first answer to `goal_text`, and its certificate's
+    local and remote verdicts as (ok, path, reason), with A's policy `a_src`
+    and B's `b_src`."""
     w = scenarios.build_world([("A", HOP_DECLS + a_src), ("B", HOP_DECLS + b_src)], 0)
     a = w.node("A")
     goal, free = parser.parse_goal(goal_text, a.policy.signature)
@@ -440,7 +440,8 @@ def _hop_answer(a_src, b_src, goal_text):
     for owner, pol in w.policies.items():
         registry.register(pol.digest, CheckerEndpoint(owner, [pol], w.directory, registry))
     local, remote = E.check_certificate(cert, w.policy_map(), w.directory), remote_check(registry, cert)
-    return answer, (local.ok, local.path, local.reason), (remote.ok, remote.path, remote.reason)
+    spine = E.render_spine(answer.evidence, w.policy_map())
+    return spine, (local.ok, local.path, local.reason), (remote.ok, remote.path, remote.reason)
 
 
 def test_hypothesis_labels_made_at_a_hop_carry_it():
@@ -449,8 +450,8 @@ def test_hypothesis_labels_made_at_a_hop_carry_it():
     # hypothesis.  Numbered per query, B's label was `h1` too, and the
     # checker read `h1(h1)` as B's hypothesis applied to itself.
     goal = "((B says q()) => A says s()) => B says t()"
-    answer, local, remote = _hop_answer("", "nb: ((B says q()) => A says s()) => B says t().\n", goal)
-    assert E.render_spine(answer.evidence) == "\\h1.nb(\\h1@1.h1(h1@1))"
+    spine, local, remote = _hop_answer("", "nb: ((B says q()) => A says s()) => B says t().\n", goal)
+    assert spine == "\\h1.nb(\\h1@1.h1(h1@1))"
     assert local == remote == (True, (), None)
 
 
@@ -462,9 +463,9 @@ def test_an_eigenconstant_made_at_a_hop_is_not_one_made_before_it():
     b_src = "nb: (forall z:Thing. A says r(z)) => B says q().\n"
     assert _hop_answer(a_src, b_src, "forall x:Thing. (p(x) => B says q())") == (None, None, None)
     # A hypothesis about the goal's own eigenconstant still serves.
-    answer, local, remote = _hop_answer(a_src, "nb: forall z:Thing. A says r(z) => B says r(z).\n",
+    spine, local, remote = _hop_answer(a_src, "nb: forall z:Thing. A says r(z) => B says r(z).\n",
                                         "forall x:Thing. (p(x) => B says r(x))")
-    assert E.render_spine(answer.evidence) == "\\c1.\\h3.nb(ar(h3))"
+    assert spine == "\\c1.\\h3.nb(ar(h3))"
     assert local == remote == (True, (), None)
 
 
@@ -608,7 +609,7 @@ def test_a_silent_peer_counts_as_no_answer():
             goal, _ = parser.parse_goal("good", a.policy.signature)
             ans = a.ask_first(goal)
         assert ans is not None
-        assert E.render_spine(ans.evidence).startswith("a2")
+        assert E.render_spine(ans.evidence, w.policy_map()).startswith("a2")
         assert a.metrics["transport_errors"] == 1
     finally:
         server.shutdown()

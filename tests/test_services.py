@@ -7,6 +7,7 @@ import json
 import pytest
 
 import test_evidence
+from canonical import at
 from cyberlogic import codec, crypto, parser, scenarios
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
@@ -22,8 +23,11 @@ from cyberlogic.services import CheckerEndpoint, Registry, TrustedServices, remo
 # value it did before (6,408 bytes of frames became 6,240).  Moved again
 # with CYL3 (6,240 bytes became 5,880): the same frames and verdicts, and
 # each request, with the clause arguments filled in as the checker matches
-# them, decodes to the value of the CYL2 request.
-FRAMES_SHA256 = "a6ba33548083d1aa10884e47d723431a1c265904150d3be8dd235c71752ac3ba"
+# them, decodes to the value of the CYL2 request.  Moved again with CYL4
+# (5,880 bytes became 5,812): the same frames and verdicts, and each
+# certificate and evidence they carry, with each clause position mapped to
+# the label of the clause it names, decodes to the value of the CYL3 one.
+FRAMES_SHA256 = "c2079a3d70ed9ad35d085c42c2e4f0a8faabe3810cbb9eb204c662bc633ce070"
 
 
 def test_clock_is_monotonic():
@@ -181,7 +185,7 @@ def test_remote_check_matches_local_check():
         for cert in certs:
             assert E.check_certificate(cert, r.world.policy_map(), r.world.directory).ok, name
             tampered = [dataclasses.replace(cert, root_evidence=ev)
-                        for _, ev in test_evidence._mutations(cert.root_evidence)]
+                        for _, ev in test_evidence._mutations(cert.root_evidence, r.world.policy_map())]
             for c in [cert, *tampered]:
                 local = E.check_certificate(c, r.world.policy_map(), r.world.directory)
                 for d in [None, *sorted(c.policy_digests)]:
@@ -207,17 +211,17 @@ def _owners_registry(*policies):
     return reg
 
 
-def _alternating(steps: int, last: str = "f1", knows: bool = False):
+def _alternating(steps: int, last: int = 1, knows: bool = False):
     """The local policy map, a registry with one endpoint per owner, and a
     certificate of `steps` clause applications that alternate between K1's
-    `r1: q(a) => p(a)` and K2's `r2: p(a) => q(a)` above K1's `last`,
-    restricted to `knows {K1, K2}` if `knows`."""
+    `r1: q(a) => p(a)` and K2's `r2: p(a) => q(a)` above K1's clause at
+    position `last` (`f1`'s is 1), restricted to `knows {K1, K2}` if `knows`."""
     sig = "sort Thing. pred p(Thing). pred q(Thing).\n"
     k1 = parser.parse_policy(sig + "r1: q(a) => p(a).\nf1: p(a).\n", "K1")
     k2 = parser.parse_policy(sig + "r2: p(a) => q(a).\n", "K2")
     ev = E.ClauseApp(last, k1.digest)
     for i in range(steps):
-        ev = E.ClauseApp("r1", k1.digest, (), (ev,)) if i % 2 else E.ClauseApp("r2", k2.digest, (), (ev,))
+        ev = E.ClauseApp(0, k1.digest if i % 2 else k2.digest, (), (ev,))
     goal = S.Atom("q" if steps % 2 else "p", (S.Const("a", "Thing"),))
     if knows:
         group = frozenset({S.Const("K1", "Principal"), S.Const("K2", "Principal")})
@@ -240,9 +244,9 @@ def test_alternating_endpoints_check_in_frames_linear_in_the_chain():
         local = E.check_certificate(cert, policies)
         assert local.ok and remote_check(reg, cert, frame_log=frames) == local
         sent[steps, knows] = sum(map(len, frames))
-        policies, reg, broken = _alternating(steps, last="g", knows=knows)
+        policies, reg, broken = _alternating(steps, last=2, knows=knows)
         local = E.check_certificate(broken, policies)
-        assert local.path == (0,) * (steps + knows) and local.reason == "no clause 'g' in policy of 'K1'"
+        assert local.path == (0,) * (steps + knows) and local.reason == "no clause #2 in policy of 'K1'"
         assert remote_check(reg, broken) == local
     assert sent[3000, False] <= 11 * sent[300, False]
 
@@ -253,16 +257,18 @@ def test_the_lowest_failure_wins_though_another_endpoint_answers_first():
     sig = "sort Thing. pred p(Thing). pred q(Thing). pred s(Thing).\n"
     k1 = parser.parse_policy(sig + "r1: q(a) => s(a) => p(a).\nf1: s(a).\n", "K1")
     k2 = parser.parse_policy(sig + "f2: q(a).\n", "K2")
-    ev = E.ClauseApp("r1", k1.digest, (), (E.ClauseApp("g2", k2.digest), E.ClauseApp("g1", k1.digest)))
+    ev = E.ClauseApp(0, k1.digest, (), (E.ClauseApp(1, k2.digest), E.ClauseApp(2, k1.digest)))
     cert = E.Certificate(S.Atom("p", (S.Const("a", "Thing"),)), ev, frozenset({k1.digest, k2.digest}))
     local = E.check_certificate(cert, {k1.digest: k1, k2.digest: k2})
-    assert local == E.CheckResult(False, (0,), "no clause 'g2' in policy of 'K2'")
+    assert local == E.CheckResult(False, (0,), "no clause #1 in policy of 'K2'")
     assert remote_check(_owners_registry(k1, k2), cert, k1.digest) == local
 
 
 def test_a_stale_re_registered_digest_gets_the_local_verdict():
     # K1 updates its policy, then registers the old digest again; K2's
     # endpoint knows that digest only by the registry's newest record of it.
+    # Under the old digest, the position of `f1`, which the update
+    # appended, names no clause.
     sig = "sort Thing. pred p(Thing). pred q(Thing).\n"
     old = parser.parse_policy(sig + "r1: q(a) => p(a).\n", "K1")
     new = parser.parse_policy(sig + "r1: q(a) => p(a).\nf1: p(a).\n", "K1")
@@ -275,8 +281,8 @@ def test_a_stale_re_registered_digest_gets_the_local_verdict():
     policies = {p.digest: p for p in (old, new, k2)}
     group = frozenset({S.Const("K2", "Principal")})
     verdicts = []
-    for label, knows in [("r1", False), ("g", False), ("r1", True)]:
-        goal, ev = S.Atom("p", (S.Const("a", "Thing"),)), E.ClauseApp(label, old.digest, (), (E.ClauseApp("f2", k2.digest),))
+    for position, knows in [(0, False), (at(new, "f1"), False), (0, True)]:
+        goal, ev = S.Atom("p", (S.Const("a", "Thing"),)), E.ClauseApp(position, old.digest, (), (E.ClauseApp(0, k2.digest),))
         if knows:
             goal, ev = S.Knows(group, goal), E.KnowsWrap(group, ev)
         cert = E.Certificate(goal, ev, frozenset({old.digest, k2.digest}))
@@ -285,7 +291,7 @@ def test_a_stale_re_registered_digest_gets_the_local_verdict():
         verdicts.append((local.ok, local.path, local.reason))
     assert verdicts == [
         (True, (), None),
-        (False, (), "no clause 'g' in policy of 'K1'"),
+        (False, (), "no clause #1 in policy of 'K1'"),
         (False, (0,), "evidence draws on a policy of 'K1', outside the restriction"),
     ]
 

@@ -56,7 +56,8 @@ MIN_TIMEOUT = 60  # seconds, however quick the unmutated run
 # mutant).  A target over two files is listed once per file.
 TARGETS = [
     ("codec", "src/cyberlogic/codec.py",
-     ("_string", "_i64", "_interned", "_pin", "_digest", "_count", "_flag", "_set", "_op", "_write", "_read",
+     ("_string", "_clause_ref", "_i64", "_interned", "_pin", "_digest", "_count", "_flag", "_set", "_op", "_write",
+      "_read",
       "encode_policy", "encode_certificate", "decode_certificate"),
      ("tests/test_codec.py", "tests/test_golden.py")),
     ("checker", "src/cyberlogic/evidence.py", ("_Checker",),
