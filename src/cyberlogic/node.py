@@ -8,7 +8,11 @@ session-token chain: every hypothesis assumed while proving is filed under
 the proving node's token, and follow-up queries carrying that token may
 use those hypotheses — and only those.  Every ANSWER names the SHA-256 of
 the QUERY bytes it answers and is signed by the answering node over the
-rest of the frame; a node never signs an attestation.
+rest of the frame; a node never signs an attestation.  Within one query a
+node asks each distinct question once: its answer table replays a repeated
+request's answer, or its lack of one, and forgets everything when the query
+ends.  A served search that ends without an answer fails as `depth
+exhausted` when the depth budget cut it short, else as `no proof`.
 
 The simulator is synchronous and seeded: a request is served to
 completion before the caller resumes, so runs are reproducible
@@ -64,6 +68,10 @@ def b64(data: bytes) -> str:
 
 def unb64(text: str) -> bytes:
     return base64.b64decode(text)
+
+
+def _fail(qid, reason: str) -> bytes:
+    return encode_frame({"type": "FAIL", "qid": qid, "reason": reason})
 
 
 def _is_b64(x) -> bool:
@@ -271,12 +279,14 @@ class Node:
         a new session, whose token the queries to peers add to `chain`: the
         search is at hop `len(chain)`.  Once the search ends, the session is
         kept only if it assumed hypotheses, and then among the ANSWER_CACHE
-        newest such."""
-        token, assumed = self._new_token(), []
+        newest such; the generator returns why it found no more answers,
+        `depth exhausted` if the depth budget cut a goal or a peer's request
+        short, else `no proof`."""
+        token, assumed, short = self._new_token(), [], []
         self.sessions[token] = assumed
         prover = engine.Prover(
             {self.name: self.policy},
-            dispatch=self._dispatcher(chain + [token]),
+            dispatch=self._dispatcher(chain + [token], assumed, short),
             services=self.services,
             trace=self.trace,
             on_hypothesis=assumed.extend,
@@ -297,13 +307,29 @@ class Node:
                 if len(self._kept) > ANSWER_CACHE:
                     oldest = next(iter(self._kept))
                     del self._kept[oldest], self.sessions[oldest]
+        return "depth exhausted" if prover.state.exhausted or short else "no proof"
 
     # -- outbound ------------------------------------------------------------
 
-    def _dispatcher(self, chain):
+    def _dispatcher(self, chain, assumed, short):
+        """The prover's dispatch for one query, whose session chain is
+        `chain` and whose own session has assumed `assumed`.  Its answer
+        table keys each request on the peer, the goal as sent, its
+        variables, its budget and `len(assumed)`, and replays a request
+        asked again, answered or not, without a frame; one that got no
+        reply (a transport error, a dropped frame) is asked again.  A peer
+        answers a request once, so a replay gives what a resend would; and
+        only `assumed` can change what a callback to this node sees while
+        the query runs.  A request the depth budget cuts short, with no
+        budget to send or a `depth exhausted` reply, is added to `short`."""
+        table = {}  # (peer, goal sent, vars, budget, hypotheses assumed) -> accepted answer or None
+
         def dispatch(target, goal, vars_, budget, restriction):
             self.metrics["dispatches"] += 1
-            if budget <= 0 or self.network is None:
+            if budget <= 0:
+                short.append(target)
+                return
+            if self.network is None:
                 return
             if restriction is not None:
                 allowed = {p.name for p in restriction if isinstance(p, S.Const)}
@@ -330,25 +356,35 @@ class Node:
                 if pvar is not None:
                     to_goal = S.substitute(send_goal, {pvar: S.Const(to, "Principal")})
                     to_vars = [v for v in vars_ if v != pvar]
-                frame = encode_frame(
-                    {
-                        "type": "QUERY",
-                        "qid": self._new_qid(),
-                        "from": self.name,
-                        "to": to,
-                        "session": list(chain),
-                        "goal_b64": b64(codec.encode_formula(to_goal)),
-                        "vars": [[v.name, v.sort] for v in to_vars],
-                        "budget": budget,
-                    }
-                )
-                try:
-                    responses = self.network.request(self.name, to, frame)
-                except (RouteError, TransportError, OSError):
-                    # No answer from this peer; search goes on without it.
-                    self.metrics["transport_errors"] += 1
-                    continue
-                answer = self._accept_answer(responses, frame, restriction, to)
+                key = (to, to_goal, tuple(to_vars), budget, len(assumed))
+                if key in table:
+                    answer = table[key]
+                else:
+                    qid = self._new_qid()
+                    frame = encode_frame(
+                        {
+                            "type": "QUERY",
+                            "qid": qid,
+                            "from": self.name,
+                            "to": to,
+                            "session": list(chain),
+                            "goal_b64": b64(codec.encode_formula(to_goal)),
+                            "vars": [[v.name, v.sort] for v in to_vars],
+                            "budget": budget,
+                        }
+                    )
+                    try:
+                        responses = self.network.request(self.name, to, frame)
+                    except (RouteError, TransportError, OSError):
+                        # No answer from this peer; search goes on without it.
+                        self.metrics["transport_errors"] += 1
+                        continue
+                    if not responses:
+                        continue  # dropped: asked again when met again
+                    answer = table[key] = self._accept_answer(responses, frame, restriction, to)
+                    # a FAIL frame is written as `_reply` writes it
+                    if answer is None and _fail(qid, "depth exhausted") in responses:
+                        short.append(to)
                 if answer is not None:
                     bindings, ev = answer
                     if pvar is not None:
@@ -399,7 +435,7 @@ class Node:
             return [encode_frame({"type": "FAIL", "reason": str(ex)})]
         if obj.get("type") == "QUERY":
             return self.handle_query(obj, crypto.sha256(data).hex())
-        return [encode_frame({"type": "FAIL", "qid": obj.get("qid"), "reason": "unsupported frame type"})]
+        return [_fail(obj.get("qid"), "unsupported frame type")]
 
     def handle_query(self, obj: dict, request: str) -> list[bytes]:
         """Answer a decoded QUERY whose bytes have SHA-256 `request` (hex).
@@ -425,34 +461,35 @@ class Node:
             budget = int(obj.get("budget", self.depth))
             chain = list(obj.get("session", []))
         except Exception as ex:
-            return encode_frame({"type": "FAIL", "qid": qid, "reason": f"malformed query: {ex}"})
+            return _fail(qid, f"malformed query: {ex}")
         # Rename incoming metavariables into a local namespace so they can
         # never collide with this prover's own fresh variables.
         ren = {v: S.Var(f"q.{qid}.{v.name}", v.sort) for v in vars_}
         goal = S.substitute(goal, ren)
         search = self._ask(goal, list(ren.values()), min(budget, self.depth), chain)
         try:
-            answer, reason = next(search, None), "no proof"
-            if answer is not None:
-                frame = {
-                    "type": "ANSWER",
-                    "qid": qid,
-                    "from": self.name,
-                    "request": request,
-                    "bindings": {
-                        v.name: b64(codec.encode_term(answer.bindings[rv])) for v, rv in ren.items()
-                    },
-                    "evidence_b64": b64(codec.encode_evidence(answer.evidence)),
-                }
-                frame["sig_b64"] = b64(crypto.sign(self.keys, encode_frame(frame)))
-                return encode_frame(frame)
+            answer = next(search)
+            frame = {
+                "type": "ANSWER",
+                "qid": qid,
+                "from": self.name,
+                "request": request,
+                "bindings": {
+                    v.name: b64(codec.encode_term(answer.bindings[rv])) for v, rv in ren.items()
+                },
+                "evidence_b64": b64(codec.encode_evidence(answer.evidence)),
+            }
+            frame["sig_b64"] = b64(crypto.sign(self.keys, encode_frame(frame)))
+            return encode_frame(frame)
+        except StopIteration as end:
+            reason = end.value  # `no proof` or `depth exhausted`
         except Exception as ex:
             kind = "flounder" if isinstance(ex, FlounderError) else f"internal: {type(ex).__name__}"
             reason = f"{kind}: {ex}"
             self.trace.append(f"ERROR {qid} {ex}")
         finally:
             search.close()
-        return encode_frame({"type": "FAIL", "qid": qid, "reason": reason})
+        return _fail(qid, reason)
 
     # -- local entry point ----------------------------------------------------
 

@@ -10,9 +10,11 @@ endpoints, so a certificate that applies private clauses can be verified
 by their owner without the policy ever leaving home.
 
 `remote_check` is the only sender of check requests: one worklist from
-the entry endpoint.  Each request cuts every clause application under a
-digest the receiving endpoint `forwards` down to its head (no premises), so
-an endpoint sees only its own part and the hypotheses in scope.  CHECK_REQ
+the entry endpoint, by default the owner of the root clause (the first
+policy clause application in pre-order).  Each request cuts every clause
+application under a digest the receiving endpoint `forwards` down to its
+head (no premises), so an endpoint sees only its own part and the
+hypotheses in scope.  CHECK_REQ
 carries `cert_b64`, a certificate, and for an obligation `evidence_b64`
 too, the clause application to check in place of the certificate's
 innermost node, and `eigens`, the eigenvariables in scope, when there are
@@ -274,12 +276,20 @@ def remote_check(
     digest: bytes | None = None,
     frame_log: list | None = None,
 ) -> E.CheckResult:
-    """Check a certificate at the endpoint registered for `digest` (or for
-    the first pinned digest that has one), and each obligation there and
-    after at the endpoint its registry routes it to.  Every frame sent and
+    """Check a certificate at the endpoint registered for `digest`, and
+    each obligation there and after at the endpoint its registry routes it
+    to.  With no `digest`, the check enters at the endpoint of the first
+    policy clause application in pre-order, which checks the root clause
+    itself rather than cutting it and handing it on; failing that, at the
+    first sorted pinned digest that has an endpoint.  Every frame sent and
     received is appended to `frame_log`, so callers can audit exactly what
     was disclosed.  The result is the local checker's."""
-    pins = [digest] if digest is not None else sorted(cert.policy_digests)
+    if digest is None:
+        root = next((x.policy_digest for x in E.nodes(cert.root_evidence)
+                     if x.__class__ is E.ClauseApp and x.policy_digest is not None), None)
+        pins = [root, *sorted(cert.policy_digests)]
+    else:
+        pins = [digest]
     endpoint = next(filter(None, map(registry.endpoint_for, pins)), None)
     if endpoint is None:
         return E.CheckResult(False, (), "no registered checker for the pinned policies")

@@ -45,9 +45,13 @@ CERT_SHA256 = {
 # the prover promises only that its names are fresh, so this pins every
 # step of the search but not how its names are numbered.  (Delegation's
 # trace prints the right-nested disjunction `B = A \/ (B = B \/ B = C)`.)
+# Hospital's moved when a query came to keep an answer table: A asks B
+# `B says isHospital(B)` once, not twice, so B's second served search (its
+# two lines `goal` and `apply b2`) is gone, and the transcript has 3
+# requests, not 4.
 TRACE_SHA256 = {
     "delegation": "e57d607cdce392c2e6b6ec701f5a4ed5886726b48781509fc28bc2c34a7a272f",
-    "hospital": "ccfa15ece7b114fa9aee6ba778695571c66b1639f2ba675f66831eb97b1692f8",
+    "hospital": "8f98f2381e846aaba3abd2da4a999e52bf7ba7bcb0a1e368e9516463585a961c",
     "ns": "159eaa5df9695fd2d14259af00285f8c899f78bb906f33f37f3e72b9c9e790af",
     "revocation": "ed97f6071ed0732e0eec6dd3cd2d597b1cf5d9589c83dca9725b1cdb83f44a11",
     "timed": "2638ec09bee2525b7553be5ffad580902db0b9642302a9578a9691c04666d17a",

@@ -12,6 +12,7 @@ from cyberlogic import node as node_mod
 from cyberlogic import evidence as E
 from cyberlogic import syntax as S
 from cyberlogic.crypto import SignedAttestation, sha256, sign, verify, verify_attestation
+from cyberlogic.errors import TransportError
 from cyberlogic.node import ANSWER_CACHE, TcpTransport, decode_frame, encode_frame, serve_node
 from cyberlogic.services import CheckerEndpoint, Registry, remote_check
 
@@ -321,6 +322,153 @@ def test_broadcast_query_lists_free_variables_in_first_occurrence_order():
     assert [(q["to"], q["vars"]) for q in queries] == [
         ("B", [["y", "Principal"], ["x", "Principal"]])
     ]
+
+
+# ---------------------------------------------------------------------------
+# The answer table: one request per distinct question in a query
+
+
+def _queries(world, to=None):
+    """(to, goal text) of each QUERY sent, in order; a dropped one is None."""
+    out = []
+    for _, dest, data in world.network.frames:
+        if to is not None and dest != to:
+            continue
+        if not data:
+            out.append(None)
+            continue
+        obj = decode_frame(data)
+        if obj.get("type") == "QUERY":
+            out.append((dest, S.fmt_formula(codec.decode_formula(base64.b64decode(obj["goal_b64"])))))
+    return out
+
+
+def test_b_serves_the_repeated_hospital_question_once_per_query():
+    # A's broadcasts `_3 says isHospital(B)` and `_4 says isHospital(B)`
+    # both become `B says isHospital(B)` to B.  Each top-level query keeps
+    # its own table, so the second query asks again.
+    w = scenarios.run_hospital(0).world
+    a, b = w.node("A"), w.node("B")
+    assert _queries(w).count(("B", "B says isHospital(B)")) == 1
+    assert b.metrics["queries_handled"] == 2
+    dispatches = a.metrics["dispatches"]
+    goal, free = parser.parse_goal(scenarios.HOSPITAL_QUERY, a.policy.signature)
+    assert a.ask_first(goal, free) is not None
+    assert _queries(w).count(("B", "B says isHospital(B)")) == 2
+    assert len(_queries(w)) == 6 and b.metrics["queries_handled"] == 4
+    assert a.metrics["dispatches"] - dispatches == 3  # the prover's calls still count
+
+
+TWICE_DECLS = "pred ok(). pred bad(). pred good(). principal A, B.\n"
+# A asks B the same question from two clauses: B fails `bad` and answers `ok`.
+TWICE_A = TWICE_DECLS + "a1: (B says bad) => good.\na2: (B says bad) => good.\na3: (B says ok) => good.\n"
+
+
+def test_a_repeated_failure_sends_no_second_frame():
+    w = scenarios.build_world([("A", TWICE_A), ("B", TWICE_DECLS + "b1: B says ok.\n")], 0)
+    a = w.node("A")
+    goal, _ = parser.parse_goal("good", a.policy.signature)
+    answer = a.ask_first(goal)
+    assert E.render_spine(answer.evidence, w.policy_map()).startswith("a3")
+    assert _queries(w) == [("B", "B says bad"), ("B", "B says ok")]
+    assert a.metrics["dispatches"] == 3
+
+
+def test_a_question_asked_again_with_more_budget_is_sent_again():
+    # Through a1, a3 and a4 A asks B for `p` with too little budget for
+    # B's three steps; through a2 it asks with enough.
+    decls = "pred good(). pred m1(). pred m2(). pred p(). pred q(). pred r(). principal A, B.\n"
+    w = scenarios.build_world([
+        ("A", decls + "a1: m1 => good.\na3: m2 => m1.\na4: (B says p) => m2.\na2: (B says p) => good.\n"),
+        ("B", decls + "b1: q => B says p.\nb2: r => q.\nb3: r.\n"),
+    ], 0)
+    a = w.node("A")
+    goal, _ = parser.parse_goal("good", a.policy.signature)
+    answer = a.ask_first(goal, depth=5)
+    assert E.render_spine(answer.evidence, w.policy_map()) == "a2(b1(b2(b3)))"
+    frames = [decode_frame(data) for _, _, data in w.network.frames]
+    assert [(f["type"], f.get("budget", f.get("reason"))) for f in frames] == [
+        ("QUERY", 1), ("FAIL", "depth exhausted"), ("QUERY", 3), ("ANSWER", None)]
+
+
+@pytest.mark.parametrize("fault", ["drop", "transport error"])
+def test_a_request_that_got_no_reply_is_asked_again(fault):
+    w = scenarios.build_world([("A", TWICE_A), ("B", TWICE_DECLS + "b1: B says bad.\n")], 0)
+    first = []
+
+    def once(frm, to, frame):
+        first.append(frame)
+        return "drop" if len(first) == 1 else None
+
+    if fault == "drop":
+        w.network.fault_rules.append(once)
+    else:
+        request = w.network.request
+
+        def refused_once(frm, to, frame):
+            if not first:
+                first.append(frame)
+                raise TransportError("connection reset")
+            return request(frm, to, frame)
+
+        w.network.request = refused_once
+    a = w.node("A")
+    goal, _ = parser.parse_goal("good", a.policy.signature)
+    answer = a.ask_first(goal)
+    assert E.render_spine(answer.evidence, w.policy_map()).startswith("a2")
+    # the network logs a dropped frame as empty, and a refused one not at all
+    assert _queries(w) == ([None] if fault == "drop" else []) + [("B", "B says bad")]
+    assert a.metrics["transport_errors"] == (fault == "transport error")
+
+
+def test_a_hypothesis_assumed_between_two_identical_dispatches_sends_the_second():
+    # B proves `p` only with A's `s`; the left disjunct asks B before A
+    # assumes `A says s`, the right one after, and B's callback to A sees it.
+    decls = "pred p(). pred s(). principal A, B.\n"
+    w = scenarios.build_world([("A", decls), ("B", decls + "b1: (A says s) => B says p.\n")], 0)
+    a = w.node("A")
+    goal, _ = parser.parse_goal("B says p \\/ ((A says s) => B says p)", a.policy.signature)
+    answer = a.ask_first(goal)
+    assert answer is not None
+    assert _queries(w, "B") == [("B", "B says p")] * 2
+    assert E.check_certificate(a.certify(answer), w.policy_map(), w.directory)
+
+
+def test_nothing_is_remembered_across_queries():
+    w = _bcast_world()
+    a = w.node("A")
+    goal, _ = parser.parse_goal("B says good(B)", a.policy.signature)
+    for _ in range(2):
+        assert a.ask_first(goal) is not None
+    assert _queries(w) == [("B", "B says good(B)")] * 2
+    assert w.node("B").metrics["queries_handled"] == 2
+
+
+CHAIN_DECLS = "pred p(). principal A, B, C, D.\n"
+
+
+def _chain_world(d_src):
+    """B asks C, and C asks D, for `p`."""
+    return scenarios.build_world(
+        [("A", CHAIN_DECLS), ("B", CHAIN_DECLS + "b: (C says p) => B says p.\n"),
+         ("C", CHAIN_DECLS + "c: (D says p) => C says p.\n"), ("D", CHAIN_DECLS + d_src)],
+        0,
+    )
+
+
+@pytest.mark.parametrize("depth, reason", [(4, "depth exhausted"), (5, "depth exhausted"), (60, "no proof")])
+def test_a_peer_chain_longer_than_the_budget_fails_for_depth(depth, reason):
+    # At depth 4 C's premise `D says p` is cut for depth; at 5 C has no
+    # budget left to ask D.  Either way each served search says so.
+    w = _chain_world("" if reason == "no proof" else "d: D says p.\n")
+    a = w.node("A")
+    goal, _ = parser.parse_goal("B says p", a.policy.signature)
+    assert a.ask_first(goal, depth=depth) is None
+    replies = [decode_frame(data) for _, _, data in w.network.frames]
+    replies = [(r["type"], r["reason"]) for r in replies if r["type"] != "QUERY"]
+    assert replies == [("FAIL", reason)] * (2 if depth < 6 else 3)  # C's, then B's; or D's too
+    if reason == "depth exhausted":
+        assert a.ask_first(goal, depth=6) is not None  # each hop takes two levels
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,59 @@ def test_the_lowest_failure_wins_though_another_endpoint_answers_first():
     assert remote_check(_owners_registry(k1, k2), cert, k1.digest) == local
 
 
+def _requests(monkeypatch, reg, cert, digest=None):
+    """The verdict of `remote_check`, and the names of the endpoints its
+    requests went to, in order."""
+    names, serve = [], CheckerEndpoint.handle_frame
+
+    def spy(endpoint, data):
+        names.append(endpoint.name)
+        return serve(endpoint, data)
+
+    monkeypatch.setattr(CheckerEndpoint, "handle_frame", spy)
+    return remote_check(reg, cert, digest), names
+
+
+@pytest.mark.parametrize("name, sent", [
+    ("delegation", ["V", "CA", "HMO", "B"]),
+    ("hospital", ["A", "B", "C", "B"]),
+    ("revocation", ["K", "L"]),
+])
+def test_a_check_enters_at_the_root_clause_owner(monkeypatch, name, sent):
+    # Entered at the first sorted pin, revocation's check went to L first,
+    # which only cut K's root clause and handed it on: 3 requests.
+    # Delegation's went to CA first, for 5.
+    r = scenarios.SCENARIOS[name](0)
+    verdict, names = _requests(monkeypatch, _registry_for(r.world), r.certificate)
+    assert verdict and names == sent
+
+
+def test_a_check_with_no_routed_policy_clause_enters_at_the_first_sorted_pin(monkeypatch):
+    # The first clause application is a hypothesis, and the only policy
+    # clause applied is under a digest no endpoint is registered for: both
+    # leave the entry to the sorted pins, of which only K2's has an endpoint.
+    sig = "sort Thing. pred p(Thing). pred q(Thing).\n"
+    k1 = parser.parse_policy(sig + "f1: q(a).\n", "K1")
+    k2 = parser.parse_policy(sig + "f2: q(a).\n", "K2")
+    k3 = parser.parse_policy(sig + "f3: q(a).\n", "K3")
+    reg = _owners_registry(k2, k3)
+    pa, qa = (S.Atom(n, (S.Const("a", "Thing"),)) for n in "pq")
+    for premises in [(), (E.ClauseApp(0, k1.digest),)]:
+        hyp = S.Implies(qa, pa) if premises else pa
+        cert = E.Certificate(S.Implies(hyp, pa), E.Abstraction("h1", E.ClauseApp("h1", None, (), premises)),
+                             frozenset({k1.digest, k2.digest, k3.digest}))
+        local = E.check_certificate(cert, {k2.digest: k2, k3.digest: k3})
+        first = min(d for d in cert.policy_digests if d != k1.digest)
+        verdict, names = _requests(monkeypatch, reg, cert)
+        assert verdict == local and local.ok == (not premises)
+        assert names[0] == reg.endpoint_for(first).name
+    # With K1 registered, its clause application is where the check enters.
+    reg.register(k1.digest, CheckerEndpoint("K1", [k1], None, reg))
+    verdict, names = _requests(monkeypatch, reg, cert)
+    assert verdict == E.check_certificate(cert, {p.digest: p for p in (k1, k2, k3)}) and verdict
+    assert names == ["K1"]
+
+
 def test_a_stale_re_registered_digest_gets_the_local_verdict():
     # K1 updates its policy, then registers the old digest again; K2's
     # endpoint knows that digest only by the registry's newest record of it.

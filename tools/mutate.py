@@ -5,8 +5,10 @@ remembers the attestations that verified under its keys),
 `crypto.verify_attestation`, clause application as prover and checker
 share it (`syntax.Clause`, `syntax.proved_head`, and `syntax.clauses_of`,
 which also splits a hypothesis into clauses for the checker), proof search
-(`engine.ClauseIndex`, `engine.Prover` and `engine.resolve_evidence`), and
-signing (`crypto.sign`, `crypto.KeyPair` and `services.TrustedServices`).
+(`engine.ClauseIndex`, `engine.Prover` and `engine.resolve_evidence`),
+signing (`crypto.sign`, `crypto.KeyPair` and `services.TrustedServices`),
+and distributed search and checking (`node.Node`, with its answer tables,
+and `services.remote_check`).
 
 Each mutant is one small change to one of the listed targets, made in a
 copy of the repository in a temporary directory; the target's named test
@@ -74,6 +76,10 @@ TARGETS = [
      ("tests/test_crypto.py", "tests/test_services.py")),
     ("signing", "src/cyberlogic/services.py", ("TrustedServices",),
      ("tests/test_crypto.py", "tests/test_services.py")),
+    ("distributed", "src/cyberlogic/node.py", ("Node",),
+     ("tests/test_node.py", "tests/test_golden.py", "tests/test_services.py")),
+    ("distributed", "src/cyberlogic/services.py", ("remote_check",),
+     ("tests/test_node.py", "tests/test_golden.py", "tests/test_services.py")),
 ]
 
 _OPPOSITE = {
